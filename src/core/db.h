@@ -108,10 +108,10 @@ struct DBStats {
 /// Concurrent readers are always safe against the writer. By default
 /// flushes and compactions run inline on the writing thread, one writer at
 /// a time (deterministic by design — the benchmark substrate). With
-/// Options::background_compaction they run on a background thread instead:
-/// writers (any number; they serialize internally) hand full memtables off
-/// and are paced by the L0 slowdown/stop triggers rather than doing the
-/// merge work themselves.
+/// Options::background_compaction the same flush and compaction steps run
+/// on a background thread instead: writers (any number; they serialize
+/// internally) hand full memtables off and are paced by the L0
+/// slowdown/stop triggers rather than doing the merge work themselves.
 class DB {
  public:
   /// Opens (creating if needed) the database at `name`.

@@ -139,9 +139,11 @@ Status DBImpl::InitLocked(PendingEvents* events) {
   if (!s.ok()) {
     return s;
   }
-  s = NewWal();
-  if (!s.ok()) {
-    return s;
+  if (wal_ == nullptr) {  // a recovery flush already opened a fresh WAL
+    s = NewWal();
+    if (!s.ok()) {
+      return s;
+    }
   }
   // io-under-lock-ok: orphan sweep during single-threaded recovery.
   versions_->RemoveOrphanedFiles();
@@ -412,7 +414,7 @@ Status DBImpl::RecoverWal(PendingEvents* events) {
   versions_->SetLastSequence(max_sequence);
 
   if (mem_->num_entries() > 0) {
-    s = FlushMemTableLocked(events);
+    s = FlushOnCallerLocked(events);
     if (!s.ok()) {
       return s;
     }
@@ -498,7 +500,10 @@ void DBImpl::StallWait() {
 }
 
 Status DBImpl::MakeRoomForWrite(PendingEvents* events) {
-  bool allow_delay = true;
+  // The L0 triggers wait for the background worker to catch up. An inline
+  // writer is that worker, so it is never delayed or stopped by them.
+  const bool paced = bg_pool_ != nullptr;
+  bool allow_delay = paced;
   // The stop trigger must sit at or above the compaction trigger, or the
   // stall below could wait for a compaction the policy never picks.
   const int stop_trigger =
@@ -537,33 +542,36 @@ Status DBImpl::MakeRoomForWrite(PendingEvents* events) {
                  static_cast<uint64_t>(micros));
       allow_delay = false;  // at most one delay per write
       mu_.Lock();
-    } else if (mem_->ApproximateMemoryUsage() < options_.write_buffer_size) {
+    } else if (mem_->num_entries() == 0 ||
+               mem_->ApproximateMemoryUsage() < options_.write_buffer_size) {
+      // An empty memtable is never frozen: below one arena block of
+      // write_buffer_size it already looks full, and freezing it would
+      // only swap in another that looks just as full.
       return Status::OK();
     } else if (imm_ != nullptr) {
       // The previous memtable is still flushing: hard stall until the
-      // background thread installs it.
+      // background worker installs it.
       stage_stall(WriteStallInfo::Cause::kMemtableFull, l0_runs);
       StallWait();
-    } else if (l0_runs >= stop_trigger) {
+    } else if (paced && l0_runs >= stop_trigger) {
       // Too many L0 runs: every extra run taxes reads, so block until
       // compaction digests the backlog.
       stage_stall(WriteStallInfo::Cause::kL0Stop, l0_runs);
       bg_compaction_hint_ = true;
-      MaybeScheduleBackgroundWork();
+      MaybeScheduleBackgroundWork(events);
       StallWait();
     } else {
       Status s = FreezeMemTableLocked();
       if (!s.ok()) {
         return s;
       }
-      MaybeScheduleBackgroundWork();
+      MaybeScheduleBackgroundWork(events);
     }
   }
 }
 
-void DBImpl::MaybeScheduleBackgroundWork() {
-  if (bg_pool_ == nullptr || bg_scheduled_ || shutting_down_ ||
-      !bg_error_.ok()) {
+void DBImpl::MaybeScheduleBackgroundWork(PendingEvents* events) {
+  if (bg_scheduled_ || shutting_down_ || !bg_error_.ok()) {
     return;
   }
   // While CompactAll holds the token a hint alone schedules nothing (the
@@ -572,6 +580,23 @@ void DBImpl::MaybeScheduleBackgroundWork() {
     return;
   }
   bg_scheduled_ = true;
+  if (bg_pool_ == nullptr) {
+    // Inline mode: the calling thread is the background worker. Its events
+    // fire when the caller releases mu_.
+    int compactions = 0;
+    const int max_compactions = options_.max_compactions_per_write;
+    while (bg_error_.ok() && (imm_ != nullptr || max_compactions == 0 ||
+                              compactions < max_compactions)) {
+      const bool flush = imm_ != nullptr;
+      if (!BackgroundStep(events)) {
+        break;
+      }
+      compactions += flush ? 0 : 1;
+    }
+    bg_scheduled_ = false;
+    bg_cv_.SignalAll();
+    return;
+  }
   if (!bg_pool_->Schedule([this] { BackgroundCall(); })) {
     // The pool already began draining; only possible during DB teardown,
     // where shutting_down_ is set before the pool shuts down. Keep the
@@ -598,7 +623,7 @@ void DBImpl::BackgroundCall() {
       if (!more) {
         bg_scheduled_ = false;
         // Work may have arrived while the lock was released during a build.
-        MaybeScheduleBackgroundWork();
+        MaybeScheduleBackgroundWork(&events);
       }
       bg_cv_.SignalAll();
     }
@@ -641,7 +666,7 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
   if (has_listeners()) {
     FlushJobInfo begin;
     begin.db_name = dbname_;
-    begin.background = true;
+    begin.background = bg_pool_ != nullptr;
     events->push_back([begin](EventListener& l) { l.OnFlushBegin(begin); });
   }
   ReconfigureMonkeyLocked(/*output_level=*/0);
@@ -676,7 +701,7 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
     }
     FlushJobInfo info;
     info.db_name = dbname_;
-    info.background = true;
+    info.background = bg_pool_ != nullptr;
     info.bytes_written = bytes_written;
     info.micros = micros;
     info.status = status;
@@ -733,10 +758,28 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
   return Status::OK();
 }
 
-void DBImpl::WaitForBackgroundLocked() {
-  while (bg_scheduled_) {
+Status DBImpl::FlushOnCallerLocked(PendingEvents* events) {
+  // imm_ belongs to whoever holds the bg_scheduled_ claim, and the freeze
+  // rotates the WAL: wait until no worker runs and no group-commit leader
+  // is appending or applying with mu_ released.
+  while ((bg_scheduled_ || log_busy_ || apply_busy_) && bg_error_.ok()) {
     bg_cv_.Wait();
   }
+  if (!bg_error_.ok()) {
+    return bg_error_;
+  }
+  if (mem_->num_entries() == 0) {
+    return Status::OK();
+  }
+  Status s = FreezeMemTableLocked();
+  if (!s.ok()) {
+    return s;
+  }
+  bg_scheduled_ = true;
+  s = FlushImmMemTable(events);
+  bg_scheduled_ = false;
+  bg_cv_.SignalAll();
+  return s;
 }
 
 Status DBImpl::Flush() {
@@ -752,14 +795,13 @@ Status DBImpl::Flush() {
 
 Status DBImpl::FlushLocked(PendingEvents* events) {
   if (bg_pool_ == nullptr) {
-    if (mem_->num_entries() == 0) {
-      return Status::OK();
-    }
-    return FlushMemTableLocked(events);
+    // Inline mode: the caller is the worker. Flush only; compactions wait
+    // for the next write that fills the memtable.
+    return FlushOnCallerLocked(events);
   }
   // Background mode: freeze (waiting for a previous freeze to drain and
   // for any in-flight group commit to leave the WAL idle — freezing
-  // rotates it), then wait until the background thread installs the flush.
+  // rotates it), then wait until the background worker installs the flush.
   while ((imm_ != nullptr || log_busy_ || apply_busy_) && bg_error_.ok()) {
     bg_cv_.Wait();
   }
@@ -771,7 +813,7 @@ Status DBImpl::FlushLocked(PendingEvents* events) {
     if (!s.ok()) {
       return s;
     }
-    MaybeScheduleBackgroundWork();
+    MaybeScheduleBackgroundWork(events);
     while (imm_ != nullptr && bg_error_.ok()) {
       bg_cv_.Wait();
     }
@@ -792,18 +834,12 @@ Status DBImpl::CompactAll() {
 
 Status DBImpl::CompactAllLocked(PendingEvents* events) {
   // Take the compaction token: background work already running finishes
-  // first, and the background thread then leaves compaction picks to us
-  // (concurrent flushes of frozen memtables remain fine — they only add
-  // newer L0 runs, which never invalidates a pick of older files).
+  // first, and the worker — a pool thread or an inline writer — then
+  // leaves compaction picks to us (its flushes of frozen memtables remain
+  // fine — they only add newer L0 runs, which never invalidates a pick of
+  // older files).
   manual_compaction_ = true;
-  WaitForBackgroundLocked();
-  Status s = bg_error_.ok() ? Status::OK() : bg_error_;
-  if (s.ok() && imm_ != nullptr) {
-    s = FlushImmMemTable(events);
-  }
-  if (s.ok() && mem_->num_entries() > 0) {
-    s = FlushMemTableLocked(events);
-  }
+  Status s = FlushOnCallerLocked(events);
   if (s.ok()) {
     s = MaybeCompact(events);
   }
@@ -843,7 +879,7 @@ Status DBImpl::CompactAllLocked(PendingEvents* events) {
     s = DoCompaction(pick, events);
   }
   manual_compaction_ = false;
-  MaybeScheduleBackgroundWork();
+  MaybeScheduleBackgroundWork(events);
   return s;
 }
 
@@ -863,115 +899,6 @@ void DBImpl::ReconfigureMonkeyLocked(int output_level) {
       options_.filter_bits_per_key, depth, options_.size_ratio));
 }
 
-Status DBImpl::FlushMemTableLocked(PendingEvents* events) {
-  // This flush rotates the WAL below; wait out any group-commit leader
-  // that is appending — or parallel-applying — with mu_ released. (No
-  // bg_error_ check needed: the leader clears log_busy_ and apply_busy_
-  // on every path, success or failure.)
-  while (log_busy_ || apply_busy_) {
-    bg_cv_.Wait();
-  }
-  stats_.Add(Ticker::kFlushes);
-  const auto flush_start = std::chrono::steady_clock::now();
-  if (has_listeners()) {
-    FlushJobInfo begin;
-    begin.db_name = dbname_;
-    events->push_back([begin](EventListener& l) { l.OnFlushBegin(begin); });
-  }
-  std::vector<FileMetaData> outputs;
-  uint64_t bytes_written = 0;
-  auto finish = [&](const Status& status) {
-    const uint64_t micros = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - flush_start)
-            .count());
-    GetPerfContext()->flush_micros += micros;
-    stats_.Record(PhaseHistogram::kFlushMicros,
-                  static_cast<double>(micros));
-    if (!has_listeners()) {
-      return;
-    }
-    FlushJobInfo info;
-    info.db_name = dbname_;
-    info.bytes_written = bytes_written;
-    info.micros = micros;
-    info.status = status;
-    if (status.ok()) {
-      for (const FileMetaData& meta : outputs) {
-        info.outputs.push_back(MakeTableFileInfo(meta, /*level=*/0));
-        const TableFileInfo created = info.outputs.back();
-        events->push_back(
-            [created](EventListener& l) { l.OnTableFileCreated(created); });
-      }
-    }
-    events->push_back([info](EventListener& l) { l.OnFlushEnd(info); });
-  };
-  ReconfigureMonkeyLocked(/*output_level=*/0);
-
-  // Inline-mode flush: the whole freeze/build/install sequence runs under
-  // mu_ by design (single-threaded configs have no one to yield to).
-  ScopedBlockingIoAllowed allow_io("inline-mode flush");
-
-  // WiscKey durability order: pointers are about to become durable in
-  // tables, so their values must hit storage first.
-  if (vlog_ != nullptr) {
-    // io-under-lock-ok: inline-mode durability barrier before the flush.
-    Status vs = vlog_->Sync(/*fsync=*/true);
-    if (!vs.ok()) {
-      finish(vs);
-      return vs;
-    }
-  }
-
-  // Rotate the WAL first so the new memtable's writes land in a fresh log.
-  const uint64_t old_wal = wal_number_;
-  Status s = NewWal();
-  if (!s.ok()) {
-    finish(s);
-    return s;
-  }
-
-  std::unique_ptr<Iterator> iter(mem_->NewIterator());
-  // io-under-lock-ok: inline-mode table build runs under mu_ by design.
-  s = BuildTables(iter.get(), /*output_level=*/0,
-                  /*drop_shadowed=*/false, /*drop_tombstones=*/false,
-                  SmallestSnapshotLocked(), &outputs, &bytes_written);
-  if (!s.ok()) {
-    finish(s);
-    return s;
-  }
-  stats_.Add(Ticker::kBytesFlushed, bytes_written);
-  stats_.Add(Ticker::kTableFilesCreated, outputs.size());
-
-  VersionEdit edit;
-  const uint64_t run_seq = versions_->NewRunSeq();
-  for (FileMetaData& meta : outputs) {
-    meta.run_seq = run_seq;
-    edit.AddFile(0, meta);
-  }
-  edit.SetLogNumber(wal_number_);  // everything older is durable in tables
-  // io-under-lock-ok: inline-mode manifest install under mu_ by design.
-  s = versions_->LogAndApply(&edit);
-  if (!s.ok()) {
-    finish(s);
-    return s;
-  }
-
-  // Swap in an empty memtable and drop the old WAL.
-  mem_->Unref();
-  mem_ = new MemTable(icmp_, options_.memtable_rep,
-                      options_.memtable_hash_index);
-  mem_->Ref();
-  if (options_.enable_wal && old_wal != 0) {
-    // status-ok: best-effort; a leftover WAL is re-deleted on the next
-    // recovery.
-    // io-under-lock-ok: inline-mode WAL unlink tied to the install.
-    options_.env->RemoveFile(WalFileName(dbname_, old_wal)).IgnoreError();
-  }
-  finish(Status::OK());
-  return Status::OK();
-}
-
 Status DBImpl::BuildTables(Iterator* iter, int output_level,
                            bool drop_shadowed, bool drop_tombstones,
                            SequenceNumber smallest_snapshot,
@@ -979,7 +906,7 @@ Status DBImpl::BuildTables(Iterator* iter, int output_level,
                            uint64_t* bytes_written) {
   outputs->clear();
   *bytes_written = 0;
-  const TableOptions& topts = table_cache_->TableOptionsForLevel(output_level);
+  const TableOptions topts = table_cache_->TableOptionsForLevel(output_level);
 
   std::unique_ptr<WritableFile> file;
   std::unique_ptr<SSTableBuilder> builder;

@@ -165,20 +165,27 @@ class DBImpl : public DB {
   /// Replays WAL files newer than the manifest's log number.
   Status RecoverWal(PendingEvents* events) REQUIRES(mu_);
   Status NewWal() REQUIRES(mu_);
-  /// Flushes the current memtable into a level-0 run, entirely under mu_
-  /// (inline mode and recovery).
-  Status FlushMemTableLocked(PendingEvents* events) REQUIRES(mu_);
   /// Freezes mem_ into imm_ behind a fresh memtable + WAL so writers can
-  /// continue while the background thread flushes. REQUIRES additionally:
+  /// continue while the worker flushes. REQUIRES additionally:
   /// imm_ == nullptr.
   Status FreezeMemTableLocked() REQUIRES(mu_);
-  /// Write controller (background mode): blocks until mem_ has room,
-  /// applying the L0 slowdown/stop triggers and the pending-imm stall.
-  /// May release and reacquire mu_.
+  /// Flushes mem_ on the calling thread (inline Flush, CompactAll,
+  /// recovery): waits for the bg_scheduled_ claim and an idle WAL,
+  /// freezes, and runs FlushImmMemTable while holding the claim. Runs no
+  /// compaction. May release and reacquire mu_.
+  Status FlushOnCallerLocked(PendingEvents* events) REQUIRES(mu_);
+  /// Write controller, run by every group leader before it applies: blocks
+  /// until mem_ has room, freezing a full (non-empty) memtable and handing
+  /// it to the worker. Background mode also applies the L0 slowdown/stop
+  /// triggers and the pending-imm stall. May release and reacquire mu_.
   Status MakeRoomForWrite(PendingEvents* events) REQUIRES(mu_);
-  /// Schedules a background task when work is pending (a frozen memtable
-  /// or a compaction hint) and none is queued.
-  void MaybeScheduleBackgroundWork() REQUIRES(mu_);
+  /// Starts the worker when work is pending (a frozen memtable or a
+  /// compaction hint) and no one holds the bg_scheduled_ claim. Background
+  /// mode queues BackgroundCall on the pool. Inline mode runs the worker
+  /// right here: BackgroundStep until imm_ is flushed and at most
+  /// Options::max_compactions_per_write compactions have run, staging
+  /// their events in *events. May release and reacquire mu_.
+  void MaybeScheduleBackgroundWork(PendingEvents* events) REQUIRES(mu_);
   /// Thread-pool entry point: loops over BackgroundStep, releasing mu_
   /// between steps to fire that step's listener events.
   void BackgroundCall() EXCLUDES(mu_);
@@ -190,8 +197,6 @@ class DBImpl : public DB {
   /// only the manifest install holds it. REQUIRES additionally:
   /// imm_ != nullptr. On failure the error is also recorded in bg_error_.
   Status FlushImmMemTable(PendingEvents* events) REQUIRES(mu_);
-  /// Waits until no background task is queued or running.
-  void WaitForBackgroundLocked() REQUIRES(mu_);
   /// Counted condition-variable wait: blocks on bg_cv_ and accrues the
   /// stall counters.
   void StallWait() REQUIRES(mu_);
@@ -262,7 +267,8 @@ class DBImpl : public DB {
 
   Mutex mu_{LockRank::kDbMu};
   MemTable* mem_ GUARDED_BY(mu_) = nullptr;  // owned via Ref/Unref
-  /// Frozen memtable awaiting background flush.
+  /// Frozen memtable awaiting flush. Owned by whoever holds the
+  /// bg_scheduled_ claim: only the claim holder flushes it.
   MemTable* imm_ GUARDED_BY(mu_) = nullptr;
   /// WAL of the memtable that replaced imm_; once imm_'s flush is in the
   /// manifest this becomes the manifest log number, and only then may any
@@ -278,8 +284,8 @@ class DBImpl : public DB {
   /// prefix of the queue as one group and signals each member's CondVar.
   std::deque<Writer*> writers_ GUARDED_BY(mu_);
   /// True while the leader runs WAL/value-log I/O with mu_ released. WAL
-  /// rotation (FreezeMemTableLocked / FlushMemTableLocked) must wait for
-  /// the log to go idle, or it would destroy the file mid-append.
+  /// rotation (FreezeMemTableLocked) must wait for the log to go idle, or
+  /// it would destroy the file mid-append.
   bool log_busy_ GUARDED_BY(mu_) = false;
   /// True while a parallel group apply runs outside mu_ (leader and
   /// followers inserting into mem_ concurrently). Freeze must wait for it
@@ -316,20 +322,23 @@ class DBImpl : public DB {
   // options_.background_compaction: it points at owned_bg_pool_ (the
   // standalone case — one private worker, which serializes this
   // instance's flushes and compactions) or at a caller-owned pool shared
-  // across shards (ShardedDB). Either way bg_scheduled_ admits at most
-  // one queued-or-running task per DBImpl, so per-instance background
-  // work stays serialized even on a wide shared pool.
+  // across shards (ShardedDB). When it is null (inline mode) the same
+  // worker runs on the calling thread. Either way bg_scheduled_ admits at
+  // most one worker per DBImpl, so per-instance flushes and compactions
+  // stay serialized even on a wide shared pool.
   std::unique_ptr<ThreadPool> owned_bg_pool_;
   ThreadPool* bg_pool_ = nullptr;
   /// Signalled on background progress (flush/compaction install, task
   /// completion); stalled writers and waiters sleep on it.
   CondVar bg_cv_{&mu_};
-  bool bg_scheduled_ GUARDED_BY(mu_) = false;  // a task is queued or running
+  /// The worker claim: set while a pool task is queued or running, or
+  /// while a caller runs the worker's flush/compaction steps itself.
+  bool bg_scheduled_ GUARDED_BY(mu_) = false;
   /// Shape/seek work may be pending.
   bool bg_compaction_hint_ GUARDED_BY(mu_) = false;
-  /// CompactAll holds the compaction token: the background thread defers
-  /// compaction picks (flushes still run) so two merges never race over
-  /// the same input files.
+  /// CompactAll holds the compaction token: the worker defers compaction
+  /// picks (flushes still run) so two merges never race over the same
+  /// input files.
   bool manual_compaction_ GUARDED_BY(mu_) = false;
   bool shutting_down_ GUARDED_BY(mu_) = false;
   /// First background failure; surfaced to writers and sticky (matches the

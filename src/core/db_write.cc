@@ -7,7 +7,11 @@
 //   1. Every DBImpl::Write parks a Writer{batch, sync, cv} in writers_.
 //      The front of the queue is the leader; everyone else sleeps on a
 //      per-writer CondVar.
-//   2. The leader claims a prefix of the queue up to a size cap and
+//   2. The leader first makes room (MakeRoomForWrite): a full memtable is
+//      frozen and handed to the worker, which in inline mode runs right
+//      there on the leader. A failed flush thus fails the group before
+//      any of it is applied.
+//      The leader then claims a prefix of the queue up to a size cap and
 //      concatenates the members into one batch with contiguous sequence
 //      numbers. It then sets log_busy_ and RELEASES mu_ for the expensive
 //      part: key-value separation, the single WAL append, and the sync
@@ -138,19 +142,13 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
     }
   }
 
-  // This writer leads.
-  Status s;
-  if (!bg_error_.ok()) {
-    // A prior failure poisoned the DB — a failed flush/compaction, or a
-    // group whose WAL record landed but whose commit could not complete.
-    // Accepting more writes would diverge further from the log.
-    s = bg_error_;
-  } else if (bg_pool_ != nullptr) {
-    // Background mode: make room first so the group lands in the memtable
-    // and WAL that will stay current (a freeze rotates both). May release
-    // and reacquire mu_; writers arriving meanwhile queue behind us.
-    s = MakeRoomForWrite(events);
-  }
+  // This writer leads. Make room first so the group lands in the memtable
+  // and WAL that will stay current (a freeze rotates both). Fails with
+  // bg_error_ once a prior failure poisoned the DB — a failed
+  // flush/compaction, or a group whose WAL record landed but whose commit
+  // could not complete. May release and reacquire mu_; writers arriving
+  // meanwhile queue behind us.
+  Status s = MakeRoomForWrite(events);
 
   Writer* last_writer = &w;
   if (s.ok()) {
@@ -243,28 +241,14 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
       bg_error_ = s;
     }
 
-    if (s.ok()) {
-      if (bg_pool_ != nullptr) {
-        if (pending_seek_compaction_.exchange(false,
-                                              std::memory_order_relaxed)) {
-          // Reads flagged a file that keeps wasting probes; wake the
-          // background thread to service it (tutorial I-2 trigger
-          // primitive).
-          bg_compaction_hint_ = true;
-          MaybeScheduleBackgroundWork();
-        }
-      } else if (mem_->ApproximateMemoryUsage() >=
-                 options_.write_buffer_size) {
-        s = FlushMemTableLocked(events);
-        if (s.ok()) {
-          s = MaybeCompact(events, options_.max_compactions_per_write);
-        }
-      } else if (pending_seek_compaction_.exchange(
-                     false, std::memory_order_relaxed)) {
-        // Inline mode services the read-triggered compaction on this
-        // write.
-        s = MaybeCompact(events, options_.max_compactions_per_write);
-      }
+    if (s.ok() &&
+        pending_seek_compaction_.exchange(false, std::memory_order_relaxed)) {
+      // Reads flagged a file that keeps wasting probes; hand it to the
+      // background worker (tutorial I-2 trigger primitive). In inline mode
+      // this write runs the compaction; a failure there is sticky in
+      // bg_error_ and fails the next write, not this committed one.
+      bg_compaction_hint_ = true;
+      MaybeScheduleBackgroundWork(events);
     }
   }
 

@@ -108,8 +108,9 @@ struct Options {
   /// Run flushes and compactions on a background thread. A full memtable is
   /// frozen and handed off (writers continue into a fresh memtable + WAL),
   /// and compaction debt is repaid off the write path; the write controller
-  /// below converts hard stalls into bounded slowdowns. Off = inline
-  /// flush/compaction on the writing thread (deterministic benchmarking).
+  /// below converts hard stalls into bounded slowdowns. Off = the same
+  /// flush/compaction steps run on the writing thread (deterministic
+  /// benchmarking).
   bool background_compaction = false;
   /// Background mode: L0 run count at which each write is delayed ~1ms so
   /// compaction can catch up before the stop trigger is hit. 0 disables.
@@ -217,8 +218,6 @@ struct Options {
 struct ReadOptions {
   /// nullptr reads the latest data; otherwise reads at the snapshot.
   const Snapshot* snapshot = nullptr;
-  /// Verify block checksums on every read (always on in this build).
-  bool verify_checksums = true;
   /// Let Get consult point filters (off to measure their benefit).
   bool use_filter = true;
 };

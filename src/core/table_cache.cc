@@ -46,12 +46,10 @@ std::shared_ptr<SSTable> TableCache::TrackPin(
 
 void TableCache::ConfigureFilterBits(
     const std::vector<double>& bits_per_level) {
-  // Note: previously created FilterPolicy objects are intentionally kept
-  // alive in owned_filters_ — already-open tables hold pointers to them.
-  per_level_options_.clear();
-  per_level_options_.resize(options_->max_levels);
+  std::vector<TableOptions> levels(options_->max_levels);
+  std::vector<std::unique_ptr<const FilterPolicy>> policies;
   for (int level = 0; level < options_->max_levels; level++) {
-    TableOptions& t = per_level_options_[level];
+    TableOptions& t = levels[level];
     t.comparator = icmp_;
     t.block_size = options_->block_size;
     t.block_restart_interval = options_->block_restart_interval;
@@ -75,15 +73,21 @@ void TableCache::ConfigureFilterBits(
           options_->filter_factory != nullptr
               ? options_->filter_factory(bits)
               : NewBloomFilterPolicy(bits);
-      owned_filters_.emplace_back(policy);
+      policies.emplace_back(policy);
       t.filter_policy = policy;
     } else {
       t.filter_policy = nullptr;
     }
   }
+  MutexLock lock(&mu_);
+  per_level_options_.swap(levels);
+  for (auto& policy : policies) {
+    owned_filters_.push_back(std::move(policy));
+  }
 }
 
-const TableOptions& TableCache::TableOptionsForLevel(int level) const {
+TableOptions TableCache::TableOptionsForLevel(int level) const {
+  MutexLock lock(&mu_);
   // Levels ultimately come off the manifest; clamp rather than index out
   // of bounds if a corrupt FileMetaData slips past recovery validation.
   if (level < 0) {

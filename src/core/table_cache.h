@@ -34,11 +34,15 @@ class TableCache {
   TableCache(const TableCache&) = delete;
   TableCache& operator=(const TableCache&) = delete;
 
-  /// Installs per-level filter bits/key (index = level). Must be called
-  /// before any table is opened; also used by flush/compaction builders.
-  void ConfigureFilterBits(const std::vector<double>& bits_per_level);
+  /// Installs per-level filter bits/key (index = level), for tables
+  /// opened or built from now on. Safe against concurrent
+  /// TableOptionsForLevel/FindTable callers: Monkey re-derives the bits
+  /// while readers open tables and background builds run.
+  void ConfigureFilterBits(const std::vector<double>& bits_per_level)
+      EXCLUDES(mu_);
 
-  const TableOptions& TableOptionsForLevel(int level) const;
+  /// A copy of the current options for tables at `level`.
+  TableOptions TableOptionsForLevel(int level) const EXCLUDES(mu_);
 
   /// Opens (or returns the cached) reader for `meta`. The out-param pins
   /// the reader; in debug builds the pin is tracked with the caller's
@@ -90,10 +94,12 @@ class TableCache {
   const Options* const options_;
   const InternalKeyComparator* const icmp_;
 
-  std::vector<TableOptions> per_level_options_;
-  std::vector<std::unique_ptr<const FilterPolicy>> owned_filters_;
-
   mutable Mutex mu_{LockRank::kTableCacheMu};
+  std::vector<TableOptions> per_level_options_ GUARDED_BY(mu_);
+  /// Every filter policy ever installed: open tables keep pointers to the
+  /// ones they were opened with, so a reconfiguration never frees any.
+  std::vector<std::unique_ptr<const FilterPolicy>> owned_filters_
+      GUARDED_BY(mu_);
   std::unordered_map<uint64_t, std::shared_ptr<SSTable>> tables_
       GUARDED_BY(mu_);
   PinTracker pin_tracker_{"TableCache reader pin"};

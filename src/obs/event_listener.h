@@ -20,8 +20,8 @@ struct TableFileInfo {
 
 struct FlushJobInfo {
   std::string db_name;
-  /// True when the flush ran on the background worker (a frozen immutable
-  /// memtable); false for inline/recovery flushes of the live memtable.
+  /// True in background mode (Options::background_compaction); false in
+  /// inline mode, where every flush runs on the thread that triggered it.
   bool background = false;
   uint64_t bytes_written = 0;
   uint64_t micros = 0;  ///< wall time of the table build + install

@@ -78,8 +78,8 @@ inline void AssertBlockingIoAllowed(const char* what) {
 }
 
 /// RAII exemption for the audited call sites where blocking I/O under an
-/// engine mutex is by design (recovery, inline-mode flush, manifest
-/// install under mu_). Every use must match an entry in
+/// engine mutex is by design (recovery, the memtable freeze's WAL
+/// rotation, manifest install under mu_). Every use must match an entry in
 /// tools/lock_io_audit.list so the static and dynamic audit lists stay
 /// one list.
 class ScopedBlockingIoAllowed {

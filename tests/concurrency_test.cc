@@ -2,10 +2,15 @@
 // background flush/compaction pipeline. Run under -DLSMLAB_SANITIZE=thread
 // to prove the pipeline is data-race free (see README).
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,7 +19,9 @@
 
 #include "core/db.h"
 #include "core/sharded_db.h"
+#include "obs/event_listener.h"
 #include "storage/env.h"
+#include "util/random.h"
 
 namespace lsmlab {
 namespace {
@@ -349,6 +356,121 @@ TEST(ConcurrencyTest, ShardedBackgroundJobsOverlapAcrossShards) {
       ASSERT_TRUE(ValueConsistent(key, value, &version)) << key;
     }
   }
+}
+
+// An empty skiplist memtable already reports one 4 KiB arena block. With
+// write_buffer_size at that floor, every fresh memtable looks full; the
+// write controller must not freeze memtables that hold nothing, or the
+// first Put never returns. Returns a process exit code: 0 on success.
+int PutsAtArenaFloor() {
+  std::unique_ptr<Env> env(NewMemEnv());
+  Options options = BackgroundOptions(env.get());
+  options.write_buffer_size = 4 << 10;
+  std::unique_ptr<DB> db;
+  if (!DB::Open(options, "/floor", &db).ok()) {
+    return 1;
+  }
+  const std::string value(64, 'f');
+  for (int i = 0; i < 100; i++) {
+    if (!db->Put({}, TestKey(0, i), value).ok()) {
+      return 2;
+    }
+  }
+  std::string got;
+  if (db->GetStats().flushes == 0 || !db->Get({}, TestKey(0, 99), &got).ok() ||
+      got != value) {
+    return 3;
+  }
+  return 0;
+}
+
+// The Puts run in a child process under a 20 s alarm, so a livelock fails
+// the test (killed by SIGALRM) instead of hanging it.
+TEST(ConcurrencyTest, WriteBufferAtArenaFloorMakesProgress) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        alarm(20);
+        std::_Exit(PutsAtArenaFloor());
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+/// Records the input files of every successful compaction and counts the
+/// ones some earlier compaction already consumed.
+class CompactionInputRecorder : public EventListener {
+ public:
+  void OnCompactionEnd(const CompactionJobInfo& info) override {
+    if (!info.status.ok()) {
+      return;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const TableFileInfo& f : info.inputs) {
+      if (!consumed_.insert(f.file_number).second) {
+        reused_++;
+      }
+    }
+    compactions_++;
+  }
+  int reused() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return reused_;
+  }
+  int compactions() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return compactions_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::set<uint64_t> consumed_;
+  int reused_ = 0;
+  int compactions_ = 0;
+};
+
+// Inline mode: CompactAll merges with the DB mutex released while a writer
+// keeps filling, flushing and compacting on its own thread. While
+// CompactAll holds the compaction token the writer must leave compaction
+// picks alone, or both merge and install the same input files. No file
+// may be the input of two successful compactions.
+TEST(ConcurrencyTest, InlineCompactAllExcludesWriteCompactions) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  auto recorder = std::make_shared<CompactionInputRecorder>();
+  Options options;
+  options.env = env.get();
+  options.write_buffer_size = 8 << 10;
+  options.max_file_size = 8 << 10;
+  options.level0_compaction_trigger = 2;
+  options.size_ratio = 4;
+  options.listeners.push_back(recorder);
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/inline_manual", &db).ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> compact_failures{0};
+  std::thread compactor([&] {
+    while (!done.load()) {
+      if (!db->CompactAll().ok()) {
+        compact_failures.fetch_add(1);
+      }
+    }
+  });
+  Random rng(301);
+  const std::string value(48, 'c');
+  Status write_status;
+  for (int i = 0; i < 20000 && write_status.ok(); i++) {
+    const std::string key = TestKey(0, static_cast<int>(rng.Uniform(2000)));
+    write_status = rng.OneIn(4) ? db->Delete({}, key)
+                                : db->Put({}, key, value);
+  }
+  done.store(true);
+  compactor.join();
+  EXPECT_TRUE(write_status.ok()) << write_status.ToString();
+  EXPECT_EQ(compact_failures.load(), 0);
+  EXPECT_GT(recorder->compactions(), 0);
+  EXPECT_EQ(recorder->reused(), 0)
+      << "files merged by two compactions out of "
+      << recorder->compactions();
 }
 
 }  // namespace

@@ -33,6 +33,9 @@ struct Config {
   MemTable::Rep memtable = MemTable::Rep::kSkipList;
   bool memtable_hash = false;
   bool kv_separation = false;
+  /// Flushes and compactions on the background worker instead of the
+  /// writing thread; both modes share one flush path.
+  bool background = false;
 };
 
 class ModelCheckTest : public ::testing::TestWithParam<Config> {
@@ -51,6 +54,7 @@ class ModelCheckTest : public ::testing::TestWithParam<Config> {
     options_.index_type = cfg.index_type;
     options_.memtable_rep = cfg.memtable;
     options_.memtable_hash_index = cfg.memtable_hash;
+    options_.background_compaction = cfg.background;
     if (cfg.block_cache) {
       cache_ = std::make_unique<BlockCache>(64 << 10);  // tiny: evictions
       options_.block_cache = cache_.get();
@@ -217,7 +221,19 @@ INSTANTIATE_TEST_SUITE_P(
                .hash_index = true,
                .range_filter = true,
                .memtable_hash = true,
-               .kv_separation = true}),
+               .kv_separation = true},
+        Config{.name = "leveling_background",
+               .policy = MergePolicy::kLeveling,
+               .background = true},
+        Config{.name = "kitchen_sink_background",
+               .policy = MergePolicy::kLazyLeveling,
+               .filters = FilterAllocation::kMonkey,
+               .block_cache = true,
+               .hash_index = true,
+               .range_filter = true,
+               .memtable_hash = true,
+               .kv_separation = true,
+               .background = true}),
     [](const ::testing::TestParamInfo<Config>& info) {
       return info.param.name;
     });

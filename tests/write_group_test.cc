@@ -31,6 +31,11 @@ bool IsWalFile(const std::string& fname) {
          fname.compare(fname.size() - 4, 4, ".wal") == 0;
 }
 
+bool IsTableFile(const std::string& fname) {
+  return fname.size() > 4 &&
+         fname.compare(fname.size() - 4, 4, ".sst") == 0;
+}
+
 bool IsVlogFile(const std::string& fname) {
   return fname.size() > 5 &&
          fname.compare(fname.size() - 5, 5, ".vlog") == 0;
@@ -47,6 +52,9 @@ class WalGateEnv : public Env {
 
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* result) override {
+    if (fail_tables_.load() && IsTableFile(fname)) {
+      return Status::IOError("injected table creation failure");
+    }
     std::unique_ptr<WritableFile> file;
     Status s = base_->NewWritableFile(fname, &file);
     if (!s.ok()) {
@@ -107,6 +115,8 @@ class WalGateEnv : public Env {
     return sync_waiters_;
   }
   void FailNextAppend() { fail_next_append_.store(true); }
+  /// Every later table (.sst) creation fails: flushes cannot build output.
+  void FailTableFiles() { fail_tables_.store(true); }
   void FailNextSync() { fail_next_sync_.store(true); }
 
   int wal_appends() const { return wal_appends_.load(); }
@@ -174,6 +184,7 @@ class WalGateEnv : public Env {
   int sync_waiters_ = 0;
   std::atomic<bool> fail_next_append_{false};
   std::atomic<bool> fail_next_sync_{false};
+  std::atomic<bool> fail_tables_{false};
   std::atomic<int> wal_appends_{0};
   std::atomic<int> wal_syncs_{0};
   std::atomic<int> vlog_syncs_{0};
@@ -447,6 +458,47 @@ TEST(WriteGroupTest, PostAppendFailurePoisonsDb) {
   EXPECT_TRUE(db->Get({}, "poisoned", &value).IsNotFound());
   EXPECT_TRUE(db->Get({}, "after", &value).IsNotFound());
 }
+
+// A flush that fails must fail the write that triggered it before that
+// write is applied, in both threading modes: the failing write stays
+// invisible, every acknowledged write stays readable, and the failure is
+// sticky. (Inline mode used to publish the group first and flush after.)
+class WriteModeTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(WriteModeTest, FailedFlushLeavesWriteInvisible) {
+  std::unique_ptr<Env> base(NewMemEnv());
+  WalGateEnv gate(base.get());
+  Options options;
+  options.env = &gate;
+  options.background_compaction = GetParam();
+  options.write_buffer_size = 16 << 10;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/wg_flush_fail", &db).ok());
+
+  gate.FailTableFiles();
+  const std::string value(100, 'x');
+  int failed = -1;
+  for (int i = 0; i < 5000 && failed < 0; i++) {
+    if (!db->Put({}, TestKey(0, i), value).ok()) {
+      failed = i;
+    }
+  }
+  ASSERT_GE(failed, 0) << "no write observed the failed flush";
+
+  std::string got;
+  EXPECT_TRUE(db->Get({}, TestKey(0, failed), &got).IsNotFound());
+  for (int i = 0; i < failed; i++) {
+    ASSERT_TRUE(db->Get({}, TestKey(0, i), &got).ok()) << i;
+    EXPECT_EQ(got, value);
+  }
+  EXPECT_FALSE(db->Put({}, "after", "v").ok());
+  EXPECT_TRUE(db->Get({}, "after", &got).IsNotFound());
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, WriteModeTest, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "background" : "inline";
+                         });
 
 // WriteOptions::sync keeps its durable-at-ack guarantee in the relaxed
 // modes: under kSyncIntervalMs with an interval far longer than the test,

@@ -33,6 +33,12 @@
 #   asan-ubsan     Address+UB sanitizer builds + full ctest
 #   fuzz-smoke     libFuzzer harnesses (LSMLAB_FUZZ build, clang only),
 #                  10k runs per target from the checked-in seed corpora
+#   perfbench-smoke
+#                  perfbench/run.py --selftest, then --smoke: every
+#                  benchmark workload, small, traced and not, so an engine
+#                  change that breaks the benchmark's answer checks or its
+#                  counter reconciliations fails CI (needs python3; skips
+#                  without)
 #
 # Each leg builds in its own directory (build-ci-<leg>); sanitized and
 # unsanitized objects never mix.
@@ -175,6 +181,16 @@ leg_fuzz_smoke() {
   done
 }
 
+leg_perfbench_smoke() {
+  local py="${PYTHON:-python3}"
+  if ! have "$py"; then
+    echo "ci[perfbench-smoke]: SKIP ($py not found)"
+    return 0
+  fi
+  "$py" perfbench/run.py --selftest
+  "$py" perfbench/run.py --smoke
+}
+
 run_leg() {
   echo "=== ci leg: $1 ==="
   case "$1" in
@@ -191,8 +207,9 @@ run_leg() {
     tsan-obs)      leg_tsan_obs ;;
     asan-ubsan)    leg_asan_ubsan ;;
     fuzz-smoke)    leg_fuzz_smoke ;;
+    perfbench-smoke) leg_perfbench_smoke ;;
     *)
-      echo "unknown leg '$1' (legs: lint lint-self-test check-parsers check-lock-io check-resource-flow resource-flow-self-test gcc clang-tsa clang-tidy tsan tsan-obs asan-ubsan fuzz-smoke)" >&2
+      echo "unknown leg '$1' (legs: lint lint-self-test check-parsers check-lock-io check-resource-flow resource-flow-self-test gcc clang-tsa clang-tidy tsan tsan-obs asan-ubsan fuzz-smoke perfbench-smoke)" >&2
       return 2
       ;;
   esac
@@ -203,7 +220,8 @@ if [ "$#" -ge 1 ]; then
 else
   for leg in lint lint-self-test check-parsers check-lock-io \
              check-resource-flow resource-flow-self-test \
-             gcc clang-tsa clang-tidy tsan asan-ubsan fuzz-smoke; do
+             gcc clang-tsa clang-tidy tsan asan-ubsan fuzz-smoke \
+             perfbench-smoke; do
     run_leg "$leg"
   done
   echo "=== ci: all legs done ==="
