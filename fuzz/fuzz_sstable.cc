@@ -41,7 +41,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   table->KeyMayMatch("k000123", Hash64("k000123", 7));
   table->RangeMayMatch("k000100", "k000200");
-  table->InternalGet("k000123", "k000123", [](const Slice&, const Slice&) {})
-      .IgnoreError();
+  BatchGetContext ctx;
+  ctx.target = "k000123";
+  ctx.searchable = "k000123";
+  ctx.hash = Hash64("k000123");
+  ctx.handler = [](void*, const Slice&, const Slice&) {};
+  BatchGetContext* const keys[] = {&ctx};
+  table->MultiGet(keys, /*use_filter=*/true);
   return 0;
 }

@@ -16,7 +16,6 @@
 #include "obs/perf_context.h"
 #include "tuning/monkey.h"
 #include "util/coding.h"
-#include "util/hash.h"
 #include "wal/log_reader.h"
 
 namespace lsmlab {
@@ -1235,24 +1234,6 @@ void DBImpl::PrefetchOutputsLocked(const CompactionPick& /*pick*/,
 
 // -------------------------------------------------------------- Read path --
 
-Status DBImpl::Get(const ReadOptions& options, const Slice& key,
-                   std::string* value) {
-  // Measure the lookup with thread-local counters, then fold the delta
-  // into the DB-wide registry — one snapshot/subtract per operation, no
-  // atomics on the per-probe hot path.
-  PerfContext* perf = GetPerfContext();
-  const PerfContext before = *perf;
-  Status s;
-  {
-    PerfTimer timer(&perf->get_micros);
-    s = GetImpl(options, key, value);
-  }
-  stats_.Record(PhaseHistogram::kGetMicros,
-                static_cast<double>(perf->get_micros - before.get_micros));
-  stats_.MergePerfDelta(perf->Delta(before));
-  return s;
-}
-
 DBImpl::ReadView DBImpl::PinReadView(const ReadOptions& options) {
   ReadView view;
   MutexLock lock(&mu_);
@@ -1266,116 +1247,6 @@ DBImpl::ReadView DBImpl::PinReadView(const ReadOptions& options) {
   view.sequence = options.snapshot != nullptr ? options.snapshot->sequence()
                                               : versions_->last_sequence();
   return view;
-}
-
-Status DBImpl::GetImpl(const ReadOptions& options, const Slice& key,
-                       std::string* value) {
-  stats_.Add(Ticker::kGets);
-
-  const ReadView view = PinReadView(options);
-  MemTable* mem = view.mem;
-  MemTable* imm = view.imm;
-  const VersionPtr& version = view.version;
-  const SequenceNumber sequence = view.sequence;
-
-  LookupKey lkey(key, sequence);
-  Status s;
-  bool done = false;
-
-  // Newest data first: the live memtable, then the frozen one awaiting
-  // flush, then the tree.
-  if (mem->Get(lkey, value, &s) ||
-      (imm != nullptr && imm->Get(lkey, value, &s))) {
-    stats_.Add(Ticker::kMemtableHits);
-    GetPerfContext()->memtable_hit_count++;
-    done = true;
-  }
-  mem->Unref();
-  if (imm != nullptr) {
-    imm->Unref();
-  }
-  if (done) {
-    if (s.ok()) {
-      stats_.Add(Ticker::kGetsFound);
-      if (vlog_ != nullptr) {
-        const std::string stored = *value;
-        s = ResolveValue(Slice(stored), value);
-      }
-    }
-    return s;
-  }
-
-  // Hash the user key once; every filter probe reuses it (shared hashing,
-  // tutorial §II-2 [95]).
-  const uint64_t hash = Hash64(key);
-  const Comparator* ucmp = icmp_.user_comparator();
-
-  struct SaverState {
-    const Comparator* ucmp;
-    Slice user_key;
-    std::string* value;
-    enum { kNotFound, kFound, kDeleted } state = kNotFound;
-  } saver{ucmp, key, value};
-
-  auto handler = [&saver](const Slice& ikey, const Slice& v) {
-    if (saver.ucmp->Compare(ExtractUserKey(ikey), saver.user_key) != 0) {
-      return;  // seek overshot into the next user key: not present here
-    }
-    if (ExtractValueType(ikey) == ValueType::kTypeDeletion) {
-      saver.state = SaverState::kDeleted;
-    } else {
-      saver.value->assign(v.data(), v.size());
-      saver.state = SaverState::kFound;
-    }
-  };
-
-  for (int level = 0; level < version->num_levels() && !done; level++) {
-    for (const Run& run : version->levels()[level].runs) {
-      // Locate the single candidate file within the (non-overlapping) run.
-      const FileMetaPtr* candidate = FindFileInRun(run, ucmp, key);
-      if (candidate == nullptr) {
-        continue;
-      }
-      bool filter_skipped = false;
-      s = table_cache_->Get(**candidate, lkey.internal_key(), key, hash,
-                            options.use_filter, &filter_skipped, handler);
-      if (!s.ok()) {
-        return s;
-      }
-      if (filter_skipped) {
-        stats_.Add(Ticker::kFilterSkips);
-        continue;
-      }
-      stats_.Add(Ticker::kRunsProbed);
-      if (saver.state != SaverState::kNotFound) {
-        done = true;
-        break;
-      }
-      // The probe paid an I/O and found nothing: read-trigger signal.
-      const uint64_t wasted = (*candidate)->wasted_probes.fetch_add(
-                                  1, std::memory_order_relaxed) +
-                              1;
-      if (options_.seek_compaction_threshold > 0 &&
-          wasted >= options_.seek_compaction_threshold) {
-        pending_seek_compaction_.store(true, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  switch (saver.state) {
-    case SaverState::kFound: {
-      stats_.Add(Ticker::kGetsFound);
-      if (vlog_ != nullptr) {
-        const std::string stored = *value;
-        return ResolveValue(Slice(stored), value);
-      }
-      return Status::OK();
-    }
-    case SaverState::kDeleted:
-    case SaverState::kNotFound:
-      return Status::NotFound("");
-  }
-  return Status::NotFound("");
 }
 
 Iterator* DBImpl::NewRunIterator(const Run& run) {

@@ -27,8 +27,8 @@
 namespace lsmlab {
 
 /// Value tags used when key-value separation is enabled: every stored value
-/// carries one as its first byte. Shared by the single-key path
-/// (db_impl.cc) and the batched path (db_multiget.cc).
+/// carries one as its first byte. Shared by ResolveValue and the iterators
+/// (db_impl.cc) and the point-lookup core (db_multiget.cc).
 inline constexpr char kVlogInlineTag = 0x00;
 inline constexpr char kVlogPointerTag = 0x01;
 
@@ -116,15 +116,14 @@ class DBImpl : public DB {
   void DrainDeletions(PendingEvents* events) EXCLUDES(deletions_mu_);
 
   Status InitLocked(PendingEvents* events) REQUIRES(mu_);
-  /// Locked bodies of Get/Write (events fire after the caller releases
-  /// mu_; Get takes mu_ only briefly to pin state).
-  Status GetImpl(const ReadOptions& options, const Slice& key,
-                 std::string* value) EXCLUDES(mu_);
-  /// Body of MultiGet (defined in db_multiget.cc): takes mu_ only briefly
-  /// to pin the memtables/version/sequence; all batch I/O runs unlocked.
-  void MultiGetImpl(const ReadOptions& options, std::span<const Slice> keys,
-                    std::vector<std::string>* values,
-                    std::vector<Status>* statuses) EXCLUDES(mu_);
+  /// The point-lookup core behind Get (a batch of one) and MultiGet,
+  /// defined in db_multiget.cc: resolves keys[i] into values[i] and
+  /// statuses[i]. Takes mu_ only briefly to pin the memtables, version and
+  /// sequence; all lookup I/O runs unlocked. Returns how many table probes
+  /// a filter pruned (MultiGet reports them as multiget.filter_pruned).
+  size_t LookupKeys(const ReadOptions& options, std::span<const Slice> keys,
+                    std::span<std::string> values,
+                    std::span<Status> statuses) EXCLUDES(mu_);
   Status ScanImpl(const ReadOptions& options, const Slice& start,
                   const Slice& end, size_t limit,
                   std::vector<std::pair<std::string, std::string>>* results)

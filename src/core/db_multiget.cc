@@ -1,21 +1,21 @@
-/// DB::MultiGet — the batched point-lookup path.
+/// DB::Get and DB::MultiGet — the point-lookup core.
 ///
-/// One batch pins the read view (memtables, version, sequence) exactly once,
-/// probes the memtables for every key, then walks the tree level by level:
-/// the keys still unresolved after a run are grouped by candidate file
-/// (fence pointers), each file's filter is consulted per key before any
-/// data-block I/O, and every distinct data block is fetched at most once no
-/// matter how many keys land in it (TableCache::GetBatch ->
-/// SSTable::MultiGet). Separated values resolve through one
-/// ValueLog::GetBatch sorted by (file, offset).
+/// Both APIs run one function, LookupKeys; Get is a batch of one. A lookup
+/// pins the read view (memtables, version, sequence) exactly once, probes
+/// the memtables for every key, then walks the tree run by run. The keys
+/// still unresolved are sorted once by user key, so the keys one file
+/// serves form a contiguous subspan (one FindFileInRun per key per run),
+/// and inside the table the keys one data block serves do too: every
+/// distinct block is fetched at most once no matter how many keys land in
+/// it (TableCache::GetBatch -> SSTable::MultiGet). Separated values resolve
+/// through one ValueLog::GetBatch sorted by (file, offset).
 ///
-/// Lock discipline: mu_ is held only for the initial pin; all batch I/O
+/// Lock discipline: mu_ is held only for the initial pin; all lookup I/O
 /// runs unlocked against immutable state (the pinned version and its
 /// files). Per-key statuses observe the corruption contract — a corrupt
 /// block or value-log record fails only the keys it serves.
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "core/db_impl.h"
@@ -26,22 +26,23 @@ namespace lsmlab {
 
 namespace {
 
-/// One key's state across the whole batch.
+/// One key's state across the whole lookup.
 struct KeyState {
-  KeyState(const Slice& user_key, SequenceNumber sequence)
-      : lkey(user_key, sequence) {}
+  KeyState(const Slice& user_key, SequenceNumber sequence, std::string* value,
+           Status* status)
+      : lkey(user_key, sequence), value(value), status(status) {}
 
   LookupKey lkey;        // owns the encoded key bytes the Slices point into
   BatchGetContext ctx;
-  size_t slot = 0;       // index into the caller's keys/values/statuses
+  std::string* value;    // the caller's slot; holds the raw stored value
+  Status* status;        // the caller's slot
   const Comparator* ucmp = nullptr;
   enum : uint8_t { kNotFound, kFound, kDeleted } state = kNotFound;
   bool failed = false;   // an I/O/corruption error is this key's answer
-  std::string stored;    // raw (possibly vlog-tagged) stored value
+  std::string pointer;   // a separated value's vlog pointer, once resolved
 };
 
 /// BatchGetContext handler: plain function pointer, `arg` is the KeyState.
-/// Mirrors GetImpl's saver lambda.
 void SaveValue(void* arg, const Slice& ikey, const Slice& v) {
   auto* ks = static_cast<KeyState*>(arg);
   if (ks->state != KeyState::kNotFound) {
@@ -53,12 +54,35 @@ void SaveValue(void* arg, const Slice& ikey, const Slice& v) {
   if (ExtractValueType(ikey) == ValueType::kTypeDeletion) {
     ks->state = KeyState::kDeleted;
   } else {
-    ks->stored.assign(v.data(), v.size());
+    ks->value->assign(v.data(), v.size());
     ks->state = KeyState::kFound;
   }
 }
 
 }  // namespace
+
+Status DBImpl::Get(const ReadOptions& options, const Slice& key,
+                   std::string* value) {
+  // Measure the lookup with thread-local counters, then fold the delta
+  // into the DB-wide registry — one snapshot/subtract per operation, no
+  // atomics on the per-probe hot path.
+  PerfContext* perf = GetPerfContext();
+  const PerfContext before = *perf;
+  Status s;
+  {
+    PerfTimer timer(&perf->get_micros);
+    stats_.Add(Ticker::kGets);
+    LookupKeys(options, std::span<const Slice>(&key, 1),
+               std::span<std::string>(value, 1), std::span<Status>(&s, 1));
+    if (s.ok()) {
+      stats_.Add(Ticker::kGetsFound);
+    }
+  }
+  stats_.Record(PhaseHistogram::kGetMicros,
+                static_cast<double>(perf->get_micros - before.get_micros));
+  stats_.MergePerfDelta(perf->Delta(before));
+  return s;
+}
 
 void DBImpl::MultiGet(const ReadOptions& options, std::span<const Slice> keys,
                       std::vector<std::string>* values,
@@ -67,7 +91,13 @@ void DBImpl::MultiGet(const ReadOptions& options, std::span<const Slice> keys,
   const PerfContext before = *perf;
   {
     PerfTimer timer(&perf->multiget_micros);
-    MultiGetImpl(options, keys, values, statuses);
+    stats_.Add(Ticker::kMultiGets);
+    perf->multiget_keys += keys.size();
+    values->clear();
+    values->resize(keys.size());
+    statuses->resize(keys.size());
+    perf->multiget_filter_pruned +=
+        LookupKeys(options, keys, *values, *statuses);
   }
   stats_.Record(
       PhaseHistogram::kMultiGetMicros,
@@ -75,22 +105,16 @@ void DBImpl::MultiGet(const ReadOptions& options, std::span<const Slice> keys,
   stats_.MergePerfDelta(perf->Delta(before));
 }
 
-void DBImpl::MultiGetImpl(const ReadOptions& options,
+size_t DBImpl::LookupKeys(const ReadOptions& options,
                           std::span<const Slice> keys,
-                          std::vector<std::string>* values,
-                          std::vector<Status>* statuses) {
-  values->clear();
-  values->resize(keys.size());
-  statuses->assign(keys.size(), Status::OK());
-  stats_.Add(Ticker::kMultiGets);
+                          std::span<std::string> values,
+                          std::span<Status> statuses) {
   if (keys.empty()) {
-    return;
+    return 0;
   }
-  GetPerfContext()->multiget_keys += keys.size();
-
-  // Pin one consistent view for the whole batch: every key resolves at the
-  // same sequence against the same memtables and tree shape, regardless of
-  // concurrent writes and flushes.
+  // Pin one consistent view for the whole lookup: every key resolves at
+  // the same sequence against the same memtables and tree shape, regardless
+  // of concurrent writes and flushes.
   MemTable* mem;
   MemTable* imm = nullptr;
   VersionPtr version;
@@ -109,34 +133,32 @@ void DBImpl::MultiGetImpl(const ReadOptions& options,
   // LookupKey's internal buffer, so the vector must never reallocate after
   // the Slices are taken.
   states.reserve(keys.size());
-  for (const Slice& key : keys) {
-    states.emplace_back(key, sequence);
+  for (size_t i = 0; i < keys.size(); i++) {
+    states.emplace_back(keys[i], sequence, &values[i], &statuses[i]);
   }
-  for (size_t i = 0; i < states.size(); i++) {
-    KeyState& ks = states[i];
-    ks.slot = i;
+  for (KeyState& ks : states) {
     ks.ucmp = ucmp;
     ks.ctx.target = ks.lkey.internal_key();
     ks.ctx.searchable = ks.lkey.user_key();
-    // Hash each user key once; every filter probe across every run reuses
-    // it (shared hashing).
-    ks.ctx.hash = Hash64(ks.ctx.searchable);
     ks.ctx.handler = &SaveValue;
     ks.ctx.arg = &ks;
   }
 
   // Phase 1: newest data first — the live memtable, then the frozen one.
-  std::vector<KeyState*> pending;
+  std::vector<BatchGetContext*> pending;
   pending.reserve(states.size());
   for (KeyState& ks : states) {
     Status mem_status;
-    if (mem->Get(ks.lkey, &ks.stored, &mem_status) ||
-        (imm != nullptr && imm->Get(ks.lkey, &ks.stored, &mem_status))) {
+    if (mem->Get(ks.lkey, ks.value, &mem_status) ||
+        (imm != nullptr && imm->Get(ks.lkey, ks.value, &mem_status))) {
       stats_.Add(Ticker::kMemtableHits);
       GetPerfContext()->memtable_hit_count++;
       ks.state = mem_status.ok() ? KeyState::kFound : KeyState::kDeleted;
     } else {
-      pending.push_back(&ks);
+      // Hash each user key once; every filter probe across every run
+      // reuses it (shared hashing, tutorial §II-2 [95]).
+      ks.ctx.hash = Hash64(ks.ctx.searchable);
+      pending.push_back(&ks.ctx);
     }
   }
   mem->Unref();
@@ -144,71 +166,77 @@ void DBImpl::MultiGetImpl(const ReadOptions& options,
     imm->Unref();
   }
 
-  // Phase 2: the tree, newest run first. After each run, keys that got an
-  // answer (or a confined error) leave the pending set; the batch narrows
-  // as it descends.
+  // Phase 2: the tree, newest run first. Sorted by user key, the keys one
+  // file (and, inside it, one block) serves are contiguous. After each run,
+  // keys that got an answer (or a confined error) leave the pending set;
+  // the erase keeps the order, so the set narrows as it descends and stays
+  // sorted.
+  std::sort(pending.begin(), pending.end(),
+            [ucmp](const BatchGetContext* a, const BatchGetContext* b) {
+              return ucmp->Compare(a->searchable, b->searchable) < 0;
+            });
+  size_t filter_pruned = 0;
+  auto probe_file = [&](const FileMetaPtr& file,
+                        std::span<BatchGetContext* const> ctxs) {
+    table_cache_->GetBatch(*file, ctxs, options.use_filter);
+    for (BatchGetContext* ctx : ctxs) {
+      KeyState* ks = static_cast<KeyState*>(ctx->arg);
+      if (ctx->filter_pruned) {
+        stats_.Add(Ticker::kFilterSkips);
+        filter_pruned++;
+        continue;
+      }
+      if (!ctx->status.ok()) {
+        // Confined failure: the error is this key's final answer; the rest
+        // of the lookup keeps probing.
+        *ks->status = ctx->status;
+        ks->failed = true;
+        continue;
+      }
+      stats_.Add(Ticker::kRunsProbed);
+      if (ks->state == KeyState::kNotFound) {
+        // The probe paid an I/O and found nothing: read-trigger signal.
+        const uint64_t wasted =
+            file->wasted_probes.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (options_.seek_compaction_threshold > 0 &&
+            wasted >= options_.seek_compaction_threshold) {
+          pending_seek_compaction_.store(true, std::memory_order_relaxed);
+        }
+      }
+    }
+  };
   for (int level = 0; level < version->num_levels() && !pending.empty();
        level++) {
     for (const Run& run : version->levels()[level].runs) {
       if (pending.empty()) {
         break;
       }
-      // Group the unresolved keys by candidate file via the fence
-      // pointers, preserving batch order within each file.
-      std::vector<std::pair<const FileMetaPtr*, std::vector<BatchGetContext*>>>
-          work;
-      std::unordered_map<const FileMetaData*, size_t> file_to_work;
-      for (KeyState* ks : pending) {
-        const FileMetaPtr* file = FindFileInRun(run, ucmp, ks->ctx.searchable);
-        if (file == nullptr) {
-          continue;  // the run's key space does not cover this key
+      // pending[begin, i) are the keys `file` covers (none when null).
+      const FileMetaPtr* file = nullptr;
+      size_t begin = 0;
+      for (size_t i = 0; i <= pending.size(); i++) {
+        const FileMetaPtr* next =
+            i < pending.size()
+                ? FindFileInRun(run, ucmp, pending[i]->searchable)
+                : nullptr;
+        if (i < pending.size() && next == file) {
+          continue;
         }
-        auto [it, inserted] = file_to_work.emplace(file->get(), work.size());
-        if (inserted) {
-          work.emplace_back(file, std::vector<BatchGetContext*>());
+        if (file != nullptr) {
+          probe_file(*file, std::span<BatchGetContext* const>(pending).subspan(
+                                begin, i - begin));
         }
-        work[it->second].second.push_back(&ks->ctx);
+        file = next;
+        begin = i;
       }
-      for (auto& [file, ctxs] : work) {
-        // status-ok: a table-level failure is already mirrored into every
-        // member's ctx->status, which the loop below consumes per key.
-        table_cache_
-            ->GetBatch(**file, std::span<BatchGetContext* const>(ctxs),
-                       options.use_filter)
-            .IgnoreError();
-        for (BatchGetContext* ctx : ctxs) {
-          KeyState* ks = static_cast<KeyState*>(ctx->arg);
-          if (ctx->filter_pruned) {
-            stats_.Add(Ticker::kFilterSkips);
-            continue;
-          }
-          if (!ctx->status.ok()) {
-            // Confined failure: the error is this key's final answer; the
-            // rest of the batch keeps probing.
-            (*statuses)[ks->slot] = ctx->status;
-            ks->failed = true;
-            continue;
-          }
-          stats_.Add(Ticker::kRunsProbed);
-          if (ks->state == KeyState::kNotFound) {
-            // The probe paid an I/O and found nothing: read-trigger signal,
-            // same accounting as the single-key path.
-            const uint64_t wasted = (*file)->wasted_probes.fetch_add(
-                                        1, std::memory_order_relaxed) +
-                                    1;
-            if (options_.seek_compaction_threshold > 0 &&
-                wasted >= options_.seek_compaction_threshold) {
-              pending_seek_compaction_.store(true, std::memory_order_relaxed);
-            }
-          }
-        }
-      }
-      pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                   [](const KeyState* ks) {
-                                     return ks->state != KeyState::kNotFound ||
-                                            ks->failed;
-                                   }),
-                    pending.end());
+      pending.erase(
+          std::remove_if(pending.begin(), pending.end(),
+                         [](const BatchGetContext* ctx) {
+                           const auto* ks = static_cast<KeyState*>(ctx->arg);
+                           return ks->state != KeyState::kNotFound ||
+                                  ks->failed;
+                         }),
+          pending.end());
     }
   }
 
@@ -219,32 +247,34 @@ void DBImpl::MultiGetImpl(const ReadOptions& options,
     if (ks.failed) {
       continue;  // the confined error is already in the slot
     }
-    Status& slot_status = (*statuses)[ks.slot];
     if (ks.state != KeyState::kFound) {
-      slot_status = Status::NotFound("");
+      *ks.status = Status::NotFound("");
       continue;
     }
+    *ks.status = Status::OK();
     if (vlog_ == nullptr) {
-      (*values)[ks.slot] = std::move(ks.stored);
       continue;
     }
-    const std::string& stored = ks.stored;  // tag dispatch, as ResolveValue
+    std::string& stored = *ks.value;  // tag dispatch, as ResolveValue
     if (stored.empty()) {
-      (*values)[ks.slot].clear();
-    } else if (stored[0] == kVlogInlineTag) {
-      (*values)[ks.slot].assign(stored.data() + 1, stored.size() - 1);
+      continue;
+    }
+    if (stored[0] == kVlogInlineTag) {
+      stored.erase(0, 1);
     } else if (stored[0] == kVlogPointerTag) {
       stats_.Add(Ticker::kSeparatedReads);
-      vlog_reads.push_back(
-          ValueLog::BatchRead{Slice(stored.data() + 1, stored.size() - 1),
-                              &(*values)[ks.slot], &slot_status});
+      ks.pointer.swap(stored);  // the slot now receives the payload
+      vlog_reads.push_back(ValueLog::BatchRead{
+          Slice(ks.pointer.data() + 1, ks.pointer.size() - 1), ks.value,
+          ks.status});
     } else {
-      slot_status = Status::Corruption("unknown value tag");
+      *ks.status = Status::Corruption("unknown value tag");
     }
   }
   if (!vlog_reads.empty()) {
     vlog_->GetBatch(&vlog_reads);
   }
+  return filter_pruned;
 }
 
 }  // namespace lsmlab

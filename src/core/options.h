@@ -218,7 +218,8 @@ struct Options {
 struct ReadOptions {
   /// nullptr reads the latest data; otherwise reads at the snapshot.
   const Snapshot* snapshot = nullptr;
-  /// Let Get consult point filters (off to measure their benefit).
+  /// Let Get and MultiGet consult point filters, monolithic and
+  /// partitioned (off to measure their benefit).
   bool use_filter = true;
 };
 

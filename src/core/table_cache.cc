@@ -2,7 +2,6 @@
 
 #include "core/filename.h"
 #include "filter/filter_policy.h"
-#include "obs/perf_context.h"
 
 namespace lsmlab {
 
@@ -172,28 +171,9 @@ Iterator* TableCache::NewIterator(const FileMetaPtr& file) {
   return new TableIterator(iter, std::move(table), file);
 }
 
-Status TableCache::Get(
-    const FileMetaData& meta, const Slice& internal_target,
-    const Slice& user_key, uint64_t hash, bool use_filter,
-    bool* filter_skipped,
-    const std::function<void(const Slice&, const Slice&)>& handler) {
-  *filter_skipped = false;
-  std::shared_ptr<SSTable> table;
-  Status s = FindTable(meta, &table);
-  if (!s.ok()) {
-    return s;
-  }
-  if (use_filter && !table->KeyMayMatch(user_key, hash)) {
-    *filter_skipped = true;
-    return Status::OK();
-  }
-  return table->InternalGet(internal_target, user_key, handler, use_filter,
-                            filter_skipped);
-}
-
-Status TableCache::GetBatch(const FileMetaData& meta,
-                            std::span<BatchGetContext* const> keys,
-                            bool use_filter) {
+void TableCache::GetBatch(const FileMetaData& meta,
+                          std::span<BatchGetContext* const> keys,
+                          bool use_filter) {
   std::shared_ptr<SSTable> table;  // pinned until the whole probe is done
   Status s = FindTable(meta, &table);
   if (!s.ok()) {
@@ -201,26 +181,9 @@ Status TableCache::GetBatch(const FileMetaData& meta,
       ctx->filter_pruned = false;
       ctx->status = s;
     }
-    return s;
+    return;
   }
-  // Monolithic filter-first pruning: one probe per key, before any index
-  // seek or data-block I/O.
-  std::vector<BatchGetContext*> survivors;
-  survivors.reserve(keys.size());
-  for (BatchGetContext* ctx : keys) {
-    ctx->filter_pruned = false;
-    ctx->status = Status::OK();
-    if (use_filter && !table->KeyMayMatch(ctx->searchable, ctx->hash)) {
-      ctx->filter_pruned = true;
-      GetPerfContext()->multiget_filter_pruned++;
-      continue;
-    }
-    survivors.push_back(ctx);
-  }
-  if (!survivors.empty()) {
-    table->MultiGet(std::span<BatchGetContext* const>(survivors), use_filter);
-  }
-  return Status::OK();
+  table->MultiGet(keys, use_filter);
 }
 
 bool TableCache::RangeMayMatch(const FileMetaData& meta, const Slice& lo_user,

@@ -1,7 +1,6 @@
 #ifndef LSMLAB_CORE_TABLE_CACHE_H_
 #define LSMLAB_CORE_TABLE_CACHE_H_
 
-#include <functional>
 #include <memory>
 #include <source_location>
 #include <span>
@@ -54,22 +53,14 @@ class TableCache {
   /// Iterator over the whole table; pins the file and reader.
   Iterator* NewIterator(const FileMetaPtr& file);
 
-  /// Point lookup within one table. Returns, via out-params, whether the
-  /// filter rejected the table (definitive skip, no I/O) and forwards
-  /// qualifying entries to `handler`.
-  Status Get(const FileMetaData& meta, const Slice& internal_target,
-             const Slice& user_key, uint64_t hash, bool use_filter,
-             bool* filter_skipped,
-             const std::function<void(const Slice&, const Slice&)>& handler);
-
-  /// Batched point lookup within one table: resolves the reader handle
-  /// once (pinned across the whole probe), probes the monolithic filter
-  /// once per key, and forwards the survivors to SSTable::MultiGet for
-  /// coalesced block I/O. A table that cannot be opened fails every key in
-  /// the batch — they all needed it — while filter rejections and
-  /// per-block corruption are reported per key via the contexts.
-  Status GetBatch(const FileMetaData& meta,
-                  std::span<BatchGetContext* const> keys, bool use_filter);
+  /// Point lookup of sorted `keys` within one table (Get passes one key):
+  /// resolves the reader handle once, pinned across the whole probe, and
+  /// hands the keys to SSTable::MultiGet. A table that cannot be opened
+  /// fails every key — they all needed it — through its ctx->status;
+  /// filter rejections and per-block corruption are reported per key the
+  /// same way.
+  void GetBatch(const FileMetaData& meta,
+                std::span<BatchGetContext* const> keys, bool use_filter);
 
   /// Probes only the table's range filter.
   bool RangeMayMatch(const FileMetaData& meta, const Slice& lo_user,

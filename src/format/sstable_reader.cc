@@ -384,246 +384,205 @@ bool SSTable::PartitionMayMatch(size_t ordinal, uint64_t hash) const {
   return maybe;
 }
 
-Status SSTable::InternalGet(
-    const Slice& target, const Slice& searchable,
-    const std::function<void(const Slice& key, const Slice& value)>& handler,
-    bool use_filter, bool* filter_skipped) const {
-  const uint32_t hash32 = Hash32(searchable);
-  const uint64_t hash64 = Hash64(searchable);
-  if (filter_skipped != nullptr) {
-    *filter_skipped = false;
-  }
-
-  // Learned fast path: model -> candidate block.
-  if (plr_ != nullptr || spline_ != nullptr) {
-    size_t block_idx;
-    if (!LearnedFindBlock(searchable, &block_idx)) {
-      // Numeric fences say the key is beyond this table, but numeric order
-      // is only trustworthy if fences were trained; fall through only when
-      // training succeeded (fence_nums_ non-empty).
-      if (!fence_nums_.empty()) {
-        return Status::OK();
-      }
-    } else {
-      counters_.learned_index_seeks++;
-      GetPerfContext()->learned_index_seek_count++;
-      if (use_filter && has_partitioned_filter() &&
-          !PartitionMayMatch(block_idx, hash64)) {
-        if (filter_skipped != nullptr) {
-          *filter_skipped = true;
-        }
-        return Status::OK();
-      }
-      Slice handle_value(block_handles_[block_idx]);
-      BlockHandle handle;
-      Status s = handle.DecodeFrom(&handle_value);
-      if (!s.ok()) {
-        return s;
-      }
-      BlockCache::Ref ref;
-      std::shared_ptr<const Block> owned;
-      const Block* block = nullptr;
-      s = GetBlock(handle, &ref, &owned, &block);
-      if (!s.ok()) {
-        return s;
-      }
-      std::unique_ptr<Block::BlockIterator> iter(
-          block->NewIterator(options_.comparator));
-      iter->Seek(target);
-      if (iter->Valid()) {
-        handler(iter->key(), iter->value());
-        return iter->status();
-      }
-      if (!iter->status().ok()) {
-        return iter->status();
-      }
-      // Numeric tie-breaking can land one block early (same user key,
-      // different sequence numbers); fall through to the exact path.
-    }
-  }
-
-  // Exact path: binary search the index block for the fence >= target.
-  GetPerfContext()->index_seek_count++;
-  std::unique_ptr<Iterator> index_iter(
-      index_block_->NewIterator(options_.comparator));
-  index_iter->Seek(target);
-  if (!index_iter->Valid()) {
-    return index_iter->status();  // past the last block: absent
-  }
-  Slice handle_value = index_iter->value();
-  BlockHandle handle;
-  Status s = handle.DecodeFrom(&handle_value);
-  if (!s.ok()) {
-    return s;
-  }
-  // Partitioned filter probe (§II-2 [89]): reject before paying for the
-  // data block.
-  if (use_filter && has_partitioned_filter()) {
-    auto ord = block_offset_to_ordinal_.find(handle.offset());
-    if (ord != block_offset_to_ordinal_.end() &&
-        !PartitionMayMatch(ord->second, hash64)) {
-      if (filter_skipped != nullptr) {
-        *filter_skipped = true;
-      }
-      return Status::OK();
-    }
-  }
-  BlockCache::Ref ref;
-  std::shared_ptr<const Block> owned;
-  const Block* block = nullptr;
-  s = GetBlock(handle, &ref, &owned, &block);
-  if (!s.ok()) {
-    return s;
-  }
-
-  std::unique_ptr<Block::BlockIterator> iter(
-      block->NewIterator(options_.comparator));
-
-  // In-block hash index fast path (tutorial §II-4): resolves the restart
-  // group of the newest version of `searchable` in O(1), or proves absence.
-  uint32_t restart;
-  switch (block->HashLookup(hash32, &restart)) {
-    case Block::HashResult::kAbsent:
-      counters_.hash_index_absent++;
-      GetPerfContext()->hash_index_absent_count++;
-      return Status::OK();
-    case Block::HashResult::kFound:
-      counters_.hash_index_hits++;
-      GetPerfContext()->hash_index_hit_count++;
-      iter->SeekToRestart(restart);
-      while (iter->Valid() &&
-             options_.comparator->Compare(iter->key(), target) < 0) {
-        iter->Next();
-      }
-      if (!iter->Valid() && iter->status().ok()) {
-        // The sought version can spill into the next block when a user
-        // key's versions straddle a block boundary (snapshot reads).
-        index_iter->Next();
-        if (index_iter->Valid()) {
-          handle_value = index_iter->value();
-          s = handle.DecodeFrom(&handle_value);
-          if (!s.ok()) {
-            return s;
-          }
-          BlockCache::Ref next_ref;
-          std::shared_ptr<const Block> next_owned;
-          s = GetBlock(handle, &next_ref, &next_owned, &block);
-          if (!s.ok()) {
-            return s;
-          }
-          ref = std::move(next_ref);
-          owned = std::move(next_owned);
-          iter.reset(block->NewIterator(options_.comparator));
-          iter->Seek(target);
-        }
-      }
-      break;
-    case Block::HashResult::kCollision:
-    case Block::HashResult::kNoIndex:
-      iter->Seek(target);
-      break;
-  }
-
-  if (iter->Valid()) {
-    handler(iter->key(), iter->value());
-  }
-  return iter->status();
-}
-
-void SSTable::MultiGetFromBlock(
-    const BlockHandle& handle,
-    std::span<BatchGetContext* const> keys) const {
-  BlockCache::Ref ref;
-  std::shared_ptr<const Block> owned;
-  const Block* block = nullptr;
-  Status s = GetBlock(handle, &ref, &owned, &block,
-                      /*access_weight=*/keys.size());
-  if (!s.ok()) {
-    // Corruption contract: a bad block fails only the keys it serves; the
-    // rest of the batch is untouched.
-    for (BatchGetContext* ctx : keys) {
-      ctx->status = s;
-    }
-    return;
-  }
-  // Every key past the first rides a block another key already paid for.
-  GetPerfContext()->multiget_coalesced_block_hits += keys.size() - 1;
-  std::unique_ptr<Block::BlockIterator> iter(
-      block->NewIterator(options_.comparator));
-  for (BatchGetContext* ctx : keys) {
-    iter->Seek(ctx->target);
-    if (!iter->status().ok()) {
-      ctx->status = iter->status();
-      continue;
-    }
-    // The fence pointer guarantees this block's largest key >= target, so
-    // the seek always lands on an entry; the handler's user-key comparison
-    // decides whether it actually covers the sought key.
-    if (iter->Valid()) {
-      ctx->handler(ctx->arg, iter->key(), iter->value());
-    }
-  }
-}
-
 void SSTable::MultiGet(std::span<BatchGetContext* const> keys,
                        bool use_filter) const {
-  // Phase 1 (index pass): map every key to its candidate data block via
-  // the fence pointers and prune with the partitioned filter, all before
-  // any data-block I/O. The batch path intentionally uses plain binary
-  // fence search — no learned index or in-block hash index — because keys
-  // sharing a block must resolve against one iterator.
-  struct BlockWork {
-    BlockHandle handle;
-    std::vector<BatchGetContext*> keys;
-  };
-  std::vector<BlockWork> work;
-  std::unordered_map<uint64_t, size_t> offset_to_work;
-
-  std::unique_ptr<Iterator> index_iter(
-      index_block_->NewIterator(options_.comparator));
+  // The point filter goes first: one probe per key, before any index work
+  // or data-block I/O.
+  size_t survivors = 0;
   for (BatchGetContext* ctx : keys) {
-    ctx->filter_pruned = false;
+    ctx->filter_pruned =
+        use_filter && !KeyMayMatch(ctx->searchable, ctx->hash);
     ctx->status = Status::OK();
-    GetPerfContext()->index_seek_count++;
-    index_iter->Seek(ctx->target);
-    if (!index_iter->Valid()) {
-      // Past the last fence (absent from this table), or a corrupt index:
-      // either way the iterator's status is this key's answer.
-      ctx->status = index_iter->status();
+    survivors += ctx->filter_pruned ? 0 : 1;
+  }
+  if (survivors == 0) {
+    return;
+  }
+  if (plr_ == nullptr && spline_ == nullptr) {
+    LookupPass(keys, BlockPick::kFence, use_filter, nullptr);
+    return;
+  }
+  // Numeric tie-breaking can pick a block one too early (a user key's
+  // versions straddling a boundary, or keys sharing an 8-byte prefix); a
+  // key that runs off the end of its pick retries through the fences.
+  std::vector<BatchGetContext*> retry;
+  LookupPass(keys, BlockPick::kLearned, use_filter, &retry);
+  if (!retry.empty()) {
+    LookupPass(retry, BlockPick::kFence, use_filter, nullptr);
+  }
+}
+
+void SSTable::LookupPass(std::span<BatchGetContext* const> keys,
+                         BlockPick pick, bool use_filter,
+                         std::vector<BatchGetContext*>* retry) const {
+  std::unique_ptr<Iterator> index_iter;
+  if (pick == BlockPick::kFence) {
+    index_iter.reset(index_block_->NewIterator(options_.comparator));
+  }
+  // Keys are sorted, so the keys one block serves are contiguous: the open
+  // group is keys[begin, i), all located at `group_handle` (minus the ones
+  // pruned or failed on the way, which LookupInBlock skips).
+  bool open = false;
+  size_t begin = 0;
+  BlockHandle group_handle;
+  std::vector<BatchGetContext*> overflow;
+  auto close = [&](size_t end) {
+    if (!open) {
+      return;
+    }
+    open = false;
+    LookupInBlock(group_handle, keys.subspan(begin, end - begin), pick,
+                  pick == BlockPick::kLearned ? retry : &overflow);
+    if (overflow.empty()) {
+      return;
+    }
+    // A hash-index restart scan ran off the end of the block: the first
+    // entry >= target, if any, starts the next block.
+    index_iter->Seek(overflow.front()->target);
+    index_iter->Next();
+    if (index_iter->Valid()) {
+      Slice next_value = index_iter->value();
+      BlockHandle next;
+      Status s = next.DecodeFrom(&next_value);
+      if (s.ok()) {
+        LookupInBlock(next, overflow, BlockPick::kNext, nullptr);
+      } else {
+        for (BatchGetContext* ctx : overflow) {
+          ctx->status = s;
+        }
+      }
+    }
+    overflow.clear();
+  };
+
+  for (size_t i = 0; i < keys.size(); i++) {
+    BatchGetContext* ctx = keys[i];
+    if (ctx->filter_pruned) {
       continue;
     }
-    Slice handle_value = index_iter->value();
     BlockHandle handle;
-    Status s = handle.DecodeFrom(&handle_value);
+    Status s;
+    size_t ordinal = partition_handles_.size();  // "no partition"
+    if (pick == BlockPick::kLearned) {
+      size_t block_idx;
+      if (!LearnedFindBlock(ctx->searchable, &block_idx)) {
+        close(i);  // beyond the last fence: absent from this table
+        continue;
+      }
+      counters_.learned_index_seeks++;
+      GetPerfContext()->learned_index_seek_count++;
+      ordinal = block_idx;
+      Slice handle_value(block_handles_[block_idx]);
+      s = handle.DecodeFrom(&handle_value);
+    } else {
+      GetPerfContext()->index_seek_count++;
+      index_iter->Seek(ctx->target);
+      if (!index_iter->Valid()) {
+        // Past the last fence (absent from this table), or a corrupt index:
+        // either way the iterator's status is this key's answer.
+        ctx->status = index_iter->status();
+        close(i);
+        continue;
+      }
+      Slice handle_value = index_iter->value();
+      s = handle.DecodeFrom(&handle_value);
+      if (s.ok() && use_filter && has_partitioned_filter()) {
+        auto ord = block_offset_to_ordinal_.find(handle.offset());
+        if (ord != block_offset_to_ordinal_.end()) {
+          ordinal = ord->second;
+        }
+      }
+    }
     if (!s.ok()) {
       ctx->status = s;
       continue;
     }
-    if (use_filter && has_partitioned_filter()) {
-      auto ord = block_offset_to_ordinal_.find(handle.offset());
-      if (ord != block_offset_to_ordinal_.end() &&
-          !PartitionMayMatch(ord->second, ctx->hash)) {
-        ctx->filter_pruned = true;
-        GetPerfContext()->multiget_filter_pruned++;
-        continue;
+    // Partitioned filter (§II-2 [89]): reject before paying for the block.
+    if (use_filter && has_partitioned_filter() &&
+        !PartitionMayMatch(ordinal, ctx->hash)) {
+      ctx->filter_pruned = true;
+      continue;
+    }
+    if (open && handle.offset() == group_handle.offset()) {
+      continue;  // joins the open group
+    }
+    close(i);
+    open = true;
+    begin = i;
+    group_handle = handle;
+  }
+  close(keys.size());
+}
+
+void SSTable::LookupInBlock(const BlockHandle& handle,
+                            std::span<BatchGetContext* const> group,
+                            BlockPick pick,
+                            std::vector<BatchGetContext*>* overflow) const {
+  auto member = [](const BatchGetContext* ctx) {
+    return !ctx->filter_pruned && ctx->status.ok();
+  };
+  const size_t members =
+      static_cast<size_t>(std::count_if(group.begin(), group.end(), member));
+  BlockCache::Ref ref;
+  std::shared_ptr<const Block> owned;
+  const Block* block = nullptr;
+  Status s = GetBlock(handle, &ref, &owned, &block,
+                      /*access_weight=*/members);
+  if (!s.ok()) {
+    // Corruption contract: a bad block fails only the keys it serves; the
+    // rest of the batch is untouched.
+    for (BatchGetContext* ctx : group) {
+      if (member(ctx)) {
+        ctx->status = s;
       }
     }
-    auto [it, inserted] = offset_to_work.emplace(handle.offset(), work.size());
-    if (inserted) {
-      work.push_back(BlockWork{handle, {}});
-    }
-    work[it->second].keys.push_back(ctx);
+    return;
   }
-
-  // Phase 2 (block pass): fetch each distinct block exactly once, in file
-  // order (sequential-friendly on a miss-heavy batch), and resolve all of
-  // its keys against the one decoded copy.
-  std::sort(work.begin(), work.end(),
-            [](const BlockWork& a, const BlockWork& b) {
-              return a.handle.offset() < b.handle.offset();
-            });
-  for (const BlockWork& w : work) {
-    MultiGetFromBlock(w.handle, w.keys);
+  // Every key past the first rides a block another key already paid for.
+  GetPerfContext()->multiget_coalesced_block_hits += members - 1;
+  std::unique_ptr<Block::BlockIterator> iter(
+      block->NewIterator(options_.comparator));
+  // The in-block hash index (tutorial §II-4) serves fence picks only: a
+  // learned pick may be a block early, where hash absence proves nothing.
+  const bool hashed = pick == BlockPick::kFence && block->has_hash_index();
+  for (BatchGetContext* ctx : group) {
+    if (!member(ctx)) {
+      continue;
+    }
+    bool scanned = false;
+    uint32_t restart;
+    switch (hashed ? block->HashLookup(Hash32(ctx->searchable), &restart)
+                   : Block::HashResult::kNoIndex) {
+      case Block::HashResult::kAbsent:
+        counters_.hash_index_absent++;
+        GetPerfContext()->hash_index_absent_count++;
+        continue;
+      case Block::HashResult::kFound:
+        // The restart group of the newest version of the user key: scan to
+        // the first entry >= target.
+        counters_.hash_index_hits++;
+        GetPerfContext()->hash_index_hit_count++;
+        iter->SeekToRestart(restart);
+        while (iter->Valid() &&
+               options_.comparator->Compare(iter->key(), ctx->target) < 0) {
+          iter->Next();
+        }
+        scanned = true;
+        break;
+      case Block::HashResult::kCollision:
+      case Block::HashResult::kNoIndex:
+        iter->Seek(ctx->target);
+        break;
+    }
+    if (iter->Valid()) {
+      ctx->handler(ctx->arg, iter->key(), iter->value());
+    } else if (!iter->status().ok()) {
+      ctx->status = iter->status();
+    } else if (pick == BlockPick::kLearned || scanned) {
+      overflow->push_back(ctx);
+    }
+    // Otherwise (a seek after a fence pick) the next block starts past the
+    // fence, under a later user key: absent.
   }
 }
 

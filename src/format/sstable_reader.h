@@ -1,7 +1,6 @@
 #ifndef LSMLAB_FORMAT_SSTABLE_READER_H_
 #define LSMLAB_FORMAT_SSTABLE_READER_H_
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -20,19 +19,19 @@
 
 namespace lsmlab {
 
-/// One key's state within a batched lookup (DB::MultiGet). The same
-/// contexts travel through TableCache::GetBatch and SSTable::MultiGet for
-/// every table the batch probes; the per-probe outputs (`filter_pruned`,
-/// `status`) are reset by the callee at the start of each table.
+/// One key's state within a point lookup (DB::Get is a batch of one,
+/// DB::MultiGet a batch of many). The same contexts travel through
+/// TableCache::GetBatch and SSTable::MultiGet for every table the lookup
+/// probes; the per-probe outputs (`filter_pruned`, `status`) are reset by
+/// the callee at the start of each table.
 struct BatchGetContext {
   // Inputs, set once per batch by the caller.
   Slice target;       ///< internal lookup key (user_key . seq/type tag)
   Slice searchable;   ///< user-key portion, for filters and hash indexes
   uint64_t hash = 0;  ///< Hash64(searchable), shared across all probes
-  /// Invoked with the first entry >= target in the candidate block, exactly
-  /// like InternalGet's handler. A plain function pointer (not
-  /// std::function) so a batch of hundreds of keys allocates nothing per
-  /// key.
+  /// Invoked with the first entry >= target in the candidate block, at
+  /// most once per table. A plain function pointer (not std::function) so a
+  /// batch of hundreds of keys allocates nothing per key.
   void (*handler)(void* arg, const Slice& key, const Slice& value) = nullptr;
   void* arg = nullptr;
 
@@ -74,25 +73,17 @@ class SSTable {
   /// Returns true when the table has no range filter or it says "maybe".
   bool RangeMayMatch(const Slice& lo, const Slice& hi) const;
 
-  /// Seeks to the first entry >= `target` and, if one exists, invokes
-  /// `handler` on it exactly once. `searchable` is the filter/hash-index
-  /// portion of target (its user key). Monolithic point filters are probed
-  /// by the caller via KeyMayMatch; *partitioned* filters are probed here
-  /// (after the block is located) when `use_filter` is set, reporting a
-  /// rejection through *filter_skipped.
-  Status InternalGet(
-      const Slice& target, const Slice& searchable,
-      const std::function<void(const Slice& key, const Slice& value)>&
-          handler,
-      bool use_filter = true, bool* filter_skipped = nullptr) const;
-
-  /// Batched point lookup: resolves every context against this table with
-  /// one fence-pointer seek per key but at most ONE block-cache lookup and
-  /// ONE file read per distinct data block, no matter how many keys land in
-  /// it. Keys a partitioned filter rejects get `filter_pruned` set before
-  /// any data-block I/O; a corrupt or unreadable block sets `status` only
-  /// on the keys it serves. Monolithic filters are the caller's job
-  /// (KeyMayMatch), as with InternalGet.
+  /// The table's one point-lookup function. `keys` must be sorted by
+  /// target (the keys one block serves are then contiguous). Per key: the
+  /// point filter (when `use_filter`), then the learned model when the
+  /// table trained one, else the fence pointers, to pick a data block; then
+  /// that block's filter partition (when `use_filter`); then the block's
+  /// hash index or a seek. The first entry >= target goes to the handler.
+  ///
+  /// Keys that share a data block share ONE block-cache lookup and at most
+  /// ONE file read. A filter rejection sets `filter_pruned` before any
+  /// data-block I/O; a corrupt or unreadable block sets `status` only on
+  /// the keys it serves.
   void MultiGet(std::span<BatchGetContext* const> keys,
                 bool use_filter) const;
 
@@ -132,10 +123,28 @@ class SSTable {
                   std::shared_ptr<const Block>* owned, const Block** block,
                   uint64_t access_weight = 1) const;
 
-  /// Resolves the subset of a batch that mapped to one data block: one
-  /// block fetch, then one in-block seek per key.
-  void MultiGetFromBlock(const BlockHandle& handle,
-                         std::span<BatchGetContext* const> keys) const;
+  /// How a block was picked, which decides how keys are resolved in it.
+  enum class BlockPick {
+    kLearned,  ///< model pick: seek; running off the end retries via fences
+    kFence,    ///< fence pick: hash index or seek; off the end = absent,
+               ///< except after a hash-index restart scan (next block)
+    kNext,     ///< the block after a hash scan ran off its end: seek only
+  };
+
+  /// One pass over sorted `keys` (skipping filter-pruned ones): locates each
+  /// key's block by `pick`, probes that block's filter partition, and
+  /// resolves every run of keys sharing a block with one fetch. Learned
+  /// picks that run off their block are appended to *retry.
+  void LookupPass(std::span<BatchGetContext* const> keys, BlockPick pick,
+                  bool use_filter,
+                  std::vector<BatchGetContext*>* retry) const;
+
+  /// Resolves the keys in `group` (skipping pruned or failed ones) against
+  /// the one data block at `handle`. Keys that need the next block are
+  /// appended to *overflow.
+  void LookupInBlock(const BlockHandle& handle,
+                     std::span<BatchGetContext* const> group, BlockPick pick,
+                     std::vector<BatchGetContext*>* overflow) const;
 
   /// Locates the data block that may hold `target` via the learned fence
   /// index. Returns false if the learned index is not available.

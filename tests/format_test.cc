@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -264,6 +265,28 @@ TEST(FormatTest, FooterRejectsBadMagic) {
 
 // -------------------------------------------------------------- SSTable --
 
+/// Point lookup of one key through SSTable::MultiGet, a batch of one:
+/// `handler` sees the first entry >= key in the key's block, if any.
+Status TableGet(const SSTable& table, const std::string& key,
+                std::function<void(const Slice&, const Slice&)> handler,
+                bool use_filter = true, bool* filter_pruned = nullptr) {
+  BatchGetContext ctx;
+  ctx.target = key;
+  ctx.searchable = key;
+  ctx.hash = Hash64(key);
+  ctx.handler = [](void* arg, const Slice& k, const Slice& v) {
+    (*static_cast<std::function<void(const Slice&, const Slice&)>*>(arg))(k,
+                                                                         v);
+  };
+  ctx.arg = &handler;
+  BatchGetContext* const keys[] = {&ctx};
+  table.MultiGet(keys, use_filter);
+  if (filter_pruned != nullptr) {
+    *filter_pruned = ctx.filter_pruned;
+  }
+  return ctx.status;
+}
+
 class SSTableTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -333,7 +356,7 @@ TEST_F(SSTableTest, SeekAcrossBlocks) {
   }
 }
 
-TEST_F(SSTableTest, InternalGetFindsEntries) {
+TEST_F(SSTableTest, PointLookupFindsEntries) {
   std::map<std::string, std::string> kv;
   for (int i = 0; i < 500; i++) {
     kv[Key(i)] = std::to_string(i);
@@ -342,13 +365,12 @@ TEST_F(SSTableTest, InternalGetFindsEntries) {
   OpenTable();
   for (int i = 0; i < 500; i += 17) {
     std::string got;
-    ASSERT_TRUE(table_
-                    ->InternalGet(Key(i), Key(i),
-                                  [&](const Slice& k, const Slice& v) {
-                                    if (k == Slice(Key(i))) {
-                                      got = v.ToString();
-                                    }
-                                  })
+    ASSERT_TRUE(TableGet(*table_, Key(i),
+                         [&](const Slice& k, const Slice& v) {
+                           if (k == Slice(Key(i))) {
+                             got = v.ToString();
+                           }
+                         })
                     .ok());
     EXPECT_EQ(got, std::to_string(i));
   }
@@ -392,18 +414,17 @@ TEST_F(SSTableTest, PartitionedFilterRoundtrip) {
   // Whole-table probe cannot answer (partitions are per block).
   EXPECT_TRUE(table_->KeyMayMatch(Key(999999), Hash64(Slice(Key(999999)))));
 
-  // No false negatives through InternalGet with partition filtering on.
+  // No false negatives through MultiGet with partition filtering on.
   for (int i = 0; i < 2000; i += 13) {
     std::string got;
     bool skipped = false;
-    ASSERT_TRUE(table_
-                    ->InternalGet(Key(i), Key(i),
-                                  [&](const Slice& k, const Slice& v) {
-                                    if (k == Slice(Key(i))) {
-                                      got = v.ToString();
-                                    }
-                                  },
-                                  /*use_filter=*/true, &skipped)
+    ASSERT_TRUE(TableGet(*table_, Key(i),
+                         [&](const Slice& k, const Slice& v) {
+                           if (k == Slice(Key(i))) {
+                             got = v.ToString();
+                           }
+                         },
+                         /*use_filter=*/true, &skipped)
                     .ok());
     EXPECT_FALSE(skipped) << Key(i);
     EXPECT_EQ(got, "v" + std::to_string(i));
@@ -414,10 +435,9 @@ TEST_F(SSTableTest, PartitionedFilterRoundtrip) {
   for (int i = 0; i < 500; i++) {
     bool skipped = false;
     std::string absent = Key(i) + "x";
-    ASSERT_TRUE(table_
-                    ->InternalGet(absent, absent,
-                                  [](const Slice&, const Slice&) {},
-                                  /*use_filter=*/true, &skipped)
+    ASSERT_TRUE(TableGet(*table_, absent,
+                         [](const Slice&, const Slice&) {},
+                         /*use_filter=*/true, &skipped)
                     .ok());
     if (skipped) {
       rejected++;
@@ -439,10 +459,9 @@ TEST_F(SSTableTest, PartitionedFilterDisabledProbeStillWorks) {
   // use_filter=false must bypass the partitions entirely.
   bool skipped = true;
   std::string absent = Key(3) + "x";
-  ASSERT_TRUE(table_
-                  ->InternalGet(absent, absent,
-                                [](const Slice&, const Slice&) {},
-                                /*use_filter=*/false, &skipped)
+  ASSERT_TRUE(TableGet(*table_, absent,
+                       [](const Slice&, const Slice&) {},
+                       /*use_filter=*/false, &skipped)
                   .ok());
   EXPECT_FALSE(skipped);
 }
@@ -506,13 +525,12 @@ TEST_F(SSTableTest, LearnedPlrIndexGet) {
   OpenTable();
   for (int i = 0; i < 2000; i += 13) {
     std::string got;
-    ASSERT_TRUE(table_
-                    ->InternalGet(Key(i), Key(i),
-                                  [&](const Slice& k, const Slice& v) {
-                                    if (k == Slice(Key(i))) {
-                                      got = v.ToString();
-                                    }
-                                  })
+    ASSERT_TRUE(TableGet(*table_, Key(i),
+                         [&](const Slice& k, const Slice& v) {
+                           if (k == Slice(Key(i))) {
+                             got = v.ToString();
+                           }
+                         })
                     .ok());
     EXPECT_EQ(got, std::to_string(i)) << Key(i);
   }
@@ -529,13 +547,12 @@ TEST_F(SSTableTest, RadixSplineIndexGet) {
   OpenTable();
   for (int i = 0; i < 2000; i += 29) {
     std::string got;
-    ASSERT_TRUE(table_
-                    ->InternalGet(Key(i), Key(i),
-                                  [&](const Slice& k, const Slice& v) {
-                                    if (k == Slice(Key(i))) {
-                                      got = v.ToString();
-                                    }
-                                  })
+    ASSERT_TRUE(TableGet(*table_, Key(i),
+                         [&](const Slice& k, const Slice& v) {
+                           if (k == Slice(Key(i))) {
+                             got = v.ToString();
+                           }
+                         })
                     .ok());
     EXPECT_EQ(got, std::to_string(i));
   }

@@ -3,7 +3,9 @@
 // key-value separated values, snapshot consistency against a concurrent
 // flusher (run under TSan in CI), per-key corruption confinement, and the
 // batch's core I/O promise: strictly fewer logical block reads than the
-// equivalent looped Gets when keys share blocks.
+// equivalent looped Gets when keys share blocks. Also: the batch uses the
+// tables' hash and learned indexes, and Get and MultiGet keep separate
+// counters over their one lookup core.
 
 #include <gtest/gtest.h>
 
@@ -569,6 +571,189 @@ TEST_F(MultiGetTest, FilterFirstPruning) {
   EXPECT_EQ(d.multiget_filter_pruned, d.filter_negative_count);
   EXPECT_GT(d.multiget_filter_pruned, 0u);
   EXPECT_LE(d.block_read_count, d.filter_probe_count - d.filter_negative_count);
+}
+
+// A batch runs the table's whole lookup sequence, exactly like Get: on
+// tables with an in-block hash index, or with a learned fence index, the
+// batch uses it, and every slot still equals its looped Get.
+TEST_F(MultiGetTest, UsesHashAndLearnedIndexes) {
+  struct Variant {
+    const char* name;
+    bool block_hash_index;
+    TableOptions::IndexType index_type;
+  };
+  for (const Variant& variant :
+       {Variant{"block_hash_index", true,
+                TableOptions::IndexType::kBinarySearch},
+        Variant{"learned_plr", false, TableOptions::IndexType::kLearnedPlr}}) {
+    SCOPED_TRACE(variant.name);
+    db_.reset();
+    env_.reset(NewMemEnv());
+    options_.env = env_.get();
+    options_.block_hash_index = variant.block_hash_index;
+    options_.index_type = variant.index_type;
+    Open();
+    for (int i = 0; i < 1024; i += 2) {  // even keys present, odd absent
+      ASSERT_TRUE(db_->Put({}, TestKey(i), "v" + TestKey(i)).ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+    ASSERT_TRUE(db_->CompactAll().ok());
+
+    std::vector<std::string> keys;
+    for (int i = 300; i < 364; i++) {
+      keys.push_back(TestKey(i));
+    }
+    keys.push_back(TestKey(300));  // a duplicate slot
+    const DBStats before = db_->GetStats();
+    std::vector<std::string> values;
+    std::vector<Status> statuses;
+    db_->MultiGet({}, MakeSlices(keys), &values, &statuses);
+    const DBStats after = db_->GetStats();
+    if (variant.block_hash_index) {
+      EXPECT_GT(after.hash_index_hits + after.hash_index_absent,
+                before.hash_index_hits + before.hash_index_absent);
+    } else {
+      EXPECT_GT(after.learned_index_seeks, before.learned_index_seeks);
+    }
+
+    for (size_t i = 0; i < keys.size(); i++) {
+      std::string value;
+      const Status s = db_->Get({}, keys[i], &value);
+      EXPECT_EQ(s.ok(), statuses[i].ok()) << keys[i];
+      EXPECT_EQ(s.IsNotFound(), statuses[i].IsNotFound()) << keys[i];
+      if (s.ok()) {
+        EXPECT_EQ(value, values[i]) << keys[i];
+      }
+    }
+  }
+}
+
+// Snapshot reads of one user key whose versions straddle many tiny blocks,
+// with the block hash index on: every snapshot sees its own version,
+// through MultiGet and Get alike.
+TEST_F(MultiGetTest, SnapshotReadsAcrossStraddlingVersions) {
+  options_.block_size = 256;
+  options_.block_hash_index = true;
+  Open();
+  ASSERT_TRUE(db_->Put({}, "a_before", "x").ok());
+  ASSERT_TRUE(db_->Put({}, "z_after", "x").ok());
+  std::vector<const Snapshot*> snapshots;
+  for (int i = 0; i < 40; i++) {
+    ASSERT_TRUE(
+        db_->Put({}, "hot", std::string(100, 'a' + i % 26) + std::to_string(i))
+            .ok());
+    snapshots.push_back(db_->GetSnapshot());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->CompactAll().ok());
+
+  for (int i = 0; i < 40; i++) {
+    const std::string expected =
+        std::string(100, 'a' + i % 26) + std::to_string(i);
+    ReadOptions ropts;
+    ropts.snapshot = snapshots[i];
+    const std::vector<std::string> keys = {"hot", "hot", "z_after"};
+    std::vector<std::string> values;
+    std::vector<Status> statuses;
+    db_->MultiGet(ropts, MakeSlices(keys), &values, &statuses);
+    for (size_t j = 0; j < 2; j++) {
+      ASSERT_TRUE(statuses[j].ok()) << i << ": " << statuses[j].ToString();
+      EXPECT_EQ(values[j], expected) << i;
+    }
+    EXPECT_TRUE(statuses[2].ok()) << i;
+    std::string value;
+    ASSERT_TRUE(db_->Get(ropts, "hot", &value).ok()) << i;
+    EXPECT_EQ(value, expected) << i;
+  }
+  for (const Snapshot* snapshot : snapshots) {
+    db_->ReleaseSnapshot(snapshot);
+  }
+}
+
+// Learned picks work on the 8-byte numeric image of a key, so keys longer
+// than 8 bytes tie with the fence of an earlier block. Such a key runs off
+// the end of the picked block and must retry through the fence pointers.
+TEST_F(MultiGetTest, LearnedPickRetriesThroughFences) {
+  options_.index_type = TableOptions::IndexType::kLearnedPlr;
+  Open();
+  auto long_key = [](int i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "k%08d", i);  // 9 bytes
+    return std::string(key);
+  };
+  for (int i = 0; i < 4000; i += 2) {  // even keys present, odd absent
+    ASSERT_TRUE(db_->Put({}, long_key(i), "v" + long_key(i)).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->CompactAll().ok());
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < 4000; i++) {
+    keys.push_back(long_key(i));
+  }
+  const DBStats before = db_->GetStats();
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  db_->MultiGet({}, MakeSlices(keys), &values, &statuses);
+  EXPECT_GT(db_->GetStats().learned_index_seeks, before.learned_index_seeks);
+  for (int i = 0; i < 4000; i++) {
+    if (i % 2 == 0) {
+      ASSERT_TRUE(statuses[i].ok()) << keys[i] << ": "
+                                    << statuses[i].ToString();
+      EXPECT_EQ(values[i], "v" + keys[i]);
+    } else {
+      EXPECT_TRUE(statuses[i].IsNotFound()) << keys[i];
+    }
+    std::string value;
+    const Status s = db_->Get({}, keys[i], &value);
+    EXPECT_EQ(s.ok(), statuses[i].ok()) << keys[i];
+    if (s.ok()) {
+      EXPECT_EQ(value, values[i]) << keys[i];
+    }
+  }
+}
+
+// Get and MultiGet share one lookup core but keep their own counters:
+// a Get moves gets and filter_skips, never the multiget tickers; a MultiGet
+// never moves gets or gets_found.
+TEST_F(MultiGetTest, CountersStayPerApi) {
+  options_.filter_allocation = FilterAllocation::kUniform;
+  options_.filter_bits_per_key = 10.0;
+  Open();
+  for (int i = 0; i < 128; i++) {
+    ASSERT_TRUE(db_->Put({}, TestKey(i), "v").ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+
+  DBStats before = db_->GetStats();
+  for (int i = 0; i < 32; i++) {
+    std::string value;
+    EXPECT_TRUE(db_->Get({}, TestKey(i) + "!", &value).IsNotFound());
+  }
+  DBStats after = db_->GetStats();
+  EXPECT_EQ(after.gets - before.gets, 32u);
+  EXPECT_GT(after.filter_skips, before.filter_skips);
+  EXPECT_EQ(after.multigets, before.multigets);
+  EXPECT_EQ(after.multiget_keys, before.multiget_keys);
+  EXPECT_EQ(after.multiget_filter_pruned, before.multiget_filter_pruned);
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < 32; i++) {
+    keys.push_back(TestKey(i));
+    keys.push_back(TestKey(i) + "!");
+  }
+  before = after;
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  db_->MultiGet({}, MakeSlices(keys), &values, &statuses);
+  after = db_->GetStats();
+  EXPECT_EQ(after.gets, before.gets);
+  EXPECT_EQ(after.gets_found, before.gets_found);
+  EXPECT_EQ(after.multigets - before.multigets, 1u);
+  EXPECT_EQ(after.multiget_keys - before.multiget_keys, keys.size());
+  EXPECT_GT(after.multiget_filter_pruned, before.multiget_filter_pruned);
+  EXPECT_EQ(after.multiget_filter_pruned - before.multiget_filter_pruned,
+            after.filter_skips - before.filter_skips);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Randomized model-based testing: the DB must behave exactly like a
-// std::map under arbitrary interleavings of puts, deletes, gets, scans,
-// flushes, compactions, snapshots, and reopens — across the whole design
-// space (merge policies x filters x indexes x caches).
+// std::map under arbitrary interleavings of puts, deletes, gets, multigets,
+// scans, flushes, compactions, snapshots, and reopens — across the whole
+// design space (merge policies x filters x indexes x caches).
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cache/block_cache.h"
 #include "core/db.h"
@@ -103,7 +104,7 @@ TEST_P(ModelCheckTest, MatchesMapModel) {
       const std::string k = RandomKey(&rng);
       ASSERT_TRUE(db_->Delete({}, k).ok());
       model.erase(k);
-    } else if (action < 80) {  // get
+    } else if (action < 74) {  // get
       const std::string k = RandomKey(&rng);
       std::string value;
       Status s = db_->Get({}, k, &value);
@@ -113,6 +114,36 @@ TEST_P(ModelCheckTest, MatchesMapModel) {
       } else {
         ASSERT_TRUE(s.ok()) << "key " << DecodeKey(k) << ": " << s.ToString();
         EXPECT_EQ(value, it->second);
+      }
+    } else if (action < 80) {  // multiget, at the latest state or the snapshot
+      const bool at_snapshot = snapshot != nullptr && rng.OneIn(2);
+      const std::map<std::string, std::string>& expected =
+          at_snapshot ? snapshot_model : model;
+      std::vector<std::string> keys(1 + rng.Uniform(16));
+      for (size_t j = 0; j < keys.size(); j++) {
+        // Every fourth slot (on average) repeats an earlier key.
+        keys[j] = j > 0 && rng.OneIn(4) ? keys[rng.Uniform(j)]
+                                        : RandomKey(&rng);
+      }
+      const std::vector<Slice> slices(keys.begin(), keys.end());
+      ReadOptions ropts;
+      ropts.snapshot = at_snapshot ? snapshot : nullptr;
+      std::vector<std::string> values;
+      std::vector<Status> statuses;
+      db_->MultiGet(ropts, slices, &values, &statuses);
+      ASSERT_EQ(values.size(), keys.size());
+      ASSERT_EQ(statuses.size(), keys.size());
+      for (size_t j = 0; j < keys.size(); j++) {
+        auto it = expected.find(keys[j]);
+        if (it == expected.end()) {
+          EXPECT_TRUE(statuses[j].IsNotFound())
+              << "key " << DecodeKey(keys[j]) << " snapshot " << at_snapshot;
+        } else {
+          ASSERT_TRUE(statuses[j].ok())
+              << "key " << DecodeKey(keys[j]) << " snapshot " << at_snapshot
+              << ": " << statuses[j].ToString();
+          EXPECT_EQ(values[j], it->second);
+        }
       }
     } else if (action < 88) {  // scan
       uint64_t lo = rng.Uniform(400);

@@ -29,7 +29,8 @@
 #   tsan           ThreadSanitizer build + full ctest
 #   tsan-obs       ThreadSanitizer build, observability tests only (fast
 #                  race check over the PerfContext/StatsRegistry/listener
-#                  counter paths; subset of `tsan`)
+#                  counter paths, plus property_test's background rows;
+#                  subset of `tsan`)
 #   asan-ubsan     Address+UB sanitizer builds + full ctest
 #   fuzz-smoke     libFuzzer harnesses (LSMLAB_FUZZ build, clang only),
 #                  10k runs per target from the checked-in seed corpora
@@ -153,6 +154,10 @@ leg_tsan_obs() {
   cmake --build build-ci-tsan -j "$JOBS"
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
       -R 'perf_context_test|listener_test|concurrency_test|crash_test|multiget_test|memtable_test|write_group_test|sharded_db_test'
+  # The model checker's background rows: its Get and MultiGet actions run
+  # next to background flushes and compactions.
+  GTEST_FILTER='*background*' ctest --test-dir build-ci-tsan \
+      --output-on-failure -R property_test
 }
 
 leg_asan_ubsan() {
