@@ -1112,19 +1112,32 @@ Status DBImpl::DoCompaction(const CompactionPick& pick,
   // writes proceed during the heavy lifting. Compactions themselves never
   // race — they are serialized on the background thread (or excluded by
   // the manual-compaction token).
+  //
+  // One merge child per sorted run, not per file: each maximal chain of
+  // files whose key ranges strictly increase is read through one run
+  // iterator, which opens its tables as the merge reaches them. The merge
+  // then costs O(entries x runs), not O(entries x files). The rule holds
+  // for any file list; overlapping L0 runs just form separate chains.
   mu_.Unlock();
   std::vector<Iterator*> children;
   uint64_t input_accesses = 0;
-  auto add_children = [&](const std::vector<FileMetaPtr>& files) {
-    for (const FileMetaPtr& f : files) {
-      children.push_back(table_cache_->NewIterator(f));
+  auto add_runs = [&](std::span<const FileMetaPtr> files) {
+    size_t begin = 0;
+    for (size_t i = 0; i < files.size(); i++) {
+      const FileMetaPtr& f = files[i];
       if (options_.block_cache != nullptr) {
         input_accesses += options_.block_cache->FileAccesses(f->number);
       }
+      if (i + 1 == files.size() ||
+          icmp_.Compare(Slice(f->largest), Slice(files[i + 1]->smallest)) >=
+              0) {
+        children.push_back(NewRunIterator(files.subspan(begin, i + 1 - begin)));
+        begin = i + 1;
+      }
     }
   };
-  add_children(pick.inputs);
-  add_children(pick.output_overlaps);
+  add_runs(pick.inputs);
+  add_runs(pick.output_overlaps);
   std::unique_ptr<Iterator> merged(NewMergingIterator(
       &icmp_, children.data(), static_cast<int>(children.size())));
 
@@ -1249,13 +1262,14 @@ DBImpl::ReadView DBImpl::PinReadView(const ReadOptions& options) {
   return view;
 }
 
-Iterator* DBImpl::NewRunIterator(const Run& run) {
-  if (run.files.size() == 1) {
-    return table_cache_->NewIterator(run.files[0]);
+Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> run_files) {
+  if (run_files.size() == 1) {
+    return table_cache_->NewIterator(run_files[0]);
   }
   // Index iterator over the run's files: key = largest internal key of the
   // file, value = index into a pinned copy of the file list.
-  auto files = std::make_shared<std::vector<FileMetaPtr>>(run.files);
+  auto files = std::make_shared<std::vector<FileMetaPtr>>(run_files.begin(),
+                                                          run_files.end());
 
   class RunFileIndexIterator : public Iterator {
    public:
@@ -1341,12 +1355,9 @@ void DBImpl::CollectIterators(const ReadView& view, const Slice* lo,
         if (kept.empty()) {
           continue;
         }
-        Run pruned;
-        pruned.run_seq = run.run_seq;
-        pruned.files = std::move(kept);
-        children->push_back(NewRunIterator(pruned));
+        children->push_back(NewRunIterator(kept));
       } else {
-        children->push_back(NewRunIterator(run));
+        children->push_back(NewRunIterator(run.files));
       }
     }
   }

@@ -84,6 +84,11 @@ class DBImpl : public DB {
 #endif
   }
 
+  /// NewRunIterator for tests that model-check the merge over real runs.
+  Iterator* TEST_NewRunIterator(std::span<const FileMetaPtr> files) {
+    return NewRunIterator(files);
+  }
+
   /// Writers currently parked in the group-commit queue (leader included).
   /// Test hook for staging deterministic commit groups.
   size_t TEST_WriteQueueLength() {
@@ -222,8 +227,11 @@ class DBImpl : public DB {
   void PrefetchOutputsLocked(const CompactionPick& pick,
                              const std::vector<FileMetaData>& outputs)
       REQUIRES(mu_);
-  /// One run's iterator: concatenation of its (non-overlapping) files.
-  Iterator* NewRunIterator(const Run& run);
+  /// One run's iterator: concatenation of `files`, whose key ranges must
+  /// strictly increase. Tables open lazily as the iterator reaches them.
+  /// The only place src/core reads tables as a stream (tools/lint.sh
+  /// check 10): scans and compactions both merge runs through it.
+  Iterator* NewRunIterator(std::span<const FileMetaPtr> files);
   /// Pinned snapshot of everything a read needs: referenced memtables, the
   /// current version (shared_ptr), and the visible sequence. Taken under
   /// mu_ in one short critical section so that iterator construction —

@@ -9,11 +9,60 @@ namespace lsmlab {
 
 namespace {
 
-/// K-way merge by linear scan over children. Runs-per-level is small
-/// (<= T per level), so a heap buys little; children that are invalid are
-/// skipped. Ties (same internal key cannot occur; same user key differs by
-/// sequence) resolve by comparator order, which already puts newer
-/// versions first.
+/// A child iterator whose Valid() and key() are cached after every move
+/// (LevelDB's IteratorWrapper), so the merge loop compares plain slices
+/// instead of making two virtual calls per child per step. key() slices
+/// stay valid until the child's next mutation, which only goes through
+/// this wrapper.
+class MergeChild {
+ public:
+  explicit MergeChild(Iterator* iter) : iter_(iter) {}
+
+  bool Valid() const { return valid_; }
+  Slice key() const { return key_; }
+  Slice value() const { return iter_->value(); }
+  Status status() const { return iter_->status(); }
+
+  void SeekToFirst() {
+    iter_->SeekToFirst();
+    Update();
+  }
+  void SeekToLast() {
+    iter_->SeekToLast();
+    Update();
+  }
+  void Seek(const Slice& target) {
+    iter_->Seek(target);
+    Update();
+  }
+  void Next() {
+    iter_->Next();
+    Update();
+  }
+  void Prev() {
+    iter_->Prev();
+    Update();
+  }
+
+ private:
+  void Update() {
+    valid_ = iter_->Valid();
+    if (valid_) {
+      key_ = iter_->key();
+    }
+  }
+
+  std::unique_ptr<Iterator> iter_;
+  bool valid_ = false;
+  Slice key_;
+};
+
+/// K-way merge by linear scan over children. Callers pass one child per
+/// sorted run — scans one per memtable and run, compactions one per chain
+/// of key-ordered input files — so children number at most the runs and
+/// a heap buys little; children that are invalid are skipped. Ties (same
+/// internal key cannot occur; same user key differs by sequence) resolve
+/// by comparator order, which already puts newer versions first.
 class MergingIterator : public Iterator {
  public:
   MergingIterator(const Comparator* comparator, Iterator** children, int n)
@@ -28,8 +77,8 @@ class MergingIterator : public Iterator {
 
   void SeekToFirst() override {
     GetPerfContext()->merge_iter_seek_count++;
-    for (auto& child : children_) {
-      child->SeekToFirst();
+    for (MergeChild& child : children_) {
+      child.SeekToFirst();
     }
     FindSmallest();
     direction_ = kForward;
@@ -37,8 +86,8 @@ class MergingIterator : public Iterator {
 
   void SeekToLast() override {
     GetPerfContext()->merge_iter_seek_count++;
-    for (auto& child : children_) {
-      child->SeekToLast();
+    for (MergeChild& child : children_) {
+      child.SeekToLast();
     }
     FindLargest();
     direction_ = kReverse;
@@ -46,8 +95,8 @@ class MergingIterator : public Iterator {
 
   void Seek(const Slice& target) override {
     GetPerfContext()->merge_iter_seek_count++;
-    for (auto& child : children_) {
-      child->Seek(target);
+    for (MergeChild& child : children_) {
+      child.Seek(target);
     }
     FindSmallest();
     direction_ = kForward;
@@ -59,14 +108,14 @@ class MergingIterator : public Iterator {
     // to the first entry after key().
     if (direction_ != kForward) {
       const std::string saved_key = key().ToString();
-      for (auto& child : children_) {
-        if (child.get() == current_) {
+      for (MergeChild& child : children_) {
+        if (&child == current_) {
           continue;
         }
-        child->Seek(Slice(saved_key));
-        if (child->Valid() &&
-            comparator_->Compare(child->key(), Slice(saved_key)) == 0) {
-          child->Next();
+        child.Seek(Slice(saved_key));
+        if (child.Valid() &&
+            comparator_->Compare(child.key(), Slice(saved_key)) == 0) {
+          child.Next();
         }
       }
       direction_ = kForward;
@@ -79,15 +128,15 @@ class MergingIterator : public Iterator {
     GetPerfContext()->merge_iter_step_count++;
     if (direction_ != kReverse) {
       const std::string saved_key = key().ToString();
-      for (auto& child : children_) {
-        if (child.get() == current_) {
+      for (MergeChild& child : children_) {
+        if (&child == current_) {
           continue;
         }
-        child->Seek(Slice(saved_key));
-        if (child->Valid()) {
-          child->Prev();
+        child.Seek(Slice(saved_key));
+        if (child.Valid()) {
+          child.Prev();
         } else {
-          child->SeekToLast();
+          child.SeekToLast();
         }
       }
       direction_ = kReverse;
@@ -100,8 +149,8 @@ class MergingIterator : public Iterator {
   Slice value() const override { return current_->value(); }
 
   Status status() const override {
-    for (const auto& child : children_) {
-      Status s = child->status();
+    for (const MergeChild& child : children_) {
+      Status s = child.status();
       if (!s.ok()) {
         return s;
       }
@@ -113,32 +162,32 @@ class MergingIterator : public Iterator {
   enum Direction { kForward, kReverse };
 
   void FindSmallest() {
-    Iterator* smallest = nullptr;
-    for (auto& child : children_) {
-      if (child->Valid() &&
+    MergeChild* smallest = nullptr;
+    for (MergeChild& child : children_) {
+      if (child.Valid() &&
           (smallest == nullptr ||
-           comparator_->Compare(child->key(), smallest->key()) < 0)) {
-        smallest = child.get();
+           comparator_->Compare(child.key(), smallest->key()) < 0)) {
+        smallest = &child;
       }
     }
     current_ = smallest;
   }
 
   void FindLargest() {
-    Iterator* largest = nullptr;
-    for (auto& child : children_) {
-      if (child->Valid() &&
+    MergeChild* largest = nullptr;
+    for (MergeChild& child : children_) {
+      if (child.Valid() &&
           (largest == nullptr ||
-           comparator_->Compare(child->key(), largest->key()) > 0)) {
-        largest = child.get();
+           comparator_->Compare(child.key(), largest->key()) > 0)) {
+        largest = &child;
       }
     }
     current_ = largest;
   }
 
   const Comparator* comparator_;
-  std::vector<std::unique_ptr<Iterator>> children_;
-  Iterator* current_;
+  std::vector<MergeChild> children_;
+  MergeChild* current_;
   Direction direction_ = kForward;
 };
 

@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "cache/block_cache.h"
 #include "core/db.h"
 #include "storage/env.h"
+#include "util/comparator.h"
 #include "workload/keygen.h"
 #include "workload/workload.h"
 
@@ -230,6 +234,137 @@ TEST_F(CompactionShapeTest, PartialCompactionSmoothsWork) {
   const double partial_avg =
       static_cast<double>(partial.bytes_compacted) / partial.compactions;
   EXPECT_LT(partial_avg, whole_avg);
+}
+
+/// Bytewise order that counts its comparisons.
+class CountingComparator : public Comparator {
+ public:
+  int Compare(const Slice& a, const Slice& b) const override {
+    count.fetch_add(1, std::memory_order_relaxed);
+    return BytewiseComparator()->Compare(a, b);
+  }
+  const char* Name() const override { return "test.CountingComparator"; }
+  void FindShortestSeparator(std::string* start,
+                             const Slice& limit) const override {
+    BytewiseComparator()->FindShortestSeparator(start, limit);
+  }
+  void FindShortSuccessor(std::string* key) const override {
+    BytewiseComparator()->FindShortSuccessor(key);
+  }
+
+  mutable std::atomic<uint64_t> count{0};
+};
+
+// A compaction merges one iterator per sorted run, however many files the
+// run is cut into, so its comparisons per entry written follow the number
+// of runs, not files. The same keys loaded with 1/8 the file size give ~8x
+// the files in the same runs; a merge with one child per file would make
+// ~8x the comparisons per entry.
+TEST_F(CompactionShapeTest, MergeCostFollowsRunsNotFiles) {
+  options_.merge_policy = MergePolicy::kLeveling;
+  options_.write_buffer_size = 64 << 10;
+  options_.level0_compaction_trigger = 4;
+  CountingComparator cmp;
+  options_.comparator = &cmp;
+  const int kKeys = 40000;
+
+  struct Cost {
+    int files = 0;
+    double compares_per_entry = 0;
+  };
+  auto compact_all = [&](size_t max_file_size) -> Cost {
+    options_.max_file_size = max_file_size;
+    LoadUniform(kKeys);
+    EXPECT_TRUE(db_->Flush().ok());
+    const DBStats before = db_->GetStats();
+    cmp.count = 0;
+    EXPECT_TRUE(db_->CompactAll().ok());
+    const uint64_t compares = cmp.count;
+    const DBStats after = db_->GetStats();
+    EXPECT_EQ(after.total_runs, 1) << db_->DebugShape();
+    db_.reset();
+    EXPECT_TRUE(DestroyDB(options_, "/db").ok());
+    // Entries have a fixed size and the final run holds each loaded key
+    // once (bar a few duplicate draws, alike in both loads), so its bytes
+    // per key convert the bytes compacted into entries written.
+    const double bytes_per_entry = static_cast<double>(after.total_bytes) /
+                                   static_cast<double>(kKeys);
+    const double entries_written =
+        static_cast<double>(after.bytes_compacted - before.bytes_compacted) /
+        bytes_per_entry;
+    return {before.total_files,
+            static_cast<double>(compares) / entries_written};
+  };
+
+  const Cost large = compact_all(64 << 10);
+  const Cost small = compact_all(8 << 10);
+  ASSERT_GE(small.files, 6 * large.files);
+  EXPECT_LE(small.compares_per_entry, 1.5 * large.compares_per_entry)
+      << "files " << large.files << " -> " << small.files
+      << ", compares per entry " << large.compares_per_entry << " -> "
+      << small.compares_per_entry;
+}
+
+// Background merges read each input run through one iterator that opens
+// the run's tables only as the merge reaches them, so table opens happen
+// mid-merge on the worker while readers open and probe tables through the
+// same TableCache. Small files make every run many tables; the TSan CI leg
+// runs this test for that race.
+TEST_F(CompactionShapeTest, BackgroundRunMergesRaceReaders) {
+  options_.merge_policy = MergePolicy::kLeveling;
+  options_.background_compaction = true;
+  options_.write_buffer_size = 16 << 10;
+  options_.max_file_size = 4 << 10;
+  options_.level0_compaction_trigger = 2;
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+
+  constexpr int kKeys = 4000;
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; r++) {
+    readers.emplace_back([&, r] {
+      std::string value;
+      for (int n = r; !done.load(std::memory_order_relaxed); n += 7) {
+        const std::string key = EncodeKey(static_cast<uint64_t>(n % kKeys));
+        const Status s = db_->Get({}, key, &value);
+        if (!s.ok() && !s.IsNotFound()) {
+          bad_reads.fetch_add(1);
+        }
+        std::unique_ptr<Iterator> it(db_->NewIterator({}));
+        int steps = 0;
+        for (it->Seek(key); it->Valid() && steps < 20; it->Next()) {
+          steps++;
+        }
+        if (!it->status().ok()) {
+          bad_reads.fetch_add(1);
+        }
+      }
+    });
+  }
+  Status s;
+  for (int round = 0; round < 2 && s.ok(); round++) {
+    for (int i = 0; i < kKeys && s.ok(); i++) {
+      const std::string key = EncodeKey(static_cast<uint64_t>(i));
+      s = db_->Put({}, key, ValueForKey(key, 32 + round));
+    }
+  }
+  if (s.ok()) {
+    s = db_->CompactAll();
+  }
+  done.store(true);
+  for (std::thread& t : readers) {
+    t.join();
+  }
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(bad_reads.load(), 0);
+  EXPECT_GT(db_->GetStats().compactions, 0u);
+  std::string value;
+  for (int i = 0; i < kKeys; i++) {
+    const std::string key = EncodeKey(static_cast<uint64_t>(i));
+    ASSERT_TRUE(db_->Get({}, key, &value).ok()) << i;
+    EXPECT_EQ(value, ValueForKey(key, 33)) << i;
+  }
 }
 
 }  // namespace

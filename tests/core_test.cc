@@ -3,17 +3,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/db_impl.h"
 #include "core/db_iter.h"
 #include "core/dbformat.h"
 #include "core/filename.h"
 #include "core/merging_iterator.h"
 #include "core/version.h"
 #include "core/write_batch.h"
+#include "format/sstable_builder.h"
+#include "memtable/memtable.h"
+#include "storage/env.h"
+#include "util/random.h"
 
 namespace lsmlab {
 namespace {
@@ -258,6 +265,135 @@ TEST(MergingIteratorTest, InterleavesRuns) {
     order += merged->value().ToString();
   }
   EXPECT_EQ(order, "4321");
+}
+
+// Model check of the merge over the children a real read sees: a memtable
+// (several versions per key), a multi-table run read through
+// DBImpl::NewRunIterator with an empty table between two others, and an
+// empty child. Every position after a random mix of seeks and steps, with
+// direction switches, must match a std::map of the same internal keys.
+TEST(MergingIteratorTest, ModelCheckAgainstMap) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  Options options;
+  options.env = env.get();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  auto* impl = static_cast<DBImpl*>(db.get());
+
+  InternalKeyComparator icmp(BytewiseComparator());
+  auto user_key = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%03d", i);
+    return std::string(buf);
+  };
+  struct Less {
+    const InternalKeyComparator* icmp;
+    bool operator()(const std::string& a, const std::string& b) const {
+      return icmp->Compare(Slice(a), Slice(b)) < 0;
+    }
+  };
+  std::map<std::string, std::string, Less> model(Less{&icmp});
+  Random rnd(301);
+  SequenceNumber seq = 1;
+
+  // The run: tables over user keys [0, 80), [100, 150) and [150, 200),
+  // and an empty table whose fences lie between the first two.
+  std::vector<FileMetaPtr> run;
+  auto add_table = [&](uint64_t number, int lo, int hi,
+                       const std::string& smallest,
+                       const std::string& largest) {
+    TableOptions topts;
+    topts.comparator = &icmp;
+    topts.block_size = 256;
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(
+        env->NewWritableFile(TableFileName("/db", number), &file).ok());
+    SSTableBuilder builder(topts, file.get());
+    auto meta = std::make_shared<FileMetaData>();
+    meta->number = number;
+    meta->smallest = smallest;
+    meta->largest = largest;
+    for (int i = lo; i < hi; i++) {
+      if (rnd.Uniform(3) == 0) {
+        continue;
+      }
+      const ValueType type = rnd.Uniform(8) == 0 ? ValueType::kTypeDeletion
+                                                 : ValueType::kTypeValue;
+      const std::string key = IKey(user_key(i), seq++, type);
+      const std::string value =
+          type == ValueType::kTypeValue ? "run" + std::to_string(i) : "";
+      builder.Add(key, value);
+      model[key] = value;
+      if (meta->smallest.empty()) {
+        meta->smallest = key;
+      }
+      meta->largest = key;
+    }
+    ASSERT_TRUE(builder.Finish().ok());
+    ASSERT_TRUE(file->Close().ok());
+    meta->file_size = builder.FileSize();
+    run.push_back(meta);
+  };
+  add_table(1000, 0, 80, "", "");
+  add_table(1001, 0, 0, IKey(user_key(85), 0), IKey(user_key(90), 0));
+  add_table(1002, 100, 150, "", "");
+  add_table(1003, 150, 200, "", "");
+  ASSERT_EQ(run.size(), 4u);
+
+  // The memtable: newer versions of keys across (and past) the run's range.
+  MemTable* mem = new MemTable(icmp);
+  mem->Ref();
+  for (int n = 0; n < 150; n++) {
+    const int i = static_cast<int>(rnd.Uniform(210));
+    const ValueType type = rnd.Uniform(8) == 0 ? ValueType::kTypeDeletion
+                                               : ValueType::kTypeValue;
+    const std::string value =
+        type == ValueType::kTypeValue ? "mem" + std::to_string(n) : "";
+    mem->Add(seq, type, user_key(i), value);
+    model[IKey(user_key(i), seq, type)] = value;
+    seq++;
+  }
+
+  Iterator* children[] = {mem->NewIterator(), impl->TEST_NewRunIterator(run),
+                          NewEmptyIterator()};
+  mem->Unref();
+  std::unique_ptr<Iterator> merged(NewMergingIterator(&icmp, children, 3));
+
+  auto pos = model.end();
+  for (int step = 0; step < 4000; step++) {
+    const uint64_t op = rnd.Uniform(10);
+    std::string what;
+    if (op == 0) {
+      merged->SeekToFirst();
+      pos = model.begin();
+      what = "SeekToFirst";
+    } else if (op == 1) {
+      merged->SeekToLast();
+      pos = model.empty() ? model.end() : std::prev(model.end());
+      what = "SeekToLast";
+    } else if (op == 2 || pos == model.end()) {
+      const int i = static_cast<int>(rnd.Uniform(215));
+      const std::string target = IKey(user_key(i), rnd.Uniform(seq + 1));
+      merged->Seek(target);
+      pos = model.lower_bound(target);
+      what = "Seek";
+    } else if (op < 6) {
+      merged->Next();
+      ++pos;
+      what = "Next";
+    } else {
+      merged->Prev();
+      pos = pos == model.begin() ? model.end() : std::prev(pos);
+      what = "Prev";
+    }
+    SCOPED_TRACE("step " + std::to_string(step) + ": " + what);
+    ASSERT_EQ(merged->Valid(), pos != model.end());
+    if (pos != model.end()) {
+      ASSERT_EQ(merged->key().ToString(), pos->first);
+      ASSERT_EQ(merged->value().ToString(), pos->second);
+    }
+  }
+  EXPECT_TRUE(merged->status().ok()) << merged->status().ToString();
 }
 
 TEST(DBIterTest, NewestVisibleVersionWins) {

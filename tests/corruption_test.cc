@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "core/filename.h"
 #include "format/sstable_builder.h"
 #include "format/sstable_reader.h"
+#include "obs/event_listener.h"
 #include "storage/env.h"
 #include "util/hash.h"
 #include "wal/log_reader.h"
@@ -283,6 +285,112 @@ TEST(CorruptionTest, ManifestEveryTruncation) {
   for (size_t len = 0; len < good.size(); len++) {
     ExerciseRecovery(files, manifest, good.substr(0, len), trial++,
                      "truncation to " + std::to_string(len));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Compaction over a corrupt input
+// ---------------------------------------------------------------------------
+
+/// Keeps the outputs of the last successful compaction, in key order.
+class CompactionOutputRecorder : public EventListener {
+ public:
+  void OnCompactionEnd(const CompactionJobInfo& info) override {
+    if (info.status.ok()) {
+      output_level = info.output_level;
+      outputs = info.outputs;
+    }
+  }
+
+  int output_level = -1;
+  std::vector<TableFileInfo> outputs;
+};
+
+std::set<std::string> TableFiles(Env* env, const std::string& dbname) {
+  std::vector<std::string> children;
+  EXPECT_TRUE(env->GetChildren(dbname, &children).ok());
+  std::set<std::string> tables;
+  for (const std::string& child : children) {
+    uint64_t number;
+    FileType type;
+    if (ParseFileName(child, &number, &type) && type == FileType::kTableFile) {
+      tables.insert(child);
+    }
+  }
+  return tables;
+}
+
+// A compaction reads each input run through one iterator that opens the
+// run's tables only as the merge reaches them. A corrupt data block in a
+// table opened that late must still fail the whole compaction: nothing is
+// installed, the intact inputs keep serving reads, and the partial outputs
+// are swept as orphans on the next open.
+TEST(CorruptionTest, CompactionFailsOnLazilyOpenedCorruptInput) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  auto recorder = std::make_shared<CompactionOutputRecorder>();
+  Options options;
+  options.env = env.get();
+  options.write_buffer_size = 16 << 10;
+  options.max_file_size = 8 << 10;
+  options.listeners.push_back(recorder);
+  const std::string dbname = "/lazy";
+  const std::string old_value(40, 'o');
+  const int kKeys = 2000;
+  std::vector<TableFileInfo> run;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+    for (int i = 0; i < kKeys; i++) {
+      ASSERT_TRUE(db->Put(WriteOptions(), TestKey(i), old_value).ok());
+    }
+    ASSERT_TRUE(db->CompactAll().ok());
+    ASSERT_EQ(recorder->output_level, 1) << db->DebugShape();
+    run = recorder->outputs;
+    ASSERT_GE(run.size(), 3u) << db->DebugShape();
+    // A newer L0 run spanning the whole key range, so the next CompactAll
+    // merges it with every file of the L1 run.
+    for (int i = 0; i < kKeys; i += 50) {
+      ASSERT_TRUE(db->Put(WriteOptions(), TestKey(i), "new").ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    ASSERT_EQ(db->GetStats().total_runs, 2) << db->DebugShape();
+  }
+
+  // Flip a byte inside the first data block of the run's second file.
+  const std::string victim = TableFileName(dbname, run[1].file_number);
+  std::string image;
+  ASSERT_TRUE(ReadFileToString(env.get(), victim, &image).ok());
+  image[10] = static_cast<char>(image[10] ^ 0xff);
+  ASSERT_TRUE(WriteStringToFile(env.get(), image, victim).ok());
+
+  const std::set<std::string> tables_before = TableFiles(env.get(), dbname);
+  auto expect_intact_reads = [&](DB* db) {
+    std::string value;
+    for (int i = 0; i < kKeys; i += 50) {
+      ASSERT_TRUE(db->Get(ReadOptions(), TestKey(i), &value).ok()) << i;
+      EXPECT_EQ(value, "new") << i;
+    }
+    // Every key of the run's first file, which is intact.
+    for (int i = 0; i < kKeys && TestKey(i) <= run[0].largest_user_key;
+         i++) {
+      ASSERT_TRUE(db->Get(ReadOptions(), TestKey(i), &value).ok()) << i;
+      EXPECT_EQ(value, i % 50 == 0 ? "new" : old_value) << i;
+    }
+  };
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+    const std::string shape = db->DebugShape();
+    const Status s = db->CompactAll();
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_EQ(db->DebugShape(), shape);
+    expect_intact_reads(db.get());
+  }
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+    EXPECT_EQ(TableFiles(env.get(), dbname), tables_before);
+    expect_intact_reads(db.get());
   }
 }
 

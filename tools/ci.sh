@@ -29,8 +29,9 @@
 #   tsan           ThreadSanitizer build + full ctest
 #   tsan-obs       ThreadSanitizer build, observability tests only (fast
 #                  race check over the PerfContext/StatsRegistry/listener
-#                  counter paths, plus property_test's background rows;
-#                  subset of `tsan`)
+#                  counter paths, compaction_test's lazily opened merge
+#                  inputs, plus property_test's background rows; subset
+#                  of `tsan`)
 #   asan-ubsan     Address+UB sanitizer builds + full ctest
 #   fuzz-smoke     libFuzzer harnesses (LSMLAB_FUZZ build, clang only),
 #                  10k runs per target from the checked-in seed corpora
@@ -146,9 +147,11 @@ leg_tsan_obs() {
   # fired after release, deletions queued from VersionSet cleanups, the
   # group-commit writer queue (leader WAL I/O with mu_ released), the
   # concurrent memtable (lock-free skiplist inserts + parallel group apply),
-  # and the sharded router (parallel batch fan-out over a shared background
-  # pool). Run just those suites (plus the general concurrency one) under
-  # TSan for a quick signal; the full `tsan` leg still covers everything.
+  # the sharded router (parallel batch fan-out over a shared background
+  # pool), and compaction inputs (a background merge opens its input tables
+  # lazily, run by run, through the TableCache readers share). Run just
+  # those suites (plus the general concurrency one) under TSan for a quick
+  # signal; the full `tsan` leg still covers everything.
   cmake -B build-ci-tsan -S . \
       -DCMAKE_BUILD_TYPE=Debug -DLSMLAB_SANITIZE=thread >/dev/null
   cmake --build build-ci-tsan -j "$JOBS"
@@ -158,6 +161,11 @@ leg_tsan_obs() {
   # next to background flushes and compactions.
   GTEST_FILTER='*background*' ctest --test-dir build-ci-tsan \
       --output-on-failure -R property_test
+  # Background run merges: input tables open mid-merge on the worker while
+  # readers open and probe tables through the same TableCache. (The
+  # inline shape tests add minutes under TSan and no threads.)
+  GTEST_FILTER='*Background*' ctest --test-dir build-ci-tsan \
+      --output-on-failure -R compaction_test
 }
 
 leg_asan_ubsan() {

@@ -43,6 +43,12 @@
 #      guarantees no site anywhere — lambda or not — drops a Status
 #      without a written reason. The declaration in status.h is exempt
 #      (matched as a definition, not a call).
+#  10. `table_cache_->NewIterator(` appears in src/core only inside
+#      DBImpl::NewRunIterator. Scans and compactions both merge one
+#      iterator per sorted run; a per-file table iterator handed to a
+#      merge turns its O(entries x runs) cost back into O(entries x files)
+#      and opens every input table up front. Deliberate exceptions carry a
+#      `run-iter-ok:` comment on the call line or the line above.
 #
 # `lint.sh --self-test` seeds a throwaway tree with one violation per check
 # and asserts every check fires (the same discipline as
@@ -77,6 +83,14 @@ void Ok() { (void)snprintf(b, 1, "x"); }              // check 4: allowlisted ca
 void Poke() { stats_->RecordSync(); }                 // check 5
 void Wal() { wal_file_->Sync(); }                     // check 8
 void Quiet() { DoThing().IgnoreError(); }             // check 9
+void Merge() { kids.push_back(table_cache_->NewIterator(f)); }  // check 10
+Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> files) {
+  return table_cache_->NewIterator(files[0]);          // check 10: must NOT fire
+}
+void Probe() {
+  // run-iter-ok: documented exception, must NOT fire
+  auto* it = table_cache_->NewIterator(f);
+}
 void Loud() {
   // status-ok: documented drop, must NOT fire
   DoOther().IgnoreError();
@@ -113,6 +127,11 @@ EOF
   expect "unannotated I/O call in a batch-path file"
   expect "WAL append/sync outside"
   expect "Status dropped without a status-ok: annotation"
+  expect "table iterator outside DBImpl::NewRunIterator"
+  if grep -qE 'files\[0\]|auto\* it = ' <<< "$out"; then
+    echo "lint --self-test: NewRunIterator body or run-iter-ok: site wrongly flagged"
+    fail=1
+  fi
   if grep -qE '^\s+.*\(void\)snprintf' <<< "$out"; then
     echo "lint --self-test: allowlisted (void)snprintf wrongly flagged"
     fail=1
@@ -126,7 +145,7 @@ EOF
     fail=1
   fi
   if [ "$fail" -eq 0 ]; then
-    echo "lint --self-test: PASS (all 9 checks fire on seeded violations)"
+    echo "lint --self-test: PASS (all 10 checks fire on seeded violations)"
   fi
   exit "$fail"
 fi
@@ -269,6 +288,26 @@ grep -rl --include='*.h' --include='*.cc' -E '(\.|->)IgnoreError\(\)' src/ 2>/de
       ' "$f"
     done \
   | report "Status dropped without a status-ok: annotation (write the reason on the call line or just above; see tools/status_audit.list)"
+
+# 10. Merges read runs, not files: a table iterator is built in src/core
+#     only by DBImpl::NewRunIterator (whose body ends at the first line
+#     that is a lone `}`). A `run-iter-ok:` comment on the call line or
+#     the line above excuses a deliberate exception.
+grep -rl --include='*.h' --include='*.cc' 'table_cache_->NewIterator(' \
+    src/core/ 2>/dev/null \
+  | while read -r f; do
+      awk -v file="$f" '
+        /DBImpl::NewRunIterator\(/ { in_run = 1 }
+        /table_cache_->NewIterator\(/ {
+          if (!in_run && $0 !~ /run-iter-ok:/ && prev !~ /run-iter-ok:/) {
+            printf "%s:%d: %s\n", file, NR, $0
+          }
+        }
+        /^}/ { in_run = 0 }
+        { prev = $0 }
+      ' "$f"
+    done \
+  | report "table iterator outside DBImpl::NewRunIterator (merge one iterator per run through it, or mark the call run-iter-ok:)"
 
 if [ "$fail" -eq 0 ]; then
   echo "lint: OK"
