@@ -161,7 +161,8 @@ class DB {
 
   /// Rewrites live separated values out of closed value-log segments and
   /// deletes the segments (WiscKey-style GC). Requires key-value
-  /// separation to be enabled and no live snapshots.
+  /// separation to be enabled and no live snapshots. Assumes no concurrent
+  /// writers: a value it re-puts can overwrite a newer write of the key.
   virtual Status GarbageCollectValues() = 0;
   /// Flushes the memtable to level 0 without compacting.
   virtual Status Flush() = 0;

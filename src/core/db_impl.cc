@@ -272,8 +272,8 @@ Status DestroyDB(const Options& options, const std::string& name) {
 }
 
 // -------------------------------------------------- Key-value separation --
-// (Batch separation itself — SeparatingHandler / MaybeSeparateBatch — lives
-// in db_write.cc with the rest of the write path.)
+// (Batch separation itself — SeparatingHandler / SeparateBatch — lives in
+// db_write.cc with the rest of the write path.)
 
 Status DBImpl::ResolveValue(const Slice& stored, std::string* out) {
   if (vlog_ == nullptr) {
@@ -449,14 +449,12 @@ Status DBImpl::NewWal() {
 
 Status DBImpl::FreezeMemTableLocked() {
   assert(imm_ == nullptr);
-  // Rotation destroys the current WAL writer; the group-commit leader must
-  // not be appending to it with mu_ released. Likewise the memtable being
-  // swapped out must not be receiving parallel-apply inserts. Callers
-  // that can race a leader (Flush paths) wait for log_busy_ and
-  // apply_busy_ to clear before getting here; MakeRoomForWrite runs on
-  // the leader itself, where both are idle.
+  // Rotation destroys the current WAL writer and swaps out mem_; no
+  // group-commit leader may be inside its commit window, appending to the
+  // one or inserting into the other with mu_ released. Callers that can
+  // race a leader (Flush paths) wait for log_busy_ to clear before getting
+  // here; MakeRoomForWrite runs on the leader itself, before its window.
   assert(!log_busy_);
-  assert(!apply_busy_);
   // Rotation I/O (one vlog fsync + one WAL create) is intentionally done
   // under mu_: it must be atomic with the mem_/imm_ swap.
   ScopedBlockingIoAllowed allow_io("memtable freeze + WAL rotation");
@@ -760,8 +758,8 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
 Status DBImpl::FlushOnCallerLocked(PendingEvents* events) {
   // imm_ belongs to whoever holds the bg_scheduled_ claim, and the freeze
   // rotates the WAL: wait until no worker runs and no group-commit leader
-  // is appending or applying with mu_ released.
-  while ((bg_scheduled_ || log_busy_ || apply_busy_) && bg_error_.ok()) {
+  // is inside its commit window.
+  while ((bg_scheduled_ || log_busy_) && bg_error_.ok()) {
     bg_cv_.Wait();
   }
   if (!bg_error_.ok()) {
@@ -801,7 +799,7 @@ Status DBImpl::FlushLocked(PendingEvents* events) {
   // Background mode: freeze (waiting for a previous freeze to drain and
   // for any in-flight group commit to leave the WAL idle — freezing
   // rotates it), then wait until the background worker installs the flush.
-  while ((imm_ != nullptr || log_busy_ || apply_busy_) && bg_error_.ok()) {
+  while ((imm_ != nullptr || log_busy_) && bg_error_.ok()) {
     bg_cv_.Wait();
   }
   if (!bg_error_.ok()) {

@@ -96,6 +96,14 @@ class DBImpl : public DB {
     return writers_.size();
   }
 
+  /// Runs `hook` on each batch the write path is about to insert into the
+  /// memtable; a non-OK result fails that insert. Test hook for insert
+  /// failures a batch that passed key-value separation cannot cause. Set
+  /// before any concurrent write.
+  void TEST_SetApplyHook(std::function<Status(const WriteBatch&)> hook) {
+    apply_hook_ = std::move(hook);
+  }
+
  private:
   /// Listener callbacks staged while mu_ is held; NotifyListeners fires
   /// them in staging order once the mutex is released.
@@ -136,28 +144,26 @@ class DBImpl : public DB {
   /// Body of Write: the leader/follower group-commit protocol. Defined in
   /// db_write.cc — the only module allowed to touch the WAL file (see
   /// DESIGN.md "Group commit" and the lint.sh ban). Takes mu_ to queue the
-  /// writer; the leader releases it during WAL/value-log I/O.
+  /// writer; the leader releases it for its commit window (WAL I/O and the
+  /// memtable insert).
   Status WriteImpl(const WriteOptions& options, WriteBatch* updates,
                    PendingEvents* events) EXCLUDES(mu_);
   /// Claims queued writers from the front of writers_ up to the group size
-  /// cap. Returns the batch to commit — the leader's own for a group of
-  /// one, else group_batch_ — and reports the last claimed writer, whether
-  /// any member requested sync, and the member count.
-  WriteBatch* BuildWriteGroupLocked(Writer** last_writer, bool* group_sync,
+  /// cap, giving each follower its parallel_base: `base` plus the entries
+  /// ahead of it. Returns the batch to commit — the leader's own for a
+  /// group of one, else group_batch_ — and reports the last claimed
+  /// writer, whether any member requested sync or appended to the value
+  /// log, and the member count.
+  WriteBatch* BuildWriteGroupLocked(SequenceNumber base, Writer** last_writer,
+                                    bool* group_sync, bool* vlog_appended,
                                     uint64_t* writer_count) REQUIRES(mu_);
-  /// Applies the committed group to the memtable. Serial path: the leader
-  /// inserts the concatenated group under mu_ (unchanged from PR 6).
-  /// Parallel path (Options::allow_concurrent_memtable_write, skiplist
-  /// rep, no kv-separation, group of >1): the leader pre-assigns every
-  /// member its sequence offset within the group, wakes the followers to
-  /// insert their own batches outside mu_ (apply_busy_ keeps freeze out),
-  /// inserts its own batch likewise, and waits for the last finisher on
-  /// apply_cv_. Releases and reacquires mu_ on the parallel path. The
-  /// caller publishes last_sequence afterwards, so readers never observe
-  /// a partial group either way.
-  Status ApplyWriteGroupLocked(Writer* leader, Writer* last_writer,
-                               WriteBatch* group, SequenceNumber base,
-                               uint64_t writer_count) REQUIRES(mu_);
+  /// The write path's one memtable insert: inserts `batch` into `mem` at
+  /// sequence `base` with mu_ released, then takes mu_ and reports in to
+  /// the group's apply (apply_status_, apply_pending_). `concurrent`
+  /// selects the memtable's concurrent insert, for members of a parallel
+  /// apply; a leader applying its whole group alone inserts serially.
+  void ApplyMemberThenLock(const WriteBatch& batch, SequenceNumber base,
+                           MemTable* mem, bool concurrent) ACQUIRE(mu_);
   /// Durability policy (Options::wal_sync_mode): whether the commit whose
   /// WAL record is `record_bytes` long syncs the log. A group containing a
   /// sync writer syncs in every mode; the interval/bytes policies only add
@@ -250,12 +256,12 @@ class DBImpl : public DB {
   /// view, not live state: safe (and intended) to call without mu_.
   void CollectIterators(const ReadView& view, const Slice* lo,
                         const Slice* hi, std::vector<Iterator*>* children);
-  /// Key-value separation: rewrites large values of `updates` into the
-  /// value log, leaving tagged pointers (no-op when disabled). Sets
-  /// *vlog_appended iff at least one value actually moved to the log, so
-  /// the caller can skip the value-log sync otherwise.
-  Status MaybeSeparateBatch(WriteBatch* updates, bool* vlog_appended);
-  bool separation_enabled() const { return vlog_ != nullptr; }
+  /// Key-value separation: encodes `updates` into *separated with large
+  /// values moved to the value log as tagged pointers and the rest tagged
+  /// inline. Sets *vlog_appended iff at least one value actually moved to
+  /// the log, so the leader can skip the value-log sync otherwise.
+  Status SeparateBatch(const WriteBatch& updates, WriteBatch* separated,
+                       bool* vlog_appended);
   bool has_listeners() const { return !options_.listeners.empty(); }
   /// User-view iterator over raw (tagged) stored values.
   Iterator* NewRawIterator(const ReadOptions& options);
@@ -290,22 +296,20 @@ class DBImpl : public DB {
   /// FIFO of pending writes. The front writer is the leader; it commits a
   /// prefix of the queue as one group and signals each member's CondVar.
   std::deque<Writer*> writers_ GUARDED_BY(mu_);
-  /// True while the leader runs WAL/value-log I/O with mu_ released. WAL
-  /// rotation (FreezeMemTableLocked) must wait for the log to go idle, or
-  /// it would destroy the file mid-append.
+  /// True during the leader's commit window, which runs with mu_
+  /// released: WAL append → memtable insert → last_sequence publish. WAL
+  /// rotation (FreezeMemTableLocked) must wait for it to clear, or it
+  /// would destroy the log mid-append and swap out the memtable
+  /// mid-insert.
   bool log_busy_ GUARDED_BY(mu_) = false;
-  /// True while a parallel group apply runs outside mu_ (leader and
-  /// followers inserting into mem_ concurrently). Freeze must wait for it
-  /// exactly as for log_busy_: the memtable about to be swapped out is
-  /// still receiving inserts.
-  bool apply_busy_ GUARDED_BY(mu_) = false;
-  /// Members (leader included) still applying their sub-batches; the last
-  /// finisher signals apply_cv_, where the leader waits.
-  uint64_t parallel_pending_ GUARDED_BY(mu_) = 0;
-  /// First member insert failure of the in-flight parallel apply; the
-  /// leader folds it into the group status (and thus bg_error_).
-  Status parallel_status_ GUARDED_BY(mu_);
+  /// Group members (leader included) still inserting; the last one
+  /// signals apply_cv_, where the leader waits.
+  uint64_t apply_pending_ GUARDED_BY(mu_) = 0;
+  /// First member insert failure of the in-flight apply; it becomes the
+  /// group status (and thus bg_error_).
+  Status apply_status_ GUARDED_BY(mu_);
   CondVar apply_cv_{&mu_};
+  std::function<Status(const WriteBatch&)> apply_hook_;  // TEST_SetApplyHook
   /// Leader-owned scratch and durability-policy state. Not GUARDED_BY:
   /// only the current leader touches these, between setting and clearing
   /// log_busy_, and the mu_ handoff at those edges orders the accesses

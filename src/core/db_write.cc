@@ -4,34 +4,36 @@
 //
 // Protocol (the LevelDB/RocksDB writer queue):
 //
-//   1. Every DBImpl::Write parks a Writer{batch, sync, cv} in writers_.
-//      The front of the queue is the leader; everyone else sleeps on a
-//      per-writer CondVar.
+//   1. Every DBImpl::Write first separates large values into the value log
+//      when key-value separation is on, re-encoding the caller's batch into
+//      a writer-owned one (the caller's batch is never rewritten). It then
+//      parks a Writer{batch, sync, cv} in writers_. The front of the queue
+//      is the leader; everyone else sleeps on a per-writer CondVar.
 //   2. The leader first makes room (MakeRoomForWrite): a full memtable is
 //      frozen and handed to the worker, which in inline mode runs right
 //      there on the leader. A failed flush thus fails the group before
 //      any of it is applied.
 //      The leader then claims a prefix of the queue up to a size cap and
 //      concatenates the members into one batch with contiguous sequence
-//      numbers. It then sets log_busy_ and RELEASES mu_ for the expensive
-//      part: key-value separation, the single WAL append, and the sync
-//      the durability mode calls for. Readers and the background thread
-//      proceed under mu_ meanwhile; only WAL rotation (memtable freeze)
-//      must wait for log_busy_ to clear.
-//   3. The leader re-acquires mu_ and applies the group to the memtable.
-//      Serial path: one InsertInto of the concatenated group under mu_.
-//      Parallel path (Options::allow_concurrent_memtable_write + skiplist
-//      rep, no kv-separation): the leader pre-assigns each member its
-//      sequence offset within the group, sets apply_busy_, and wakes the
-//      followers; every member — leader included — inserts its own batch
-//      outside mu_ through the memtable's concurrent path, and the last
-//      finisher signals the leader (ApplyWriteGroupLocked).
+//      numbers, noting each member's base within it. It sets log_busy_
+//      and RELEASES mu_ for its commit window: the value-log sync, the
+//      single WAL append, the sync the durability mode calls for, and the
+//      memtable insert. Readers and the background thread proceed under
+//      mu_ meanwhile; only WAL rotation (memtable freeze) must wait for
+//      log_busy_ to clear.
+//   3. Once the record is in the WAL, the group is inserted into the
+//      memtable, always outside mu_ and always through ApplyMemberThenLock.
+//      A single-writer group, or any group when
+//      Options::allow_concurrent_memtable_write is off, is inserted by the
+//      leader alone. Otherwise the leader wakes the followers and every
+//      member, leader included, inserts its own batch at its base through
+//      the memtable's concurrent path. The last member to report in wakes
+//      the leader.
 //   4. The leader publishes last_sequence once, after the whole group is
-//      in (so no reader observes a partial group on either path), pops
+//      in (so no reader observes a partial group), clears log_busy_, pops
 //      the group — completing each follower with the group status — and
-//      signals the next queued writer to lead. Member insert failures
-//      funnel into the group status and poison bg_error_ exactly like a
-//      serial apply failure.
+//      signals the next queued writer to lead. An insert failure fails
+//      the group and poisons bg_error_, since the WAL already holds it.
 //
 // Mixed-group sync semantics: one group containing any sync writer syncs
 // once for all members. The interval/bytes modes additionally bound the
@@ -52,11 +54,13 @@ struct DBImpl::Writer {
 
   WriteBatch* batch = nullptr;
   bool sync = false;
+  /// Separating this writer's batch appended to the value log.
+  bool vlog_appended = false;
   bool done = false;
-  // Parallel group apply: the leader sets parallel_base/parallel_apply
-  // under mu_ and signals the member, which applies its own batch outside
-  // mu_ starting at parallel_base, clears the flag, and parks again until
-  // done. Both fields are only touched under mu_.
+  // Parallel group apply: the leader sets parallel_base while building the
+  // group and parallel_apply once the group is in the WAL, both under mu_;
+  // the member then inserts its own batch at parallel_base outside mu_ and
+  // parks again until done.
   SequenceNumber parallel_base = 0;
   bool parallel_apply = false;
   Status status;
@@ -99,6 +103,17 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
   w.batch = updates;
   w.sync = options.sync;
 
+  WriteBatch separated;
+  if (vlog_ != nullptr) {
+    // The group is the concatenation of already-separated members, so
+    // each member's batch is exactly its share of the WAL record.
+    Status s = SeparateBatch(*updates, &separated, &w.vlog_appended);
+    if (!s.ok()) {
+      return s;
+    }
+    w.batch = &separated;
+  }
+
   mu_.Lock();
   writers_.push_back(&w);
   if (&w != writers_.front()) {
@@ -111,25 +126,12 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
             std::chrono::steady_clock::now() - park_start)
             .count());
     if (w.parallel_apply) {
-      // Woken mid-group to apply our own sub-batch at the sequence offset
-      // the leader assigned (see ApplyWriteGroupLocked). The leader still
-      // owns the group: apply outside mu_, report in, and park again for
-      // the commit status.
+      // Woken mid-group to insert our own batch; the leader still owns
+      // the group and reports its status.
       MemTable* mem = mem_;
       mu_.Unlock();
-      uint64_t cas_retries = 0;
-      const Status as =
-          w.batch->InsertIntoConcurrent(mem, w.parallel_base, &cas_retries);
-      GetPerfContext()->memtable_insert_cas_retries += cas_retries;
-      mu_.Lock();
-      w.parallel_apply = false;
-      if (!as.ok() && parallel_status_.ok()) {
-        parallel_status_ = as;
-      }
-      assert(parallel_pending_ > 0);
-      if (--parallel_pending_ == 0) {
-        apply_cv_.Signal();
-      }
+      ApplyMemberThenLock(*w.batch, w.parallel_base, mem,
+                          /*concurrent=*/true);
       while (!w.done) {
         w.cv.Wait();
       }
@@ -152,34 +154,38 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
 
   Writer* last_writer = &w;
   if (s.ok()) {
-    bool group_sync = false;
-    uint64_t writer_count = 1;
-    WriteBatch* group =
-        BuildWriteGroupLocked(&last_writer, &group_sync, &writer_count);
     const SequenceNumber base = versions_->last_sequence() + 1;
+    bool group_sync = false;
+    bool vlog_appended = false;
+    uint64_t writer_count = 1;
+    WriteBatch* group = BuildWriteGroupLocked(
+        base, &last_writer, &group_sync, &vlog_appended, &writer_count);
+    const bool parallel =
+        writer_count > 1 && options_.allow_concurrent_memtable_write;
+    apply_pending_ = parallel ? writer_count : 1;
+    apply_status_ = Status::OK();
     // Raw pointers for the unlocked window: log_busy_ keeps rotation out,
-    // so the WAL writer and file cannot be replaced while we use them.
+    // so neither the WAL nor the memtable can be replaced while we use
+    // them.
     wal::Writer* wal = wal_.get();
     WritableFile* wal_file = wal_file_.get();
+    MemTable* mem = mem_;
 
     log_busy_ = true;
     mu_.Unlock();
 
     PerfContext* perf = GetPerfContext();
-    bool vlog_appended = false;
-    s = MaybeSeparateBatch(group, &vlog_appended);
     group->set_sequence(base);
     const bool want_sync =
-        s.ok() && ShouldSyncWal(group_sync, group->Contents().size());
+        ShouldSyncWal(group_sync, group->Contents().size());
     bool synced = false;
     bool wal_appended = false;
     if (vlog_appended) {
-      // This group buffered new value-log bytes (Add flushes, never
+      // Some member buffered new value-log bytes (Add flushes, never
       // fsyncs); they stay unsynced until the next value-log fsync.
       vlog_unsynced_ = true;
     }
-    if (s.ok() && vlog_ != nullptr && vlog_unsynced_ &&
-        (vlog_appended || want_sync)) {
+    if (vlog_ != nullptr && vlog_unsynced_ && (vlog_appended || want_sync)) {
       // WiscKey durability order: separated values must be durable before
       // their pointers are. A WAL fsync makes every previously appended
       // pointer record durable, so it must be preceded by a value-log
@@ -221,13 +227,33 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
     stats_.Record(PhaseHistogram::kWriteGroupSize,
                   static_cast<double>(writer_count));
 
-    mu_.Lock();
-    log_busy_ = false;
-    // Freeze/flush waiters park on bg_cv_ until the log is idle again.
-    bg_cv_.SignalAll();
-
     if (s.ok()) {
-      s = ApplyWriteGroupLocked(&w, last_writer, group, base, writer_count);
+      const auto apply_start = std::chrono::steady_clock::now();
+      stats_.Add(parallel ? Ticker::kMemtableParallelApplies
+                          : Ticker::kMemtableSerialApplies);
+      if (parallel) {
+        MutexLock lock(&mu_);
+        for (auto it = writers_.begin() + 1;; ++it) {
+          (*it)->parallel_apply = true;
+          (*it)->cv.Signal();
+          if (*it == last_writer) {
+            break;
+          }
+        }
+      }
+      ApplyMemberThenLock(parallel ? *w.batch : *group, base, mem, parallel);
+      while (apply_pending_ > 0) {
+        apply_cv_.Wait();
+      }
+      s = apply_status_;
+      stats_.Record(
+          PhaseHistogram::kMemtableApplyMicros,
+          static_cast<double>(
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  std::chrono::steady_clock::now() - apply_start)
+                  .count()));
+    } else {
+      mu_.Lock();
     }
     if (s.ok()) {
       versions_->SetLastSequence(base + group->Count() - 1);
@@ -240,6 +266,9 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
       // against the divergent log.
       bg_error_ = s;
     }
+    log_busy_ = false;
+    // Freeze/flush waiters park on bg_cv_ until the commit window closes.
+    bg_cv_.SignalAll();
 
     if (s.ok() &&
         pending_seek_compaction_.exchange(false, std::memory_order_relaxed)) {
@@ -275,8 +304,10 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
   return s;
 }
 
-WriteBatch* DBImpl::BuildWriteGroupLocked(Writer** last_writer,
+WriteBatch* DBImpl::BuildWriteGroupLocked(SequenceNumber base,
+                                          Writer** last_writer,
                                           bool* group_sync,
+                                          bool* vlog_appended,
                                           uint64_t* writer_count) {
   Writer* leader = writers_.front();
   size_t bytes = leader->batch->ApproximateSize();
@@ -289,6 +320,7 @@ WriteBatch* DBImpl::BuildWriteGroupLocked(Writer** last_writer,
   }
 
   *group_sync = leader->sync;
+  *vlog_appended = leader->vlog_appended;
   *last_writer = leader;
   *writer_count = 1;
   WriteBatch* group = leader->batch;
@@ -304,80 +336,36 @@ WriteBatch* DBImpl::BuildWriteGroupLocked(Writer** last_writer,
       group_batch_.Append(*leader->batch);
       group = &group_batch_;
     }
+    follower->parallel_base = base + group_batch_.Count();
     group_batch_.Append(*follower->batch);
     bytes += follower->batch->ApproximateSize();
     *group_sync = *group_sync || follower->sync;
+    *vlog_appended = *vlog_appended || follower->vlog_appended;
     *last_writer = follower;
     ++(*writer_count);
   }
   return group;
 }
 
-Status DBImpl::ApplyWriteGroupLocked(Writer* leader, Writer* last_writer,
-                                     WriteBatch* group, SequenceNumber base,
-                                     uint64_t writer_count) {
-  const auto apply_start = std::chrono::steady_clock::now();
-  Status s;
-  // Parallel apply needs a real group (followers to hand work to), the
-  // option on, a memtable rep that takes concurrent inserts, and no
-  // kv-separation: MaybeSeparateBatch rewrote only the concatenated group
-  // (tagging values inline/pointer), so the members' raw batches no
-  // longer match what the WAL recorded — separation keeps the serial
-  // leader-apply of the rewritten group.
-  const bool parallel = writer_count > 1 &&
-                        options_.allow_concurrent_memtable_write &&
-                        vlog_ == nullptr && mem_->SupportsConcurrentInsert();
-  if (!parallel) {
-    stats_.Add(Ticker::kMemtableSerialApplies);
-    s = group->InsertInto(mem_);
-  } else {
-    stats_.Add(Ticker::kMemtableParallelApplies);
-    apply_busy_ = true;
-    parallel_status_ = Status::OK();
-    parallel_pending_ = writer_count;
-    // Hand every follower its precomputed sequence offset — the leader's
-    // entries come first, then each member in queue order, mirroring the
-    // concatenation order of BuildWriteGroupLocked — and wake it.
-    SequenceNumber running = base + leader->batch->Count();
-    for (auto it = writers_.begin() + 1;; ++it) {
-      assert(it != writers_.end());
-      Writer* member = *it;
-      member->parallel_base = running;
-      running += member->batch->Count();
-      member->parallel_apply = true;
-      member->cv.Signal();
-      if (member == last_writer) {
-        break;
-      }
-    }
-    assert(running == base + group->Count());
-
-    MemTable* mem = mem_;
-    mu_.Unlock();
+void DBImpl::ApplyMemberThenLock(const WriteBatch& batch, SequenceNumber base,
+                                 MemTable* mem, bool concurrent) {
+  Status s = apply_hook_ ? apply_hook_(batch) : Status::OK();
+  if (s.ok() && concurrent) {
     uint64_t cas_retries = 0;
-    const Status ls =
-        leader->batch->InsertIntoConcurrent(mem, base, &cas_retries);
+    s = batch.InsertIntoConcurrent(mem, base, &cas_retries);
     GetPerfContext()->memtable_insert_cas_retries += cas_retries;
-    mu_.Lock();
-    if (!ls.ok() && parallel_status_.ok()) {
-      parallel_status_ = ls;
-    }
-    assert(parallel_pending_ > 0);
-    --parallel_pending_;
-    while (parallel_pending_ > 0) {
-      apply_cv_.Wait();
-    }
-    s = parallel_status_;
-    apply_busy_ = false;
-    // Freeze/flush waiters gate on apply_busy_ exactly like log_busy_.
-    bg_cv_.SignalAll();
+  } else if (s.ok()) {
+    assert(batch.sequence() == base);
+    s = batch.InsertInto(mem);
   }
-  stats_.Record(PhaseHistogram::kMemtableApplyMicros,
-                static_cast<double>(
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - apply_start)
-                        .count()));
-  return s;
+  mu_.Lock();
+  if (!s.ok() && apply_status_.ok()) {
+    apply_status_ = s;
+  }
+  assert(apply_pending_ > 0);
+  if (--apply_pending_ == 0) {
+    apply_cv_.Signal();
+  }
 }
 
 bool DBImpl::ShouldSyncWal(bool group_sync, uint64_t record_bytes) const {
@@ -447,24 +435,16 @@ class SeparatingHandler : public WriteBatch::Handler {
 
 }  // namespace
 
-Status DBImpl::MaybeSeparateBatch(WriteBatch* updates, bool* vlog_appended) {
-  *vlog_appended = false;
-  if (vlog_ == nullptr) {
-    return Status::OK();
-  }
-  WriteBatch separated;
+Status DBImpl::SeparateBatch(const WriteBatch& updates, WriteBatch* separated,
+                             bool* vlog_appended) {
   SeparatingHandler handler(vlog_.get(), options_.value_separation_threshold,
-                            &separated);
-  Status s = updates->Iterate(&handler);
+                            separated);
+  Status s = updates.Iterate(&handler);
   if (s.ok()) {
     s = handler.status();
   }
-  if (!s.ok()) {
-    return s;
-  }
-  *updates = separated;
   *vlog_appended = handler.separated_count() > 0;
-  return Status::OK();
+  return s;
 }
 
 }  // namespace lsmlab

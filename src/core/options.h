@@ -135,13 +135,15 @@ struct Options {
 
   // --- Memtable (I-2, II-4) ----------------------------------------------
   MemTable::Rep memtable_rep = MemTable::Rep::kSkipList;
+  /// Per-memtable hash index from user key to its newest entry. DB reads
+  /// look up at last_sequence, so they take the ordered search; only
+  /// kMaxSequenceNumber lookups take the O(1) path, i.e. direct MemTable
+  /// users such as E13.
   bool memtable_hash_index = false;
   /// Parallel group apply: group-commit followers insert their own
-  /// sub-batches into the memtable concurrently (lock-free skiplist CAS
-  /// splice) instead of waiting for the leader to apply the whole group
-  /// under the DB mutex. Takes effect only for the kSkipList rep without
-  /// the hash index and without key-value separation; other
-  /// configurations keep the serial leader apply (the memtable.
+  /// sub-batches into the memtable concurrently instead of waiting for
+  /// the leader to insert the whole group alone. Applies to every
+  /// memtable rep and with key-value separation (the memtable.
   /// parallel_applies / memtable.serial_applies tickers show which path
   /// ran). Readers are unaffected: last_sequence still publishes once per
   /// group, after every member's inserts land.

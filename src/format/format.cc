@@ -93,12 +93,7 @@ Status ReadBlock(RandomAccessFile* file, uint64_t file_size,
     return Status::Corruption("unknown block compression type");
   }
 
-  if (data != result->owned.data()) {
-    // Env returned a pointer into its own memory (mem env). Copy so the
-    // block owns its bytes: cached blocks may outlive the file handle.
-    result->owned.assign(data, n);
-  }
-  result->owned.resize(n);  // drop trailer (no-op for the copy branch)
+  result->owned.resize(n);  // drop trailer
   result->data = Slice(result->owned.data(), n);
   result->heap_allocated = true;
   return Status::OK();

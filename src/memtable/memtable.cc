@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "util/coding.h"
 
@@ -26,6 +27,22 @@ Slice GetEntryValue(const char* entry) {
   return Slice(p, vlen);
 }
 
+/// Index of the first entry of `vec` (sorted by internal key) >= `target`.
+size_t LowerBound(const std::vector<const char*>& vec,
+                  const InternalKeyComparator& cmp, const Slice& target) {
+  size_t lo = 0;
+  size_t hi = vec.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (cmp.Compare(GetInternalKey(vec[mid]), target) < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 }  // namespace
 
 int MemTable::KeyComparator::operator()(const char* a, const char* b) const {
@@ -45,7 +62,12 @@ MemTable::MemTable(const InternalKeyComparator& comparator, Rep rep,
 }
 
 size_t MemTable::ApproximateMemoryUsage() const {
-  size_t total = arena_.MemoryUsage() + vector_.capacity() * sizeof(char*);
+  size_t total = arena_.MemoryUsage();
+  if (rep_ == Rep::kSkipList && !use_hash_index_) {
+    return total;
+  }
+  MutexLock lock(&mu_);
+  total += vector_.capacity() * sizeof(char*);
   if (use_hash_index_) {
     total += hash_index_.size() *
              (sizeof(std::string_view) + sizeof(char*) + 16);
@@ -74,27 +96,39 @@ const char* MemTable::EncodeEntry(SequenceNumber seq, ValueType type,
   return buf;
 }
 
-size_t MemTable::VectorLowerBound(const Slice& target) const {
-  size_t lo = 0;
-  size_t hi = vector_.size();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (comparator_.Compare(GetInternalKey(vector_[mid]), target) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
+void MemTable::IndexUnderLock(const char* entry) {
+  if (rep_ == Rep::kSkipList && !use_hash_index_) {
+    return;
+  }
+  const Slice ik = GetInternalKey(entry);
+  MutexLock lock(&mu_);
+  if (rep_ == Rep::kSortedVector) {
+    vector_.insert(vector_.begin() + LowerBound(vector_, comparator_, ik),
+                   entry);
+  }
+  if (use_hash_index_) {
+    // Concurrent members may add a key's versions out of sequence order;
+    // the index keeps the highest sequence, not the last Add.
+    const Slice uk = ExtractUserKey(ik);
+    const char*& newest = hash_index_[std::string_view(uk.data(), uk.size())];
+    if (newest == nullptr ||
+        ExtractSequence(GetInternalKey(newest)) < ExtractSequence(ik)) {
+      newest = entry;
     }
   }
-  return lo;
 }
 
 uint64_t MemTable::AddConcurrent(SequenceNumber seq, ValueType type,
                                  const Slice& user_key, const Slice& value) {
-  assert(SupportsConcurrentInsert());
   const char* entry = EncodeEntry(seq, type, user_key, value,
                                   /*concurrent=*/true);
   num_entries_.fetch_add(1, std::memory_order_relaxed);
-  return skiplist_->InsertConcurrently(entry);
+  uint64_t cas_retries = 0;
+  if (rep_ == Rep::kSkipList) {
+    cas_retries = skiplist_->InsertConcurrently(entry);
+  }
+  IndexUnderLock(entry);
+  return cas_retries;
 }
 
 void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
@@ -104,16 +138,8 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
   num_entries_.fetch_add(1, std::memory_order_relaxed);
   if (rep_ == Rep::kSkipList) {
     skiplist_->Insert(entry);
-  } else {
-    const size_t pos = VectorLowerBound(GetInternalKey(entry));
-    vector_.insert(vector_.begin() + pos, entry);
   }
-  if (use_hash_index_) {
-    Slice ik = GetInternalKey(entry);
-    Slice uk = ExtractUserKey(ik);
-    // Later Adds have higher sequence numbers, so overwrite unconditionally.
-    hash_index_[std::string_view(uk.data(), uk.size())] = entry;
-  }
+  IndexUnderLock(entry);
 }
 
 bool MemTable::Get(const LookupKey& lkey, std::string* value, Status* s) {
@@ -123,6 +149,7 @@ bool MemTable::Get(const LookupKey& lkey, std::string* value, Status* s) {
       ExtractSequence(lkey.internal_key()) == kMaxSequenceNumber) {
     // O(1) latest-version fast path.
     Slice uk = lkey.user_key();
+    MutexLock lock(&mu_);
     auto it = hash_index_.find(std::string_view(uk.data(), uk.size()));
     if (it == hash_index_.end()) {
       return false;
@@ -142,7 +169,8 @@ bool MemTable::Get(const LookupKey& lkey, std::string* value, Status* s) {
     }
     entry = iter.key();
   } else {
-    const size_t pos = VectorLowerBound(lkey.internal_key());
+    MutexLock lock(&mu_);
+    const size_t pos = LowerBound(vector_, comparator_, lkey.internal_key());
     if (pos >= vector_.size()) {
       return false;
     }
@@ -171,11 +199,13 @@ namespace {
 
 class MemTableIterator : public Iterator {
  public:
+  /// Walks `list`, or, when it is null, `vec`: a snapshot of the vector
+  /// rep that later Adds cannot reallocate under the iterator.
   MemTableIterator(MemTable* mem,
                    SkipList<const char*, MemTable::KeyComparator>* list,
-                   const std::vector<const char*>* vec,
+                   std::vector<const char*> vec,
                    const InternalKeyComparator* cmp)
-      : mem_(mem), vec_(vec), cmp_(cmp) {
+      : mem_(mem), vec_(std::move(vec)), cmp_(cmp) {
     if (list != nullptr) {
       list_iter_ = std::make_unique<
           SkipList<const char*, MemTable::KeyComparator>::Iterator>(list);
@@ -186,7 +216,7 @@ class MemTableIterator : public Iterator {
   ~MemTableIterator() override { mem_->Unref(); }
 
   bool Valid() const override {
-    return list_iter_ ? list_iter_->Valid() : vec_pos_ < vec_->size();
+    return list_iter_ ? list_iter_->Valid() : vec_pos_ < vec_.size();
   }
 
   void SeekToFirst() override {
@@ -201,8 +231,7 @@ class MemTableIterator : public Iterator {
     if (list_iter_) {
       list_iter_->SeekToLast();
     } else {
-      vec_pos_ = vec_->empty() ? 0 : vec_->size() - 1;
-      if (vec_->empty()) vec_pos_ = vec_->size();
+      vec_pos_ = vec_.empty() ? 0 : vec_.size() - 1;
     }
   }
 
@@ -213,7 +242,7 @@ class MemTableIterator : public Iterator {
       seek_entry.append(target.data(), target.size());
       list_iter_->Seek(seek_entry.data());
     } else {
-      vec_pos_ = LowerBound(target);
+      vec_pos_ = LowerBound(vec_, *cmp_, target);
     }
   }
 
@@ -229,7 +258,7 @@ class MemTableIterator : public Iterator {
     if (list_iter_) {
       list_iter_->Prev();
     } else if (vec_pos_ == 0) {
-      vec_pos_ = vec_->size();
+      vec_pos_ = vec_.size();
     } else {
       vec_pos_--;
     }
@@ -241,27 +270,13 @@ class MemTableIterator : public Iterator {
 
  private:
   const char* Entry() const {
-    return list_iter_ ? list_iter_->key() : (*vec_)[vec_pos_];
-  }
-
-  size_t LowerBound(const Slice& target) const {
-    size_t lo = 0;
-    size_t hi = vec_->size();
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (cmp_->Compare(GetInternalKey((*vec_)[mid]), target) < 0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
+    return list_iter_ ? list_iter_->key() : vec_[vec_pos_];
   }
 
   MemTable* mem_;
   std::unique_ptr<SkipList<const char*, MemTable::KeyComparator>::Iterator>
       list_iter_;
-  const std::vector<const char*>* vec_;
+  const std::vector<const char*> vec_;
   size_t vec_pos_ = 0;
   const InternalKeyComparator* cmp_;
 };
@@ -269,9 +284,11 @@ class MemTableIterator : public Iterator {
 }  // namespace
 
 Iterator* MemTable::NewIterator() {
-  return new MemTableIterator(
-      this, rep_ == Rep::kSkipList ? skiplist_.get() : nullptr, &vector_,
-      &comparator_);
+  if (rep_ == Rep::kSkipList) {
+    return new MemTableIterator(this, skiplist_.get(), {}, &comparator_);
+  }
+  MutexLock lock(&mu_);
+  return new MemTableIterator(this, nullptr, vector_, &comparator_);
 }
 
 }  // namespace lsmlab

@@ -11,6 +11,7 @@
 #include "memtable/skiplist.h"
 #include "util/arena.h"
 #include "util/iterator.h"
+#include "util/mutex.h"
 #include "util/status.h"
 
 namespace lsmlab {
@@ -29,6 +30,12 @@ namespace lsmlab {
 /// An optional hash index (tutorial §II-4: per-page hash maps) maps user
 /// keys to their newest entry for O(1) latest-version Gets; snapshot reads
 /// fall back to the ordered search.
+///
+/// The memtable owns its write synchronisation: readers may run alongside
+/// any writer, and AddConcurrent calls alongside each other, on every rep.
+/// The skiplist is lock-free on both sides (CAS splice, acquire loads);
+/// the sorted vector and the hash index serialise writers and readers on
+/// the leaf mu_, and a vector-rep iterator reads a copy of vector_.
 class MemTable {
  public:
   enum class Rep { kSkipList, kSortedVector };
@@ -54,28 +61,22 @@ class MemTable {
   /// trigger a flush.
   size_t ApproximateMemoryUsage() const;
 
-  /// Iterator yielding internal keys (entry encoding stripped).
+  /// Iterator yielding internal keys (entry encoding stripped). A
+  /// vector-rep iterator sees the entries present when it was created.
   Iterator* NewIterator();
 
   /// Adds an entry. A deletion is an entry of type kTypeDeletion.
-  /// Single-writer: callers serialize Adds (the classic contract).
+  /// Single-writer: callers serialize Adds with each other and with
+  /// AddConcurrent (the classic contract); readers need no coordination.
   void Add(SequenceNumber seq, ValueType type, const Slice& user_key,
            const Slice& value);
 
   /// Thread-safe Add for the parallel group apply: any number of
-  /// AddConcurrent calls may run simultaneously, alongside lock-free
-  /// readers. REQUIRES: SupportsConcurrentInsert(). Returns the number
-  /// of skiplist CAS retries (memtable.insert_cas_retries ticker).
+  /// AddConcurrent calls may run simultaneously, alongside readers, on
+  /// every rep. Returns the number of skiplist CAS retries
+  /// (memtable.insert_cas_retries ticker; always 0 for the vector rep).
   uint64_t AddConcurrent(SequenceNumber seq, ValueType type,
                          const Slice& user_key, const Slice& value);
-
-  /// True when this memtable accepts AddConcurrent: the skiplist rep
-  /// without the auxiliary hash index. The sorted vector shifts a dense
-  /// array on insert and the hash index is an unsynchronized
-  /// unordered_map — both stay on the serial leader-apply path.
-  bool SupportsConcurrentInsert() const {
-    return rep_ == Rep::kSkipList && !use_hash_index_;
-  }
 
   /// If a version visible at `lkey`'s snapshot exists, returns true and
   /// sets *value (found) or *s = NotFound (tombstone). Returns false when
@@ -100,10 +101,9 @@ class MemTable {
                           const Slice& user_key, const Slice& value,
                           bool concurrent);
 
-  /// Positions the ordered rep at the first entry >= `target` internal
-  /// key; returns nullptr if none. (Vector rep only; skiplist uses its own
-  /// iterator.)
-  size_t VectorLowerBound(const Slice& target) const;
+  /// Adds an encoded entry to the vector rep and the hash index, the two
+  /// indexes mu_ guards; a no-op for a plain skiplist.
+  void IndexUnderLock(const char* entry);
 
   InternalKeyComparator comparator_;
   KeyComparator key_comparator_;
@@ -113,11 +113,15 @@ class MemTable {
   std::atomic<uint64_t> num_entries_{0};
   Arena arena_;
   std::unique_ptr<SkipList<const char*, KeyComparator>> skiplist_;
-  std::vector<const char*> vector_;  // sorted by internal key
+  const bool use_hash_index_;
 
-  bool use_hash_index_;
-  // user key (view into arena memory) -> newest entry
-  std::unordered_map<std::string_view, const char*> hash_index_;
+  /// Leaf lock over the two indexes that are not safe for unlocked
+  /// readers. The skiplist never takes it.
+  mutable Mutex mu_{LockRank::kMemTableMu};
+  std::vector<const char*> vector_ GUARDED_BY(mu_);  // sorted by internal key
+  // user key (view into arena memory) -> highest-sequence entry
+  std::unordered_map<std::string_view, const char*> hash_index_
+      GUARDED_BY(mu_);
 };
 
 }  // namespace lsmlab

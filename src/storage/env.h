@@ -17,8 +17,8 @@ class RandomAccessFile {
  public:
   virtual ~RandomAccessFile() = default;
 
-  /// Reads up to n bytes at `offset` into scratch; *result points either
-  /// into scratch or into an internal buffer that outlives the file handle.
+  /// Reads up to n bytes at `offset` into scratch, which must hold n
+  /// bytes; *result points into scratch.
   virtual Status Read(uint64_t offset, size_t n, Slice* result,
                       char* scratch) const = 0;
 
@@ -41,7 +41,8 @@ class SequentialFile {
  public:
   virtual ~SequentialFile() = default;
 
-  /// Reads up to n bytes from the current position.
+  /// Reads up to n bytes from the current position into scratch, which
+  /// must hold n bytes; *result points into scratch.
   virtual Status Read(size_t n, Slice* result, char* scratch) = 0;
   virtual Status Skip(uint64_t n) = 0;
 };

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 
@@ -13,8 +14,38 @@ namespace {
 /// a RemoveFile keep their snapshot alive via shared_ptr (mirrors POSIX
 /// unlink semantics, which the engine relies on when dropping compacted
 /// tables that live snapshots still read).
-struct MemFile {
-  std::string data;
+///
+/// A file may be read while its writer still appends to it (the value log
+/// reads its live segment), and an append may reallocate the buffer, so
+/// every access takes mu_ and reads copy into the caller's scratch.
+class MemFile {
+ public:
+  void Append(const Slice& bytes) {
+    MutexLock lock(&mu_);
+    data_.append(bytes.data(), bytes.size());
+  }
+
+  uint64_t Size() const {
+    MutexLock lock(&mu_);
+    return data_.size();
+  }
+
+  /// Copies the up-to-`n` bytes at `offset` into `scratch` and points
+  /// *result at them. False when `offset` lies past the end.
+  bool Read(uint64_t offset, size_t n, Slice* result, char* scratch) const {
+    MutexLock lock(&mu_);
+    if (offset > data_.size()) {
+      return false;
+    }
+    const size_t len = std::min(n, data_.size() - static_cast<size_t>(offset));
+    std::memcpy(scratch, data_.data() + offset, len);
+    *result = Slice(scratch, len);
+    return true;
+  }
+
+ private:
+  mutable Mutex mu_{LockRank::kMemFileMu};
+  std::string data_;  // guarded by mu_
 };
 
 class MemRandomAccessFile : public RandomAccessFile {
@@ -24,20 +55,14 @@ class MemRandomAccessFile : public RandomAccessFile {
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
-    const std::string& data = file_->data;
-    if (offset > data.size()) {
+    if (!file_->Read(offset, n, result, scratch)) {
       return Status::IOError("read past end of file");
     }
-    const size_t avail = data.size() - static_cast<size_t>(offset);
-    const size_t len = std::min(n, avail);
-    stats_->RecordRead(offset, len);
-    // Point directly into the immutable buffer; no copy needed.
-    *result = Slice(data.data() + offset, len);
-    (void)scratch;
+    stats_->RecordRead(offset, result->size());
     return Status::OK();
   }
 
-  uint64_t Size() const override { return file_->data.size(); }
+  uint64_t Size() const override { return file_->Size(); }
 
  private:
   std::shared_ptr<MemFile> file_;
@@ -50,7 +75,7 @@ class MemWritableFile : public WritableFile {
       : file_(std::move(file)), stats_(stats) {}
 
   Status Append(const Slice& data) override {
-    file_->data.append(data.data(), data.size());
+    file_->Append(data);
     stats_->RecordAppend(data.size());
     return Status::OK();
   }
@@ -72,28 +97,24 @@ class MemSequentialFile : public SequentialFile {
       : file_(std::move(file)), stats_(stats) {}
 
   Status Read(size_t n, Slice* result, char* scratch) override {
-    const std::string& data = file_->data;
-    if (pos_ >= data.size()) {
+    if (!file_->Read(pos_, n, result, scratch) || result->empty()) {
       *result = Slice();
       return Status::OK();
     }
-    const size_t len = std::min(n, data.size() - pos_);
-    stats_->RecordRead(pos_, len);
-    *result = Slice(data.data() + pos_, len);
-    pos_ += len;
-    (void)scratch;
+    stats_->RecordRead(pos_, result->size());
+    pos_ += result->size();
     return Status::OK();
   }
 
   Status Skip(uint64_t n) override {
-    pos_ = std::min(file_->data.size(), pos_ + static_cast<size_t>(n));
+    pos_ = std::min<uint64_t>(file_->Size(), pos_ + n);
     return Status::OK();
   }
 
  private:
   std::shared_ptr<MemFile> file_;
   IoStats* stats_;
-  size_t pos_ = 0;
+  uint64_t pos_ = 0;
 };
 
 class MemEnv : public Env {
@@ -172,7 +193,7 @@ class MemEnv : public Env {
     if (it == files_.end()) {
       return Status::IOError(fname, "file not found");
     }
-    *size = it->second->data.size();
+    *size = it->second->Size();
     return Status::OK();
   }
 

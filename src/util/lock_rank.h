@@ -34,8 +34,10 @@
   X(kStatsHistMu, 90, "StatsRegistry::hist_mu_", false)        \
   X(kFaultStateMu, 95, "FaultInjectionEnv::State::mu", true)   \
   X(kMemEnvMu, 100, "MemEnv::mu_", true)                       \
+  X(kMemFileMu, 105, "MemFile::mu_", true)                     \
   X(kPinTrackerMu, 110, "PinTracker::mu_", false)                \
-  X(kArenaMu, 115, "Arena::blocks_mu_", false)
+  X(kArenaMu, 115, "Arena::blocks_mu_", false)                 \
+  X(kMemTableMu, 120, "MemTable::mu_", false)
 
 namespace lsmlab {
 

@@ -19,6 +19,7 @@
 
 #include "core/db.h"
 #include "core/sharded_db.h"
+#include "memtable/memtable.h"
 #include "obs/event_listener.h"
 #include "storage/env.h"
 #include "util/random.h"
@@ -228,6 +229,124 @@ TEST(ConcurrencyTest, IteratorsStayConsistentDuringBackgroundChurn) {
   done.store(true);
   scanner.join();
   EXPECT_EQ(scan_errors.load(), 0);
+}
+
+// The sorted-vector memtable and its hash index are read with no DB lock
+// while writers insert into them (the insert reallocates the vector).
+// Every value a reader sees through Get, MultiGet or a full scan must be
+// intact and never older than a version it already saw for that key.
+TEST(ConcurrencyTest, SortedVectorMemtableReadersRaceWriters) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  Options options = BackgroundOptions(env.get());
+  options.memtable_rep = MemTable::Rep::kSortedVector;
+  options.memtable_hash_index = true;
+  options.allow_concurrent_memtable_write = true;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/vec", &db).ok());
+
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kKeysPerWriter = 400;
+  constexpr int kVersions = 3;
+  std::atomic<bool> done{false};
+  std::atomic<int> write_errors{0};
+  std::atomic<int> violations{0};
+
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; w++) {
+    writers.emplace_back([&, w] {
+      for (int ver = 0; ver < kVersions; ver++) {
+        for (int i = 0; i < kKeysPerWriter; i++) {
+          const std::string key = TestKey(w, i);
+          if (!db->Put({}, key, TestValue(key, ver)).ok()) {
+            write_errors.fetch_add(1);
+            return;
+          }
+        }
+      }
+    });
+  }
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; r++) {
+    readers.emplace_back([&, r] {
+      // newest[w * kKeysPerWriter + i]: the newest version seen for the key.
+      std::vector<int> newest(kWriters * kKeysPerWriter, -1);
+      auto check = [&](const std::string& key, const std::string& value) {
+        int w = 0;
+        int i = 0;
+        int version = -1;
+        if (std::sscanf(key.c_str(), "w%d_%d", &w, &i) != 2 || w < 0 ||
+            w >= kWriters || i < 0 || i >= kKeysPerWriter ||
+            !ValueConsistent(key, value, &version) || version < 0 ||
+            version >= kVersions) {
+          violations.fetch_add(1);
+          return;
+        }
+        int& seen = newest[w * kKeysPerWriter + i];
+        if (version < seen) {
+          violations.fetch_add(1);
+        } else {
+          seen = version;
+        }
+      };
+      Random rng(17 + r);
+      std::string value;
+      while (!done.load(std::memory_order_relaxed)) {
+        const std::string key =
+            TestKey(static_cast<int>(rng.Uniform(kWriters)),
+                    static_cast<int>(rng.Uniform(kKeysPerWriter)));
+        if (db->Get({}, key, &value).ok()) {
+          check(key, value);
+        }
+
+        std::vector<std::string> keys;
+        for (int k = 0; k < 8; k++) {
+          keys.push_back(
+              TestKey(static_cast<int>(rng.Uniform(kWriters)),
+                      static_cast<int>(rng.Uniform(kKeysPerWriter))));
+        }
+        const std::vector<Slice> slices(keys.begin(), keys.end());
+        std::vector<std::string> values;
+        std::vector<Status> statuses;
+        db->MultiGet({}, slices, &values, &statuses);
+        for (size_t k = 0; k < keys.size(); k++) {
+          if (statuses[k].ok()) {
+            check(keys[k], values[k]);
+          }
+        }
+
+        std::unique_ptr<Iterator> it(db->NewIterator({}));
+        for (it->SeekToFirst(); it->Valid(); it->Next()) {
+          check(it->key().ToString(), it->value().ToString());
+        }
+        if (!it->status().ok()) {
+          violations.fetch_add(1);
+        }
+      }
+    });
+  }
+
+  for (std::thread& t : writers) {
+    t.join();
+  }
+  done.store(true);
+  for (std::thread& t : readers) {
+    t.join();
+  }
+  EXPECT_EQ(write_errors.load(), 0);
+  EXPECT_EQ(violations.load(), 0);
+
+  std::string value;
+  for (int w = 0; w < kWriters; w++) {
+    for (int i = 0; i < kKeysPerWriter; i++) {
+      const std::string key = TestKey(w, i);
+      ASSERT_TRUE(db->Get({}, key, &value).ok()) << key;
+      int version = -1;
+      ASSERT_TRUE(ValueConsistent(key, value, &version)) << key;
+      EXPECT_EQ(version, kVersions - 1) << key;
+    }
+  }
 }
 
 TEST(ConcurrencyTest, StallAndSlowdownCountersFire) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "memtable/skiplist.h"
@@ -313,25 +314,60 @@ TEST_P(MemTableTest, IteratorKeepsTableAliveViaRef) {
   delete it;  // releases the final reference
 }
 
-// Concurrent Add is only supported by the skiplist rep without the hash
-// index, so this test is not parameterized like the ones above.
-TEST(MemTableConcurrentTest, AddConcurrentFromManyThreads) {
+// Concurrent members may add a key's versions out of sequence order; the
+// hash index must keep the highest sequence, not the last Add.
+TEST_P(MemTableTest, HashIndexKeepsHighestSequence) {
+  MemTable* mem = NewTable(/*hash_index=*/true);
+  mem->Add(5, ValueType::kTypeValue, "k", "v5");
+  mem->Add(3, ValueType::kTypeValue, "k", "v3");
+  std::string value;
+  Status s;
+  ASSERT_TRUE(mem->Get(LookupKey("k", kMaxSequenceNumber), &value, &s));
+  EXPECT_EQ(value, "v5");
+  mem->Unref();
+}
+
+// AddConcurrent is valid on every rep, with or without the hash index,
+// alongside readers doing point lookups and full scans.
+class MemTableConcurrentTest
+    : public ::testing::TestWithParam<std::tuple<MemTable::Rep, bool>> {};
+
+TEST_P(MemTableConcurrentTest, AddConcurrentFromManyThreads) {
+  const auto [rep, hash_index] = GetParam();
   InternalKeyComparator icmp(BytewiseComparator());
-  MemTable* mem = new MemTable(icmp, MemTable::Rep::kSkipList,
-                               /*use_hash_index=*/false);
+  MemTable* mem = new MemTable(icmp, rep, hash_index);
   mem->Ref();
-  ASSERT_TRUE(mem->SupportsConcurrentInsert());
-  for (const auto& [rep, hash_index] :
-       {std::pair{MemTable::Rep::kSortedVector, false},
-        std::pair{MemTable::Rep::kSkipList, true}}) {
-    MemTable* other = new MemTable(icmp, rep, hash_index);
-    other->Ref();
-    EXPECT_FALSE(other->SupportsConcurrentInsert());
-    other->Unref();
-  }
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 500;
+  auto key = [](int t, int i) {
+    return "w" + std::to_string(t) + "_" + std::to_string(i);
+  };
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_reads{0};
+  std::thread reader([&] {
+    Random rng(301);
+    while (!done.load(std::memory_order_acquire)) {
+      const int t = static_cast<int>(rng.Uniform(kThreads));
+      const int i = static_cast<int>(rng.Uniform(kPerThread));
+      std::string value;
+      Status s;
+      if (mem->Get(LookupKey(key(t, i), kMaxSequenceNumber), &value, &s) &&
+          value != "v" + std::to_string(i)) {
+        bad_reads.fetch_add(1);
+      }
+      std::unique_ptr<Iterator> it(mem->NewIterator());
+      std::string prev;
+      for (it->SeekToFirst(); it->Valid(); it->Next()) {
+        const std::string k = it->key().ToString();
+        if (!prev.empty() && icmp.Compare(prev, k) >= 0) {
+          bad_reads.fetch_add(1);
+        }
+        prev = k;
+      }
+    }
+  });
+
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; t++) {
     threads.emplace_back([&, t] {
@@ -339,27 +375,46 @@ TEST(MemTableConcurrentTest, AddConcurrentFromManyThreads) {
       // hands out: thread t owns sequences [t*kPerThread+1, (t+1)*kPerThread].
       SequenceNumber seq = static_cast<SequenceNumber>(t) * kPerThread + 1;
       for (int i = 0; i < kPerThread; i++) {
-        const std::string k =
-            "w" + std::to_string(t) + "_" + std::to_string(i);
-        mem->AddConcurrent(seq++, ValueType::kTypeValue, k,
+        mem->AddConcurrent(seq++, ValueType::kTypeValue, key(t, i),
                            "v" + std::to_string(i));
       }
     });
   }
   for (auto& th : threads) th.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(bad_reads.load(), 0);
 
   EXPECT_EQ(mem->num_entries(), uint64_t{kThreads} * kPerThread);
   for (int t = 0; t < kThreads; t++) {
     for (int i = 0; i < kPerThread; i++) {
-      const std::string k = "w" + std::to_string(t) + "_" + std::to_string(i);
       std::string value;
       Status s;
-      ASSERT_TRUE(mem->Get(LookupKey(k, kMaxSequenceNumber), &value, &s)) << k;
+      ASSERT_TRUE(mem->Get(LookupKey(key(t, i), kMaxSequenceNumber), &value,
+                           &s))
+          << key(t, i);
       EXPECT_EQ(value, "v" + std::to_string(i));
     }
   }
+  std::unique_ptr<Iterator> it(mem->NewIterator());
+  uint64_t count = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) count++;
+  EXPECT_EQ(count, uint64_t{kThreads} * kPerThread);
+  it.reset();
   mem->Unref();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    RepsAndHashIndex, MemTableConcurrentTest,
+    ::testing::Combine(::testing::Values(MemTable::Rep::kSkipList,
+                                         MemTable::Rep::kSortedVector),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param) == MemTable::Rep::kSkipList
+                             ? "SkipList"
+                             : "SortedVector";
+      return name + (std::get<1>(info.param) ? "HashIndex" : "");
+    });
 
 INSTANTIATE_TEST_SUITE_P(Reps, MemTableTest,
                          ::testing::Values(MemTable::Rep::kSkipList,

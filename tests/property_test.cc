@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/block_cache.h"
@@ -34,6 +37,10 @@ struct Config {
   MemTable::Rep memtable = MemTable::Rep::kSkipList;
   bool memtable_hash = false;
   bool kv_separation = false;
+  /// allow_concurrent_memtable_write on, and each put action writes
+  /// kPutWriters distinct keys from as many threads at once, so writers
+  /// queue behind a leader and form multi-writer groups.
+  bool concurrent_apply = false;
   /// Flushes and compactions on the background worker instead of the
   /// writing thread; both modes share one flush path.
   bool background = false;
@@ -56,6 +63,7 @@ class ModelCheckTest : public ::testing::TestWithParam<Config> {
     options_.memtable_rep = cfg.memtable;
     options_.memtable_hash_index = cfg.memtable_hash;
     options_.background_compaction = cfg.background;
+    options_.allow_concurrent_memtable_write = cfg.concurrent_apply;
     if (cfg.block_cache) {
       cache_ = std::make_unique<BlockCache>(64 << 10);  // tiny: evictions
       options_.block_cache = cache_.get();
@@ -71,6 +79,17 @@ class ModelCheckTest : public ::testing::TestWithParam<Config> {
       options_.range_filter_policy = range_filter_.get();
     }
     ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  }
+
+  static constexpr int kPutWriters = 3;
+
+  // Checks that every committed group of the open DB applied once,
+  // serially or in parallel, and returns its parallel applies.
+  uint64_t TallyApplies() {
+    const DBStats stats = db_->GetStats();
+    EXPECT_EQ(stats.parallel_applies + stats.serial_applies,
+              stats.group_commits);
+    return stats.parallel_applies;
   }
 
   std::string RandomKey(Random* rng) {
@@ -92,10 +111,40 @@ TEST_P(ModelCheckTest, MatchesMapModel) {
   const Snapshot* snapshot = nullptr;
   std::map<std::string, std::string> snapshot_model;
 
+  uint64_t parallel_applies = 0;
+
   const int kOps = 6000;
   for (int i = 0; i < kOps; i++) {
     const int action = static_cast<int>(rng.Uniform(100));
-    if (action < 45) {  // put
+    if (action < 45 && GetParam().concurrent_apply) {  // concurrent puts
+      // Distinct keys, so the model is the same in any commit order.
+      std::set<std::string> keys;
+      while (keys.size() < kPutWriters) {
+        keys.insert(RandomKey(&rng));
+      }
+      std::latch start(kPutWriters);
+      std::vector<Status> statuses(kPutWriters);
+      std::vector<std::thread> writers;
+      int t = 0;
+      for (const std::string& k : keys) {
+        // Writer 0's value stays inline; the others pass the separation
+        // threshold, so a group mixes inline values and value-log pointers.
+        const std::string v = "v" + std::to_string(i) + "." +
+                              std::to_string(t) + std::string(8 * t, 'x');
+        model[k] = v;
+        writers.emplace_back([&, k, v, t] {
+          start.arrive_and_wait();
+          statuses[t] = db_->Put({}, k, v);
+        });
+        t++;
+      }
+      for (std::thread& w : writers) {
+        w.join();
+      }
+      for (const Status& s : statuses) {
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      }
+    } else if (action < 45) {  // put
       const std::string k = RandomKey(&rng);
       const std::string v = "v" + std::to_string(i);
       ASSERT_TRUE(db_->Put({}, k, v).ok());
@@ -192,6 +241,7 @@ TEST_P(ModelCheckTest, MatchesMapModel) {
         db_->ReleaseSnapshot(snapshot);
         snapshot = nullptr;
       }
+      parallel_applies += TallyApplies();
       db_.reset();
       ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
     }
@@ -210,6 +260,11 @@ TEST_P(ModelCheckTest, MatchesMapModel) {
   }
   EXPECT_EQ(mit, model.end());
   EXPECT_TRUE(it->status().ok());
+
+  parallel_applies += TallyApplies();
+  if (GetParam().concurrent_apply) {
+    EXPECT_GT(parallel_applies, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -253,6 +308,11 @@ INSTANTIATE_TEST_SUITE_P(
                .range_filter = true,
                .memtable_hash = true,
                .kv_separation = true},
+        Config{.name = "kv_separation_concurrent_apply_background",
+               .policy = MergePolicy::kLeveling,
+               .kv_separation = true,
+               .concurrent_apply = true,
+               .background = true},
         Config{.name = "leveling_background",
                .policy = MergePolicy::kLeveling,
                .background = true},

@@ -43,8 +43,9 @@ bool IsVlogFile(const std::string& fname) {
 
 /// Env wrapper that gates WAL durability: Sync on .wal files blocks while
 /// the gate is closed (parking a group-commit leader mid-commit, with mu_
-/// released, so followers can pile up behind it deterministically), and
-/// the next .wal Append can be armed to fail (exercising leader-error
+/// released, so followers can pile up behind it deterministically), can
+/// be slowed by a fixed delay (so concurrent writers keep forming groups),
+/// and the next .wal Append can be armed to fail (exercising leader-error
 /// propagation).
 class WalGateEnv : public Env {
  public:
@@ -114,6 +115,9 @@ class WalGateEnv : public Env {
     std::lock_guard<std::mutex> lock(mu_);
     return sync_waiters_;
   }
+  void SetSyncDelay(std::chrono::microseconds delay) {
+    sync_delay_us_.store(delay.count());
+  }
   void FailNextAppend() { fail_next_append_.store(true); }
   /// Every later table (.sst) creation fails: flushes cannot build output.
   void FailTableFiles() { fail_tables_.store(true); }
@@ -146,6 +150,8 @@ class WalGateEnv : public Env {
         env_->cv_.wait(lock, [this] { return !env_->gate_closed_; });
         env_->sync_waiters_--;
       }
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(env_->sync_delay_us_.load()));
       if (env_->fail_next_sync_.exchange(false)) {
         return Status::IOError("injected WAL sync failure");
       }
@@ -182,6 +188,7 @@ class WalGateEnv : public Env {
   std::condition_variable cv_;
   bool gate_closed_ = false;
   int sync_waiters_ = 0;
+  std::atomic<int64_t> sync_delay_us_{0};
   std::atomic<bool> fail_next_append_{false};
   std::atomic<bool> fail_next_sync_{false};
   std::atomic<bool> fail_tables_{false};
@@ -584,20 +591,62 @@ TEST(WriteGroupTest, GroupCommitRacesWalRotation) {
 
 // ------------------------------------------------ Parallel group apply --
 
+// Parallel apply is one protocol for every memtable rep and with value
+// separation, so each case runs on the plain skiplist, with separation on,
+// and on the sorted-vector rep with its hash index.
+struct ApplyConfig {
+  const char* name;
+  bool separation = false;
+  bool vector_memtable = false;
+};
+
+class ParallelApplyTest : public ::testing::TestWithParam<ApplyConfig> {
+ protected:
+  Options ApplyOptions(Env* env) const {
+    Options options;
+    options.env = env;
+    options.allow_concurrent_memtable_write = true;
+    if (GetParam().separation) {
+      options.value_separation_threshold = 64;
+    }
+    if (GetParam().vector_memtable) {
+      options.memtable_rep = MemTable::Rep::kSortedVector;
+      options.memtable_hash_index = true;
+    }
+    return options;
+  }
+
+  // Every variant really applied in parallel, and every committed group
+  // applied exactly once, serially or in parallel.
+  static void ExpectParallelApplies(DB* db) {
+    const DBStats stats = db->GetStats();
+    EXPECT_GT(stats.parallel_applies, 0u);
+    EXPECT_EQ(stats.parallel_applies + stats.serial_applies,
+              stats.group_commits);
+  }
+};
+
+// The load cases mix in sync writes and slow each WAL sync down, so the
+// other writers queue behind a syncing leader and form groups.
+constexpr std::chrono::microseconds kGroupingSyncDelay{200};
+
+// Odd entries carry a value above the separation threshold, so the
+// separation variant applies both inline values and value-log pointers.
+std::string ApplyValue(const std::string& key, int i) {
+  return key + "_v" + (i % 2 == 1 ? std::string(100, 'p') : "");
+}
+
 // Stages one deterministic parallel group: X leads alone (serial apply,
 // writer_count == 1) and parks in the gated sync; A, B, C queue behind it
 // with multi-entry batches. Opening the gate lets A lead {A,B,C}, which
 // must apply in parallel: each member inserts its own batch from its own
 // thread at a pre-assigned sequence offset, and the group's sequences stay
 // contiguous across members in queue order.
-TEST(WriteGroupTest, ParallelApplyStagedGroup) {
+TEST_P(ParallelApplyTest, ParallelApplyStagedGroup) {
   std::unique_ptr<Env> base(NewMemEnv());
   WalGateEnv gate(base.get());
-  Options options;
-  options.env = &gate;
-  options.allow_concurrent_memtable_write = true;
   std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(options, "/wg_par", &db).ok());
+  ASSERT_TRUE(DB::Open(ApplyOptions(&gate), "/wg_par", &db).ok());
   DBImpl* impl = static_cast<DBImpl*>(db.get());
 
   gate.CloseSyncGate();
@@ -612,7 +661,7 @@ TEST(WriteGroupTest, ParallelApplyStagedGroup) {
   auto writer = [&](int id, int entries, Status* out) {
     WriteBatch batch;
     for (int i = 0; i < entries; i++) {
-      batch.Put(TestKey(id, i), TestKey(id, i) + "_v");
+      batch.Put(TestKey(id, i), ApplyValue(TestKey(id, i), i));
     }
     *out = db->Write({}, &batch);
   };
@@ -640,8 +689,7 @@ TEST(WriteGroupTest, ParallelApplyStagedGroup) {
   EXPECT_EQ(stats.group_commits, 2u);
   EXPECT_EQ(stats.parallel_applies, 1u);
   EXPECT_EQ(stats.serial_applies, 1u);
-  EXPECT_EQ(stats.parallel_applies + stats.serial_applies,
-            stats.group_commits);
+  ExpectParallelApplies(db.get());
 
   // 1 (x) + 2 + 3 + 4 entries, no gaps and no double assignment.
   const Snapshot* snap = db->GetSnapshot();
@@ -654,7 +702,7 @@ TEST(WriteGroupTest, ParallelApplyStagedGroup) {
   for (int id = 1; id <= 3; id++) {
     for (int i = 0; i < counts[id]; i++) {
       ASSERT_TRUE(db->Get({}, TestKey(id, i), &value).ok()) << TestKey(id, i);
-      ASSERT_EQ(value, TestKey(id, i) + "_v");
+      ASSERT_EQ(value, ApplyValue(TestKey(id, i), i));
     }
   }
 }
@@ -664,13 +712,12 @@ TEST(WriteGroupTest, ParallelApplyStagedGroup) {
 // nothing. Run under TSan (tsan-obs leg) this is the proof that the
 // unlocked concurrent inserts and the leader/follower apply handshake are
 // race-free.
-TEST(WriteGroupTest, ParallelApplyContiguousSequencesUnderLoad) {
-  std::unique_ptr<Env> env(NewMemEnv());
-  Options options;
-  options.env = env.get();
-  options.allow_concurrent_memtable_write = true;
+TEST_P(ParallelApplyTest, ParallelApplyContiguousSequencesUnderLoad) {
+  std::unique_ptr<Env> base(NewMemEnv());
+  WalGateEnv gate(base.get());
+  gate.SetSyncDelay(kGroupingSyncDelay);
   std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(options, "/wg_par_load", &db).ok());
+  ASSERT_TRUE(DB::Open(ApplyOptions(&gate), "/wg_par_load", &db).ok());
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 150;
@@ -682,7 +729,8 @@ TEST(WriteGroupTest, ParallelApplyContiguousSequencesUnderLoad) {
       for (int i = 0; i < kPerThread; i++) {
         WriteBatch batch;
         for (int e = 0; e < kEntriesPerBatch; e++) {
-          batch.Put(TestKey(t, i * kEntriesPerBatch + e), "v");
+          const int n = i * kEntriesPerBatch + e;
+          batch.Put(TestKey(t, n), ApplyValue(TestKey(t, n), n));
         }
         WriteOptions wo;
         wo.sync = (i % 7 == 0);
@@ -706,28 +754,26 @@ TEST(WriteGroupTest, ParallelApplyContiguousSequencesUnderLoad) {
   for (int t = 0; t < kThreads; t++) {
     for (int i = 0; i < kPerThread * kEntriesPerBatch; i++) {
       ASSERT_TRUE(db->Get({}, TestKey(t, i), &value).ok()) << TestKey(t, i);
+      ASSERT_EQ(value, ApplyValue(TestKey(t, i), i));
     }
   }
 
-  // Every committed group applied exactly once, serially or in parallel.
   const DBStats stats = db->GetStats();
   EXPECT_EQ(stats.writes, static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(stats.group_commits + stats.group_followers, stats.writes);
-  EXPECT_EQ(stats.parallel_applies + stats.serial_applies,
-            stats.group_commits);
+  ExpectParallelApplies(db.get());
 }
 
 // A group becomes visible atomically: last_sequence is published once per
 // group, after every member's inserts landed. Readers pin a snapshot and
 // probe all entries of one batch — they must see all of them or none,
 // never a prefix of a batch that is still being applied.
-TEST(WriteGroupTest, NoPartialGroupVisibilityMidApply) {
-  std::unique_ptr<Env> env(NewMemEnv());
-  Options options;
-  options.env = env.get();
-  options.allow_concurrent_memtable_write = true;
+TEST_P(ParallelApplyTest, NoPartialGroupVisibilityMidApply) {
+  std::unique_ptr<Env> base(NewMemEnv());
+  WalGateEnv gate(base.get());
+  gate.SetSyncDelay(kGroupingSyncDelay);
   std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(options, "/wg_par_vis", &db).ok());
+  ASSERT_TRUE(DB::Open(ApplyOptions(&gate), "/wg_par_vis", &db).ok());
 
   constexpr int kWriters = 4;
   constexpr int kReaders = 3;
@@ -751,9 +797,11 @@ TEST(WriteGroupTest, NoPartialGroupVisibilityMidApply) {
       for (int bnum = 0; bnum < kBatches; bnum++) {
         WriteBatch batch;
         for (int e = 0; e < kEntriesPerBatch; e++) {
-          batch.Put(batch_key(t, bnum, e), "v");
+          batch.Put(batch_key(t, bnum, e), ApplyValue("v", e));
         }
-        ASSERT_TRUE(db->Write({}, &batch).ok());
+        WriteOptions wo;
+        wo.sync = (bnum % 5 == 0);
+        ASSERT_TRUE(db->Write(wo, &batch).ok());
         published[t].store(bnum + 1, std::memory_order_release);
       }
     });
@@ -791,25 +839,31 @@ TEST(WriteGroupTest, NoPartialGroupVisibilityMidApply) {
   for (int r = 0; r < kReaders; r++) threads[kWriters + r].join();
 
   EXPECT_EQ(violations.load(), 0);
-  const DBStats stats = db->GetStats();
-  EXPECT_EQ(stats.parallel_applies + stats.serial_applies,
-            stats.group_commits);
+  ExpectParallelApplies(db.get());
 }
 
-// A follower whose batch fails to apply (here: a corrupted count, caught
-// by Iterate during the parallel insert) must fail every member of the
+// A follower whose batch fails to apply must fail every member of the
 // group, and — because the group's WAL record is already durable and the
 // memtable may hold a partial group above last_sequence — poison the DB
-// for all subsequent writes.
-TEST(WriteGroupTest, FollowerInsertFailurePoisonsDb) {
+// for all subsequent writes. Without separation the batch carries a
+// corrupted count, caught by Iterate during the parallel insert. With
+// separation the writer re-encodes its batch before it queues (a corrupt
+// count fails there; see CorruptBatchFailsOnlyItsWriterWithSeparation), so
+// the insert failure comes from the apply hook instead.
+TEST_P(ParallelApplyTest, FollowerInsertFailurePoisonsDb) {
+  const bool separation = GetParam().separation;
   std::unique_ptr<Env> base(NewMemEnv());
   WalGateEnv gate(base.get());
-  Options options;
-  options.env = &gate;
-  options.allow_concurrent_memtable_write = true;
   std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(options, "/wg_par_poison", &db).ok());
+  ASSERT_TRUE(DB::Open(ApplyOptions(&gate), "/wg_par_poison", &db).ok());
   DBImpl* impl = static_cast<DBImpl*>(db.get());
+  if (separation) {
+    impl->TEST_SetApplyHook([](const WriteBatch& batch) {
+      return batch.Contents().ToString().find("bkey") == std::string::npos
+                 ? Status::OK()
+                 : Status::Corruption("injected insert failure");
+    });
+  }
 
   ASSERT_TRUE(db->Put({}, "before", "bv").ok());
 
@@ -824,13 +878,15 @@ TEST(WriteGroupTest, FollowerInsertFailurePoisonsDb) {
   std::thread a([&] { sa = db->Put({}, "a", "av"); });
   ASSERT_TRUE(WaitFor([&] { return impl->TEST_WriteQueueLength() == 2; }));
   std::thread b([&] {
-    // One real entry, but a count claiming two: Iterate reports
-    // Corruption from B's own apply thread mid-parallel-group.
     WriteBatch bad;
     bad.Put("bkey", "bv");
-    std::string rep(bad.Contents().data(), bad.Contents().size());
-    EncodeFixed32(&rep[8], 2);
-    bad.SetContentsFrom(rep);
+    if (!separation) {
+      // One real entry, but a count claiming two: Iterate reports
+      // Corruption from B's own apply thread mid-parallel-group.
+      std::string rep(bad.Contents().data(), bad.Contents().size());
+      EncodeFixed32(&rep[8], 2);
+      bad.SetContentsFrom(rep);
+    }
     sb = db->Write({}, &bad);
   });
   ASSERT_TRUE(WaitFor([&] { return impl->TEST_WriteQueueLength() == 3; }));
@@ -859,6 +915,73 @@ TEST(WriteGroupTest, FollowerInsertFailurePoisonsDb) {
   for (const char* key : {"a", "bkey", "c", "after"}) {
     EXPECT_TRUE(db->Get({}, key, &value).IsNotFound()) << key;
   }
+  ExpectParallelApplies(db.get());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, ParallelApplyTest,
+    ::testing::Values(ApplyConfig{.name = "plain"},
+                      ApplyConfig{.name = "separation", .separation = true},
+                      ApplyConfig{.name = "vector_hash",
+                                  .vector_memtable = true}),
+    [](const ::testing::TestParamInfo<ApplyConfig>& info) {
+      return std::string(info.param.name);
+    });
+
+// With separation on, a writer re-encodes its batch before it queues, so
+// a corrupt batch fails its own writer there, touches neither the WAL nor
+// the memtable, and the writers around it commit as one parallel group.
+TEST(WriteGroupTest, CorruptBatchFailsOnlyItsWriterWithSeparation) {
+  std::unique_ptr<Env> base(NewMemEnv());
+  WalGateEnv gate(base.get());
+  Options options;
+  options.env = &gate;
+  options.allow_concurrent_memtable_write = true;
+  options.value_separation_threshold = 64;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/wg_sep_corrupt", &db).ok());
+  DBImpl* impl = static_cast<DBImpl*>(db.get());
+
+  gate.CloseSyncGate();
+  WriteOptions sync_wo;
+  sync_wo.sync = true;
+
+  Status sx, sa, sc;
+  std::thread x([&] { sx = db->Put(sync_wo, "x", "xv"); });
+  ASSERT_TRUE(WaitFor([&] { return gate.sync_waiters() == 1; }));
+  std::thread a([&] { sa = db->Put({}, "a", "av"); });
+  ASSERT_TRUE(WaitFor([&] { return impl->TEST_WriteQueueLength() == 2; }));
+
+  // One real entry, but a count claiming two: separation fails at once.
+  WriteBatch bad;
+  bad.Put("bkey", std::string(100, 'b'));
+  std::string rep(bad.Contents().data(), bad.Contents().size());
+  EncodeFixed32(&rep[8], 2);
+  bad.SetContentsFrom(rep);
+  EXPECT_TRUE(db->Write({}, &bad).IsCorruption());
+  EXPECT_EQ(impl->TEST_WriteQueueLength(), 2u);
+
+  std::thread c([&] { sc = db->Put({}, "c", std::string(100, 'c')); });
+  ASSERT_TRUE(WaitFor([&] { return impl->TEST_WriteQueueLength() == 3; }));
+
+  gate.OpenSyncGate();
+  x.join();
+  a.join();
+  c.join();
+  EXPECT_TRUE(sx.ok());
+  EXPECT_TRUE(sa.ok());
+  EXPECT_TRUE(sc.ok());
+  EXPECT_TRUE(db->Put({}, "after", "av").ok());
+
+  std::string value;
+  for (const char* key : {"x", "a", "c", "after"}) {
+    EXPECT_TRUE(db->Get({}, key, &value).ok()) << key;
+  }
+  EXPECT_TRUE(db->Get({}, "bkey", &value).IsNotFound());
+  const DBStats stats = db->GetStats();
+  EXPECT_EQ(stats.parallel_applies, 1u);
+  EXPECT_EQ(stats.parallel_applies + stats.serial_applies,
+            stats.group_commits);
 }
 
 }  // namespace

@@ -49,6 +49,13 @@
 #      merge turns its O(entries x runs) cost back into O(entries x files)
 #      and opens every input table up front. Deliberate exceptions carry a
 #      `run-iter-ok:` comment on the call line or the line above.
+#  11. Memtable inserts (`.InsertInto(` / `.InsertIntoConcurrent(` calls)
+#      appear in src/core only inside DBImpl::ApplyMemberThenLock, the
+#      write path's one apply site, and DBImpl::RecoverWal. Every group is
+#      inserted by that helper outside mu_ inside the leader's commit
+#      window; a second insert site is a second apply protocol, and one
+#      under mu_ blocks every reader. Deliberate exceptions carry an
+#      `apply-ok:` comment on the call line or the line above.
 #
 # `lint.sh --self-test` seeds a throwaway tree with one violation per check
 # and asserts every check fires (the same discipline as
@@ -84,6 +91,14 @@ void Poke() { stats_->RecordSync(); }                 // check 5
 void Wal() { wal_file_->Sync(); }                     // check 8
 void Quiet() { DoThing().IgnoreError(); }             // check 9
 void Merge() { kids.push_back(table_cache_->NewIterator(f)); }  // check 10
+void Sneak() { Status s = group->InsertInto(mem_); }  // check 11
+void DBImpl::ApplyMemberThenLock(const WriteBatch& batch) {
+  Status s = batch.InsertIntoConcurrent(mem, base, &r);  // check 11: must NOT fire
+}
+void Replay() {
+  // apply-ok: documented exception, must NOT fire
+  Status s = scratch.InsertInto(mem_);
+}
 Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> files) {
   return table_cache_->NewIterator(files[0]);          // check 10: must NOT fire
 }
@@ -128,6 +143,15 @@ EOF
   expect "WAL append/sync outside"
   expect "Status dropped without a status-ok: annotation"
   expect "table iterator outside DBImpl::NewRunIterator"
+  expect "memtable insert outside DBImpl::ApplyMemberThenLock"
+  if ! grep -q 'group->InsertInto' <<< "$out"; then
+    echo "lint --self-test: seeded memtable insert not flagged"
+    fail=1
+  fi
+  if grep -qE 'batch\.InsertIntoConcurrent|scratch\.InsertInto' <<< "$out"; then
+    echo "lint --self-test: apply helper body or apply-ok: site wrongly flagged"
+    fail=1
+  fi
   if grep -qE 'files\[0\]|auto\* it = ' <<< "$out"; then
     echo "lint --self-test: NewRunIterator body or run-iter-ok: site wrongly flagged"
     fail=1
@@ -145,7 +169,7 @@ EOF
     fail=1
   fi
   if [ "$fail" -eq 0 ]; then
-    echo "lint --self-test: PASS (all 10 checks fire on seeded violations)"
+    echo "lint --self-test: PASS (all 11 checks fire on seeded violations)"
   fi
   exit "$fail"
 fi
@@ -308,6 +332,26 @@ grep -rl --include='*.h' --include='*.cc' 'table_cache_->NewIterator(' \
       ' "$f"
     done \
   | report "table iterator outside DBImpl::NewRunIterator (merge one iterator per run through it, or mark the call run-iter-ok:)"
+
+# 11. One memtable-apply site: inserts in src/core happen only in the
+#     write path's apply helper and in WAL recovery (each body ends at the
+#     first line that is a lone `}`). An `apply-ok:` comment on the call
+#     line or the line above excuses a deliberate exception.
+grep -rlE --include='*.h' --include='*.cc' '(\.|->)InsertInto(Concurrent)?\(' \
+    src/core/ 2>/dev/null \
+  | while read -r f; do
+      awk -v file="$f" '
+        /DBImpl::(ApplyMemberThenLock|RecoverWal)\(/ { in_apply = 1 }
+        /(\.|->)InsertInto(Concurrent)?\(/ {
+          if (!in_apply && $0 !~ /apply-ok:/ && prev !~ /apply-ok:/) {
+            printf "%s:%d: %s\n", file, NR, $0
+          }
+        }
+        /^}/ { in_apply = 0 }
+        { prev = $0 }
+      ' "$f"
+    done \
+  | report "memtable insert outside DBImpl::ApplyMemberThenLock / DBImpl::RecoverWal (insert through the one apply helper, or mark the call apply-ok:)"
 
 if [ "$fail" -eq 0 ]; then
   echo "lint: OK"
