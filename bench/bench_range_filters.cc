@@ -22,7 +22,7 @@ struct Entry {
 void Run() {
   PrintHeader("E6 range filters",
               "filter,range_width,ios_per_empty_scan,"
-              "runs_skipped_per_scan,range_filter_bytes_per_table");
+              "files_skipped_per_scan,range_filter_bytes_per_table");
 
   std::unique_ptr<const RangeFilterPolicy> surf(NewSurfRangeFilter(8));
   std::unique_ptr<const RangeFilterPolicy> rosetta(

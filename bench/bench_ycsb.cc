@@ -111,10 +111,9 @@ void Run() {
 }
 
 // Shard-count axis: the same YCSB mixes against a hash-sharded tree.
-// Reads route to exactly one shard, so the logical I/O cost per op must
-// stay flat as shards grow — sharding buys write parallelism (E22)
-// without taxing the read path. Scans pay a small merge overhead (one
-// heap pop per shard cursor) but identical block reads.
+// Point reads route to exactly one shard, so their logical I/O cost per
+// op stays flat as shards grow. A scan walks one merge over every
+// shard's iterator: the rows are read once, but every shard is sought.
 void RunSharded() {
   PrintHeader("E22b YCSB read-path cost vs shard count",
               "workload,shards,ops_per_1k_ios,ns_per_op,write_amp");
@@ -182,11 +181,10 @@ void RunSharded() {
       "# buffer means smaller files and more runs per shard, nudging\n"
       "# write_amp and per-read run counts up. E is the cautionary row:\n"
       "# hash partitioning scatters adjacent keys across every shard, so\n"
-      "# each short scan fans out to all N shards and every shard\n"
-      "# produces up to `limit` candidates before the merge truncates —\n"
-      "# ops_per_1k_ios falls roughly Nx. Range scans want range\n"
-      "# partitioning; the hash split buys E22's write scaling at the\n"
-      "# price of scan fan-out, one more axis of the design space.\n");
+      "# each short scan seeks all N shards, and each shard seeks all\n"
+      "# its runs — ops_per_1k_ios falls roughly Nx. Range scans want\n"
+      "# range partitioning; the hash split buys E22's write scaling at\n"
+      "# the price of scan seeks, one more axis of the design space.\n");
 }
 
 }  // namespace

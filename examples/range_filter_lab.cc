@@ -28,7 +28,7 @@ int main() {
                          "SNARF"};
 
   std::printf("%-14s %14s %14s %14s\n", "filter", "w=16 I/Os", "w=4096 I/Os",
-              "runs skipped");
+              "files skipped");
   for (size_t f = 0; f < std::size(filters); f++) {
     std::unique_ptr<Env> env(NewMemEnv());
     Options options;

@@ -83,7 +83,7 @@ struct DBStats {
   uint64_t memtable_hits = 0;
   uint64_t runs_probed = 0;            ///< runs consulted after filters
   uint64_t filter_skips = 0;           ///< runs skipped by point filters
-  uint64_t range_filter_skips = 0;     ///< runs skipped by range filters
+  uint64_t range_filter_skips = 0;     ///< files skipped by range filters
   uint64_t hash_index_hits = 0;
   uint64_t hash_index_absent = 0;
   uint64_t learned_index_seeks = 0;
@@ -147,7 +147,10 @@ class DB {
   virtual Iterator* NewIterator(const ReadOptions& options) = 0;
 
   /// Collects up to `limit` entries with user keys in [start, end]
-  /// (inclusive), consulting range filters to skip runs (tutorial §II-3).
+  /// (inclusive) by walking the iterator NewIterator builds. A file's
+  /// range filter is asked only when the walk reaches the file, which it
+  /// skips if the filter proves it empty (tutorial §II-3). A sharded scan
+  /// walks the shards' merged iterators: about `limit` rows in total.
   virtual Status Scan(const ReadOptions& options, const Slice& start,
                       const Slice& end, size_t limit,
                       std::vector<std::pair<std::string, std::string>>*

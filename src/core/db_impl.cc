@@ -314,7 +314,8 @@ Status DBImpl::GarbageCollectValues() {
 
   // Stream over the latest view; the iterator's snapshot is unaffected by
   // the re-puts below, so this visits each live key exactly once.
-  std::unique_ptr<Iterator> it(NewRawIterator(ReadOptions()));
+  std::unique_ptr<Iterator> it(
+      NewReadIterator(ReadOptions(), nullptr, /*resolve_values=*/false));
   Status s;
   for (it->SeekToFirst(); it->Valid() && s.ok(); it->Next()) {
     const Slice stored = it->value();
@@ -1146,6 +1147,14 @@ Status DBImpl::DoCompaction(const CompactionPick& pick,
                          /*drop_tombstones=*/bottommost, smallest_snapshot,
                          &outputs, &bytes_written);
   merged.reset();
+  // Leaper-style re-warm (tutorial §II-1): if the compaction consumed hot
+  // files, load the outputs' blocks now, before the install makes them
+  // visible, so readers do not take a burst of cold misses.
+  if (s.ok() && options_.prefetch_after_compaction &&
+      options_.block_cache != nullptr &&
+      input_accesses >= options_.prefetch_hotness_threshold) {
+    PrefetchOutputs(outputs);
+  }
   mu_.Lock();
 
   auto finish = [&](const Status& status) {
@@ -1203,41 +1212,31 @@ Status DBImpl::DoCompaction(const CompactionPick& pick,
     meta.run_seq = run_seq;
     edit.AddFile(pick.output_level, meta);
   }
-  ScopedBlockingIoAllowed allow_io("compaction manifest install + re-warm");
+  ScopedBlockingIoAllowed allow_io("compaction manifest install");
   // io-under-lock-ok: manifest install is atomic with the version swap.
   s = versions_->LogAndApply(&edit);
   if (!s.ok()) {
+    // The outputs never became live: drop any reader the re-warm opened.
+    for (const FileMetaData& meta : outputs) {
+      table_cache_->Evict(meta.number);
+    }
     finish(s);
     return s;
-  }
-
-  // Leaper-style re-warm (tutorial §II-1): if the compaction consumed hot
-  // files, immediately reload the output's blocks so readers do not take a
-  // burst of cold misses.
-  if (options_.prefetch_after_compaction && options_.block_cache != nullptr &&
-      input_accesses >= options_.prefetch_hotness_threshold) {
-    PrefetchOutputsLocked(pick, outputs);
   }
   finish(Status::OK());
   return Status::OK();
 }
 
-void DBImpl::PrefetchOutputsLocked(const CompactionPick& /*pick*/,
-                                   const std::vector<FileMetaData>& outputs) {
-  // Bounded by prefetch_budget_bytes and deliberately under mu_: the
-  // re-warm must complete before readers see the new version's files cold.
-  ScopedBlockingIoAllowed allow_io("post-compaction cache re-warm");
+void DBImpl::PrefetchOutputs(const std::vector<FileMetaData>& outputs) {
   size_t budget = options_.prefetch_budget_bytes;
   for (const FileMetaData& meta : outputs) {
     if (budget == 0) {
       break;
     }
     std::shared_ptr<SSTable> table;
-    // io-under-lock-ok: budget-bounded output open for the re-warm.
     if (!table_cache_->FindTable(meta, &table).ok()) {
       continue;
     }
-    // io-under-lock-ok: budget-bounded block reads re-warm the cache.
     const size_t loaded = table->PrefetchBlocks(budget);
     budget = loaded >= budget ? 0 : budget - loaded;
   }
@@ -1260,8 +1259,9 @@ DBImpl::ReadView DBImpl::PinReadView(const ReadOptions& options) {
   return view;
 }
 
-Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> run_files) {
-  if (run_files.size() == 1) {
+Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> run_files,
+                                 const KeyRange* range) {
+  if (run_files.size() == 1 && range == nullptr) {
     return table_cache_->NewIterator(run_files[0]);
   }
   // Index iterator over the run's files: key = largest internal key of the
@@ -1313,160 +1313,143 @@ Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> run_files) {
   };
 
   TableCache* cache = table_cache_.get();
+  StatsRegistry* stats = &stats_;
   return NewTwoLevelIterator(
       new RunFileIndexIterator(files, &icmp_),
-      [files, cache](const Slice& index_value) -> Iterator* {
-        const uint64_t pos = DecodeFixed64(index_value.data());
-        return cache->NewIterator((*files)[pos]);
+      [files, cache, stats, range](const Slice& index_value) -> Iterator* {
+        const FileMetaPtr& file =
+            (*files)[DecodeFixed64(index_value.data())];
+        // Range filters are asked only once the read reaches the file
+        // (tutorial §II-3); a proven-empty file is never read for data.
+        if (range != nullptr &&
+            !cache->RangeMayMatch(*file, range->lo, range->hi)) {
+          stats->Add(Ticker::kRangeFilterSkips);
+          return NewEmptyIterator();
+        }
+        return cache->NewIterator(file);
       });
-}
-
-void DBImpl::CollectIterators(const ReadView& view, const Slice* lo,
-                              const Slice* hi,
-                              std::vector<Iterator*>* children) {
-  children->push_back(view.mem->NewIterator());
-  if (view.imm != nullptr) {
-    children->push_back(view.imm->NewIterator());
-  }
-  const Comparator* ucmp = icmp_.user_comparator();
-
-  // No lock held here: RangeMayMatch may fault a cold table open, which
-  // must never stall writers (found by tools/check_lock_io.py when this
-  // ran under mu_).
-  for (const LevelState& level : view.version->levels()) {
-    for (const Run& run : level.runs) {
-      if (lo != nullptr && hi != nullptr) {
-        // Range-filter pruning: include only files that overlap the range
-        // and whose range filter says "maybe" (tutorial §II-3).
-        std::vector<FileMetaPtr> kept;
-        for (const FileMetaPtr& f : run.files) {
-          if (ucmp->Compare(*hi, ExtractUserKey(Slice(f->smallest))) < 0 ||
-              ucmp->Compare(*lo, ExtractUserKey(Slice(f->largest))) > 0) {
-            continue;  // outside the range entirely
-          }
-          if (!table_cache_->RangeMayMatch(*f, *lo, *hi)) {
-            stats_.Add(Ticker::kRangeFilterSkips);
-            continue;
-          }
-          kept.push_back(f);
-        }
-        if (kept.empty()) {
-          continue;
-        }
-        children->push_back(NewRunIterator(kept));
-      } else {
-        children->push_back(NewRunIterator(run.files));
-      }
-    }
-  }
-}
-
-Iterator* DBImpl::NewRawIterator(const ReadOptions& options) {
-  ReadView view = PinReadView(options);
-  std::vector<Iterator*> children;
-  CollectIterators(view, nullptr, nullptr, &children);
-  view.mem->Unref();
-  if (view.imm != nullptr) {
-    view.imm->Unref();
-  }
-  Iterator* merged = NewMergingIterator(&icmp_, children.data(),
-                                        static_cast<int>(children.size()));
-  return NewDBIterator(icmp_.user_comparator(), merged, view.sequence);
 }
 
 namespace {
 
-/// User iterator that resolves separated values through the value log.
+/// User iterator that resolves separated values through the value log on
+/// each value() call, so a row whose value is never read costs no
+/// value-log read. A failed resolution invalidates the iterator.
 class ResolvingIterator : public Iterator {
  public:
   ResolvingIterator(Iterator* base, DBImpl* db) : base_(base), db_(db) {}
 
-  bool Valid() const override { return base_->Valid(); }
-  void SeekToFirst() override { Move([&] { base_->SeekToFirst(); }); }
-  void SeekToLast() override { Move([&] { base_->SeekToLast(); }); }
-  void Seek(const Slice& t) override { Move([&] { base_->Seek(t); }); }
-  void Next() override { Move([&] { base_->Next(); }); }
-  void Prev() override { Move([&] { base_->Prev(); }); }
+  bool Valid() const override { return status_.ok() && base_->Valid(); }
+  void SeekToFirst() override { base_->SeekToFirst(); }
+  void SeekToLast() override { base_->SeekToLast(); }
+  void Seek(const Slice& t) override { base_->Seek(t); }
+  void Next() override { base_->Next(); }
+  void Prev() override { base_->Prev(); }
   Slice key() const override { return base_->key(); }
-  Slice value() const override { return Slice(resolved_); }
+  Slice value() const override {
+    Status s = db_->ResolveValue(base_->value(), &value_);
+    if (!s.ok() && status_.ok()) {
+      status_ = s;
+    }
+    return Slice(value_);
+  }
   Status status() const override {
     return status_.ok() ? base_->status() : status_;
   }
 
  private:
-  template <typename Fn>
-  void Move(Fn&& fn) {
-    fn();
-    resolved_.clear();
-    if (base_->Valid()) {
-      Status s = db_->ResolveValue(base_->value(), &resolved_);
-      if (!s.ok() && status_.ok()) {
-        status_ = s;
-      }
-    }
-  }
-
   std::unique_ptr<Iterator> base_;
   DBImpl* db_;
-  std::string resolved_;
-  Status status_;
+  mutable std::string value_;
+  mutable Status status_;
 };
 
 }  // namespace
 
-Iterator* DBImpl::NewIterator(const ReadOptions& options) {
-  Iterator* raw = NewRawIterator(options);
-  if (vlog_ == nullptr) {
-    return raw;
+Iterator* DBImpl::NewReadIterator(const ReadOptions& options,
+                                  const KeyRange* range,
+                                  bool resolve_values) {
+  ReadView view = PinReadView(options);
+  std::vector<Iterator*> children;
+  children.push_back(view.mem->NewIterator());
+  if (view.imm != nullptr) {
+    children.push_back(view.imm->NewIterator());
   }
-  return new ResolvingIterator(raw, this);
+  view.mem->Unref();
+  if (view.imm != nullptr) {
+    view.imm->Unref();
+  }
+  const Comparator* ucmp = icmp_.user_comparator();
+  for (const LevelState& level : view.version->levels()) {
+    for (const Run& run : level.runs) {
+      std::span<const FileMetaPtr> files = run.files;
+      if (range != nullptr) {
+        // Fence pointers narrow the run to the files overlapping
+        // [lo, hi] without opening any table.
+        auto first = std::partition_point(
+            files.begin(), files.end(), [&](const FileMetaPtr& f) {
+              return ucmp->Compare(ExtractUserKey(Slice(f->largest)),
+                                   range->lo) < 0;
+            });
+        auto last = std::partition_point(
+            first, files.end(), [&](const FileMetaPtr& f) {
+              return ucmp->Compare(ExtractUserKey(Slice(f->smallest)),
+                                   range->hi) <= 0;
+            });
+        files = std::span<const FileMetaPtr>(first, last);
+        if (files.empty()) {
+          continue;
+        }
+      }
+      children.push_back(NewRunIterator(files, range));
+    }
+  }
+  Iterator* merged = NewMergingIterator(&icmp_, children.data(),
+                                        static_cast<int>(children.size()));
+  Iterator* iter = NewDBIterator(ucmp, merged, view.sequence);
+  if (!resolve_values || vlog_ == nullptr) {
+    return iter;
+  }
+  return new ResolvingIterator(iter, this);
+}
+
+Iterator* DBImpl::NewIterator(const ReadOptions& options) {
+  return NewReadIterator(options, nullptr, /*resolve_values=*/true);
 }
 
 Status DBImpl::Scan(
     const ReadOptions& options, const Slice& start, const Slice& end,
     size_t limit,
     std::vector<std::pair<std::string, std::string>>* results) {
+  const KeyRange range{start, end};
+  return CollectRange(
+      [&] { return NewReadIterator(options, &range, /*resolve_values=*/true); },
+      range, limit, results);
+}
+
+Status DBImpl::CollectRange(
+    const std::function<Iterator*()>& open, const KeyRange& range,
+    size_t limit,
+    std::vector<std::pair<std::string, std::string>>* results) {
   // Like Get: per-thread counters during the scan, one registry fold after.
   PerfContext* perf = GetPerfContext();
   const PerfContext before = *perf;
-  Status s = ScanImpl(options, start, end, limit, results);
+  results->clear();
+  std::unique_ptr<Iterator> iter(open());
+  const Comparator* ucmp = icmp_.user_comparator();
+  for (iter->Seek(range.lo); iter->Valid() && results->size() < limit;
+       iter->Next()) {
+    if (ucmp->Compare(iter->key(), range.hi) > 0) {
+      break;
+    }
+    results->emplace_back(iter->key().ToString(), iter->value().ToString());
+    if (results->size() == limit) {
+      break;  // never step past the last row
+    }
+  }
+  const Status s = iter->status();
   stats_.MergePerfDelta(perf->Delta(before));
   return s;
-}
-
-Status DBImpl::ScanImpl(
-    const ReadOptions& options, const Slice& start, const Slice& end,
-    size_t limit,
-    std::vector<std::pair<std::string, std::string>>* results) {
-  results->clear();
-  ReadView view = PinReadView(options);
-  std::vector<Iterator*> children;
-  CollectIterators(view, &start, &end, &children);
-  view.mem->Unref();
-  if (view.imm != nullptr) {
-    view.imm->Unref();
-  }
-  Iterator* merged = NewMergingIterator(&icmp_, children.data(),
-                                        static_cast<int>(children.size()));
-  std::unique_ptr<Iterator> iter(
-      NewDBIterator(icmp_.user_comparator(), merged, view.sequence));
-
-  const Comparator* ucmp = icmp_.user_comparator();
-  for (iter->Seek(start); iter->Valid(); iter->Next()) {
-    if (ucmp->Compare(iter->key(), end) > 0) {
-      break;
-    }
-    std::string resolved;
-    Status rs = ResolveValue(iter->value(), &resolved);
-    if (!rs.ok()) {
-      return rs;
-    }
-    results->emplace_back(iter->key().ToString(), std::move(resolved));
-    if (results->size() >= limit) {
-      break;
-    }
-  }
-  return iter->status();
 }
 
 const Snapshot* DBImpl::GetSnapshot() {

@@ -64,6 +64,27 @@ class DBImpl : public DB {
   /// Unwraps a stored (possibly tagged/separated) value into *out. Public
   /// for the resolving iterator; not part of the DB interface.
   Status ResolveValue(const Slice& stored, std::string* out);
+
+  /// User keys [lo, hi], inclusive. The range and the bytes it views must
+  /// outlive every iterator built over it.
+  struct KeyRange {
+    Slice lo;
+    Slice hi;
+  };
+  /// The one user-iterator builder (NewIterator, Scan, GC, ShardedDB):
+  /// pins the view, merges one child per memtable and run, wraps in
+  /// DBIter. With `range`, runs keep only the files their fence pointers
+  /// place in it (keys outside may be missing). `resolve_values` unwraps
+  /// separated values on value(); off, value() is the stored bytes.
+  Iterator* NewReadIterator(const ReadOptions& options, const KeyRange* range,
+                            bool resolve_values) EXCLUDES(mu_);
+  /// Scan's loop over the iterator `open` builds: Seek(range.lo), then
+  /// rows while key <= range.hi, up to `limit`. Folds the thread's
+  /// PerfContext delta into this DB's tickers once (ShardedDB: shard 0).
+  Status CollectRange(const std::function<Iterator*()>& open,
+                      const KeyRange& range, size_t limit,
+                      std::vector<std::pair<std::string, std::string>>*
+                          results);
   const Snapshot* GetSnapshot() override;
   void ReleaseSnapshot(const Snapshot* snapshot) override;
   Status CompactAll() override;
@@ -137,10 +158,6 @@ class DBImpl : public DB {
   size_t LookupKeys(const ReadOptions& options, std::span<const Slice> keys,
                     std::span<std::string> values,
                     std::span<Status> statuses) EXCLUDES(mu_);
-  Status ScanImpl(const ReadOptions& options, const Slice& start,
-                  const Slice& end, size_t limit,
-                  std::vector<std::pair<std::string, std::string>>* results)
-      EXCLUDES(mu_);
   /// Body of Write: the leader/follower group-commit protocol. Defined in
   /// db_write.cc — the only module allowed to touch the WAL file (see
   /// DESIGN.md "Group commit" and the lint.sh ban). Takes mu_ to queue the
@@ -230,20 +247,22 @@ class DBImpl : public DB {
                      std::vector<FileMetaData>* outputs,
                      uint64_t* bytes_written);
   SequenceNumber SmallestSnapshotLocked() const REQUIRES(mu_);
-  void PrefetchOutputsLocked(const CompactionPick& pick,
-                             const std::vector<FileMetaData>& outputs)
-      REQUIRES(mu_);
+  /// Loads compaction outputs' blocks into the block cache, up to
+  /// Options::prefetch_budget_bytes, before the install publishes them.
+  void PrefetchOutputs(const std::vector<FileMetaData>& outputs)
+      EXCLUDES(mu_);
   /// One run's iterator: concatenation of `files`, whose key ranges must
-  /// strictly increase. Tables open lazily as the iterator reaches them.
+  /// strictly increase. Tables open lazily as the iterator reaches them;
+  /// with `range`, a file its range filter proves empty is skipped.
   /// The only place src/core reads tables as a stream (tools/lint.sh
   /// check 10): scans and compactions both merge runs through it.
-  Iterator* NewRunIterator(std::span<const FileMetaPtr> files);
+  Iterator* NewRunIterator(std::span<const FileMetaPtr> files,
+                           const KeyRange* range = nullptr);
   /// Pinned snapshot of everything a read needs: referenced memtables, the
   /// current version (shared_ptr), and the visible sequence. Taken under
-  /// mu_ in one short critical section so that iterator construction —
-  /// which may open cold table files for range-filter pruning — runs with
-  /// the lock released. Callers must Unref() mem/imm when done pinning
-  /// (child iterators hold their own references).
+  /// mu_ in one short critical section so that iterator construction runs
+  /// with the lock released. Callers must Unref() mem/imm when done
+  /// pinning (child iterators hold their own references).
   struct ReadView {
     MemTable* mem = nullptr;
     MemTable* imm = nullptr;
@@ -251,11 +270,6 @@ class DBImpl : public DB {
     SequenceNumber sequence = 0;
   };
   ReadView PinReadView(const ReadOptions& options) EXCLUDES(mu_);
-  /// Collects child iterators for the given bounds (nullptr bounds = all),
-  /// consulting range filters when bounds are present. Works on a pinned
-  /// view, not live state: safe (and intended) to call without mu_.
-  void CollectIterators(const ReadView& view, const Slice* lo,
-                        const Slice* hi, std::vector<Iterator*>* children);
   /// Key-value separation: encodes `updates` into *separated with large
   /// values moved to the value log as tagged pointers and the rest tagged
   /// inline. Sets *vlog_appended iff at least one value actually moved to
@@ -263,8 +277,6 @@ class DBImpl : public DB {
   Status SeparateBatch(const WriteBatch& updates, WriteBatch* separated,
                        bool* vlog_appended);
   bool has_listeners() const { return !options_.listeners.empty(); }
-  /// User-view iterator over raw (tagged) stored values.
-  Iterator* NewRawIterator(const ReadOptions& options);
 
   const Options options_;
   const std::string dbname_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
 
 #include "core/merging_iterator.h"
 #include "storage/env.h"
@@ -81,7 +80,6 @@ class ShardedDB::ShardedSnapshot : public Snapshot {
   }
 
   const Snapshot* member(int shard) const { return members_[shard]; }
-  const std::vector<const Snapshot*>& members() const { return members_; }
 
  private:
   std::vector<const Snapshot*> members_;
@@ -329,105 +327,37 @@ void ShardedDB::MultiGet(const ReadOptions& options,
   });
 }
 
-namespace {
-
-/// Owns the per-shard snapshot vector backing a merged iterator created
-/// without an explicit snapshot, releasing it when the iterator dies.
-class SnapshotOwningIterator : public Iterator {
- public:
-  SnapshotOwningIterator(Iterator* base, DB* db, const Snapshot* snapshot)
-      : base_(base), db_(db), snapshot_(snapshot) {}
-  ~SnapshotOwningIterator() override { db_->ReleaseSnapshot(snapshot_); }
-
-  bool Valid() const override { return base_->Valid(); }
-  void SeekToFirst() override { base_->SeekToFirst(); }
-  void SeekToLast() override { base_->SeekToLast(); }
-  void Seek(const Slice& target) override { base_->Seek(target); }
-  void Next() override { base_->Next(); }
-  void Prev() override { base_->Prev(); }
-  Slice key() const override { return base_->key(); }
-  Slice value() const override { return base_->value(); }
-  Status status() const override { return base_->status(); }
-
- private:
-  std::unique_ptr<Iterator> base_;
-  DB* db_;
-  const Snapshot* snapshot_;
-};
-
-}  // namespace
-
 Iterator* ShardedDB::NewIterator(const ReadOptions& options) {
-  // Consistent per-shard snapshot vector: every shard is read at one
-  // point in its own history, fixed here. User keys are disjoint across
-  // shards (a key hashes to exactly one), so the merge needs no
-  // cross-shard dedup, and per-shard iterators already resolve values.
-  const Snapshot* owned = nullptr;
-  ReadOptions ro = options;
-  if (ro.snapshot == nullptr) {
-    owned = GetSnapshot();
-    ro.snapshot = owned;
-  }
+  return NewMergedIterator(options, nullptr);
+}
+
+Iterator* ShardedDB::NewMergedIterator(const ReadOptions& options,
+                                       const DBImpl::KeyRange* range) {
+  // Each shard's iterator pins that shard's view (its member of a sharded
+  // snapshot, else its latest state) as it is built. User keys are
+  // disjoint across shards (a key hashes to exactly one), so the merge
+  // needs no cross-shard dedup.
   std::vector<Iterator*> children(num_shards_);
   for (int k = 0; k < num_shards_; k++) {
-    children[k] = shards_[k]->NewIterator(ShardReadOptions(ro, k));
+    children[k] = shards_[k]->NewReadIterator(ShardReadOptions(options, k),
+                                              range, /*resolve_values=*/true);
   }
-  Iterator* merged = NewMergingIterator(options_.comparator, children.data(),
-                                        num_shards_);
-  if (owned == nullptr) {
-    return merged;
-  }
-  return new SnapshotOwningIterator(merged, this, owned);
+  return NewMergingIterator(options_.comparator, children.data(),
+                            num_shards_);
 }
 
 Status ShardedDB::Scan(
     const ReadOptions& options, const Slice& start, const Slice& end,
     size_t limit,
     std::vector<std::pair<std::string, std::string>>* results) {
-  results->clear();
-  // Every shard may hold keys in [start, end]; scan them all in parallel,
-  // each up to `limit` (the global cut cannot be known per shard), then
-  // merge the ordered partials and truncate.
-  std::vector<std::vector<std::pair<std::string, std::string>>> partials(
-      num_shards_);
-  std::vector<Status> statuses(num_shards_);
-  std::vector<int> targets;
-  for (int k = 0; k < num_shards_; k++) {
-    targets.push_back(k);
-  }
-  FanOut(targets, [&](int k) {
-    statuses[k] = shards_[k]->Scan(ShardReadOptions(options, k), start, end,
-                                   limit, &partials[k]);
-  });
-  Status s;
-  for (int k = 0; k < num_shards_; k++) {
-    MergeStatus(&s, statuses[k]);
-  }
-  if (!s.ok()) {
-    return s;
-  }
-  const Comparator* cmp = options_.comparator;
-  using Cursor = std::pair<int, size_t>;  // (shard, next index)
-  auto greater = [&](const Cursor& a, const Cursor& b) {
-    return cmp->Compare(Slice(partials[a.first][a.second].first),
-                        Slice(partials[b.first][b.second].first)) > 0;
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(greater)> heap(
-      greater);
-  for (int k = 0; k < num_shards_; k++) {
-    if (!partials[k].empty()) {
-      heap.emplace(k, 0);
-    }
-  }
-  while (!heap.empty() && results->size() < limit) {
-    auto [k, i] = heap.top();
-    heap.pop();
-    results->push_back(std::move(partials[k][i]));
-    if (i + 1 < partials[k].size()) {
-      heap.emplace(k, i + 1);
-    }
-  }
-  return Status::OK();
+  // One loop over the merged shard iterators: every shard is sought once,
+  // and only the rows the merge emits are stepped, so the scan reads about
+  // `limit` rows in total. Shard 0 takes the scan's tickers, as it answers
+  // lsmlab.perf-context for the whole DB.
+  const DBImpl::KeyRange range{start, end};
+  return shards_[0]->CollectRange(
+      [&] { return NewMergedIterator(options, &range); }, range, limit,
+      results);
 }
 
 // ---------------------------------------------------------- Maintenance --

@@ -51,8 +51,8 @@ Status CheckShardMarker(const Options& options, const std::string& name);
 ///     group on its shard, but there is no cross-shard commit point.
 ///   - MultiGet partitions the key list and scatters/gathers in parallel.
 ///   - NewIterator/Scan merge the per-shard ordered streams with the
-///     merging iterator under a consistent per-shard snapshot vector
-///     (one snapshot per shard, all taken at creation).
+///     merging iterator; each shard is read at one point in its history
+///     (its member of a sharded snapshot, else its state at creation).
 ///   - Flushes/compactions from different shards overlap on one shared
 ///     background pool; within a shard they stay strictly serialized.
 ///
@@ -114,6 +114,10 @@ class ShardedDB : public DB {
   /// Per-shard view of the caller's ReadOptions: a sharded snapshot is
   /// translated to shard `shard`'s member of the snapshot vector.
   ReadOptions ShardReadOptions(const ReadOptions& options, int shard) const;
+  /// NewIterator and Scan's one builder: merges every shard's
+  /// DBImpl::NewReadIterator, bounded by `range` when set.
+  Iterator* NewMergedIterator(const ReadOptions& options,
+                              const DBImpl::KeyRange* range);
   /// Runs fn(shard) for every index in `targets`, overlapping the calls
   /// on dispatch_pool_ (the caller's thread runs the first target, and
   /// any target the draining pool rejects, inline). Returns when all are

@@ -22,7 +22,7 @@ enum class Ticker : uint32_t {
   kMemtableHits,
   kRunsProbed,
   kFilterSkips,       ///< runs skipped by monolithic point filters
-  kRangeFilterSkips,  ///< runs skipped by range filters
+  kRangeFilterSkips,  ///< files skipped by range filters
   kSeparatedReads,
   // Batched reads (DB::MultiGet).
   kMultiGets,                    ///< MultiGet batches

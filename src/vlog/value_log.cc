@@ -72,7 +72,13 @@ Status ValueLog::Open() {
 
 Status ValueLog::RotateLocked() {
   if (current_file_ != nullptr) {
-    Status s = current_file_->Close();
+    // Sync before closing: Sync() only ever reaches the current segment,
+    // so values left unsynced here would be lost to a crash even after a
+    // later WAL fsync made their pointers durable.
+    Status s = current_file_->Sync();
+    if (s.ok()) {
+      s = current_file_->Close();
+    }
     if (!s.ok()) {
       return s;
     }

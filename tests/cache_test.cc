@@ -6,6 +6,7 @@
 
 #include "cache/block_cache.h"
 #include "cache/lru_cache.h"
+#include "core/db.h"
 #include "core/dbformat.h"
 #include "core/filename.h"
 #include "core/table_cache.h"
@@ -259,6 +260,53 @@ TEST(TableCacheTest, ErrorPathsDoNotRetainPriorHandle) {
   // reference to its reader.
   cache.Evict(7);
   EXPECT_TRUE(alive.expired());
+}
+
+// ------------------------------------------------------------- Prefetch --
+
+/// Leaper-style re-warm: a compaction whose inputs were hot loads its
+/// outputs' blocks into the cache before installing them, so the first Get
+/// into an output block is a hit. Without the re-warm it misses.
+TEST(PrefetchTest, FirstGetAfterHotCompactionHitsCache) {
+  for (const bool prefetch : {true, false}) {
+    std::unique_ptr<Env> env(NewMemEnv());
+    BlockCache cache(8 << 20);
+    Options options;
+    options.env = env.get();
+    // One memtable per batch, so CompactAll runs a single compaction
+    // whose inputs are the hot table and the flush of the overwrites.
+    options.write_buffer_size = 1 << 20;
+    options.max_file_size = 1 << 20;
+    options.block_cache = &cache;
+    options.prefetch_after_compaction = prefetch;
+    options.prefetch_hotness_threshold = 1;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    auto key = [](int i) { return "key" + std::to_string(10000 + i); };
+    for (int i = 0; i < 1000; i++) {
+      ASSERT_TRUE(db->Put({}, key(i), std::string(100, 'v')).ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    std::string value;
+    for (int i = 0; i < 1000; i++) {  // heat the input tables
+      ASSERT_TRUE(db->Get({}, key(i), &value).ok());
+    }
+    for (int i = 0; i < 1000; i += 2) {
+      ASSERT_TRUE(db->Put({}, key(i), std::string(100, 'w')).ok());
+    }
+    ASSERT_TRUE(db->CompactAll().ok());
+    ASSERT_EQ(db->GetStats().total_runs, 1u);
+
+    const LruCache::Stats before = cache.GetStats();
+    ASSERT_TRUE(db->Get({}, key(501), &value).ok());
+    const LruCache::Stats after = cache.GetStats();
+    if (prefetch) {
+      EXPECT_EQ(after.misses, before.misses);
+      EXPECT_EQ(after.hits, before.hits + 1);
+    } else {
+      EXPECT_EQ(after.misses, before.misses + 1);
+    }
+  }
 }
 
 }  // namespace

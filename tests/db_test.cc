@@ -416,6 +416,31 @@ TEST_F(DBTest, RangeFilterSkipsEmptyRanges) {
   EXPECT_EQ(results.size(), 10u);
 }
 
+// A scan opens tables lazily, as its walk reaches them: right after a
+// reopen, a short scan over the whole key range opens only the first file
+// of each run, not every file that overlaps the range.
+TEST_F(DBTest, WideScanOpensOnlyTablesItReads) {
+  Open();
+  for (int i = 0; i < 4000; i++) {
+    ASSERT_TRUE(db_->Put({}, Key(i), std::string(100, 'v')).ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+  Reopen();  // every table cold
+  const DBStats shape = db_->GetStats();
+  ASSERT_GE(shape.total_files, 20u);
+  const uint64_t before = env_->io_stats()->random_reads.load();
+  std::vector<std::pair<std::string, std::string>> results;
+  ASSERT_TRUE(db_->Scan({}, Key(0), Key(3999), 10, &results).ok());
+  const uint64_t reads = env_->io_stats()->random_reads.load() - before;
+  ASSERT_EQ(results.size(), 10u);
+  EXPECT_EQ(results[9].first, Key(9));
+  // Each run's walk reaches one table: its open (footer, index, metaindex,
+  // properties and filter blocks) plus one data block.
+  EXPECT_LE(reads, 6 * shape.total_runs)
+      << reads << " reads over " << shape.total_runs << " runs, "
+      << shape.total_files << " files";
+}
+
 TEST_F(DBTest, PartitionedFiltersSkipRuns) {
   options_.partition_filters = true;
   options_.filter_bits_per_key = 10;

@@ -44,6 +44,8 @@ struct Config {
   /// Flushes and compactions on the background worker instead of the
   /// writing thread; both modes share one flush path.
   bool background = false;
+  /// Options::num_shards: above 1, every read runs through ShardedDB.
+  int num_shards = 1;
 };
 
 class ModelCheckTest : public ::testing::TestWithParam<Config> {
@@ -64,6 +66,7 @@ class ModelCheckTest : public ::testing::TestWithParam<Config> {
     options_.memtable_hash_index = cfg.memtable_hash;
     options_.background_compaction = cfg.background;
     options_.allow_concurrent_memtable_write = cfg.concurrent_apply;
+    options_.num_shards = cfg.num_shards;
     if (cfg.block_cache) {
       cache_ = std::make_unique<BlockCache>(64 << 10);  // tiny: evictions
       options_.block_cache = cache_.get();
@@ -146,7 +149,10 @@ TEST_P(ModelCheckTest, MatchesMapModel) {
       }
     } else if (action < 45) {  // put
       const std::string k = RandomKey(&rng);
-      const std::string v = "v" + std::to_string(i);
+      // Every other value is padded past the separation threshold, so the
+      // separation rows hold both inline values and value-log pointers.
+      const std::string v =
+          "v" + std::to_string(i) + std::string(i % 2 == 0 ? 8 : 0, 'x');
       ASSERT_TRUE(db_->Put({}, k, v).ok());
       model[k] = v;
     } else if (action < 60) {  // delete
@@ -265,6 +271,9 @@ TEST_P(ModelCheckTest, MatchesMapModel) {
   if (GetParam().concurrent_apply) {
     EXPECT_GT(parallel_applies, 0u);
   }
+  if (GetParam().kv_separation) {
+    EXPECT_GT(db_->GetStats().value_log_bytes, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -293,6 +302,10 @@ INSTANTIATE_TEST_SUITE_P(
         Config{.name = "range_filtered",
                .policy = MergePolicy::kLeveling,
                .range_filter = true},
+        Config{.name = "sharded_range_filtered",
+               .policy = MergePolicy::kLeveling,
+               .range_filter = true,
+               .num_shards = 4},
         Config{.name = "vector_memtable",
                .policy = MergePolicy::kLeveling,
                .memtable = MemTable::Rep::kSortedVector,

@@ -341,6 +341,44 @@ TEST_F(ShardedDBTest, ScanMergesShardsAndHonorsLimit) {
   }
 }
 
+// A sharded scan walks one merge over the shards' iterators: it seeks
+// every shard once, then reads only the rows the merge emits, so its I/O
+// is about that of one tree, not num_shards scans of `limit` rows each.
+TEST_F(ShardedDBTest, ScanReadsAboutLimitRows) {
+  constexpr int kKeys = 20000;
+  constexpr size_t kLimit = 500;
+  auto scan_reads = [&](int num_shards) {
+    env_.reset(NewMemEnv());
+    Options options = ShardedOptions(num_shards);
+    options.write_buffer_size = 256 << 10;
+    options.max_file_size = 256 << 10;
+    Open(options);
+    for (int i = 0; i < kKeys; i++) {
+      EXPECT_TRUE(db_->Put({}, Key(i), std::string(100, 'a' + i % 26)).ok());
+    }
+    EXPECT_TRUE(db_->CompactAll().ok());
+    std::vector<std::pair<std::string, std::string>> results;
+    // The first scan opens the tables; the measured one runs warm.
+    EXPECT_TRUE(
+        db_->Scan({}, Key(0), Key(kKeys - 1), kLimit, &results).ok());
+    const uint64_t before = env_->io_stats()->random_reads.load();
+    EXPECT_TRUE(
+        db_->Scan({}, Key(0), Key(kKeys - 1), kLimit, &results).ok());
+    const uint64_t reads = env_->io_stats()->random_reads.load() - before;
+    EXPECT_EQ(results.size(), kLimit);
+    for (size_t i = 0; i < results.size(); i++) {
+      EXPECT_EQ(results[i].first, Key(static_cast<int>(i)));
+    }
+    db_.reset();
+    return reads;
+  };
+  const uint64_t one_shard = scan_reads(1);
+  const uint64_t four_shards = scan_reads(4);
+  ASSERT_GT(one_shard, 0u);
+  EXPECT_LE(static_cast<double>(four_shards), 1.5 * one_shard)
+      << "1 shard: " << one_shard << " reads, 4 shards: " << four_shards;
+}
+
 TEST_F(ShardedDBTest, PropertiesAggregateAcrossShards) {
   constexpr int kShards = 4;
   constexpr int kKeys = 400;

@@ -212,6 +212,40 @@ TEST_F(KvSeparationTest, IteratorAndScanResolvePointers) {
   }
 }
 
+// Separated values are resolved on value(), not on every move: a scan
+// pays one value-log read per returned row, never one for the row just
+// past `end` that ends it, and a key-only walk pays none.
+TEST_F(KvSeparationTest, ScanResolvesOnlyReturnedValues) {
+  for (int i = 0; i < 30; i++) {
+    ASSERT_TRUE(
+        db_->Put({}, EncodeKey(i), ValueForKey(EncodeKey(i), 512)).ok());
+  }
+  auto separated_reads = [&] { return db_->GetStats().separated_reads; };
+  std::vector<std::pair<std::string, std::string>> results;
+  uint64_t before = separated_reads();
+  ASSERT_TRUE(db_->Scan({}, EncodeKey(10), EncodeKey(19), 100, &results).ok());
+  ASSERT_EQ(results.size(), 10u);
+  EXPECT_EQ(separated_reads() - before, results.size());
+  for (const auto& [k, v] : results) {
+    EXPECT_EQ(v, ValueForKey(k, 512));
+  }
+
+  before = separated_reads();
+  ASSERT_TRUE(db_->Scan({}, EncodeKey(0), EncodeKey(29), 5, &results).ok());
+  ASSERT_EQ(results.size(), 5u);
+  EXPECT_EQ(separated_reads() - before, results.size());
+
+  before = separated_reads();
+  std::unique_ptr<Iterator> it(db_->NewIterator({}));
+  int count = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    count++;
+  }
+  EXPECT_TRUE(it->status().ok());
+  EXPECT_EQ(count, 30);
+  EXPECT_EQ(separated_reads(), before);
+}
+
 TEST_F(KvSeparationTest, CompactionMovesPointersNotValues) {
   // With separation, compaction write volume must be tiny relative to the
   // payload (the WiscKey headline).

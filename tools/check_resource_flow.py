@@ -63,7 +63,7 @@ RESOURCE_KINDS = {
 # be resolved (textual-frontend fallback; all return Iterator*).
 FALLBACK_ACQUIRES = {
     "NewIterator", "NewEmptyIterator", "NewMergingIterator",
-    "NewTwoLevelIterator", "NewDBIterator", "NewRawIterator",
+    "NewTwoLevelIterator", "NewDBIterator", "NewReadIterator",
     "NewRunIterator",
 }
 

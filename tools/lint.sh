@@ -56,6 +56,14 @@
 #      window; a second insert site is a second apply protocol, and one
 #      under mu_ blocks every reader. Deliberate exceptions carry an
 #      `apply-ok:` comment on the call line or the line above.
+#  12. One range-read builder: `NewDBIterator(` has at most one call site
+#      in src/core (its declaration and definition in db_iter.{h,cc} aside).
+#      NewIterator, Scan, GarbageCollectValues and ShardedDB's merged
+#      iterators all build through DBImpl::NewReadIterator; a second
+#      pin -> collect -> merge -> DBIter stack is a second read path whose
+#      pruning, pinning and tickers drift from the first. Deliberate
+#      exceptions carry an `iter-ok:` comment on the call line or the line
+#      above.
 #
 # `lint.sh --self-test` seeds a throwaway tree with one violation per check
 # and asserts every check fires (the same discipline as
@@ -102,6 +110,12 @@ void Replay() {
 Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> files) {
   return table_cache_->NewIterator(files[0]);          // check 10: must NOT fire
 }
+Iterator* Build() { return NewDBIterator(ucmp, merged, seq); }  // check 12
+Iterator* Again() { return NewDBIterator(ucmp, other, seq); }   // check 12: second site
+Iterator* Test() {
+  // iter-ok: documented exception, must NOT fire
+  return NewDBIterator(ucmp, model, kMaxSequenceNumber);
+}
 void Probe() {
   // run-iter-ok: documented exception, must NOT fire
   auto* it = table_cache_->NewIterator(f);
@@ -109,6 +123,11 @@ void Probe() {
 void Loud() {
   // status-ok: documented drop, must NOT fire
   DoOther().IgnoreError();
+}
+EOF
+  cat > "$tmp/src/core/db_iter.cc" << 'EOF'
+Iterator* NewDBIterator(const Comparator* ucmp, Iterator* it, SequenceNumber s) {  // check 12: must NOT fire
+  return new DBIter(ucmp, it, s);
 }
 EOF
   cat > "$tmp/src/core/db_multiget.cc" << 'EOF'
@@ -144,6 +163,15 @@ EOF
   expect "Status dropped without a status-ok: annotation"
   expect "table iterator outside DBImpl::NewRunIterator"
   expect "memtable insert outside DBImpl::ApplyMemberThenLock"
+  expect "second NewDBIterator call site"
+  if ! grep -q 'other, seq' <<< "$out"; then
+    echo "lint --self-test: seeded second NewDBIterator site not flagged"
+    fail=1
+  fi
+  if grep -qE 'kMaxSequenceNumber|db_iter\.cc' <<< "$out"; then
+    echo "lint --self-test: db_iter.cc definition or iter-ok: site wrongly flagged"
+    fail=1
+  fi
   if ! grep -q 'group->InsertInto' <<< "$out"; then
     echo "lint --self-test: seeded memtable insert not flagged"
     fail=1
@@ -169,7 +197,7 @@ EOF
     fail=1
   fi
   if [ "$fail" -eq 0 ]; then
-    echo "lint --self-test: PASS (all 11 checks fire on seeded violations)"
+    echo "lint --self-test: PASS (all 12 checks fire on seeded violations)"
   fi
   exit "$fail"
 fi
@@ -352,6 +380,23 @@ grep -rlE --include='*.h' --include='*.cc' '(\.|->)InsertInto(Concurrent)?\(' \
       ' "$f"
     done \
   | report "memtable insert outside DBImpl::ApplyMemberThenLock / DBImpl::RecoverWal (insert through the one apply helper, or mark the call apply-ok:)"
+
+# 12. One range-read builder: every unannotated `NewDBIterator(` call in
+#     src/core outside db_iter.{h,cc} is listed once a second one exists.
+#     An `iter-ok:` comment on the call line or the line above excuses a
+#     deliberate exception.
+grep -rl --include='*.h' --include='*.cc' 'NewDBIterator(' src/core/ \
+    2>/dev/null \
+  | grep -vE '/db_iter\.(h|cc)$' \
+  | xargs -r awk '
+      FNR == 1 { prev = "" }
+      /NewDBIterator\(/ && $0 !~ /iter-ok:/ && prev !~ /iter-ok:/ {
+        sites[++n] = FILENAME ":" FNR ": " $0
+      }
+      { prev = $0 }
+      END { if (n > 1) for (i = 1; i <= n; i++) print sites[i] }
+    ' \
+  | report "second NewDBIterator call site in src/core (build user iterators through DBImpl::NewReadIterator, or mark the call iter-ok:)"
 
 if [ "$fail" -eq 0 ]; then
   echo "lint: OK"
