@@ -14,10 +14,8 @@
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using namespace lsmlab;
-  BlockContents contents;
-  contents.owned.assign(reinterpret_cast<const char*>(data), size);
-  contents.data = Slice(contents.owned);
-  contents.heap_allocated = true;
+  BlockContents contents = BlockContents::CopyOf(
+      Slice(reinterpret_cast<const char*>(data), size));
   Block block(std::move(contents));
 
   std::unique_ptr<Iterator> it(block.NewIterator(BytewiseComparator()));

@@ -682,7 +682,8 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
   uint64_t bytes_written = 0;
   Status s = BuildTables(iter.get(), /*output_level=*/0,
                          /*drop_shadowed=*/false, /*drop_tombstones=*/false,
-                         smallest_snapshot, &outputs, &bytes_written);
+                         smallest_snapshot, &outputs, &bytes_written,
+                         Subrange());
   iter.reset();
   mu_.Lock();
 
@@ -901,7 +902,7 @@ Status DBImpl::BuildTables(Iterator* iter, int output_level,
                            bool drop_shadowed, bool drop_tombstones,
                            SequenceNumber smallest_snapshot,
                            std::vector<FileMetaData>* outputs,
-                           uint64_t* bytes_written) {
+                           uint64_t* bytes_written, Subrange range) {
   outputs->clear();
   *bytes_written = 0;
   const TableOptions topts = table_cache_->TableOptionsForLevel(output_level);
@@ -940,9 +941,18 @@ Status DBImpl::BuildTables(Iterator* iter, int output_level,
   bool has_last_user_key = false;
   SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
 
-  for (iter->SeekToFirst(); iter->Valid() && s.ok(); iter->Next()) {
+  if (range.begin != nullptr) {
+    iter->Seek(LookupKey(*range.begin, kMaxSequenceNumber).internal_key());
+  } else {
+    iter->SeekToFirst();
+  }
+  for (; iter->Valid() && s.ok(); iter->Next()) {
     const Slice key = iter->key();
     const Slice user_key = ExtractUserKey(key);
+    if (range.end != nullptr &&
+        icmp_.user_comparator()->Compare(user_key, *range.end) >= 0) {
+      break;
+    }
     const SequenceNumber seq = ExtractSequence(key);
     const ValueType type = ExtractValueType(key);
 
@@ -985,7 +995,12 @@ Status DBImpl::BuildTables(Iterator* iter, int output_level,
 
     if (builder == nullptr) {
       meta = FileMetaData();
-      meta.number = versions_->NewFileNumber();
+      if (range.numbers > 0) {
+        meta.number = range.first_number++;
+        range.numbers--;
+      } else {
+        meta.number = versions_->NewFileNumber();
+      }
       s = options_.env->NewWritableFile(TableFileName(dbname_, meta.number),
                                         &file);
       if (!s.ok()) {
@@ -1021,6 +1036,83 @@ SequenceNumber DBImpl::SmallestSnapshotLocked() const {
 }
 
 // ------------------------------------------------------------ Compaction --
+
+namespace {
+
+/// Input bytes per subcompaction, in units of Options::max_file_size.
+/// perfbench read_cold set-up on a 4-core host, by unit: 2 → 1.19-1.32 s,
+/// 4 → 1.19-1.46 s, 8 → 1.43-1.52 s, 16 → 1.98-2.23 s. 4 is about as fast
+/// as 2 with half the subranges, so half the short last files.
+constexpr uint64_t kSubcompactionFiles = 4;
+
+/// Appends `files` to *runs as maximal chains whose key ranges strictly
+/// increase: one merge child per sorted run, not per file, so the merge
+/// costs O(entries x runs), not O(entries x files). The rule holds for any
+/// file list; overlapping L0 runs just form separate chains.
+void AppendRuns(const InternalKeyComparator& icmp,
+                std::span<const FileMetaPtr> files,
+                std::vector<std::span<const FileMetaPtr>>* runs) {
+  size_t begin = 0;
+  for (size_t i = 0; i < files.size(); i++) {
+    const bool last = i + 1 == files.size();
+    if (last || icmp.Compare(Slice(files[i]->largest),
+                             Slice(files[i + 1]->smallest)) >= 0) {
+      runs->push_back(files.subspan(begin, i + 1 - begin));
+      begin = i + 1;
+    }
+  }
+}
+
+/// Subcompaction boundaries: user keys that cut a merge of `runs` into one
+/// subrange per kSubcompactionFiles x `file_bytes` (max_file_size, at
+/// least 1) of input. The cuts are smallest user keys of the largest run's
+/// files (by bytes), spaced by its bytes. They depend only on the input
+/// files, never on the core count, and each is a user-key boundary, so
+/// every version of a key falls in one subrange. Empty when the merge is
+/// too small to split.
+std::vector<std::string> SubcompactionCuts(
+    const Comparator& ucmp,
+    const std::vector<std::span<const FileMetaPtr>>& runs,
+    uint64_t file_bytes) {
+  uint64_t total = 0;
+  uint64_t largest_bytes = 0;
+  std::span<const FileMetaPtr> largest;
+  for (std::span<const FileMetaPtr> run : runs) {
+    uint64_t bytes = 0;
+    for (const FileMetaPtr& f : run) {
+      bytes += f->file_size;
+    }
+    total += bytes;
+    if (bytes > largest_bytes) {
+      largest_bytes = bytes;
+      largest = run;
+    }
+  }
+  const uint64_t subranges = total / (kSubcompactionFiles * file_bytes);
+  std::vector<std::string> cuts;
+  if (subranges < 2) {
+    return cuts;
+  }
+  const uint64_t share = largest_bytes / subranges;
+  uint64_t seen = 0;
+  uint64_t next = 1;  // the cut ending subrange `next - 1`
+  for (size_t i = 1; i < largest.size() && next < subranges; i++) {
+    seen += largest[i - 1]->file_size;
+    if (seen < next * share) {
+      continue;
+    }
+    const Slice key = ExtractUserKey(Slice(largest[i]->smallest));
+    if (cuts.empty() || ucmp.Compare(key, Slice(cuts.back())) > 0) {
+      cuts.push_back(key.ToString());
+    }
+    while (next < subranges && seen >= next * share) {
+      next++;
+    }
+  }
+  return cuts;
+}
+
+}  // namespace
 
 Status DBImpl::MaybeCompact(PendingEvents* events, int max_picks) {
   Status s;
@@ -1111,42 +1203,22 @@ Status DBImpl::DoCompaction(const CompactionPick& pick,
   // writes proceed during the heavy lifting. Compactions themselves never
   // race — they are serialized on the background thread (or excluded by
   // the manual-compaction token).
-  //
-  // One merge child per sorted run, not per file: each maximal chain of
-  // files whose key ranges strictly increase is read through one run
-  // iterator, which opens its tables as the merge reaches them. The merge
-  // then costs O(entries x runs), not O(entries x files). The rule holds
-  // for any file list; overlapping L0 runs just form separate chains.
   mu_.Unlock();
-  std::vector<Iterator*> children;
+  std::vector<std::span<const FileMetaPtr>> runs;
+  AppendRuns(icmp_, pick.inputs, &runs);
+  AppendRuns(icmp_, pick.output_overlaps, &runs);
   uint64_t input_accesses = 0;
-  auto add_runs = [&](std::span<const FileMetaPtr> files) {
-    size_t begin = 0;
-    for (size_t i = 0; i < files.size(); i++) {
-      const FileMetaPtr& f = files[i];
-      if (options_.block_cache != nullptr) {
+  if (options_.block_cache != nullptr) {
+    for (std::span<const FileMetaPtr> run : runs) {
+      for (const FileMetaPtr& f : run) {
         input_accesses += options_.block_cache->FileAccesses(f->number);
       }
-      if (i + 1 == files.size() ||
-          icmp_.Compare(Slice(f->largest), Slice(files[i + 1]->smallest)) >=
-              0) {
-        children.push_back(NewRunIterator(files.subspan(begin, i + 1 - begin)));
-        begin = i + 1;
-      }
     }
-  };
-  add_runs(pick.inputs);
-  add_runs(pick.output_overlaps);
-  std::unique_ptr<Iterator> merged(NewMergingIterator(
-      &icmp_, children.data(), static_cast<int>(children.size())));
-
+  }
   std::vector<FileMetaData> outputs;
   uint64_t bytes_written = 0;
-  Status s = BuildTables(merged.get(), pick.output_level,
-                         /*drop_shadowed=*/true,
-                         /*drop_tombstones=*/bottommost, smallest_snapshot,
-                         &outputs, &bytes_written);
-  merged.reset();
+  Status s = MergeRuns(runs, pick.output_level, bottommost, smallest_snapshot,
+                       &outputs, &bytes_written);
   // Leaper-style re-warm (tutorial §II-1): if the compaction consumed hot
   // files, load the outputs' blocks now, before the install makes them
   // visible, so readers do not take a burst of cold misses.
@@ -1227,6 +1299,145 @@ Status DBImpl::DoCompaction(const CompactionPick& pick,
   return Status::OK();
 }
 
+Status DBImpl::MergeRuns(
+    const std::vector<std::span<const FileMetaPtr>>& runs, int output_level,
+    bool bottommost, SequenceNumber smallest_snapshot,
+    std::vector<FileMetaData>* outputs, uint64_t* bytes_written) {
+  const Comparator* ucmp = icmp_.user_comparator();
+  const uint64_t file_bytes = std::max<size_t>(1, options_.max_file_size);
+  // Each subrange ends its own short last file. A partial file picker
+  // later moves such a file alone, for few bytes per rewrite of the next
+  // level (E10/E17 write_amp rose by 3-24% when these merges were split),
+  // so under one every merge is a single subrange. Whole-level and tiered
+  // merges rewrite a level or run whole, whatever its file sizes.
+  const bool partial_picks =
+      options_.merge_policy == MergePolicy::kLeveling &&
+      options_.file_picker != CompactionFilePicker::kWholeLevel;
+  const std::vector<std::string> cuts =
+      partial_picks ? std::vector<std::string>()
+                    : SubcompactionCuts(*ucmp, runs, file_bytes);
+  const std::vector<Slice> bounds(cuts.begin(), cuts.end());
+  struct Subcompaction {
+    std::vector<std::span<const FileMetaPtr>> runs;
+    Subrange range;
+    std::vector<FileMetaData> outputs;
+    uint64_t bytes_written = 0;
+    Status status;
+  };
+  // Subrange i holds user keys [cuts[i-1], cuts[i]); the first and last
+  // are open. Fence pointers narrow each run to the files overlapping it.
+  std::vector<Subcompaction> subs(cuts.size() + 1);
+  uint64_t numbers = 0;
+  for (size_t i = 0; i < subs.size(); i++) {
+    Subcompaction& sub = subs[i];
+    sub.range.begin = i > 0 ? &bounds[i - 1] : nullptr;
+    sub.range.end = i < bounds.size() ? &bounds[i] : nullptr;
+    uint64_t input_bytes = 0;
+    for (std::span<const FileMetaPtr> files : runs) {
+      auto first = files.begin();
+      auto last = files.end();
+      if (sub.range.begin != nullptr) {
+        first = std::partition_point(first, last, [&](const FileMetaPtr& f) {
+          return ucmp->Compare(ExtractUserKey(Slice(f->largest)),
+                               *sub.range.begin) < 0;
+        });
+      }
+      if (sub.range.end != nullptr) {
+        last = std::partition_point(first, last, [&](const FileMetaPtr& f) {
+          return ucmp->Compare(ExtractUserKey(Slice(f->smallest)),
+                               *sub.range.end) < 0;
+        });
+      }
+      if (first != last) {
+        sub.runs.emplace_back(first, last);
+        for (auto f = first; f != last; ++f) {
+          input_bytes += (*f)->file_size;
+        }
+      }
+    }
+    // Output numbers follow key order whoever builds first, as in a
+    // serial merge; a subrange that outgrows its share draws fresh ones.
+    sub.range.numbers = subs.size() > 1 ? input_bytes / file_bytes + 2 : 0;
+    numbers += sub.range.numbers;
+  }
+  if (numbers > 0) {
+    uint64_t next_number = versions_->NewFileNumber(numbers);
+    for (Subcompaction& sub : subs) {
+      sub.range.first_number = next_number;
+      next_number += sub.range.numbers;
+    }
+  }
+
+  std::atomic<size_t> next{0};
+  std::atomic<bool> failed{false};
+  // Builds subranges until none is left or one has failed.
+  auto build = [&] {
+    for (size_t i = next.fetch_add(1);
+         i < subs.size() && !failed.load(std::memory_order_relaxed);
+         i = next.fetch_add(1)) {
+      Subcompaction& sub = subs[i];
+      std::vector<Iterator*> children;
+      for (std::span<const FileMetaPtr> files : sub.runs) {
+        children.push_back(
+            NewRunIterator(files, /*range=*/nullptr, /*fill_cache=*/false));
+      }
+      std::unique_ptr<Iterator> merged(NewMergingIterator(
+          &icmp_, children.data(), static_cast<int>(children.size())));
+      sub.status = BuildTables(merged.get(), output_level,
+                               /*drop_shadowed=*/true,
+                               /*drop_tombstones=*/bottommost,
+                               smallest_snapshot, &sub.outputs,
+                               &sub.bytes_written, sub.range);
+      if (!sub.status.ok()) {
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+
+  // The calling thread builds too; helpers are short-lived threads, not
+  // bg_pool_, which runs this compaction and, when shared, other shards'
+  // work. Shards compacting together may ask for more threads than there
+  // are cores; EXPERIMENTS.md E22 measured no loss from it.
+  size_t helpers = 0;
+  const int forced = test_subcompaction_helpers_.load();
+  if (forced >= 0) {
+    helpers = static_cast<size_t>(forced);
+  } else if (std::thread::hardware_concurrency() > 1) {
+    helpers = std::thread::hardware_concurrency() - 1;
+  }
+  helpers = std::min(helpers, subs.size() - 1);
+  std::vector<std::jthread> threads;  // joined on every path out
+  threads.reserve(helpers);
+  for (size_t t = 0; t < helpers; t++) {
+    threads.emplace_back([&] {
+      // A helper's block reads and merge steps count in this DB's
+      // tickers, as the caller's do when its operation ends.
+      PerfContext* perf = GetPerfContext();
+      const PerfContext before = *perf;
+      build();
+      stats_.MergePerfDelta(perf->Delta(before));
+    });
+  }
+  build();
+  for (std::jthread& t : threads) {
+    t.join();
+  }
+
+  // Key order is subrange order. A subrange skipped after a failure has
+  // no outputs and an OK status, so the failure still surfaces.
+  Status s;
+  outputs->clear();
+  *bytes_written = 0;
+  for (Subcompaction& sub : subs) {
+    if (s.ok()) {
+      s = sub.status;
+    }
+    outputs->insert(outputs->end(), sub.outputs.begin(), sub.outputs.end());
+    *bytes_written += sub.bytes_written;
+  }
+  return s;
+}
+
 void DBImpl::PrefetchOutputs(const std::vector<FileMetaData>& outputs) {
   size_t budget = options_.prefetch_budget_bytes;
   for (const FileMetaData& meta : outputs) {
@@ -1260,9 +1471,9 @@ DBImpl::ReadView DBImpl::PinReadView(const ReadOptions& options) {
 }
 
 Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> run_files,
-                                 const KeyRange* range) {
+                                 const KeyRange* range, bool fill_cache) {
   if (run_files.size() == 1 && range == nullptr) {
-    return table_cache_->NewIterator(run_files[0]);
+    return table_cache_->NewIterator(run_files[0], fill_cache);
   }
   // Index iterator over the run's files: key = largest internal key of the
   // file, value = index into a pinned copy of the file list.
@@ -1316,7 +1527,8 @@ Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> run_files,
   StatsRegistry* stats = &stats_;
   return NewTwoLevelIterator(
       new RunFileIndexIterator(files, &icmp_),
-      [files, cache, stats, range](const Slice& index_value) -> Iterator* {
+      [files, cache, stats, range,
+       fill_cache](const Slice& index_value) -> Iterator* {
         const FileMetaPtr& file =
             (*files)[DecodeFixed64(index_value.data())];
         // Range filters are asked only once the read reaches the file
@@ -1326,7 +1538,7 @@ Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> run_files,
           stats->Add(Ticker::kRangeFilterSkips);
           return NewEmptyIterator();
         }
-        return cache->NewIterator(file);
+        return cache->NewIterator(file, fill_cache);
       });
 }
 

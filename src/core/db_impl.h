@@ -110,6 +110,13 @@ class DBImpl : public DB {
     return NewRunIterator(files);
   }
 
+  /// Helper threads a compaction's subranges use besides the calling
+  /// thread; a negative value restores the default (one per extra core).
+  /// Output files never depend on it.
+  void TEST_SetSubcompactionHelpers(int helpers) {
+    test_subcompaction_helpers_.store(helpers);
+  }
+
   /// Writers currently parked in the group-commit queue (leader included).
   /// Test hook for staging deterministic commit groups.
   size_t TEST_WriteQueueLength() {
@@ -239,13 +246,35 @@ class DBImpl : public DB {
   /// install hold it.
   Status DoCompaction(const CompactionPick& pick, PendingEvents* events)
       REQUIRES(mu_);
-  /// Builds output file(s) from `iter`, splitting at max_file_size.
-  /// Thread-safe: touches no mu_-protected state (the snapshot horizon is
-  /// captured by the caller while it still holds mu_).
+  /// One compaction subrange: user keys [*begin, *end) (a null bound is
+  /// open), and `numbers` output file numbers reserved from
+  /// `first_number` on (fresh ones follow once they run out).
+  struct Subrange {
+    const Slice* begin = nullptr;
+    const Slice* end = nullptr;
+    uint64_t first_number = 0;
+    uint64_t numbers = 0;
+  };
+  /// Builds output file(s) from `iter`'s entries in `range`, splitting at
+  /// max_file_size. Thread-safe: touches no mu_-protected state (the
+  /// snapshot horizon is captured by the caller while it still holds mu_).
   Status BuildTables(Iterator* iter, int output_level, bool drop_shadowed,
                      bool drop_tombstones, SequenceNumber smallest_snapshot,
                      std::vector<FileMetaData>* outputs,
-                     uint64_t* bytes_written);
+                     uint64_t* bytes_written, Subrange range);
+  /// A compaction's merge of `runs` (sorted runs of input files) into
+  /// tables for `output_level`, run with mu_ released. Unless a partial
+  /// file picker is configured, a merge of at least two subranges' worth
+  /// of input is cut into key subranges, each merged from its own run
+  /// iterators by the calling thread and up to hardware_concurrency() - 1
+  /// short-lived helper threads that hold no lock. Outputs come back in
+  /// key order; the first failing subrange's status wins. Input blocks
+  /// are read without filling the block cache.
+  Status MergeRuns(const std::vector<std::span<const FileMetaPtr>>& runs,
+                   int output_level, bool bottommost,
+                   SequenceNumber smallest_snapshot,
+                   std::vector<FileMetaData>* outputs,
+                   uint64_t* bytes_written) EXCLUDES(mu_);
   SequenceNumber SmallestSnapshotLocked() const REQUIRES(mu_);
   /// Loads compaction outputs' blocks into the block cache, up to
   /// Options::prefetch_budget_bytes, before the install publishes them.
@@ -253,11 +282,14 @@ class DBImpl : public DB {
       EXCLUDES(mu_);
   /// One run's iterator: concatenation of `files`, whose key ranges must
   /// strictly increase. Tables open lazily as the iterator reaches them;
-  /// with `range`, a file its range filter proves empty is skipped.
+  /// with `range`, a file its range filter proves empty is skipped. With
+  /// `fill_cache` false, block-cache misses are not inserted (compaction
+  /// inputs are read once and then deleted).
   /// The only place src/core reads tables as a stream (tools/lint.sh
   /// check 10): scans and compactions both merge runs through it.
   Iterator* NewRunIterator(std::span<const FileMetaPtr> files,
-                           const KeyRange* range = nullptr);
+                           const KeyRange* range = nullptr,
+                           bool fill_cache = true);
   /// Pinned snapshot of everything a read needs: referenced memtables, the
   /// current version (shared_ptr), and the visible sequence. Taken under
   /// mu_ in one short critical section so that iterator construction runs
@@ -381,6 +413,8 @@ class DBImpl : public DB {
   // Set by Get when a file crosses the seek-compaction threshold; the
   // next write services it (reads never mutate the tree themselves).
   std::atomic<bool> pending_seek_compaction_{false};
+  /// TEST_SetSubcompactionHelpers; negative = one helper per extra core.
+  std::atomic<int> test_subcompaction_helpers_{-1};
 };
 
 }  // namespace lsmlab

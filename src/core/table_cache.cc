@@ -161,13 +161,13 @@ class TableIterator : public Iterator {
 
 }  // namespace
 
-Iterator* TableCache::NewIterator(const FileMetaPtr& file) {
+Iterator* TableCache::NewIterator(const FileMetaPtr& file, bool fill_cache) {
   std::shared_ptr<SSTable> table;
   Status s = FindTable(*file, &table);
   if (!s.ok()) {
     return NewEmptyIterator(s);
   }
-  Iterator* iter = table->NewIterator();
+  Iterator* iter = table->NewIterator(fill_cache);
   return new TableIterator(iter, std::move(table), file);
 }
 

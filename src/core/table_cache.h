@@ -50,8 +50,9 @@ class TableCache {
   Status FindTable(const FileMetaData& meta, std::shared_ptr<SSTable>* table,
                    std::source_location loc = std::source_location::current());
 
-  /// Iterator over the whole table; pins the file and reader.
-  Iterator* NewIterator(const FileMetaPtr& file);
+  /// Iterator over the whole table; pins the file and reader. With
+  /// `fill_cache` false its block-cache misses are not inserted.
+  Iterator* NewIterator(const FileMetaPtr& file, bool fill_cache = true);
 
   /// Point lookup of sorted `keys` within one table (Get passes one key):
   /// resolves the reader handle once, pinned across the whole probe, and

@@ -208,9 +208,10 @@ class VersionSet {
   VersionPtr current() const { return current_; }
 
   /// Thread-safe: background table builds allocate output numbers while
-  /// the DB mutex is released.
-  uint64_t NewFileNumber() {
-    return next_file_number_.fetch_add(1, std::memory_order_relaxed);
+  /// the DB mutex is released. Reserves `count` consecutive numbers and
+  /// returns the first.
+  uint64_t NewFileNumber(uint64_t count = 1) {
+    return next_file_number_.fetch_add(count, std::memory_order_relaxed);
   }
   /// Ensures future allocations skip `number` — called during recovery for
   /// every file found on storage, so a crash that rolled back the manifest

@@ -9,7 +9,7 @@ namespace lsmlab {
 
 Block::Block(BlockContents&& contents)
     : owned_(std::move(contents.owned)),
-      data_(contents.heap_allocated ? Slice(owned_) : contents.data),
+      data_(contents.data),
       entries_size_(0),
       num_restarts_(0),
       restarts_offset_(0),

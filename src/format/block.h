@@ -2,6 +2,7 @@
 #define LSMLAB_FORMAT_BLOCK_H_
 
 #include <cstdint>
+#include <memory>
 
 #include "format/format.h"
 #include "util/comparator.h"
@@ -57,7 +58,7 @@ class Block {
   /// hash index. Every trailer-driven size check funnels through here.
   void MarkMalformed();
 
-  std::string owned_;
+  std::unique_ptr<char[]> owned_;
   Slice data_;             // full block bytes
   size_t entries_size_;    // bytes of entry region (before restart array)
   uint32_t num_restarts_;

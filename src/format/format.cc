@@ -1,5 +1,7 @@
 #include "format/format.h"
 
+#include <cstring>
+
 #include "obs/perf_context.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
@@ -50,11 +52,18 @@ Status Footer::DecodeFrom(Slice* input) {
   return result;
 }
 
+BlockContents BlockContents::CopyOf(const Slice& bytes) {
+  BlockContents contents;
+  contents.owned = std::make_unique_for_overwrite<char[]>(bytes.size());
+  std::memcpy(contents.owned.get(), bytes.data(), bytes.size());
+  contents.data = Slice(contents.owned.get(), bytes.size());
+  return contents;
+}
+
 Status ReadBlock(RandomAccessFile* file, uint64_t file_size,
                  const BlockHandle& handle, BlockContents* result) {
   result->data = Slice();
-  result->heap_allocated = false;
-  result->owned.clear();
+  result->owned.reset();
 
   // The handle was decoded from untrusted bytes; bound it by the file
   // before sizing any buffer. Subtractions are ordered so nothing wraps.
@@ -65,7 +74,10 @@ Status ReadBlock(RandomAccessFile* file, uint64_t file_size,
   }
 
   const size_t n = static_cast<size_t>(handle.size());
-  result->owned.resize(n + kBlockTrailerSize);
+  // Uninitialized: the read below fills it, and a short read is rejected
+  // before any byte is used. The trailer stays allocated behind the data.
+  std::unique_ptr<char[]> buf =
+      std::make_unique_for_overwrite<char[]>(n + kBlockTrailerSize);
   // PerfContext charges block fetches here — the same call the Env-level
   // IoStats sees — so per-operation byte totals reconcile exactly with the
   // env's bytes_read on read-only workloads.
@@ -74,7 +86,7 @@ Status ReadBlock(RandomAccessFile* file, uint64_t file_size,
   perf->block_read_bytes += n + kBlockTrailerSize;
   Slice contents;
   Status s = file->Read(handle.offset(), n + kBlockTrailerSize, &contents,
-                        result->owned.data());
+                        buf.get());
   if (!s.ok()) {
     return s;
   }
@@ -93,9 +105,8 @@ Status ReadBlock(RandomAccessFile* file, uint64_t file_size,
     return Status::Corruption("unknown block compression type");
   }
 
-  result->owned.resize(n);  // drop trailer
-  result->data = Slice(result->owned.data(), n);
-  result->heap_allocated = true;
+  result->owned = std::move(buf);
+  result->data = Slice(result->owned.get(), n);
   return Status::OK();
 }
 

@@ -2,6 +2,7 @@
 #define LSMLAB_FORMAT_FORMAT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "storage/env.h"
@@ -63,14 +64,16 @@ class Footer {
 /// the block contents + type byte.
 constexpr size_t kBlockTrailerSize = 5;
 
-/// Contents of a block as read from a file. `heap_allocated` is true when
-/// the data was copied into caller-owned memory (POSIX env) rather than
-/// pointing into an env-owned buffer (mem env).
+/// Contents of a block. `data` views `owned` when the block owns its
+/// bytes, else memory that must outlive every Block built from it.
 struct BlockContents {
   Slice data;
-  bool heap_allocated = false;
-  // Owning buffer when heap_allocated; kept so Block can free it.
-  std::string owned;
+  /// ReadBlock allocates this without zero-filling it: the Env read
+  /// overwrites every byte `data` covers.
+  std::unique_ptr<char[]> owned;
+
+  /// Contents owning a copy of `bytes`.
+  static BlockContents CopyOf(const Slice& bytes);
 };
 
 /// Reads the block identified by `handle`, verifying its trailer CRC.

@@ -238,7 +238,8 @@ Status SSTable::ReadMeta(const Footer& footer) {
 
 Status SSTable::GetBlock(const BlockHandle& handle, BlockCache::Ref* ref,
                          std::shared_ptr<const Block>* owned,
-                         const Block** block, uint64_t access_weight) const {
+                         const Block** block, uint64_t access_weight,
+                         bool fill_cache) const {
   *block = nullptr;
   if (block_cache_ != nullptr) {
     *ref = block_cache_->Lookup(file_number_, handle.offset(), access_weight);
@@ -253,7 +254,7 @@ Status SSTable::GetBlock(const BlockHandle& handle, BlockCache::Ref* ref,
     return s;
   }
   auto fresh = std::make_unique<const Block>(std::move(contents));
-  if (block_cache_ != nullptr) {
+  if (block_cache_ != nullptr && fill_cache) {
     *ref = block_cache_->Insert(file_number_, handle.offset(),
                                 std::move(fresh));
     *block = ref->block();
@@ -264,7 +265,8 @@ Status SSTable::GetBlock(const BlockHandle& handle, BlockCache::Ref* ref,
   return Status::OK();
 }
 
-Iterator* SSTable::BlockReader(const Slice& index_value) const {
+Iterator* SSTable::BlockReader(const Slice& index_value,
+                               bool fill_cache) const {
   Slice input = index_value;
   BlockHandle handle;
   Status s = handle.DecodeFrom(&input);
@@ -274,7 +276,7 @@ Iterator* SSTable::BlockReader(const Slice& index_value) const {
   BlockCache::Ref ref;
   std::shared_ptr<const Block> owned;
   const Block* block = nullptr;
-  s = GetBlock(handle, &ref, &owned, &block);
+  s = GetBlock(handle, &ref, &owned, &block, /*access_weight=*/1, fill_cache);
   if (!s.ok()) {
     return NewEmptyIterator(s);
   }
@@ -282,10 +284,12 @@ Iterator* SSTable::BlockReader(const Slice& index_value) const {
                                  std::move(ref), std::move(owned));
 }
 
-Iterator* SSTable::NewIterator() const {
+Iterator* SSTable::NewIterator(bool fill_cache) const {
   return NewTwoLevelIterator(
       index_block_->NewIterator(options_.comparator),
-      [this](const Slice& index_value) { return BlockReader(index_value); });
+      [this, fill_cache](const Slice& index_value) {
+        return BlockReader(index_value, fill_cache);
+      });
 }
 
 bool SSTable::KeyMayMatch(const Slice& searchable_key, uint64_t hash) const {

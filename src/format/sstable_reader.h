@@ -61,8 +61,10 @@ class SSTable {
   SSTable(const SSTable&) = delete;
   SSTable& operator=(const SSTable&) = delete;
 
-  /// Ordered iterator over all entries.
-  Iterator* NewIterator() const;
+  /// Ordered iterator over all entries. With `fill_cache` false, data
+  /// blocks found in the block cache are used but missed ones are read
+  /// into iterator-owned memory and never inserted (compaction inputs).
+  Iterator* NewIterator(bool fill_cache = true) const;
 
   /// Probes the point filter with the searchable key. `hash` must be
   /// Hash64(searchable_key); it is reused across runs (shared hashing).
@@ -114,14 +116,15 @@ class SSTable {
 
   /// Returns an iterator over the data block named by an index-block value
   /// (encoded BlockHandle), reading through the block cache when present.
-  Iterator* BlockReader(const Slice& index_value) const;
+  Iterator* BlockReader(const Slice& index_value, bool fill_cache) const;
 
   /// Fetches (and pins/owns) the block at `handle`. On success *block
   /// points at a Block kept alive by *ref or *owned. `access_weight` is the
-  /// number of keys this fetch serves (see BlockCache::Lookup).
+  /// number of keys this fetch serves (see BlockCache::Lookup). A miss is
+  /// inserted into the block cache only when `fill_cache`.
   Status GetBlock(const BlockHandle& handle, BlockCache::Ref* ref,
                   std::shared_ptr<const Block>* owned, const Block** block,
-                  uint64_t access_weight = 1) const;
+                  uint64_t access_weight = 1, bool fill_cache = true) const;
 
   /// How a block was picked, which decides how keys are resolved in it.
   enum class BlockPick {

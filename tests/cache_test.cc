@@ -153,10 +153,7 @@ std::unique_ptr<const Block> MakeBlock(int tag) {
   BlockBuilder builder(&opts);
   builder.Add("key" + std::to_string(tag), "value");
   Slice raw = builder.Finish();
-  BlockContents contents;
-  contents.owned = raw.ToString();
-  contents.data = Slice(contents.owned);
-  contents.heap_allocated = true;
+  BlockContents contents = BlockContents::CopyOf(raw);
   return std::make_unique<const Block>(std::move(contents));
 }
 
@@ -260,6 +257,57 @@ TEST(TableCacheTest, ErrorPathsDoNotRetainPriorHandle) {
   // reference to its reader.
   cache.Evict(7);
   EXPECT_TRUE(alive.expired());
+}
+
+// ------------------------------------------------------- Compaction reads --
+
+// A compaction reads each input block once and then deletes its file, so
+// its reads use cached blocks but never insert: an L0 -> L1 merge larger
+// than the whole cache leaves a hot block of an untouched L2 run cached.
+TEST(CompactionReadTest, CompactionDoesNotFillBlockCache) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  BlockCache cache(32 << 10);
+  Options options;
+  options.env = env.get();
+  options.block_cache = &cache;
+  options.write_buffer_size = 32 << 10;
+  options.max_file_size = 16 << 10;
+  options.size_ratio = 4;
+  options.level0_compaction_trigger = 4;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  for (int i = 0; i < 8000; i++) {
+    ASSERT_TRUE(
+        db->Put({}, "a" + std::to_string(100000 + i), std::string(100, 'a'))
+            .ok());
+  }
+  ASSERT_TRUE(db->CompactAll().ok());
+  const DBStats loaded = db->GetStats();
+  ASSERT_EQ(loaded.total_runs, 1) << db->DebugShape();
+  ASSERT_EQ(loaded.runs_per_level[2], 1) << db->DebugShape();
+
+  std::string value;
+  const std::string hot = "a" + std::to_string(104000);
+  ASSERT_TRUE(db->Get({}, hot, &value).ok());  // caches the hot block
+  const LruCache::Stats before = cache.GetStats();
+  // Keys above every L2 key: the L0 -> L1 merge overlaps nothing below.
+  for (int i = 0; db->GetStats().compactions == loaded.compactions; i++) {
+    ASSERT_LT(i, 10000) << db->DebugShape();
+    ASSERT_TRUE(
+        db->Put({}, "b" + std::to_string(100000 + i), std::string(100, 'b'))
+            .ok());
+  }
+  const DBStats stats = db->GetStats();
+  ASSERT_EQ(stats.runs_per_level[1], 1) << db->DebugShape();
+  ASSERT_EQ(stats.runs_per_level[2], 1) << db->DebugShape();
+  ASSERT_GT(stats.bytes_compacted - loaded.bytes_compacted,
+            2 * cache.capacity());
+  const LruCache::Stats after = cache.GetStats();
+  EXPECT_EQ(after.inserts, before.inserts);
+
+  ASSERT_TRUE(db->Get({}, hot, &value).ok());
+  EXPECT_EQ(cache.GetStats().hits, after.hits + 1);
+  EXPECT_EQ(cache.GetStats().misses, after.misses);
 }
 
 // ------------------------------------------------------------- Prefetch --

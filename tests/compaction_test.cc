@@ -6,12 +6,18 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/block_cache.h"
 #include "core/db.h"
+#include "core/db_impl.h"
+#include "core/filename.h"
+#include "obs/event_listener.h"
 #include "storage/env.h"
 #include "util/comparator.h"
 #include "workload/keygen.h"
@@ -305,18 +311,208 @@ TEST_F(CompactionShapeTest, MergeCostFollowsRunsNotFiles) {
       << small.compares_per_entry;
 }
 
-// Background merges read each input run through one iterator that opens
-// the run's tables only as the merge reaches them, so table opens happen
-// mid-merge on the worker while readers open and probe tables through the
-// same TableCache. Small files make every run many tables; the TSan CI leg
-// runs this test for that race.
-TEST_F(CompactionShapeTest, BackgroundRunMergesRaceReaders) {
+/// Env that records which threads create table files.
+class TableThreadsEnv : public Env {
+ public:
+  explicit TableThreadsEnv(Env* base) : base_(base) {}
+
+  Status NewRandomAccessFile(
+      const std::string& f, std::unique_ptr<RandomAccessFile>* r) override {
+    return base_->NewRandomAccessFile(f, r);
+  }
+  Status NewWritableFile(const std::string& f,
+                         std::unique_ptr<WritableFile>* r) override {
+    uint64_t number;
+    FileType type;
+    const size_t slash = f.rfind('/');
+    if (ParseFileName(f.substr(slash + 1), &number, &type) &&
+        type == FileType::kTableFile) {
+      std::lock_guard<std::mutex> lock(mu_);
+      threads_.insert(std::this_thread::get_id());
+    }
+    return base_->NewWritableFile(f, r);
+  }
+  Status NewSequentialFile(const std::string& f,
+                           std::unique_ptr<SequentialFile>* r) override {
+    return base_->NewSequentialFile(f, r);
+  }
+  bool FileExists(const std::string& f) override {
+    return base_->FileExists(f);
+  }
+  Status GetChildren(const std::string& d,
+                     std::vector<std::string>* r) override {
+    return base_->GetChildren(d, r);
+  }
+  Status RemoveFile(const std::string& f) override {
+    return base_->RemoveFile(f);
+  }
+  Status CreateDir(const std::string& d) override {
+    return base_->CreateDir(d);
+  }
+  Status GetFileSize(const std::string& f, uint64_t* size) override {
+    return base_->GetFileSize(f, size);
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    return base_->RenameFile(src, target);
+  }
+
+  /// Distinct threads that created a table file since the last call.
+  size_t TakeTableThreads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    const size_t n = threads_.size();
+    threads_.clear();
+    return n;
+  }
+
+ private:
+  Env* base_;
+  std::mutex mu_;
+  std::set<std::thread::id> threads_;
+};
+
+/// Keeps the outputs of the last successful compaction, in key order.
+class CompactionOutputRecorder : public EventListener {
+ public:
+  void OnCompactionEnd(const CompactionJobInfo& info) override {
+    if (info.status.ok()) {
+      outputs = info.outputs;
+    }
+  }
+
+  std::vector<TableFileInfo> outputs;
+};
+
+// A merge of at least two subranges' worth of input is cut at user keys
+// taken from its input files and built subrange by subrange on several
+// threads. The tree it leaves does not depend on the thread count: one
+// thread building every subrange in turn writes byte-identical tables
+// with identical boundaries and file numbers.
+TEST_F(CompactionShapeTest, SubcompactionsMatchSerialMerge) {
+  options_.merge_policy = MergePolicy::kLeveling;
+  options_.write_buffer_size = 16 << 10;
+  options_.max_file_size = 4 << 10;
+  {
+    // One input tree, copied for each thread count. Overwrites and
+    // deletes make shadowed versions and tombstones meet at the subrange
+    // edges.
+    ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+    auto gen = NewUniformGenerator(1 << 14, 7);
+    for (int i = 0; i < 12000; i++) {
+      const std::string key = EncodeKey(gen->Next());
+      ASSERT_TRUE((i % 5 == 4 ? db_->Delete({}, key)
+                              : db_->Put({}, key, ValueForKey(key, 24)))
+                      .ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+    ASSERT_GE(db_->GetStats().total_runs, 3) << db_->DebugShape();
+    db_.reset();
+  }
+  std::vector<std::string> files;
+  ASSERT_TRUE(env_->GetChildren("/db", &files).ok());
+
+  struct Tree {
+    std::vector<std::pair<std::string, std::string>> bounds;
+    std::vector<uint64_t> numbers;
+    std::vector<std::string> tables;  // file images, in key order
+    size_t table_threads = 0;
+  };
+  auto compact = [&](int helpers) -> Tree {
+    const std::string dbname = "/db" + std::to_string(helpers);
+    for (const std::string& f : files) {
+      std::string data;
+      EXPECT_TRUE(ReadFileToString(env_.get(), "/db/" + f, &data).ok());
+      EXPECT_TRUE(WriteStringToFile(env_.get(), data, dbname + "/" + f).ok());
+    }
+    TableThreadsEnv env(env_.get());
+    auto recorder = std::make_shared<CompactionOutputRecorder>();
+    Options options = options_;
+    options.env = &env;
+    options.listeners.push_back(recorder);
+    std::unique_ptr<DB> db;
+    EXPECT_TRUE(DB::Open(options, dbname, &db).ok());
+    static_cast<DBImpl*>(db.get())->TEST_SetSubcompactionHelpers(helpers);
+    EXPECT_TRUE(db->CompactAll().ok());
+    Tree tree;
+    tree.table_threads = env.TakeTableThreads();
+    EXPECT_EQ(db->GetStats().total_runs, 1) << db->DebugShape();
+    for (const TableFileInfo& t : recorder->outputs) {
+      tree.bounds.emplace_back(t.smallest_user_key, t.largest_user_key);
+      tree.numbers.push_back(t.file_number);
+      std::string image;
+      EXPECT_TRUE(ReadFileToString(env_.get(),
+                                   TableFileName(dbname, t.file_number),
+                                   &image)
+                      .ok());
+      tree.tables.push_back(std::move(image));
+    }
+    return tree;
+  };
+
+  const Tree serial = compact(0);
+  const Tree parallel = compact(3);
+  EXPECT_EQ(serial.table_threads, 1u);
+  EXPECT_GT(parallel.table_threads, 1u);
+  ASSERT_GE(serial.bounds.size(), 8u);
+  EXPECT_EQ(serial.bounds, parallel.bounds);
+  EXPECT_EQ(serial.numbers, parallel.numbers);
+  EXPECT_TRUE(serial.tables == parallel.tables);
+  for (size_t i = 1; i < parallel.bounds.size(); i++) {
+    EXPECT_LT(parallel.bounds[i - 1].second, parallel.bounds[i].first) << i;
+    EXPECT_LT(parallel.numbers[i - 1], parallel.numbers[i]) << i;
+  }
+}
+
+// Under a partial file picker no merge is split: each subrange would end
+// its own short last file, which the picker later moves alone for few
+// bytes. The same load under the whole-level picker is split.
+TEST_F(CompactionShapeTest, PartialPickerMergesAreNotSplit) {
+  for (const CompactionFilePicker picker :
+       {CompactionFilePicker::kWholeLevel, CompactionFilePicker::kMinOverlap,
+        CompactionFilePicker::kRoundRobin}) {
+    TableThreadsEnv env(env_.get());
+    Options options = options_;
+    options.env = &env;
+    options.merge_policy = MergePolicy::kLeveling;
+    options.file_picker = picker;
+    options.write_buffer_size = 16 << 10;
+    options.max_file_size = 4 << 10;
+    const std::string dbname = "/db" + std::to_string(static_cast<int>(picker));
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+    static_cast<DBImpl*>(db.get())->TEST_SetSubcompactionHelpers(3);
+    auto gen = NewUniformGenerator(1 << 14, 7);
+    for (int i = 0; i < 12000; i++) {
+      const std::string key = EncodeKey(gen->Next());
+      ASSERT_TRUE(db->Put({}, key, ValueForKey(key, 24)).ok());
+    }
+    ASSERT_TRUE(db->CompactAll().ok());
+    ASSERT_GE(db->GetStats().total_files, 8) << db->DebugShape();
+    if (picker == CompactionFilePicker::kWholeLevel) {
+      EXPECT_GT(env.TakeTableThreads(), 1u);
+    } else {
+      EXPECT_EQ(env.TakeTableThreads(), 1u) << static_cast<int>(picker);
+    }
+  }
+}
+
+// Background merges read each input run through one iterator per
+// subrange that opens the run's tables only as the merge reaches them, so
+// table opens happen mid-merge on the worker and its subcompaction
+// helpers while readers open and probe tables through the same
+// TableCache. Small files make every run many tables and every merge
+// several subranges; the TSan CI leg runs this test for those races.
+TEST_F(CompactionShapeTest, BackgroundSubcompactionsRaceReaders) {
+  TableThreadsEnv env(env_.get());
+  options_.env = &env;
   options_.merge_policy = MergePolicy::kLeveling;
   options_.background_compaction = true;
   options_.write_buffer_size = 16 << 10;
   options_.max_file_size = 4 << 10;
   options_.level0_compaction_trigger = 2;
-  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options_, "/db", &db).ok());
+  static_cast<DBImpl*>(db.get())->TEST_SetSubcompactionHelpers(3);
 
   constexpr int kKeys = 4000;
   std::atomic<bool> done{false};
@@ -327,17 +523,31 @@ TEST_F(CompactionShapeTest, BackgroundRunMergesRaceReaders) {
       std::string value;
       for (int n = r; !done.load(std::memory_order_relaxed); n += 7) {
         const std::string key = EncodeKey(static_cast<uint64_t>(n % kKeys));
-        const Status s = db_->Get({}, key, &value);
+        const Status s = db->Get({}, key, &value);
         if (!s.ok() && !s.IsNotFound()) {
           bad_reads.fetch_add(1);
         }
-        std::unique_ptr<Iterator> it(db_->NewIterator({}));
+        std::unique_ptr<Iterator> it(db->NewIterator({}));
         int steps = 0;
         for (it->Seek(key); it->Valid() && steps < 20; it->Next()) {
           steps++;
         }
         if (!it->status().ok()) {
           bad_reads.fetch_add(1);
+        }
+        std::vector<std::string> batch_keys;
+        for (int k = 0; k < 8; k++) {
+          batch_keys.push_back(
+              EncodeKey(static_cast<uint64_t>((n + k * 509) % kKeys)));
+        }
+        std::vector<Slice> slices(batch_keys.begin(), batch_keys.end());
+        std::vector<std::string> values;
+        std::vector<Status> statuses;
+        db->MultiGet({}, slices, &values, &statuses);
+        for (const Status& ks : statuses) {
+          if (!ks.ok() && !ks.IsNotFound()) {
+            bad_reads.fetch_add(1);
+          }
         }
       }
     });
@@ -346,11 +556,11 @@ TEST_F(CompactionShapeTest, BackgroundRunMergesRaceReaders) {
   for (int round = 0; round < 2 && s.ok(); round++) {
     for (int i = 0; i < kKeys && s.ok(); i++) {
       const std::string key = EncodeKey(static_cast<uint64_t>(i));
-      s = db_->Put({}, key, ValueForKey(key, 32 + round));
+      s = db->Put({}, key, ValueForKey(key, 32 + round));
     }
   }
   if (s.ok()) {
-    s = db_->CompactAll();
+    s = db->CompactAll();
   }
   done.store(true);
   for (std::thread& t : readers) {
@@ -358,11 +568,13 @@ TEST_F(CompactionShapeTest, BackgroundRunMergesRaceReaders) {
   }
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(bad_reads.load(), 0);
-  EXPECT_GT(db_->GetStats().compactions, 0u);
+  EXPECT_GT(db->GetStats().compactions, 0u);
+  // The worker, the writer (CompactAll) and at least one helper.
+  EXPECT_GT(env.TakeTableThreads(), 2u);
   std::string value;
   for (int i = 0; i < kKeys; i++) {
     const std::string key = EncodeKey(static_cast<uint64_t>(i));
-    ASSERT_TRUE(db_->Get({}, key, &value).ok()) << i;
+    ASSERT_TRUE(db->Get({}, key, &value).ok()) << i;
     EXPECT_EQ(value, ValueForKey(key, 33)) << i;
   }
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/db.h"
+#include "core/db_impl.h"
 #include "core/filename.h"
 #include "format/sstable_builder.h"
 #include "format/sstable_reader.h"
@@ -320,12 +321,13 @@ std::set<std::string> TableFiles(Env* env, const std::string& dbname) {
   return tables;
 }
 
-// A compaction reads each input run through one iterator that opens the
-// run's tables only as the merge reaches them. A corrupt data block in a
-// table opened that late must still fail the whole compaction: nothing is
-// installed, the intact inputs keep serving reads, and the partial outputs
-// are swept as orphans on the next open.
-TEST(CorruptionTest, CompactionFailsOnLazilyOpenedCorruptInput) {
+/// Builds an L1 run of at least eight files under a newer L0 run spanning
+/// it, flips a byte in the first data block of the run's file `victim`
+/// (counted from the end when negative), and compacts the two runs with
+/// `helpers` subcompaction helper threads. The compaction must fail as a
+/// whole: nothing is installed, the intact inputs keep serving reads, and
+/// the outputs already built are swept as orphans on the next open.
+void CompactOverCorruptInput(int victim, int helpers) {
   std::unique_ptr<Env> env(NewMemEnv());
   auto recorder = std::make_shared<CompactionOutputRecorder>();
   Options options;
@@ -346,7 +348,8 @@ TEST(CorruptionTest, CompactionFailsOnLazilyOpenedCorruptInput) {
     ASSERT_TRUE(db->CompactAll().ok());
     ASSERT_EQ(recorder->output_level, 1) << db->DebugShape();
     run = recorder->outputs;
-    ASSERT_GE(run.size(), 3u) << db->DebugShape();
+    // Eight 8 KiB files: at least two subranges of 4 x max_file_size.
+    ASSERT_GE(run.size(), 8u) << db->DebugShape();
     // A newer L0 run spanning the whole key range, so the next CompactAll
     // merges it with every file of the L1 run.
     for (int i = 0; i < kKeys; i += 50) {
@@ -356,12 +359,12 @@ TEST(CorruptionTest, CompactionFailsOnLazilyOpenedCorruptInput) {
     ASSERT_EQ(db->GetStats().total_runs, 2) << db->DebugShape();
   }
 
-  // Flip a byte inside the first data block of the run's second file.
-  const std::string victim = TableFileName(dbname, run[1].file_number);
+  const TableFileInfo& bad = run[victim >= 0 ? victim : run.size() + victim];
+  const std::string victim_name = TableFileName(dbname, bad.file_number);
   std::string image;
-  ASSERT_TRUE(ReadFileToString(env.get(), victim, &image).ok());
+  ASSERT_TRUE(ReadFileToString(env.get(), victim_name, &image).ok());
   image[10] = static_cast<char>(image[10] ^ 0xff);
-  ASSERT_TRUE(WriteStringToFile(env.get(), image, victim).ok());
+  ASSERT_TRUE(WriteStringToFile(env.get(), image, victim_name).ok());
 
   const std::set<std::string> tables_before = TableFiles(env.get(), dbname);
   auto expect_intact_reads = [&](DB* db) {
@@ -380,6 +383,9 @@ TEST(CorruptionTest, CompactionFailsOnLazilyOpenedCorruptInput) {
   {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+    if (helpers >= 0) {
+      static_cast<DBImpl*>(db.get())->TEST_SetSubcompactionHelpers(helpers);
+    }
     const std::string shape = db->DebugShape();
     const Status s = db->CompactAll();
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
@@ -391,6 +397,24 @@ TEST(CorruptionTest, CompactionFailsOnLazilyOpenedCorruptInput) {
     ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
     EXPECT_EQ(TableFiles(env.get(), dbname), tables_before);
     expect_intact_reads(db.get());
+  }
+}
+
+// A compaction reads each input run through one iterator that opens the
+// run's tables only as the merge reaches them. A corrupt data block in a
+// table opened that late must still fail the whole compaction.
+TEST(CorruptionTest, CompactionFailsOnLazilyOpenedCorruptInput) {
+  CompactOverCorruptInput(/*victim=*/1, /*helpers=*/-1);
+}
+
+// The merge above is cut into subranges (one per 4 x max_file_size of
+// input). A corrupt block in the run's last file is read only by the last
+// subrange, after (serially) or while (with helpers) the others build
+// their outputs; it still fails the whole compaction.
+TEST(CorruptionTest, CompactionFailsOnCorruptInputOfLaterSubrange) {
+  for (const int helpers : {0, 3}) {
+    SCOPED_TRACE(helpers);
+    CompactOverCorruptInput(/*victim=*/-1, helpers);
   }
 }
 

@@ -6,15 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <condition_variable>
+#include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/db.h"
+#include "core/db_impl.h"
 #include "core/sharded_db.h"
+#include "obs/event_listener.h"
 #include "storage/fault_env.h"
 #include "util/random.h"
 #include "workload/keygen.h"
@@ -320,6 +325,134 @@ TEST_F(CrashTest, KillPointFailsAllWritesAfterTrigger) {
   EXPECT_GT(failures, 0);
   EXPECT_FALSE(env_->kill_file().empty());
   EXPECT_EQ(env_->write_ops() - base_ops, 3u);
+}
+
+/// Arms the env's kill point at the end of the next flush, so the count
+/// starts at the compaction the background worker runs right after it,
+/// and reports that compaction's status.
+class KillAfterFlush : public EventListener {
+ public:
+  explicit KillAfterFlush(FaultInjectionEnv* env) : env_(env) {}
+
+  void Arm(uint64_t ops) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ops_ = ops;
+  }
+  void OnFlushEnd(const FlushJobInfo& /*info*/) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (ops_.has_value()) {
+      env_->ArmKillPoint(*ops_);
+      ops_.reset();
+      armed_ = true;
+    }
+  }
+  void OnCompactionEnd(const CompactionJobInfo& info) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (armed_) {
+      status_ = info.status;
+      cv_.notify_all();
+    }
+  }
+  /// The status of the first compaction after the armed flush.
+  Status Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return status_.has_value(); });
+    return *status_;
+  }
+
+ private:
+  FaultInjectionEnv* const env_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<uint64_t> ops_;
+  bool armed_ = false;
+  std::optional<Status> status_;
+};
+
+// A background compaction split into subranges, killed at each write-op
+// boundary in turn: in one subrange's table while the other subranges
+// build theirs, or in the manifest install. It installs nothing, its
+// failure sticks in bg_error_ as any background failure does, and every
+// acknowledged key still reads back.
+TEST_F(CrashTest, FailedSubcompactionInstallsNothing) {
+  options_.background_compaction = true;
+  options_.write_buffer_size = 16 << 10;
+  options_.max_file_size = 4 << 10;
+  options_.size_ratio = 10;
+  constexpr int kKeys = 1000;
+  std::map<std::string, std::string> model;
+  auto put = [&](DB* db, int i, const std::string& value) {
+    const std::string key = EncodeKey(static_cast<uint64_t>(i));
+    ASSERT_TRUE(db->Put({}, key, value).ok());
+    model[key] = value;
+  };
+  // The starting tree, copied for every kill point: one L1 run under one
+  // L0 run.
+  Open();
+  for (int i = 0; i < kKeys; i++) {
+    put(db_.get(), i, std::string(40, 'o'));
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+  for (int i = 0; i < kKeys; i += 7) {
+    put(db_.get(), i, "a");
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  const DBStats shape = db_->GetStats();
+  ASSERT_EQ(shape.runs_per_level[0], 1) << db_->DebugShape();
+  ASSERT_EQ(shape.runs_per_level[1], 1) << db_->DebugShape();
+  db_.reset();
+  std::vector<std::string> files;
+  ASSERT_TRUE(base_env_->GetChildren("/db", &files).ok());
+  for (int i = 3; i < kKeys; i += 7) {
+    model[EncodeKey(static_cast<uint64_t>(i))] = "b";
+  }
+
+  int failures = 0;
+  bool completed = false;
+  for (uint64_t kill_at = 1; !completed; kill_at += 11) {
+    ASSERT_LT(kill_at, 5000u) << "the compaction never completed";
+    std::unique_ptr<Env> disk(NewMemEnv());
+    for (const std::string& f : files) {
+      std::string data;
+      ASSERT_TRUE(ReadFileToString(base_env_.get(), "/db/" + f, &data).ok());
+      ASSERT_TRUE(WriteStringToFile(disk.get(), data, "/db/" + f).ok());
+    }
+    FaultInjectionEnv env(disk.get());
+    auto listener = std::make_shared<KillAfterFlush>(&env);
+    Options options = options_;
+    options.env = &env;
+    options.listeners.push_back(listener);
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    static_cast<DBImpl*>(db.get())->TEST_SetSubcompactionHelpers(3);
+    // A second L0 run over the whole L1 run: its flush triggers an
+    // L0 -> L1 merge of several subranges.
+    for (int i = 3; i < kKeys; i += 7) {
+      ASSERT_TRUE(db->Put({}, EncodeKey(static_cast<uint64_t>(i)), "b").ok());
+    }
+    listener->Arm(kill_at);
+    // The flush itself succeeds; Flush may return after the compaction
+    // that follows it has already failed, with that failure.
+    const Status flushed = db->Flush();
+    const Status s = listener->Wait();
+    env.ArmKillPoint(std::numeric_limits<uint64_t>::max());  // disk works
+    if (!flushed.ok()) {
+      EXPECT_EQ(flushed.ToString(), s.ToString()) << kill_at;
+    }
+    if (s.ok()) {
+      completed = true;
+    } else {
+      failures++;
+      EXPECT_EQ(db->GetStats().total_runs, 3) << kill_at << db->DebugShape();
+      EXPECT_FALSE(db->Put({}, "after", "x").ok()) << kill_at;
+    }
+    std::string value;
+    for (const auto& [key, want] : model) {
+      ASSERT_TRUE(db->Get({}, key, &value).ok()) << kill_at;
+      ASSERT_EQ(value, want) << kill_at;
+    }
+  }
+  EXPECT_GE(failures, 10);
 }
 
 TEST_F(CrashTest, KillPointMatrixIsPrefixConsistent) {

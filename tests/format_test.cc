@@ -38,10 +38,7 @@ class BlockTest : public ::testing::Test {
       builder.Add(k, v);
     }
     Slice raw = builder.Finish();
-    BlockContents contents;
-    contents.owned = raw.ToString();
-    contents.data = Slice(contents.owned);
-    contents.heap_allocated = true;
+    BlockContents contents = BlockContents::CopyOf(raw);
     return std::make_unique<Block>(std::move(contents));
   }
 
@@ -205,10 +202,7 @@ TEST_F(BlockTest, EntryLengthOverflowIsCorruption) {
   PutFixed32(&raw, 0);            // restart array: one restart at offset 0
   PutFixed32(&raw, 1);            // trailer: num_restarts = 1
 
-  BlockContents contents;
-  contents.owned = raw;
-  contents.data = Slice(contents.owned);
-  contents.heap_allocated = true;
+  BlockContents contents = BlockContents::CopyOf(raw);
   Block block(std::move(contents));
   std::unique_ptr<Iterator> it(block.NewIterator(BytewiseComparator()));
   it->SeekToFirst();
@@ -227,10 +221,7 @@ TEST_F(BlockTest, RestartPointBeyondEntriesIsRejected) {
   PutFixed32(&raw, 0x7fffffff);  // restart far beyond the entry region
   PutFixed32(&raw, 1);           // trailer: num_restarts = 1
 
-  BlockContents contents;
-  contents.owned = raw;
-  contents.data = Slice(contents.owned);
-  contents.heap_allocated = true;
+  BlockContents contents = BlockContents::CopyOf(raw);
   Block block(std::move(contents));
   std::unique_ptr<Iterator> it(block.NewIterator(BytewiseComparator()));
   it->SeekToFirst();
@@ -568,10 +559,7 @@ TEST(TwoLevelIteratorTest, ComposesIndexAndData) {
   index.Add("2", "b");
   index.Add("3", "c");
   Slice raw = index.Finish();
-  BlockContents contents;
-  contents.owned = raw.ToString();
-  contents.data = Slice(contents.owned);
-  contents.heap_allocated = true;
+  BlockContents contents = BlockContents::CopyOf(raw);
   Block block(std::move(contents));
 
   auto factory = [](const Slice& value) -> Iterator* {

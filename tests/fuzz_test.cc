@@ -40,10 +40,7 @@ Status ProbeKey(const SSTable& table, const std::string& key) {
 
 TEST(FuzzTest, BlockParserNeverCrashes) {
   for (const std::string& input : FuzzInputs(1, 300)) {
-    BlockContents contents;
-    contents.owned = input;
-    contents.data = Slice(contents.owned);
-    contents.heap_allocated = true;
+    BlockContents contents = BlockContents::CopyOf(input);
     Block block(std::move(contents));
     std::unique_ptr<Iterator> it(block.NewIterator(BytewiseComparator()));
     it->SeekToFirst();

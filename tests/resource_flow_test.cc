@@ -37,10 +37,7 @@ std::unique_ptr<const Block> OneEntryBlock() {
   BlockBuilder builder(&opts);
   builder.Add("key", "value");
   Slice raw = builder.Finish();
-  BlockContents contents;
-  contents.owned = raw.ToString();
-  contents.data = Slice(contents.owned);
-  contents.heap_allocated = true;
+  BlockContents contents = BlockContents::CopyOf(raw);
   return std::make_unique<const Block>(std::move(contents));
 }
 

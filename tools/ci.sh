@@ -30,8 +30,8 @@
 #   tsan-obs       ThreadSanitizer build, observability tests only (fast
 #                  race check over the PerfContext/StatsRegistry/listener
 #                  counter paths, compaction_test's lazily opened merge
-#                  inputs, plus property_test's background rows; subset
-#                  of `tsan`)
+#                  inputs and subcompactions, plus property_test's
+#                  background rows; subset of `tsan`)
 #   asan-ubsan     Address+UB sanitizer builds + full ctest
 #   fuzz-smoke     libFuzzer harnesses (LSMLAB_FUZZ build, clang only),
 #                  10k runs per target from the checked-in seed corpora
@@ -162,11 +162,19 @@ leg_tsan_obs() {
   # (MultiGet and batches fan out on the router's dispatch pool).
   GTEST_FILTER='*background*:*sharded*' ctest --test-dir build-ci-tsan \
       --output-on-failure -R property_test
-  # Background run merges: input tables open mid-merge on the worker while
-  # readers open and probe tables through the same TableCache. (The
-  # inline shape tests add minutes under TSan and no threads.)
-  GTEST_FILTER='*Background*' ctest --test-dir build-ci-tsan \
+  # Background run merges: input tables open mid-merge on the worker and
+  # its subcompaction helpers while readers open and probe tables through
+  # the same TableCache. Subcompactions: helper threads building one
+  # merge's subranges, with the serial merge as the reference, over a
+  # corrupt input, and without filling the block cache. (The inline shape
+  # tests add minutes under TSan and no threads; crash_test above already
+  # runs the failed-subcompaction kill-point sweep.)
+  GTEST_FILTER='*Background*:*Subcompaction*' ctest --test-dir build-ci-tsan \
       --output-on-failure -R compaction_test
+  GTEST_FILTER='*Subrange*' ctest --test-dir build-ci-tsan \
+      --output-on-failure -R corruption_test
+  GTEST_FILTER='CompactionRead*' ctest --test-dir build-ci-tsan \
+      --output-on-failure -R cache_test
 }
 
 leg_asan_ubsan() {
