@@ -175,7 +175,9 @@ class DB {
   /// for unknown names. Known properties:
   ///   "lsmlab.stats"         — StatsRegistry dump: every ticker as a
   ///                            "ticker.<name>=<value>" line, then one
-  ///                            summary line per phase histogram.
+  ///                            summary line per phase histogram. The
+  ///                            ticker fields of DBStats read the same
+  ///                            registry, so the two always agree.
   ///   "lsmlab.perf-context"  — the calling thread's PerfContext
   ///                            (thread-local; reflects this thread's ops).
   ///   "lsmlab.io-stats"      — the Env's logical-I/O counters.

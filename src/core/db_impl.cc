@@ -636,10 +636,8 @@ void DBImpl::BackgroundCall() {
 bool DBImpl::BackgroundStep(PendingEvents* events) {
   if (imm_ != nullptr) {
     // Flush has priority: a pending imm_ is what stalls writers.
-    // status-ok: failures are sticky in bg_error_, which the caller's
-    // loop checks.
-    FlushImmMemTable(events).IgnoreError();
-    return true;
+    // A failure is also sticky in bg_error_, which stops both loops.
+    return FlushImmMemTable(events).ok();
   }
   if (manual_compaction_) {
     // CompactAll owns the compaction token; it drains the shape itself.
@@ -1685,63 +1683,76 @@ void DBImpl::ReleaseSnapshot(const Snapshot* snapshot) {
 
 // ------------------------------------------------------------------ Stats --
 
-DBStats DBImpl::GetStats() {
+DBStats TickerStats(const StatsSnapshot& snap) {
   DBStats stats;
+  stats.bytes_flushed = snap.Get(Ticker::kBytesFlushed);
+  stats.bytes_compacted = snap.Get(Ticker::kBytesCompacted);
+  stats.compactions = snap.Get(Ticker::kCompactions);
+  stats.flushes = snap.Get(Ticker::kFlushes);
+  stats.writes = snap.Get(Ticker::kWrites);
+  stats.group_commits = snap.Get(Ticker::kWalGroupCommits);
+  stats.group_followers = snap.Get(Ticker::kWalGroupFollowers);
+  stats.wal_syncs = snap.Get(Ticker::kWalSyncs);
+  stats.wal_sync_skipped = snap.Get(Ticker::kWalSyncSkipped);
+  stats.vlog_syncs = snap.Get(Ticker::kVlogSyncs);
+  stats.parallel_applies = snap.Get(Ticker::kMemtableParallelApplies);
+  stats.serial_applies = snap.Get(Ticker::kMemtableSerialApplies);
+  stats.insert_cas_retries = snap.Get(Ticker::kMemtableInsertCasRetries);
+  stats.write_slowdowns = snap.Get(Ticker::kWriteSlowdowns);
+  stats.write_stalls = snap.Get(Ticker::kWriteStalls);
+  stats.write_slowdown_micros = snap.Get(Ticker::kWriteSlowdownMicros);
+  stats.write_stall_micros = snap.Get(Ticker::kWriteStallMicros);
+  stats.gets = snap.Get(Ticker::kGets);
+  stats.gets_found = snap.Get(Ticker::kGetsFound);
+  stats.memtable_hits = snap.Get(Ticker::kMemtableHits);
+  stats.runs_probed = snap.Get(Ticker::kRunsProbed);
+  stats.filter_skips = snap.Get(Ticker::kFilterSkips);
+  stats.range_filter_skips = snap.Get(Ticker::kRangeFilterSkips);
+  stats.hash_index_hits = snap.Get(Ticker::kHashIndexHits);
+  stats.hash_index_absent = snap.Get(Ticker::kHashIndexAbsent);
+  stats.learned_index_seeks = snap.Get(Ticker::kLearnedIndexSeeks);
+  stats.multigets = snap.Get(Ticker::kMultiGets);
+  stats.multiget_keys = snap.Get(Ticker::kMultiGetKeys);
+  stats.multiget_filter_pruned = snap.Get(Ticker::kMultiGetFilterPruned);
+  stats.multiget_coalesced_block_hits =
+      snap.Get(Ticker::kMultiGetCoalescedBlockHits);
+  stats.separated_reads = snap.Get(Ticker::kSeparatedReads);
+  return stats;
+}
+
+void DBImpl::AddShapeAndGauges(DBStats* stats) {
   MutexLock lock(&mu_);
   VersionPtr v = versions_->current();
-  stats.num_levels = v->num_levels();
-  stats.total_runs = v->TotalRuns();
-  stats.total_files = v->NumFiles();
-  for (const LevelState& level : v->levels()) {
-    stats.runs_per_level.push_back(static_cast<int>(level.runs.size()));
-    stats.bytes_per_level.push_back(level.TotalBytes());
-    stats.total_bytes += level.TotalBytes();
+  const std::vector<LevelState>& levels = v->levels();
+  stats->num_levels = std::max(stats->num_levels, v->num_levels());
+  stats->total_runs += v->TotalRuns();
+  stats->total_files += v->NumFiles();
+  if (stats->runs_per_level.size() < levels.size()) {
+    stats->runs_per_level.resize(levels.size(), 0);
+    stats->bytes_per_level.resize(levels.size(), 0);
   }
-  stats.bytes_flushed = stats_.Get(Ticker::kBytesFlushed);
-  stats.bytes_compacted = stats_.Get(Ticker::kBytesCompacted);
-  stats.compactions = stats_.Get(Ticker::kCompactions);
-  stats.flushes = stats_.Get(Ticker::kFlushes);
-  stats.gets = stats_.Get(Ticker::kGets);
-  stats.gets_found = stats_.Get(Ticker::kGetsFound);
-  stats.memtable_hits = stats_.Get(Ticker::kMemtableHits);
-  stats.runs_probed = stats_.Get(Ticker::kRunsProbed);
-  stats.filter_skips = stats_.Get(Ticker::kFilterSkips);
-  stats.range_filter_skips = stats_.Get(Ticker::kRangeFilterSkips);
-  stats.multigets = stats_.Get(Ticker::kMultiGets);
-  stats.multiget_keys = stats_.Get(Ticker::kMultiGetKeys);
-  stats.multiget_filter_pruned = stats_.Get(Ticker::kMultiGetFilterPruned);
-  stats.multiget_coalesced_block_hits =
-      stats_.Get(Ticker::kMultiGetCoalescedBlockHits);
-  stats.write_slowdowns = stats_.Get(Ticker::kWriteSlowdowns);
-  stats.write_stalls = stats_.Get(Ticker::kWriteStalls);
-  stats.write_slowdown_micros = stats_.Get(Ticker::kWriteSlowdownMicros);
-  stats.write_stall_micros = stats_.Get(Ticker::kWriteStallMicros);
-  stats.writes = stats_.Get(Ticker::kWrites);
-  stats.group_commits = stats_.Get(Ticker::kWalGroupCommits);
-  stats.group_followers = stats_.Get(Ticker::kWalGroupFollowers);
-  stats.wal_syncs = stats_.Get(Ticker::kWalSyncs);
-  stats.wal_sync_skipped = stats_.Get(Ticker::kWalSyncSkipped);
-  stats.vlog_syncs = stats_.Get(Ticker::kVlogSyncs);
-  stats.parallel_applies = stats_.Get(Ticker::kMemtableParallelApplies);
-  stats.serial_applies = stats_.Get(Ticker::kMemtableSerialApplies);
-  stats.insert_cas_retries = stats_.Get(Ticker::kMemtableInsertCasRetries);
-  const SSTable::Counters counters = table_cache_->AggregateCounters();
-  stats.hash_index_hits = counters.hash_index_hits;
-  stats.hash_index_absent = counters.hash_index_absent;
-  stats.learned_index_seeks = counters.learned_index_seeks;
-  stats.index_filter_memory = table_cache_->IndexMemoryUsage();
+  for (size_t i = 0; i < levels.size(); i++) {
+    stats->runs_per_level[i] += static_cast<int>(levels[i].runs.size());
+    stats->bytes_per_level[i] += levels[i].TotalBytes();
+    stats->total_bytes += levels[i].TotalBytes();
+  }
+  stats->index_filter_memory += table_cache_->IndexMemoryUsage();
   if (vlog_ != nullptr) {
-    stats.value_log_bytes = vlog_->TotalBytes();
-    stats.value_log_files = vlog_->NumFiles();
-    stats.separated_reads = stats_.Get(Ticker::kSeparatedReads);
+    stats->value_log_bytes += vlog_->TotalBytes();
+    stats->value_log_files += vlog_->NumFiles();
   }
+}
+
+DBStats DBImpl::GetStats() {
+  DBStats stats = TickerStats(stats_.Snapshot());
+  AddShapeAndGauges(&stats);
   return stats;
 }
 
 bool DBImpl::GetProperty(const Slice& property, std::string* value) {
   value->clear();
   if (property == Slice("lsmlab.stats")) {
-    *value = stats_.Dump();
+    *value = stats_.Snapshot().ToString();
     return true;
   }
   if (property == Slice("lsmlab.perf-context")) {

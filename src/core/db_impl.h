@@ -32,6 +32,11 @@ namespace lsmlab {
 inline constexpr char kVlogInlineTag = 0x00;
 inline constexpr char kVlogPointerTag = 0x01;
 
+/// The ticker fields of DBStats, read from a snapshot of one registry or
+/// of several merged. Shape and gauges stay zero; DBImpl::AddShapeAndGauges
+/// adds them.
+DBStats TickerStats(const StatsSnapshot& snap);
+
 class DBImpl : public DB {
  public:
   /// `shared_bg_pool` (optional) is a caller-owned ThreadPool to run this
@@ -92,6 +97,14 @@ class DBImpl : public DB {
   DBStats GetStats() override;
   bool GetProperty(const Slice& property, std::string* value) override;
   std::string DebugShape() override;
+
+  /// GetStats' two halves, public so ShardedDB builds its DBStats from
+  /// the same code: a copy of this DB's registry, and the addition of its
+  /// shape (levels, runs, files, bytes per level, growing the per-level
+  /// vectors as needed) and gauges (index memory, value-log bytes and
+  /// files) into `*stats`.
+  StatsSnapshot SnapshotStats() const { return stats_.Snapshot(); }
+  void AddShapeAndGauges(DBStats* stats) EXCLUDES(mu_);
 
   /// True iff the calling thread holds the DB mutex. Test hook for the
   /// listener contract ("callbacks never run under mu_"). Holder tracking

@@ -151,7 +151,6 @@ size_t DBImpl::LookupKeys(const ReadOptions& options,
     Status mem_status;
     if (mem->Get(ks.lkey, ks.value, &mem_status) ||
         (imm != nullptr && imm->Get(ks.lkey, ks.value, &mem_status))) {
-      stats_.Add(Ticker::kMemtableHits);
       GetPerfContext()->memtable_hit_count++;
       ks.state = mem_status.ok() ? KeyState::kFound : KeyState::kDeleted;
     } else {

@@ -401,113 +401,23 @@ Status ShardedDB::GarbageCollectValues() {
 
 // -------------------------------------------------------- Observability --
 
-DBStats ShardedDB::GetStats() {
-  DBStats total;
+StatsSnapshot ShardedDB::MergedStats() const {
+  // Each shard copies its histograms under its own hist_mu_; the merge
+  // runs with no lock held (all hist_mu_ share one rank).
+  StatsSnapshot merged;
   for (const auto& shard : shards_) {
-    const DBStats stats = shard->GetStats();
-    total.num_levels = std::max(total.num_levels, stats.num_levels);
-    total.total_runs += stats.total_runs;
-    total.total_files += stats.total_files;
-    total.total_bytes += stats.total_bytes;
-    if (total.runs_per_level.size() < stats.runs_per_level.size()) {
-      total.runs_per_level.resize(stats.runs_per_level.size(), 0);
-      total.bytes_per_level.resize(stats.bytes_per_level.size(), 0);
-    }
-    for (size_t i = 0; i < stats.runs_per_level.size(); i++) {
-      total.runs_per_level[i] += stats.runs_per_level[i];
-      total.bytes_per_level[i] += stats.bytes_per_level[i];
-    }
-    total.bytes_flushed += stats.bytes_flushed;
-    total.bytes_compacted += stats.bytes_compacted;
-    total.compactions += stats.compactions;
-    total.flushes += stats.flushes;
-    total.writes += stats.writes;
-    total.group_commits += stats.group_commits;
-    total.group_followers += stats.group_followers;
-    total.wal_syncs += stats.wal_syncs;
-    total.wal_sync_skipped += stats.wal_sync_skipped;
-    total.vlog_syncs += stats.vlog_syncs;
-    total.parallel_applies += stats.parallel_applies;
-    total.serial_applies += stats.serial_applies;
-    total.insert_cas_retries += stats.insert_cas_retries;
-    total.write_slowdowns += stats.write_slowdowns;
-    total.write_stalls += stats.write_stalls;
-    total.write_slowdown_micros += stats.write_slowdown_micros;
-    total.write_stall_micros += stats.write_stall_micros;
-    total.gets += stats.gets;
-    total.gets_found += stats.gets_found;
-    total.memtable_hits += stats.memtable_hits;
-    total.runs_probed += stats.runs_probed;
-    total.filter_skips += stats.filter_skips;
-    total.range_filter_skips += stats.range_filter_skips;
-    total.hash_index_hits += stats.hash_index_hits;
-    total.hash_index_absent += stats.hash_index_absent;
-    total.learned_index_seeks += stats.learned_index_seeks;
-    total.index_filter_memory += stats.index_filter_memory;
-    total.multigets += stats.multigets;
-    total.multiget_keys += stats.multiget_keys;
-    total.multiget_filter_pruned += stats.multiget_filter_pruned;
-    total.multiget_coalesced_block_hits += stats.multiget_coalesced_block_hits;
-    total.value_log_bytes += stats.value_log_bytes;
-    total.value_log_files += stats.value_log_files;
-    total.separated_reads += stats.separated_reads;
+    merged += shard->SnapshotStats();
   }
-  return total;
+  return merged;
 }
 
-namespace {
-
-/// Sums "ticker.<name>=<value>" lines across per-shard dumps (order and
-/// set of tickers is identical in every dump), and collects non-ticker
-/// lines (histograms) per shard under a "shard.<k>." prefix.
-std::string AggregateStatsDumps(const std::vector<std::string>& dumps) {
-  std::vector<std::string> ticker_names;   // first-seen order
-  std::vector<uint64_t> ticker_totals;
-  std::string histograms;
-  for (size_t k = 0; k < dumps.size(); k++) {
-    size_t ticker_index = 0;
-    size_t pos = 0;
-    const std::string& dump = dumps[k];
-    while (pos < dump.size()) {
-      size_t eol = dump.find('\n', pos);
-      if (eol == std::string::npos) {
-        eol = dump.size();
-      }
-      const std::string line = dump.substr(pos, eol - pos);
-      pos = eol + 1;
-      if (line.rfind("ticker.", 0) == 0) {
-        const size_t eq = line.find('=');
-        if (eq == std::string::npos) {
-          continue;
-        }
-        const std::string name = line.substr(0, eq);
-        uint64_t v = 0;
-        for (size_t i = eq + 1; i < line.size(); i++) {
-          if (line[i] < '0' || line[i] > '9') {
-            break;
-          }
-          v = v * 10 + static_cast<uint64_t>(line[i] - '0');
-        }
-        if (ticker_index == ticker_names.size()) {
-          ticker_names.push_back(name);
-          ticker_totals.push_back(0);
-        }
-        ticker_totals[ticker_index] += v;
-        ticker_index++;
-      } else if (!line.empty()) {
-        histograms += "shard." + std::to_string(k) + "." + line + "\n";
-      }
-    }
+DBStats ShardedDB::GetStats() {
+  DBStats stats = TickerStats(MergedStats());
+  for (const auto& shard : shards_) {
+    shard->AddShapeAndGauges(&stats);
   }
-  std::string out;
-  for (size_t i = 0; i < ticker_names.size(); i++) {
-    out += ticker_names[i] + "=" + std::to_string(ticker_totals[i]) + "\n";
-  }
-  out += histograms;
-  return out;
+  return stats;
 }
-
-}  // namespace
 
 bool ShardedDB::GetProperty(const Slice& property, std::string* value) {
   value->clear();
@@ -540,13 +450,7 @@ bool ShardedDB::GetProperty(const Slice& property, std::string* value) {
         Slice("lsmlab." + prop.substr(dot + 1)), value);
   }
   if (property == Slice("lsmlab.stats")) {
-    std::vector<std::string> dumps(num_shards_);
-    for (int k = 0; k < num_shards_; k++) {
-      if (!shards_[k]->GetProperty(property, &dumps[k])) {
-        return false;
-      }
-    }
-    *value = AggregateStatsDumps(dumps);
+    *value = MergedStats().ToString();
     return true;
   }
   // Thread-local (perf-context) and Env-global (io-stats) properties are

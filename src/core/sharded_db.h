@@ -92,9 +92,9 @@ class ShardedDB : public DB {
   ///                                  at once on the shared pool (proof
   ///                                  of cross-shard overlap).
   ///   "lsmlab.shard.<k>.<prop>"    — <prop> forwarded to shard k.
-  ///   "lsmlab.stats"               — tickers summed across shards, then
-  ///                                  each shard's histogram lines
-  ///                                  prefixed "shard.<k>.".
+  ///   "lsmlab.stats"               — the shards' registries merged:
+  ///                                  tickers summed, histograms merged,
+  ///                                  in the unsharded dump's format.
   bool GetProperty(const Slice& property, std::string* value) override;
   std::string DebugShape() override;
 
@@ -114,6 +114,9 @@ class ShardedDB : public DB {
   /// Per-shard view of the caller's ReadOptions: a sharded snapshot is
   /// translated to shard `shard`'s member of the snapshot vector.
   ReadOptions ShardReadOptions(const ReadOptions& options, int shard) const;
+  /// Every shard's StatsRegistry snapshot, merged: what GetStats and
+  /// "lsmlab.stats" report.
+  StatsSnapshot MergedStats() const;
   /// NewIterator and Scan's one builder: merges every shard's
   /// DBImpl::NewReadIterator, bounded by `range` when set.
   Iterator* NewMergedIterator(const ReadOptions& options,

@@ -201,17 +201,6 @@ void TableCache::Evict(uint64_t file_number) {
   tables_.erase(file_number);
 }
 
-SSTable::Counters TableCache::AggregateCounters() const {
-  SSTable::Counters total;
-  MutexLock lock(&mu_);
-  for (const auto& [number, table] : tables_) {
-    total.hash_index_hits += table->counters().hash_index_hits;
-    total.hash_index_absent += table->counters().hash_index_absent;
-    total.learned_index_seeks += table->counters().learned_index_seeks;
-  }
-  return total;
-}
-
 size_t TableCache::IndexMemoryUsage() const {
   size_t total = 0;
   MutexLock lock(&mu_);

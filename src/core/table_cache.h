@@ -69,9 +69,6 @@ class TableCache {
 
   void Evict(uint64_t file_number);
 
-  /// Aggregated learned/hash-index counters across open tables.
-  SSTable::Counters AggregateCounters() const;
-
   /// Total in-memory index+filter bytes across open tables.
   size_t IndexMemoryUsage() const;
 

@@ -473,7 +473,6 @@ void SSTable::LookupPass(std::span<BatchGetContext* const> keys,
         close(i);  // beyond the last fence: absent from this table
         continue;
       }
-      counters_.learned_index_seeks++;
       GetPerfContext()->learned_index_seek_count++;
       ordinal = block_idx;
       Slice handle_value(block_handles_[block_idx]);
@@ -558,13 +557,11 @@ void SSTable::LookupInBlock(const BlockHandle& handle,
     switch (hashed ? block->HashLookup(Hash32(ctx->searchable), &restart)
                    : Block::HashResult::kNoIndex) {
       case Block::HashResult::kAbsent:
-        counters_.hash_index_absent++;
         GetPerfContext()->hash_index_absent_count++;
         continue;
       case Block::HashResult::kFound:
         // The restart group of the newest version of the user key: scan to
         // the first entry >= target.
-        counters_.hash_index_hits++;
         GetPerfContext()->hash_index_hit_count++;
         iter->SeekToRestart(restart);
         while (iter->Valid() &&

@@ -100,14 +100,6 @@ class SSTable {
   /// Bytes of in-memory metadata (index + filters + learned model).
   size_t IndexMemoryUsage() const;
 
-  /// Per-table read-path counters (monotonic; summed by DB stats).
-  struct Counters {
-    mutable uint64_t hash_index_hits = 0;     // definitive hash-index seeks
-    mutable uint64_t hash_index_absent = 0;   // proven-absent via hash index
-    mutable uint64_t learned_index_seeks = 0;
-  };
-  const Counters& counters() const { return counters_; }
-
  private:
   SSTable(const TableOptions& options, uint64_t file_number,
           BlockCache* block_cache);
@@ -168,7 +160,6 @@ class SSTable {
   std::string range_filter_data_;
   bool has_range_filter_ = false;
   TableProperties props_;
-  Counters counters_;
 
   // Partitioned filters (§II-2 [89]): one filter blob per data block,
   // fetched through the block cache on demand.

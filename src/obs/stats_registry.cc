@@ -138,6 +138,7 @@ void StatsRegistry::MergePerfDelta(const PerfContext& delta) {
   add(Ticker::kLearnedIndexSeeks, delta.learned_index_seek_count);
   add(Ticker::kHashIndexHits, delta.hash_index_hit_count);
   add(Ticker::kHashIndexAbsent, delta.hash_index_absent_count);
+  add(Ticker::kMemtableHits, delta.memtable_hit_count);
   add(Ticker::kMergeIterSeeks, delta.merge_iter_seek_count);
   add(Ticker::kMergeIterSteps, delta.merge_iter_step_count);
   add(Ticker::kWalAppends, delta.wal_append_count);
@@ -145,23 +146,40 @@ void StatsRegistry::MergePerfDelta(const PerfContext& delta) {
   add(Ticker::kMemtableInsertCasRetries, delta.memtable_insert_cas_retries);
 }
 
-std::string StatsRegistry::Dump() const {
+StatsSnapshot StatsRegistry::Snapshot() const {
+  StatsSnapshot snap;
+  for (size_t i = 0; i < snap.tickers.size(); i++) {
+    snap.tickers[i] = tickers_[i].load(std::memory_order_relaxed);
+  }
+  MutexLock lock(&hist_mu_);
+  snap.histograms = histograms_;
+  return snap;
+}
+
+StatsSnapshot& StatsSnapshot::operator+=(const StatsSnapshot& other) {
+  for (size_t i = 0; i < tickers.size(); i++) {
+    tickers[i] += other.tickers[i];
+  }
+  for (size_t i = 0; i < histograms.size(); i++) {
+    histograms[i].Merge(other.histograms[i]);
+  }
+  return *this;
+}
+
+std::string StatsSnapshot::ToString() const {
   std::string out;
-  for (uint32_t i = 0; i < static_cast<uint32_t>(Ticker::kNumTickers); i++) {
-    const Ticker t = static_cast<Ticker>(i);
+  for (size_t i = 0; i < tickers.size(); i++) {
     out.append("ticker.");
-    out.append(TickerName(t));
+    out.append(StatsRegistry::TickerName(static_cast<Ticker>(i)));
     out.push_back('=');
-    out.append(std::to_string(Get(t)));
+    out.append(std::to_string(tickers[i]));
     out.push_back('\n');
   }
-  for (uint32_t i = 0;
-       i < static_cast<uint32_t>(PhaseHistogram::kNumHistograms); i++) {
-    const PhaseHistogram h = static_cast<PhaseHistogram>(i);
+  for (size_t i = 0; i < histograms.size(); i++) {
     out.append("histogram.");
-    out.append(HistogramName(h));
+    out.append(StatsRegistry::HistogramName(static_cast<PhaseHistogram>(i)));
     out.append(": ");
-    out.append(GetHistogram(h).ToString());
+    out.append(histograms[i].ToString());
     out.push_back('\n');
   }
   return out;

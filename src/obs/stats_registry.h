@@ -84,6 +84,25 @@ enum class PhaseHistogram : uint32_t {
   kNumHistograms,  // sentinel; keep last
 };
 
+/// Point-in-time copy of a StatsRegistry: plain counts and histogram
+/// copies. `+=` merges another snapshot in, so the registries of several
+/// DBs (the shards of one ShardedDB) read as one.
+struct StatsSnapshot {
+  std::array<uint64_t, static_cast<size_t>(Ticker::kNumTickers)> tickers{};
+  std::array<Histogram, static_cast<size_t>(PhaseHistogram::kNumHistograms)>
+      histograms;
+
+  uint64_t Get(Ticker ticker) const {
+    return tickers[static_cast<size_t>(ticker)];
+  }
+
+  StatsSnapshot& operator+=(const StatsSnapshot& other);
+
+  /// Full structured dump: one "ticker.<name>=<value>" line per ticker,
+  /// then one "histogram.<name>: ..." summary line per phase histogram.
+  std::string ToString() const;
+};
+
 /// DB-wide registry of named atomic counters plus per-phase latency
 /// histograms. One per DBImpl; safe for concurrent use from foreground and
 /// background threads (tickers are relaxed atomics, histograms take a
@@ -92,12 +111,7 @@ enum class PhaseHistogram : uint32_t {
 /// that GetProperty("lsmlab.stats") reports.
 class StatsRegistry {
  public:
-  StatsRegistry() {
-    for (auto& t : tickers_) {
-      t.store(0, std::memory_order_relaxed);
-    }
-  }
-
+  StatsRegistry() = default;
   StatsRegistry(const StatsRegistry&) = delete;
   StatsRegistry& operator=(const StatsRegistry&) = delete;
 
@@ -106,20 +120,9 @@ class StatsRegistry {
         n, std::memory_order_relaxed);
   }
 
-  uint64_t Get(Ticker ticker) const {
-    return tickers_[static_cast<size_t>(ticker)].load(
-        std::memory_order_relaxed);
-  }
-
   void Record(PhaseHistogram h, double micros) {
     MutexLock lock(&hist_mu_);
     histograms_[static_cast<size_t>(h)].Add(micros);
-  }
-
-  /// Copy of one histogram, consistent at the moment of the call.
-  Histogram GetHistogram(PhaseHistogram h) const {
-    MutexLock lock(&hist_mu_);
-    return histograms_[static_cast<size_t>(h)];
   }
 
   /// Folds one operation's PerfContext delta into the per-subsystem
@@ -127,9 +130,9 @@ class StatsRegistry {
   /// `after.Delta(before)`.
   void MergePerfDelta(const PerfContext& delta);
 
-  /// Full structured dump: one "ticker.<name>=<value>" line per ticker,
-  /// then one "histogram.<name>: ..." summary line per phase histogram.
-  std::string Dump() const;
+  /// Every ticker and a copy of every histogram. The histograms are
+  /// copied under one hold of hist_mu_, so they agree with each other.
+  StatsSnapshot Snapshot() const;
 
   static const char* TickerName(Ticker ticker);
   static const char* HistogramName(PhaseHistogram h);
@@ -137,7 +140,7 @@ class StatsRegistry {
  private:
   std::array<std::atomic<uint64_t>,
              static_cast<size_t>(Ticker::kNumTickers)>
-      tickers_;
+      tickers_{};
   mutable Mutex hist_mu_{LockRank::kStatsHistMu};
   std::array<Histogram,
              static_cast<size_t>(PhaseHistogram::kNumHistograms)>

@@ -12,6 +12,7 @@
 #include "format/sstable_reader.h"
 #include "format/two_level_iterator.h"
 #include "filter/filter_policy.h"
+#include "obs/perf_context.h"
 #include "storage/env.h"
 #include "util/coding.h"
 #include "util/hash.h"
@@ -514,6 +515,7 @@ TEST_F(SSTableTest, LearnedPlrIndexGet) {
   }
   BuildTable(kv);
   OpenTable();
+  const PerfContext before = *GetPerfContext();
   for (int i = 0; i < 2000; i += 13) {
     std::string got;
     ASSERT_TRUE(TableGet(*table_, Key(i),
@@ -525,7 +527,7 @@ TEST_F(SSTableTest, LearnedPlrIndexGet) {
                     .ok());
     EXPECT_EQ(got, std::to_string(i)) << Key(i);
   }
-  EXPECT_GT(table_->counters().learned_index_seeks, 0u);
+  EXPECT_GT(GetPerfContext()->Delta(before).learned_index_seek_count, 0u);
 }
 
 TEST_F(SSTableTest, RadixSplineIndexGet) {

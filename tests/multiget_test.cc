@@ -4,8 +4,9 @@
 // flusher (run under TSan in CI), per-key corruption confinement, and the
 // batch's core I/O promise: strictly fewer logical block reads than the
 // equivalent looped Gets when keys share blocks. Also: the batch uses the
-// tables' hash and learned indexes, and Get and MultiGet keep separate
-// counters over their one lookup core.
+// tables' hash and learned indexes, the index counts survive compaction
+// and concurrent readers, and Get and MultiGet keep separate counters over
+// their one lookup core.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,17 @@ std::string TestKey(int i) {
   return key;
 }
 
+/// The two table indexes a lookup can use besides fence pointers.
+struct IndexVariant {
+  const char* name;
+  bool block_hash_index;
+  TableOptions::IndexType index_type;
+};
+constexpr IndexVariant kIndexVariants[] = {
+    {"block_hash_index", true, TableOptions::IndexType::kBinarySearch},
+    {"learned_plr", false, TableOptions::IndexType::kLearnedPlr},
+};
+
 class MultiGetTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -44,6 +56,16 @@ class MultiGetTest : public ::testing::Test {
   }
 
   void Open() { ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok()); }
+
+  /// Opens an empty DB on a new MemEnv with `variant`'s table index.
+  void ReopenFresh(const IndexVariant& variant) {
+    db_.reset();
+    env_.reset(NewMemEnv());
+    options_.env = env_.get();
+    options_.block_hash_index = variant.block_hash_index;
+    options_.index_type = variant.index_type;
+    Open();
+  }
 
   std::vector<Slice> MakeSlices(const std::vector<std::string>& keys) {
     std::vector<Slice> slices;
@@ -577,22 +599,9 @@ TEST_F(MultiGetTest, FilterFirstPruning) {
 // tables with an in-block hash index, or with a learned fence index, the
 // batch uses it, and every slot still equals its looped Get.
 TEST_F(MultiGetTest, UsesHashAndLearnedIndexes) {
-  struct Variant {
-    const char* name;
-    bool block_hash_index;
-    TableOptions::IndexType index_type;
-  };
-  for (const Variant& variant :
-       {Variant{"block_hash_index", true,
-                TableOptions::IndexType::kBinarySearch},
-        Variant{"learned_plr", false, TableOptions::IndexType::kLearnedPlr}}) {
+  for (const IndexVariant& variant : kIndexVariants) {
     SCOPED_TRACE(variant.name);
-    db_.reset();
-    env_.reset(NewMemEnv());
-    options_.env = env_.get();
-    options_.block_hash_index = variant.block_hash_index;
-    options_.index_type = variant.index_type;
-    Open();
+    ReopenFresh(variant);
     for (int i = 0; i < 1024; i += 2) {  // even keys present, odd absent
       ASSERT_TRUE(db_->Put({}, TestKey(i), "v" + TestKey(i)).ok());
     }
@@ -625,6 +634,108 @@ TEST_F(MultiGetTest, UsesHashAndLearnedIndexes) {
         EXPECT_EQ(value, values[i]) << keys[i];
       }
     }
+  }
+}
+
+// The index counts DBStats reports are DB-lifetime tickers: a compaction
+// that retires the tables which served the lookups must not take their
+// counts along.
+TEST_F(MultiGetTest, IndexCountersSurviveCompaction) {
+  for (const IndexVariant& variant : kIndexVariants) {
+    SCOPED_TRACE(variant.name);
+    ReopenFresh(variant);
+    // Two overlapping runs, so CompactAll merges them into new tables.
+    for (int round = 0; round < 2; round++) {
+      for (int i = 0; i < 1024; i += 2) {
+        ASSERT_TRUE(db_->Put({}, TestKey(i), "v" + std::to_string(round)).ok());
+      }
+      ASSERT_TRUE(db_->Flush().ok());
+    }
+    std::vector<std::string> keys;
+    for (int i = 0; i < 1024; i += 3) {
+      std::string value;
+      const Status st = db_->Get({}, TestKey(i), &value);
+      EXPECT_EQ(st.ok(), i % 2 == 0) << st.ToString();
+      keys.push_back(TestKey(i + 1));
+    }
+    std::vector<std::string> values;
+    std::vector<Status> statuses;
+    db_->MultiGet({}, MakeSlices(keys), &values, &statuses);
+
+    const DBStats before = db_->GetStats();
+    if (variant.block_hash_index) {
+      ASSERT_GT(before.hash_index_hits, 0u);
+      ASSERT_GT(before.hash_index_absent, 0u);
+    } else {
+      ASSERT_GT(before.learned_index_seeks, 0u);
+    }
+    ASSERT_TRUE(db_->CompactAll().ok());
+    const DBStats after = db_->GetStats();
+    EXPECT_GE(after.hash_index_hits, before.hash_index_hits);
+    EXPECT_GE(after.hash_index_absent, before.hash_index_absent);
+    EXPECT_GE(after.learned_index_seeks, before.learned_index_seeks);
+  }
+}
+
+// Concurrent readers of one table each count their index work in their own
+// PerfContext; the DB-wide index counts are exactly the sum of those
+// per-thread deltas (no lost updates, no data race under TSan).
+TEST_F(MultiGetTest, ConcurrentReadersCountIndexHits) {
+  constexpr int kThreads = 4;
+  constexpr int kKeys = 1024;
+  for (const IndexVariant& variant : kIndexVariants) {
+    SCOPED_TRACE(variant.name);
+    ReopenFresh(variant);
+    for (int i = 0; i < kKeys; i += 2) {  // even keys present, odd absent
+      ASSERT_TRUE(db_->Put({}, TestKey(i), "v").ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+
+    const DBStats before = db_->GetStats();
+    std::vector<PerfContext> deltas(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+      threads.emplace_back([&, t] {
+        const PerfContext start = *GetPerfContext();
+        std::string value;
+        std::vector<std::string> batch;
+        for (int i = t; i < kKeys; i += kThreads) {
+          const Status st = db_->Get({}, TestKey(i), &value);
+          EXPECT_EQ(st.ok(), i % 2 == 0) << st.ToString();
+          batch.push_back(TestKey(kKeys - 1 - i));
+          if (batch.size() == 16) {
+            std::vector<std::string> values;
+            std::vector<Status> statuses;
+            db_->MultiGet({}, MakeSlices(batch), &values, &statuses);
+            batch.clear();
+          }
+        }
+        deltas[t] = GetPerfContext()->Delta(start);
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    const DBStats after = db_->GetStats();
+
+    uint64_t hash_hits = 0;
+    uint64_t hash_absent = 0;
+    uint64_t learned_seeks = 0;
+    for (const PerfContext& d : deltas) {
+      hash_hits += d.hash_index_hit_count;
+      hash_absent += d.hash_index_absent_count;
+      learned_seeks += d.learned_index_seek_count;
+    }
+    if (variant.block_hash_index) {
+      EXPECT_GT(hash_hits, 0u);
+    } else {
+      EXPECT_GT(learned_seeks, 0u);
+    }
+    EXPECT_EQ(after.hash_index_hits - before.hash_index_hits, hash_hits);
+    EXPECT_EQ(after.hash_index_absent - before.hash_index_absent,
+              hash_absent);
+    EXPECT_EQ(after.learned_index_seeks - before.learned_index_seeks,
+              learned_seeks);
   }
 }
 

@@ -1,8 +1,9 @@
 // Sharded keyspace correctness: routing stability, cross-shard iterator
 // ordering and snapshot consistency under concurrent writes, per-shard
-// WriteBatch atomicity, property aggregation, and clean shutdown with
-// background work queued on every shard. Run under -DLSMLAB_SANITIZE=thread
-// (the tsan-obs CI leg) to prove the router adds no races.
+// WriteBatch atomicity, property and GetStats aggregation, and clean
+// shutdown with background work queued on every shard. Run under
+// -DLSMLAB_SANITIZE=thread (the tsan-obs CI leg) to prove the router adds
+// no races.
 
 #include <algorithm>
 #include <atomic>
@@ -426,6 +427,138 @@ TEST_F(ShardedDBTest, PropertiesAggregateAcrossShards) {
   EXPECT_FALSE(db_->GetProperty("lsmlab.shard.9.stats", &value));
   EXPECT_FALSE(db_->GetProperty("lsmlab.shard.x.stats", &value));
   EXPECT_FALSE(db_->GetProperty("lsmlab.shard.", &value));
+}
+
+// GetStats and "lsmlab.stats" on a sharded DB are the shards' registries
+// merged: every counter and per-level vector is the sum over the shards,
+// and the merged histogram lines hold every shard's samples.
+TEST_F(ShardedDBTest, GetStatsIsTheSumOfTheShards) {
+  constexpr int kShards = 4;
+  constexpr int kKeys = 2000;
+  Options options = ShardedOptions(kShards);
+  options.write_buffer_size = 4 << 10;
+  options.max_file_size = 4 << 10;
+  options.level0_compaction_trigger = 2;
+  options.block_hash_index = true;
+  options.value_separation_threshold = 64;
+  Open(options);
+  const std::string big(100, 'x');
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(db_->Put({}, Key(i), i % 4 == 0 ? big : "v").ok());
+  }
+  std::string value;
+  for (int i = 0; i < kKeys; i += 3) {
+    ASSERT_TRUE(db_->Get({}, Key(i), &value).ok());
+  }
+  std::vector<std::string> keys;
+  std::vector<Slice> slices;
+  for (int i = 0; i < 64; i++) {
+    keys.push_back(Key(i * 7));
+  }
+  for (const std::string& k : keys) {
+    slices.emplace_back(k);
+  }
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  db_->MultiGet({}, slices, &values, &statuses);
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(db_->Scan({}, Key(100), Key(200), 50, &rows).ok());
+
+  auto* sharded = static_cast<ShardedDB*>(db_.get());
+  std::vector<DBStats> shards;
+  for (int k = 0; k < kShards; k++) {
+    shards.push_back(sharded->TEST_Shard(k)->GetStats());
+  }
+  const DBStats total = db_->GetStats();
+
+#define EXPECT_SUMMED(field)                           \
+  {                                                    \
+    uint64_t sum = 0;                                  \
+    for (const DBStats& shard : shards) {              \
+      sum += static_cast<uint64_t>(shard.field);       \
+    }                                                  \
+    EXPECT_EQ(static_cast<uint64_t>(total.field), sum) \
+        << #field;                                     \
+  }
+  EXPECT_SUMMED(total_runs);
+  EXPECT_SUMMED(total_files);
+  EXPECT_SUMMED(total_bytes);
+  EXPECT_SUMMED(bytes_flushed);
+  EXPECT_SUMMED(bytes_compacted);
+  EXPECT_SUMMED(compactions);
+  EXPECT_SUMMED(flushes);
+  EXPECT_SUMMED(writes);
+  EXPECT_SUMMED(group_commits);
+  EXPECT_SUMMED(group_followers);
+  EXPECT_SUMMED(wal_syncs);
+  EXPECT_SUMMED(wal_sync_skipped);
+  EXPECT_SUMMED(vlog_syncs);
+  EXPECT_SUMMED(parallel_applies);
+  EXPECT_SUMMED(serial_applies);
+  EXPECT_SUMMED(insert_cas_retries);
+  EXPECT_SUMMED(write_slowdowns);
+  EXPECT_SUMMED(write_stalls);
+  EXPECT_SUMMED(write_slowdown_micros);
+  EXPECT_SUMMED(write_stall_micros);
+  EXPECT_SUMMED(gets);
+  EXPECT_SUMMED(gets_found);
+  EXPECT_SUMMED(memtable_hits);
+  EXPECT_SUMMED(runs_probed);
+  EXPECT_SUMMED(filter_skips);
+  EXPECT_SUMMED(range_filter_skips);
+  EXPECT_SUMMED(hash_index_hits);
+  EXPECT_SUMMED(hash_index_absent);
+  EXPECT_SUMMED(learned_index_seeks);
+  EXPECT_SUMMED(index_filter_memory);
+  EXPECT_SUMMED(multigets);
+  EXPECT_SUMMED(multiget_keys);
+  EXPECT_SUMMED(multiget_filter_pruned);
+  EXPECT_SUMMED(multiget_coalesced_block_hits);
+  EXPECT_SUMMED(value_log_bytes);
+  EXPECT_SUMMED(value_log_files);
+  EXPECT_SUMMED(separated_reads);
+#undef EXPECT_SUMMED
+  // The workload reached every counted layer.
+  EXPECT_EQ(total.writes, static_cast<uint64_t>(kKeys));
+  EXPECT_GT(total.compactions, 0u);
+  EXPECT_GT(total.hash_index_hits, 0u);
+  EXPECT_GT(total.separated_reads, 0u);
+
+  int num_levels = 0;
+  std::vector<int> runs_per_level(total.runs_per_level.size(), 0);
+  std::vector<uint64_t> bytes_per_level(total.bytes_per_level.size(), 0);
+  for (const DBStats& shard : shards) {
+    num_levels = std::max(num_levels, shard.num_levels);
+    ASSERT_LE(shard.runs_per_level.size(), runs_per_level.size());
+    for (size_t i = 0; i < shard.runs_per_level.size(); i++) {
+      runs_per_level[i] += shard.runs_per_level[i];
+      bytes_per_level[i] += shard.bytes_per_level[i];
+    }
+  }
+  EXPECT_EQ(total.num_levels, num_levels);
+  EXPECT_EQ(total.runs_per_level, runs_per_level);
+  EXPECT_EQ(total.bytes_per_level, bytes_per_level);
+
+  // One merged line per histogram, in the unsharded dump's format.
+  auto get_count = [](const std::string& dump) -> uint64_t {
+    const std::string needle = "\nhistogram.get_micros: count=";
+    const size_t pos = dump.find(needle);
+    EXPECT_NE(pos, std::string::npos) << dump;
+    return pos == std::string::npos
+               ? 0
+               : std::stoull(dump.substr(pos + needle.size()));
+  };
+  std::string merged;
+  ASSERT_TRUE(db_->GetProperty("lsmlab.stats", &merged));
+  uint64_t shard_counts = 0;
+  for (int k = 0; k < kShards; k++) {
+    std::string dump;
+    ASSERT_TRUE(db_->GetProperty(
+        "lsmlab.shard." + std::to_string(k) + ".stats", &dump));
+    shard_counts += get_count(dump);
+  }
+  EXPECT_EQ(get_count(merged), shard_counts);
+  EXPECT_EQ(shard_counts, total.gets);
 }
 
 TEST_F(ShardedDBTest, CloseWithBackgroundWorkQueuedOnEveryShardIsClean) {
