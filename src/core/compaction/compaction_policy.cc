@@ -80,6 +80,22 @@ class PolicyBase : public CompactionPolicy {
     }
   }
 
+  /// A collapse of `level`'s runs into one fresh run, for a level that
+  /// should hold one run but holds more: a merge into it stopped between
+  /// two of its installs (a crash or a failed subrange), leaving the
+  /// installed prefix's run beside the rest of the old one. Merging the
+  /// level first keeps a later pick from joining or moving part of it,
+  /// which could leave one run holding overlapping files or push a newer
+  /// file below an older one.
+  static CompactionPick CollapseLevel(const Version& v, int level) {
+    CompactionPick pick;
+    pick.level = level;
+    pick.output_level = level;
+    pick.inputs = AllFiles(v, level);
+    pick.output_run_seq = 0;
+    return pick;
+  }
+
   /// run_seq of the run the outputs should join in `output_level`:
   /// the level's existing single run under leveling, else 0 (new run).
   static uint64_t ExistingRunSeq(const Version& v, int output_level) {
@@ -108,6 +124,12 @@ class LeveledPolicy : public PolicyBase {
   const char* Name() const override { return "leveled"; }
 
   std::optional<CompactionPick> Pick(const Version& v) override {
+    for (int level = 1; level < v.num_levels(); level++) {
+      if (v.levels()[level].runs.size() > 1) {
+        return CollapseLevel(v, level);
+      }
+    }
+
     // Read-triggered compaction (trigger primitive of [76]): a file that
     // keeps wasting point probes gets merged down regardless of sizes.
     if (options_.seek_compaction_threshold > 0) {
@@ -323,6 +345,9 @@ class LazyLevelingPolicy : public PolicyBase {
 
   std::optional<CompactionPick> Pick(const Version& v) override {
     const int last = std::max(v.MaxPopulatedLevel(), 1);
+    if (last < v.num_levels() && v.levels()[last].runs.size() > 1) {
+      return CollapseLevel(v, last);
+    }
 
     for (int level = 0; level < v.num_levels() - 1; level++) {
       const int trigger = level == 0 ? options_.level0_compaction_trigger

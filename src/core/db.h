@@ -180,7 +180,9 @@ class DB {
   ///                            registry, so the two always agree.
   ///   "lsmlab.perf-context"  — the calling thread's PerfContext
   ///                            (thread-local; reflects this thread's ops).
-  ///   "lsmlab.io-stats"      — the Env's logical-I/O counters.
+  ///   "lsmlab.io-stats"      — the Env's logical-I/O counters, and
+  ///                            (MemEnv only) the bytes its files hold
+  ///                            and their high-water mark.
   virtual bool GetProperty(const Slice& property, std::string* value) = 0;
   /// Human-readable levels/runs/files layout.
   virtual std::string DebugShape() = 0;

@@ -648,7 +648,7 @@ bool DBImpl::BackgroundStep(PendingEvents* events) {
     bg_compaction_hint_ = false;
     return false;
   }
-  Status s = DoCompaction(*pick, events);
+  Status s = DoCompaction(std::move(*pick), events);
   if (!s.ok()) {
     bg_error_ = s;
   }
@@ -844,36 +844,39 @@ Status DBImpl::CompactAllLocked(PendingEvents* events) {
   // single sorted run at the deepest populated level, so bottom-level
   // garbage (shadowed versions, spent tombstones) is fully collected.
   while (s.ok()) {
-    const VersionPtr v = versions_->current();
-    if (v->TotalRuns() <= 1) {
-      break;
-    }
-    int shallowest = -1;
-    for (int level = 0; level < v->num_levels(); level++) {
-      if (!v->levels()[level].runs.empty()) {
-        shallowest = level;
+    CompactionPick pick;
+    {
+      // Not held across the merge: each install frees what it removes.
+      const VersionPtr v = versions_->current();
+      if (v->TotalRuns() <= 1) {
         break;
       }
-    }
-    const int bottom = v->MaxPopulatedLevel();
-    CompactionPick pick;
-    pick.level = shallowest;
-    pick.output_run_seq = 0;  // outputs always form one fresh run
-    for (const Run& run : v->levels()[shallowest].runs) {
-      pick.inputs.insert(pick.inputs.end(), run.files.begin(),
-                         run.files.end());
-    }
-    if (shallowest == bottom) {
-      pick.output_level = shallowest;  // collapse the bottom's runs
-    } else {
-      // Consume the next level entirely too, producing one merged run.
-      pick.output_level = shallowest + 1;
-      for (const Run& run : v->levels()[shallowest + 1].runs) {
-        pick.output_overlaps.insert(pick.output_overlaps.end(),
-                                    run.files.begin(), run.files.end());
+      int shallowest = -1;
+      for (int level = 0; level < v->num_levels(); level++) {
+        if (!v->levels()[level].runs.empty()) {
+          shallowest = level;
+          break;
+        }
+      }
+      const int bottom = v->MaxPopulatedLevel();
+      pick.level = shallowest;
+      pick.output_run_seq = 0;  // outputs always form one fresh run
+      for (const Run& run : v->levels()[shallowest].runs) {
+        pick.inputs.insert(pick.inputs.end(), run.files.begin(),
+                           run.files.end());
+      }
+      if (shallowest == bottom) {
+        pick.output_level = shallowest;  // collapse the bottom's runs
+      } else {
+        // Consume the next level entirely too, producing one merged run.
+        pick.output_level = shallowest + 1;
+        for (const Run& run : v->levels()[shallowest + 1].runs) {
+          pick.output_overlaps.insert(pick.output_overlaps.end(),
+                                      run.files.begin(), run.files.end());
+        }
       }
     }
-    s = DoCompaction(pick, events);
+    s = DoCompaction(std::move(pick), events);
   }
   manual_compaction_ = false;
   MaybeScheduleBackgroundWork(events);
@@ -963,7 +966,14 @@ Status DBImpl::BuildTables(Iterator* iter, int output_level,
         has_last_user_key = true;
         last_sequence_for_key = kMaxSequenceNumber;
       }
-      if (drop_shadowed && last_sequence_for_key <= smallest_snapshot) {
+      if (seq == last_sequence_for_key) {
+        // The previous entry again: a tree left between two installs of
+        // one compaction (by a crash or a failed subrange) holds the
+        // installed source-level entries in two levels. A snapshot older
+        // than them keeps both copies from being shadowed.
+        drop = true;
+      } else if (drop_shadowed &&
+                 last_sequence_for_key <= smallest_snapshot) {
         // A newer version visible to every snapshot shadows this entry.
         drop = true;
       } else if (drop_tombstones && type == ValueType::kTypeDeletion &&
@@ -1120,68 +1130,70 @@ Status DBImpl::MaybeCompact(PendingEvents* events, int max_picks) {
     if (!pick.has_value()) {
       break;
     }
-    s = DoCompaction(*pick, events);
+    s = DoCompaction(std::move(*pick), events);
     done++;
   }
   return s;
 }
 
-Status DBImpl::DoCompaction(const CompactionPick& pick,
-                            PendingEvents* events) {
+Status DBImpl::DoCompaction(CompactionPick pick, PendingEvents* events) {
   stats_.Add(Ticker::kCompactions);
   ReconfigureMonkeyLocked(pick.output_level);
 
-  if (pick.drop_only) {
-    VersionEdit edit;
-    for (const FileMetaPtr& f : pick.inputs) {
-      edit.RemoveFile(pick.level, f->number);
-    }
-    ScopedBlockingIoAllowed allow_io("drop-only manifest install");
-    // io-under-lock-ok: manifest install is atomic with the version swap.
-    return versions_->LogAndApply(&edit);
+  CompactionState c;
+  c.pick = std::move(pick);
+  const CompactionPick& p = c.pick;
+  if (p.drop_only) {
+    std::vector<FileMetaPtr> released;
+    return InstallCompaction(&c, {}, /*end=*/nullptr, &released);
   }
 
   const auto compaction_start = std::chrono::steady_clock::now();
+  std::vector<TableFileInfo> input_infos;
   if (has_listeners()) {
+    for (const FileMetaPtr& f : p.inputs) {
+      input_infos.push_back(MakeTableFileInfo(*f, p.level));
+    }
+    for (const FileMetaPtr& f : p.output_overlaps) {
+      input_infos.push_back(MakeTableFileInfo(*f, p.output_level));
+    }
     CompactionJobInfo begin;
     begin.db_name = dbname_;
-    begin.input_level = pick.level;
-    begin.output_level = pick.output_level;
-    for (const FileMetaPtr& f : pick.inputs) {
-      begin.inputs.push_back(MakeTableFileInfo(*f, pick.level));
-    }
-    for (const FileMetaPtr& f : pick.output_overlaps) {
-      begin.inputs.push_back(MakeTableFileInfo(*f, pick.output_level));
-    }
+    begin.input_level = p.level;
+    begin.output_level = p.output_level;
+    begin.inputs = input_infos;
     events->push_back(
         [begin](EventListener& l) { l.OnCompactionBegin(begin); });
   }
 
-  const VersionPtr base = versions_->current();
   const SequenceNumber smallest_snapshot = SmallestSnapshotLocked();
-
   // Tombstones can be dropped only when nothing deeper can hold the key:
   // no data below the output level, and every *other* run of the output
   // level is either the run we merge into (its remaining files cannot
   // overlap the compaction key range, or they would be in output_overlaps)
-  // or fully consumed by this compaction.
-  std::set<uint64_t> consumed;
-  for (const FileMetaPtr& f : pick.inputs) {
-    consumed.insert(f->number);
-  }
-  for (const FileMetaPtr& f : pick.output_overlaps) {
-    consumed.insert(f->number);
-  }
+  // or fully consumed by this compaction. The version is not held across
+  // the merge: each install frees the inputs it removes.
   bool bottommost = true;
-  for (int lvl = pick.output_level + 1; lvl < base->num_levels(); lvl++) {
-    if (!base->levels()[lvl].runs.empty()) {
-      bottommost = false;
-      break;
+  {
+    const VersionPtr base = versions_->current();
+    std::set<uint64_t> consumed;
+    for (const FileMetaPtr& f : p.inputs) {
+      consumed.insert(f->number);
     }
-  }
-  if (bottommost) {
-    for (const Run& run : base->levels()[pick.output_level].runs) {
-      if (pick.output_run_seq != 0 && run.run_seq == pick.output_run_seq) {
+    for (const FileMetaPtr& f : p.output_overlaps) {
+      consumed.insert(f->number);
+    }
+    for (int lvl = p.output_level + 1; lvl < base->num_levels(); lvl++) {
+      if (!base->levels()[lvl].runs.empty()) {
+        bottommost = false;
+        break;
+      }
+    }
+    for (const Run& run : base->levels()[p.output_level].runs) {
+      if (!bottommost) {
+        break;
+      }
+      if (p.output_run_seq != 0 && run.run_seq == p.output_run_seq) {
         continue;
       }
       for (const FileMetaPtr& f : run.files) {
@@ -1190,118 +1202,153 @@ Status DBImpl::DoCompaction(const CompactionPick& pick,
           break;
         }
       }
-      if (!bottommost) {
-        break;
-      }
     }
   }
+  // Fixed before the merge: a flush the merge overlaps takes a newer run.
+  c.run_seq =
+      p.output_run_seq != 0 ? p.output_run_seq : versions_->NewRunSeq();
 
-  // Merge all input + overlap files with the lock released: the inputs
-  // are immutable files pinned by the pick's shared_ptrs, so reads and
-  // writes proceed during the heavy lifting. Compactions themselves never
-  // race — they are serialized on the background thread (or excluded by
-  // the manual-compaction token).
+  // Merge with the lock released: the inputs are immutable files pinned by
+  // the pick's shared_ptrs, so reads and writes proceed during the heavy
+  // lifting. Compactions themselves never race — they are serialized on
+  // the background thread (or excluded by the manual-compaction token).
   mu_.Unlock();
-  std::vector<std::span<const FileMetaPtr>> runs;
-  AppendRuns(icmp_, pick.inputs, &runs);
-  AppendRuns(icmp_, pick.output_overlaps, &runs);
-  uint64_t input_accesses = 0;
-  if (options_.block_cache != nullptr) {
-    for (std::span<const FileMetaPtr> run : runs) {
-      for (const FileMetaPtr& f : run) {
+  // Leaper-style re-warm (tutorial §II-1): if the compaction consumes hot
+  // files, each install first loads its outputs' blocks, so readers do
+  // not take a burst of cold misses.
+  if (options_.prefetch_after_compaction && options_.block_cache != nullptr) {
+    uint64_t input_accesses = 0;
+    for (const auto* files : {&p.inputs, &p.output_overlaps}) {
+      for (const FileMetaPtr& f : *files) {
         input_accesses += options_.block_cache->FileAccesses(f->number);
       }
     }
+    if (input_accesses >= options_.prefetch_hotness_threshold) {
+      c.prefetch_budget = options_.prefetch_budget_bytes;
+    }
   }
-  std::vector<FileMetaData> outputs;
   uint64_t bytes_written = 0;
-  Status s = MergeRuns(runs, pick.output_level, bottommost, smallest_snapshot,
-                       &outputs, &bytes_written);
-  // Leaper-style re-warm (tutorial §II-1): if the compaction consumed hot
-  // files, load the outputs' blocks now, before the install makes them
-  // visible, so readers do not take a burst of cold misses.
-  if (s.ok() && options_.prefetch_after_compaction &&
-      options_.block_cache != nullptr &&
-      input_accesses >= options_.prefetch_hotness_threshold) {
-    PrefetchOutputs(outputs);
-  }
+  const Status s = MergeRuns(&c, bottommost, smallest_snapshot,
+                             &bytes_written);
   mu_.Lock();
 
-  auto finish = [&](const Status& status) {
-    const uint64_t micros = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - compaction_start)
-            .count());
-    GetPerfContext()->compaction_micros += micros;
-    stats_.Record(PhaseHistogram::kCompactionMicros,
-                  static_cast<double>(micros));
-    if (!has_listeners()) {
-      return;
-    }
+  const uint64_t micros = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - compaction_start)
+          .count());
+  GetPerfContext()->compaction_micros += micros;
+  stats_.Record(PhaseHistogram::kCompactionMicros,
+                static_cast<double>(micros));
+  if (has_listeners()) {
     CompactionJobInfo info;
     info.db_name = dbname_;
-    info.input_level = pick.level;
-    info.output_level = pick.output_level;
+    info.input_level = p.level;
+    info.output_level = p.output_level;
     info.bytes_written = bytes_written;
     info.micros = micros;
-    info.status = status;
-    for (const FileMetaPtr& f : pick.inputs) {
-      info.inputs.push_back(MakeTableFileInfo(*f, pick.level));
-    }
-    for (const FileMetaPtr& f : pick.output_overlaps) {
-      info.inputs.push_back(MakeTableFileInfo(*f, pick.output_level));
-    }
-    if (status.ok()) {
-      for (const FileMetaData& meta : outputs) {
-        info.outputs.push_back(MakeTableFileInfo(meta, pick.output_level));
-        const TableFileInfo created = info.outputs.back();
-        events->push_back(
-            [created](EventListener& l) { l.OnTableFileCreated(created); });
-      }
+    info.status = s;
+    info.inputs = std::move(input_infos);
+    for (const FileMetaData& meta : c.installed) {
+      info.outputs.push_back(MakeTableFileInfo(meta, p.output_level));
+      const TableFileInfo created = info.outputs.back();
+      events->push_back(
+          [created](EventListener& l) { l.OnTableFileCreated(created); });
     }
     events->push_back([info](EventListener& l) { l.OnCompactionEnd(info); });
-  };
-
-  if (!s.ok()) {
-    finish(s);
-    return s;
   }
-  stats_.Add(Ticker::kBytesCompacted, bytes_written);
-  stats_.Add(Ticker::kTableFilesCreated, outputs.size());
+  return s;
+}
 
+Status DBImpl::InstallCompaction(CompactionState* c,
+                                 std::span<const FileMetaData> outputs,
+                                 const Slice* end,
+                                 std::vector<FileMetaPtr>* released) {
+  CompactionPick& pick = c->pick;
+  const bool final = end == nullptr;
+  // The output-level inputs lying wholly below the installed prefix's end;
+  // null entries were removed by an earlier install.
+  const Comparator* ucmp = icmp_.user_comparator();
+  auto removes = [&](const FileMetaPtr& f) {
+    return f != nullptr &&
+           (final ||
+            ucmp->Compare(ExtractUserKey(Slice(f->largest)), *end) < 0);
+  };
   VersionEdit edit;
-  for (const FileMetaPtr& f : pick.inputs) {
-    edit.RemoveFile(pick.level, f->number);
+  uint64_t run_seq = c->run_seq;
+  if (!final && pick.output_run_seq != 0) {
+    // The outputs join an existing run, whose files left after this
+    // install may straddle its end and so overlap the outputs: until the
+    // final install the outputs form a run of their own.
+    if (c->interim_run_seq == 0) {
+      c->interim_run_seq = versions_->NewRunSeq();
+    }
+    run_seq = c->interim_run_seq;
+  }
+  if (final) {
+    for (const FileMetaPtr& f : pick.inputs) {
+      edit.RemoveFile(pick.level, f->number);
+    }
+    if (c->interim_run_seq != 0) {
+      // Moves the outputs installed so far into the output run; their
+      // files stay.
+      for (FileMetaData meta : c->installed) {
+        edit.RemoveFile(pick.output_level, meta.number);
+        meta.run_seq = c->run_seq;
+        edit.AddFile(pick.output_level, meta);
+      }
+    }
   }
   for (const FileMetaPtr& f : pick.output_overlaps) {
-    edit.RemoveFile(pick.output_level, f->number);
+    if (removes(f)) {
+      edit.RemoveFile(pick.output_level, f->number);
+    }
   }
-  const uint64_t run_seq = pick.output_run_seq != 0 ? pick.output_run_seq
-                                                    : versions_->NewRunSeq();
-  for (FileMetaData& meta : outputs) {
+  uint64_t bytes = 0;
+  for (FileMetaData meta : outputs) {
     meta.run_seq = run_seq;
+    bytes += meta.file_size;
     edit.AddFile(pick.output_level, meta);
   }
   ScopedBlockingIoAllowed allow_io("compaction manifest install");
   // io-under-lock-ok: manifest install is atomic with the version swap.
-  s = versions_->LogAndApply(&edit);
+  Status s = versions_->LogAndApply(&edit);
   if (!s.ok()) {
     // The outputs never became live: drop any reader the re-warm opened.
     for (const FileMetaData& meta : outputs) {
       table_cache_->Evict(meta.number);
     }
-    finish(s);
     return s;
   }
-  finish(Status::OK());
+  for (FileMetaPtr& f : pick.output_overlaps) {
+    if (removes(f)) {
+      released->push_back(std::move(f));
+    }
+  }
+  if (final) {
+    for (FileMetaPtr& f : pick.inputs) {
+      released->push_back(std::move(f));
+    }
+  }
+  if (!outputs.empty()) {
+    stats_.Add(Ticker::kBytesCompacted, bytes);
+    stats_.Add(Ticker::kTableFilesCreated, outputs.size());
+    c->installed.insert(c->installed.end(), outputs.begin(), outputs.end());
+  }
   return Status::OK();
 }
 
-Status DBImpl::MergeRuns(
-    const std::vector<std::span<const FileMetaPtr>>& runs, int output_level,
-    bool bottommost, SequenceNumber smallest_snapshot,
-    std::vector<FileMetaData>* outputs, uint64_t* bytes_written) {
+Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
+                         SequenceNumber smallest_snapshot,
+                         uint64_t* bytes_written) {
+  const CompactionPick& pick = c->pick;
+  const int output_level = pick.output_level;
   const Comparator* ucmp = icmp_.user_comparator();
+  // Views of the pick's vectors. An install nulls the entries it removes
+  // but never resizes them, and no subrange that starts later reads a
+  // removed file (its largest key lies below the subrange).
+  std::vector<std::span<const FileMetaPtr>> runs;
+  AppendRuns(icmp_, pick.inputs, &runs);
+  AppendRuns(icmp_, pick.output_overlaps, &runs);
   const uint64_t file_bytes = std::max<size_t>(1, options_.max_file_size);
   // Each subrange ends its own short last file. A partial file picker
   // later moves such a file alone, for few bytes per rewrite of the next
@@ -1366,32 +1413,6 @@ Status DBImpl::MergeRuns(
     }
   }
 
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-  // Builds subranges until none is left or one has failed.
-  auto build = [&] {
-    for (size_t i = next.fetch_add(1);
-         i < subs.size() && !failed.load(std::memory_order_relaxed);
-         i = next.fetch_add(1)) {
-      Subcompaction& sub = subs[i];
-      std::vector<Iterator*> children;
-      for (std::span<const FileMetaPtr> files : sub.runs) {
-        children.push_back(
-            NewRunIterator(files, /*range=*/nullptr, /*fill_cache=*/false));
-      }
-      std::unique_ptr<Iterator> merged(NewMergingIterator(
-          &icmp_, children.data(), static_cast<int>(children.size())));
-      sub.status = BuildTables(merged.get(), output_level,
-                               /*drop_shadowed=*/true,
-                               /*drop_tombstones=*/bottommost,
-                               smallest_snapshot, &sub.outputs,
-                               &sub.bytes_written, sub.range);
-      if (!sub.status.ok()) {
-        failed.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-
   // The calling thread builds too; helpers are short-lived threads, not
   // bg_pool_, which runs this compaction and, when shared, other shards'
   // work. Shards compacting together may ask for more threads than there
@@ -1404,6 +1425,59 @@ Status DBImpl::MergeRuns(
     helpers = std::thread::hardware_concurrency() - 1;
   }
   helpers = std::min(helpers, subs.size() - 1);
+  // Each time the finished prefix of subranges grows, the calling thread
+  // installs it, and no subrange starts 2 x threads or more ahead of the
+  // installed prefix: uninstalled outputs stay about two per thread. A
+  // merge that removes no output-level input frees nothing early; it
+  // installs once, at the end, and runs ahead freely.
+  const bool removes = !pick.output_overlaps.empty();
+  const size_t window = removes ? 2 * (helpers + 1) : subs.size();
+
+  // Subranges start in key order; subs[0, finished) are built and
+  // subs[0, installed) installed.
+  Mutex progress_mu;
+  CondVar progress_cv(&progress_mu);
+  size_t next = 0;
+  size_t finished = 0;
+  size_t installed = 0;
+  std::vector<bool> done(subs.size(), false);
+  bool failed = false;
+
+  auto build = [&](size_t i) {
+    Subcompaction& sub = subs[i];
+    std::vector<Iterator*> children;
+    for (std::span<const FileMetaPtr> files : sub.runs) {
+      children.push_back(
+          NewRunIterator(files, /*range=*/nullptr, /*fill_cache=*/false));
+    }
+    std::unique_ptr<Iterator> merged(NewMergingIterator(
+        &icmp_, children.data(), static_cast<int>(children.size())));
+    sub.status = BuildTables(merged.get(), output_level,
+                             /*drop_shadowed=*/true,
+                             /*drop_tombstones=*/bottommost,
+                             smallest_snapshot, &sub.outputs,
+                             &sub.bytes_written, sub.range);
+    merged.reset();
+    MutexLock lock(&progress_mu);
+    done[i] = true;
+    failed = failed || !sub.status.ok();
+    while (finished < subs.size() && done[finished]) {
+      finished++;
+    }
+    progress_cv.SignalAll();
+  };
+  // Helpers build until no subrange is left or one has failed.
+  auto claim = [&](size_t* i) {
+    MutexLock lock(&progress_mu);
+    while (!failed && next < subs.size() && next >= installed + window) {
+      progress_cv.Wait();
+    }
+    if (failed || next >= subs.size()) {
+      return false;
+    }
+    *i = next++;
+    return true;
+  };
   std::vector<std::jthread> threads;  // joined on every path out
   threads.reserve(helpers);
   for (size_t t = 0; t < helpers; t++) {
@@ -1412,42 +1486,96 @@ Status DBImpl::MergeRuns(
       // tickers, as the caller's do when its operation ends.
       PerfContext* perf = GetPerfContext();
       const PerfContext before = *perf;
-      build();
+      size_t i = 0;
+      while (claim(&i)) {
+        build(i);
+      }
       stats_.MergePerfDelta(perf->Delta(before));
     });
   }
-  build();
+
+  // The calling thread installs and, while there is nothing to install,
+  // builds.
+  Status s;
+  while (true) {
+    size_t start = subs.size();  // the subrange to build, if any
+    size_t batch_begin = 0;
+    size_t batch_end = 0;
+    {
+      MutexLock lock(&progress_mu);
+      while (!failed && installed < subs.size()) {
+        if (finished > installed &&
+            (removes || finished == subs.size())) {
+          batch_begin = installed;
+          batch_end = finished;
+          break;
+        }
+        if (next < subs.size() && next < installed + window) {
+          start = next++;
+          break;
+        }
+        progress_cv.Wait();
+      }
+    }
+    if (start < subs.size()) {
+      build(start);
+      continue;
+    }
+    if (batch_end == 0) {
+      break;  // all installed, or failed
+    }
+    std::vector<FileMetaData> batch;
+    for (size_t i = batch_begin; i < batch_end; i++) {
+      batch.insert(batch.end(), subs[i].outputs.begin(),
+                   subs[i].outputs.end());
+    }
+    if (c->prefetch_budget > 0) {
+      PrefetchOutputs(batch, &c->prefetch_budget);
+    }
+    std::vector<FileMetaPtr> released;
+    {
+      MutexLock lock(&mu_);
+      s = InstallCompaction(c, batch, subs[batch_end - 1].range.end,
+                            &released);
+    }
+    // Dropped with mu_ released: the last reference deletes the file.
+    released.clear();
+    MutexLock lock(&progress_mu);
+    if (s.ok()) {
+      installed = batch_end;
+    } else {
+      failed = true;
+    }
+    progress_cv.SignalAll();
+  }
   for (std::jthread& t : threads) {
     t.join();
   }
 
-  // Key order is subrange order. A subrange skipped after a failure has
-  // no outputs and an OK status, so the failure still surfaces.
-  Status s;
-  outputs->clear();
+  // A subrange skipped after a failure has no outputs and an OK status,
+  // so the failure still surfaces.
   *bytes_written = 0;
-  for (Subcompaction& sub : subs) {
+  for (const Subcompaction& sub : subs) {
     if (s.ok()) {
       s = sub.status;
     }
-    outputs->insert(outputs->end(), sub.outputs.begin(), sub.outputs.end());
     *bytes_written += sub.bytes_written;
   }
   return s;
 }
 
-void DBImpl::PrefetchOutputs(const std::vector<FileMetaData>& outputs) {
-  size_t budget = options_.prefetch_budget_bytes;
+void DBImpl::PrefetchOutputs(std::span<const FileMetaData> outputs,
+                             size_t* budget) {
   for (const FileMetaData& meta : outputs) {
-    if (budget == 0) {
+    if (*budget == 0) {
       break;
     }
     std::shared_ptr<SSTable> table;
     if (!table_cache_->FindTable(meta, &table).ok()) {
       continue;
     }
-    const size_t loaded = table->PrefetchBlocks(budget);
-    budget = loaded >= budget ? 0 : budget - loaded;
+    const size_t loaded = table->PrefetchBlocks(*budget);
+    *budget = loaded >= *budget ? 0 : *budget - loaded;
   }
 }
 

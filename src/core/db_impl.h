@@ -123,6 +123,12 @@ class DBImpl : public DB {
     return NewRunIterator(files);
   }
 
+  /// The current version, for tests that check the tree's file layout.
+  VersionPtr TEST_CurrentVersion() {
+    MutexLock lock(&mu_);
+    return versions_->current();
+  }
+
   /// Helper threads a compaction's subranges use besides the calling
   /// thread; a negative value restores the default (one per extra core).
   /// Output files never depend on it.
@@ -254,11 +260,40 @@ class DBImpl : public DB {
   /// compactions have run (0 = unlimited); may release mu_ during merges.
   Status MaybeCompact(PendingEvents* events, int max_picks = 0)
       REQUIRES(mu_);
-  /// Executes one compaction: the merge itself runs with mu_ released
-  /// (inputs are immutable files); pick metadata capture and the version
-  /// install hold it.
-  Status DoCompaction(const CompactionPick& pick, PendingEvents* events)
+  /// Executes one compaction: the merge runs with mu_ released (inputs are
+  /// immutable files) and installs its outputs in key order as it goes
+  /// (MergeRuns); pick metadata capture and each install hold mu_. Takes
+  /// the pick by value so that it stops referencing each input once an
+  /// install has removed it.
+  Status DoCompaction(CompactionPick pick, PendingEvents* events)
       REQUIRES(mu_);
+  /// One compaction in flight. Inputs that an install removed are null
+  /// in `pick`; `installed` lists the outputs installed so far, in key
+  /// order.
+  struct CompactionState {
+    CompactionPick pick;
+    /// The run the outputs join, fixed before the merge starts.
+    uint64_t run_seq = 0;
+    /// When that run already exists, the run the interim installs put
+    /// their outputs in, taken at the first one (0 until then).
+    uint64_t interim_run_seq = 0;
+    std::vector<FileMetaData> installed;
+    /// Bytes the Leaper re-warm may still load; 0 = no re-warm.
+    size_t prefetch_budget = 0;
+  };
+  /// A compaction's one install, interim and final alike: adds `outputs`
+  /// (the next outputs in key order) to the output run and removes the
+  /// output-level inputs whose largest user key lies below `end`, the
+  /// installed prefix's end cut. The final install (`end` null) removes
+  /// every input left, the source level's included. When the output run
+  /// already exists, an interim install adds to the interim run instead,
+  /// and the final one moves that run's files into the output run. The
+  /// removed inputs' references move to *released, for the caller to drop
+  /// once mu_ is released (the drop deletes their files).
+  Status InstallCompaction(CompactionState* c,
+                           std::span<const FileMetaData> outputs,
+                           const Slice* end,
+                           std::vector<FileMetaPtr>* released) REQUIRES(mu_);
   /// One compaction subrange: user keys [*begin, *end) (a null bound is
   /// open), and `numbers` output file numbers reserved from
   /// `first_number` on (fresh ones follow once they run out).
@@ -269,29 +304,36 @@ class DBImpl : public DB {
     uint64_t numbers = 0;
   };
   /// Builds output file(s) from `iter`'s entries in `range`, splitting at
-  /// max_file_size. Thread-safe: touches no mu_-protected state (the
-  /// snapshot horizon is captured by the caller while it still holds mu_).
+  /// max_file_size. A merge (`drop_shadowed`) writes an entry that
+  /// repeats the previous one only once: a tree left between two installs
+  /// of one compaction holds its installed source-level entries twice.
+  /// Thread-safe: touches no mu_-protected state (the snapshot horizon is
+  /// captured by the caller while it still holds mu_).
   Status BuildTables(Iterator* iter, int output_level, bool drop_shadowed,
                      bool drop_tombstones, SequenceNumber smallest_snapshot,
                      std::vector<FileMetaData>* outputs,
                      uint64_t* bytes_written, Subrange range);
-  /// A compaction's merge of `runs` (sorted runs of input files) into
-  /// tables for `output_level`, run with mu_ released. Unless a partial
-  /// file picker is configured, a merge of at least two subranges' worth
-  /// of input is cut into key subranges, each merged from its own run
-  /// iterators by the calling thread and up to hardware_concurrency() - 1
-  /// short-lived helper threads that hold no lock. Outputs come back in
-  /// key order; the first failing subrange's status wins. Input blocks
-  /// are read without filling the block cache.
-  Status MergeRuns(const std::vector<std::span<const FileMetaPtr>>& runs,
-                   int output_level, bool bottommost,
-                   SequenceNumber smallest_snapshot,
-                   std::vector<FileMetaData>* outputs,
-                   uint64_t* bytes_written) EXCLUDES(mu_);
+  /// A compaction's merge of its pick's inputs into tables for the output
+  /// level, run with mu_ released. Unless a partial file picker is
+  /// configured, a merge of at least two subranges' worth of input is cut
+  /// into key subranges, each merged from its own run iterators by the
+  /// calling thread and up to hardware_concurrency() - 1 short-lived
+  /// helper threads that hold no lock. Each time the finished prefix of
+  /// subranges grows, the calling thread installs it (InstallCompaction),
+  /// and no subrange starts 2 x threads or more ahead of the installed
+  /// prefix; a merge that removes no output-level input installs once, at
+  /// the end. The first failing subrange's status wins; installs already
+  /// made stay.
+  /// *bytes_written sums every output built. Input blocks are read
+  /// without filling the block cache.
+  Status MergeRuns(CompactionState* c, bool bottommost,
+                   SequenceNumber smallest_snapshot, uint64_t* bytes_written)
+      EXCLUDES(mu_);
   SequenceNumber SmallestSnapshotLocked() const REQUIRES(mu_);
   /// Loads compaction outputs' blocks into the block cache, up to
-  /// Options::prefetch_budget_bytes, before the install publishes them.
-  void PrefetchOutputs(const std::vector<FileMetaData>& outputs)
+  /// *budget bytes (decremented by what it loads), before the install
+  /// publishes them.
+  void PrefetchOutputs(std::span<const FileMetaData> outputs, size_t* budget)
       EXCLUDES(mu_);
   /// One run's iterator: concatenation of `files`, whose key ranges must
   /// strictly increase. Tables open lazily as the iterator reaches them;

@@ -1,6 +1,7 @@
 #include "core/version.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -253,6 +254,8 @@ std::shared_ptr<Version> VersionSet::ApplyEdit(const Version& base,
   for (const auto& [level, number] : edit.deleted_files_) {
     deleted.insert(number);
   }
+  // Entries of removed files, for those the edit adds back.
+  std::map<uint64_t, FileMetaPtr> removed;
 
   // Copy surviving files, preserving run structure.
   for (int level = 0; level < base.num_levels(); level++) {
@@ -262,6 +265,8 @@ std::shared_ptr<Version> VersionSet::ApplyEdit(const Version& base,
       for (const FileMetaPtr& f : run.files) {
         if (deleted.count(f->number) == 0) {
           copy.files.push_back(f);
+        } else {
+          removed.emplace(f->number, f);
         }
         // NOT marked obsolete here: the edit may still fail to reach the
         // manifest, and a durable manifest must never reference a deleted
@@ -296,22 +301,31 @@ std::shared_ptr<Version> VersionSet::ApplyEdit(const Version& base,
     }
     FileMetaData m = meta;
     m.level = level;
-    run->files.push_back(WrapFile(m));
+    // A file the edit removes and adds back moves: its new entry holds
+    // the old one, which keeps the deletion (see LogAndApply).
+    FileMetaPtr file;
+    if (auto it = removed.find(m.number); it != removed.end()) {
+      file = std::make_shared<FileMetaData>(m);
+      file->moved_from = it->second;
+    } else {
+      file = WrapFile(m);
+    }
+    // Files within a run stay ordered by smallest key. A compaction adds
+    // its outputs in key order, so each lands at the end in log time.
+    auto pos = std::upper_bound(
+        run->files.begin(), run->files.end(), file,
+        [this](const FileMetaPtr& a, const FileMetaPtr& b) {
+          return icmp_->Compare(Slice(a->smallest), Slice(b->smallest)) < 0;
+        });
+    run->files.insert(pos, std::move(file));
   }
 
-  // Keep runs newest-first and files within a run ordered by smallest key.
+  // Keep runs newest-first.
   for (int level = 0; level < v->num_levels(); level++) {
     auto& runs = (*v->mutable_levels())[level].runs;
     std::sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
       return a.run_seq > b.run_seq;
     });
-    for (Run& run : runs) {
-      std::sort(run.files.begin(), run.files.end(),
-                [this](const FileMetaPtr& a, const FileMetaPtr& b) {
-                  return icmp_->Compare(Slice(a->smallest),
-                                        Slice(b->smallest)) < 0;
-                });
-    }
   }
   return v;
 }
@@ -365,11 +379,21 @@ Status VersionSet::LogAndApply(VersionEdit* edit) {
     for (const auto& [level, number] : edit->deleted_files_) {
       deleted.insert(number);
     }
+    // A file the edit removes and adds back moves to another run; its
+    // bytes stay.
+    for (const auto& [level, meta] : edit->new_files_) {
+      deleted.erase(meta.number);
+    }
     for (const auto& level : current_->levels()) {
       for (const Run& run : level.runs) {
         for (const FileMetaPtr& f : run.files) {
           if (deleted.count(f->number) != 0) {
-            f->obsolete = true;
+            // Every entry the file had across moves: the first one
+            // deletes it once none is referenced.
+            for (FileMetaData* e = f.get(); e != nullptr;
+                 e = e->moved_from.get()) {
+              e->obsolete = true;
+            }
           }
         }
       }

@@ -45,6 +45,10 @@ struct FileMetaData {
   /// removes it from storage.
   bool obsolete = false;
   std::function<void(FileMetaData*)> cleanup;
+  /// Set when an edit moved the file to another run: the entry it had
+  /// before the move. That entry alone owns the file's deletion, so the
+  /// file stays while either entry is referenced.
+  std::shared_ptr<FileMetaData> moved_from;
 
   FileMetaData() = default;
   /// Copies describe the file (for manifest edits); runtime state — probe
@@ -162,6 +166,8 @@ class VersionEdit {
   void AddFile(int level, const FileMetaData& meta) {
     new_files_.emplace_back(level, meta);
   }
+  /// A file one edit removes and adds back moves (to another run or
+  /// level); its bytes are not deleted.
   void RemoveFile(int level, uint64_t file_number) {
     deleted_files_.emplace_back(level, file_number);
   }

@@ -36,6 +36,8 @@ struct CompactionJobInfo {
   uint64_t bytes_written = 0;
   uint64_t micros = 0;
   std::vector<TableFileInfo> inputs;  ///< includes output-level overlaps
+  /// Every output installed, in key order: all of them on success, those
+  /// installed before the failure otherwise.
   std::vector<TableFileInfo> outputs;
   Status status;
 };

@@ -26,6 +26,12 @@ struct IoStats {
   std::atomic<uint64_t> random_reads{0};   // positioned read calls
   std::atomic<uint64_t> sequential_writes{0};  // append calls
   std::atomic<uint64_t> syncs{0};              // fsync/Sync calls
+  /// Gauge: bytes the Env's files hold in memory, a removed file's
+  /// included for as long as a handle keeps it open, and its high-water
+  /// mark. Only MemEnv, whose files are memory, keeps them; elsewhere
+  /// both stay 0.
+  std::atomic<uint64_t> live_file_bytes{0};
+  std::atomic<uint64_t> live_file_bytes_peak{0};
 
   // Every Env implementation funnels each blocking operation through
   // exactly one Record* call (tools/lint.sh check 5), which makes these
@@ -57,6 +63,20 @@ struct IoStats {
     syncs.fetch_add(1, std::memory_order_relaxed);
   }
 
+  void AddLiveFileBytes(uint64_t n) {
+    const uint64_t live =
+        live_file_bytes.fetch_add(n, std::memory_order_relaxed) + n;
+    uint64_t peak = live_file_bytes_peak.load(std::memory_order_relaxed);
+    while (peak < live && !live_file_bytes_peak.compare_exchange_weak(
+                              peak, live, std::memory_order_relaxed)) {
+    }
+  }
+  void SubLiveFileBytes(uint64_t n) {
+    live_file_bytes.fetch_sub(n, std::memory_order_relaxed);
+  }
+
+  /// Zeroes the counters. The gauge keeps its value; its high-water mark
+  /// restarts from it.
   void Reset() {
     block_reads.store(0);
     block_writes.store(0);
@@ -65,6 +85,7 @@ struct IoStats {
     random_reads.store(0);
     sequential_writes.store(0);
     syncs.store(0);
+    live_file_bytes_peak.store(live_file_bytes.load());
   }
 
   std::string ToString() const;

@@ -18,11 +18,21 @@ namespace {
 /// A file may be read while its writer still appends to it (the value log
 /// reads its live segment), and an append may reallocate the buffer, so
 /// every access takes mu_ and reads copy into the caller's scratch.
+///
+/// Its bytes count in the Env's live-file gauge until it is destroyed, so
+/// the Env must outlive every handle.
 class MemFile {
  public:
+  explicit MemFile(IoStats* stats) : stats_(stats) {}
+  ~MemFile() { stats_->SubLiveFileBytes(data_.size()); }
+
+  MemFile(const MemFile&) = delete;
+  MemFile& operator=(const MemFile&) = delete;
+
   void Append(const Slice& bytes) {
     MutexLock lock(&mu_);
     data_.append(bytes.data(), bytes.size());
+    stats_->AddLiveFileBytes(bytes.size());
   }
 
   uint64_t Size() const {
@@ -44,6 +54,7 @@ class MemFile {
   }
 
  private:
+  IoStats* const stats_;
   mutable Mutex mu_{LockRank::kMemFileMu};
   std::string data_;  // guarded by mu_
 };
@@ -134,7 +145,7 @@ class MemEnv : public Env {
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* result) override {
     MutexLock lock(&mu_);
-    auto file = std::make_shared<MemFile>();
+    auto file = std::make_shared<MemFile>(&io_stats_);
     files_[fname] = file;  // truncate-on-open semantics
     *result = std::make_unique<MemWritableFile>(std::move(file), &io_stats_);
     return Status::OK();

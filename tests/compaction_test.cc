@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -16,6 +19,7 @@
 #include "cache/block_cache.h"
 #include "core/db.h"
 #include "core/db_impl.h"
+#include "core/dbformat.h"
 #include "core/filename.h"
 #include "obs/event_listener.h"
 #include "storage/env.h"
@@ -311,10 +315,13 @@ TEST_F(CompactionShapeTest, MergeCostFollowsRunsNotFiles) {
       << small.compares_per_entry;
 }
 
-/// Env that records which threads create table files.
-class TableThreadsEnv : public Env {
+/// Env that records which threads create table files, counts manifest
+/// syncs (one per version install), and runs `on_table`, when set, before
+/// it creates each table file: there a test can read the tree a merge has
+/// installed so far, or fail the table's creation by returning an error.
+class ObservingEnv : public Env {
  public:
-  explicit TableThreadsEnv(Env* base) : base_(base) {}
+  explicit ObservingEnv(Env* base) : base_(base) {}
 
   Status NewRandomAccessFile(
       const std::string& f, std::unique_ptr<RandomAccessFile>* r) override {
@@ -325,10 +332,27 @@ class TableThreadsEnv : public Env {
     uint64_t number;
     FileType type;
     const size_t slash = f.rfind('/');
-    if (ParseFileName(f.substr(slash + 1), &number, &type) &&
-        type == FileType::kTableFile) {
-      std::lock_guard<std::mutex> lock(mu_);
-      threads_.insert(std::this_thread::get_id());
+    if (ParseFileName(f.substr(slash + 1), &number, &type)) {
+      if (type == FileType::kTableFile) {
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          threads_.insert(std::this_thread::get_id());
+        }
+        if (on_table) {
+          Status s = on_table();
+          if (!s.ok()) {
+            return s;
+          }
+        }
+      } else if (type == FileType::kManifestFile) {
+        std::unique_ptr<WritableFile> file;
+        Status s = base_->NewWritableFile(f, &file);
+        if (s.ok()) {
+          *r = std::make_unique<SyncCountingFile>(std::move(file),
+                                                  &manifest_syncs_);
+        }
+        return s;
+      }
     }
     return base_->NewWritableFile(f, r);
   }
@@ -364,11 +388,34 @@ class TableThreadsEnv : public Env {
     threads_.clear();
     return n;
   }
+  int manifest_syncs() const { return manifest_syncs_.load(); }
+
+  /// Set while no DB runs on this env.
+  std::function<Status()> on_table;
 
  private:
+  class SyncCountingFile : public WritableFile {
+   public:
+    SyncCountingFile(std::unique_ptr<WritableFile> base,
+                     std::atomic<int>* syncs)
+        : base_(std::move(base)), syncs_(syncs) {}
+    Status Append(const Slice& data) override { return base_->Append(data); }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override {
+      syncs_->fetch_add(1);
+      return base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<WritableFile> base_;
+    std::atomic<int>* syncs_;
+  };
+
   Env* base_;
   std::mutex mu_;
   std::set<std::thread::id> threads_;
+  std::atomic<int> manifest_syncs_{0};
 };
 
 /// Keeps the outputs of the last successful compaction, in key order.
@@ -424,7 +471,7 @@ TEST_F(CompactionShapeTest, SubcompactionsMatchSerialMerge) {
       EXPECT_TRUE(ReadFileToString(env_.get(), "/db/" + f, &data).ok());
       EXPECT_TRUE(WriteStringToFile(env_.get(), data, dbname + "/" + f).ok());
     }
-    TableThreadsEnv env(env_.get());
+    ObservingEnv env(env_.get());
     auto recorder = std::make_shared<CompactionOutputRecorder>();
     Options options = options_;
     options.env = &env;
@@ -470,7 +517,7 @@ TEST_F(CompactionShapeTest, PartialPickerMergesAreNotSplit) {
   for (const CompactionFilePicker picker :
        {CompactionFilePicker::kWholeLevel, CompactionFilePicker::kMinOverlap,
         CompactionFilePicker::kRoundRobin}) {
-    TableThreadsEnv env(env_.get());
+    ObservingEnv env(env_.get());
     Options options = options_;
     options.env = &env;
     options.merge_policy = MergePolicy::kLeveling;
@@ -500,10 +547,13 @@ TEST_F(CompactionShapeTest, PartialPickerMergesAreNotSplit) {
 // subrange that opens the run's tables only as the merge reaches them, so
 // table opens happen mid-merge on the worker and its subcompaction
 // helpers while readers open and probe tables through the same
-// TableCache. Small files make every run many tables and every merge
-// several subranges; the TSan CI leg runs this test for those races.
+// TableCache. Each merge installs its finished subranges as it goes, so
+// readers also cross those interim trees: every Get, MultiGet slot and
+// iterator row must hold a value written for its key. Small files make
+// every run many tables and every merge several subranges; the TSan CI
+// leg runs this test for those races.
 TEST_F(CompactionShapeTest, BackgroundSubcompactionsRaceReaders) {
-  TableThreadsEnv env(env_.get());
+  ObservingEnv env(env_.get());
   options_.env = &env;
   options_.merge_policy = MergePolicy::kLeveling;
   options_.background_compaction = true;
@@ -515,6 +565,28 @@ TEST_F(CompactionShapeTest, BackgroundSubcompactionsRaceReaders) {
   static_cast<DBImpl*>(db.get())->TEST_SetSubcompactionHelpers(3);
 
   constexpr int kKeys = 4000;
+  // Round r writes ValueForKey(key, 32 + r) to every key in order, so
+  // key i's put of round r is put number r * kKeys + i. The state of key
+  // i once `puts` puts are acknowledged: 0 = absent, 1 + r = round r's
+  // value.
+  std::atomic<int> acked{0};
+  auto state = [](uint64_t i, int puts) {
+    const int index = static_cast<int>(i);
+    return puts <= index ? 0 : puts <= kKeys + index ? 1 : 2;
+  };
+  // Whether a read that began once `before` puts were acknowledged and
+  // ended before put `after` + 2 (one put may be in flight) may see
+  // `value` (null: absent) for key i.
+  auto fits = [&](uint64_t i, const std::string* value, int before,
+                  int after) {
+    const std::string key = EncodeKey(i);
+    const int seen = value == nullptr                   ? 0
+                     : *value == ValueForKey(key, 32) ? 1
+                     : *value == ValueForKey(key, 33) ? 2
+                                                      : -1;
+    return i < static_cast<uint64_t>(kKeys) && seen >= state(i, before) &&
+           seen <= state(i, after + 1);
+  };
   std::atomic<bool> done{false};
   std::atomic<int> bad_reads{0};
   std::vector<std::thread> readers;
@@ -522,18 +594,32 @@ TEST_F(CompactionShapeTest, BackgroundSubcompactionsRaceReaders) {
     readers.emplace_back([&, r] {
       std::string value;
       for (int n = r; !done.load(std::memory_order_relaxed); n += 7) {
-        const std::string key = EncodeKey(static_cast<uint64_t>(n % kKeys));
+        const uint64_t i = static_cast<uint64_t>(n % kKeys);
+        const std::string key = EncodeKey(i);
+        int before = acked.load();
         const Status s = db->Get({}, key, &value);
-        if (!s.ok() && !s.IsNotFound()) {
+        if (s.ok() ? !fits(i, &value, before, acked.load())
+                   : !s.IsNotFound() || !fits(i, nullptr, before,
+                                              acked.load())) {
           bad_reads.fetch_add(1);
         }
+        before = acked.load();
         std::unique_ptr<Iterator> it(db->NewIterator({}));
-        int steps = 0;
-        for (it->Seek(key); it->Valid() && steps < 20; it->Next()) {
-          steps++;
+        std::vector<std::pair<std::string, std::string>> rows;
+        for (it->Seek(key); it->Valid() && rows.size() < 20; it->Next()) {
+          rows.emplace_back(it->key().ToString(), it->value().ToString());
         }
         if (!it->status().ok()) {
           bad_reads.fetch_add(1);
+        }
+        const int after = acked.load();
+        for (size_t k = 0; k < rows.size(); k++) {
+          if (rows[k].first < key ||
+              (k > 0 && rows[k].first <= rows[k - 1].first) ||
+              !fits(DecodeKey(rows[k].first), &rows[k].second, before,
+                    after)) {
+            bad_reads.fetch_add(1);
+          }
         }
         std::vector<std::string> batch_keys;
         for (int k = 0; k < 8; k++) {
@@ -543,9 +629,15 @@ TEST_F(CompactionShapeTest, BackgroundSubcompactionsRaceReaders) {
         std::vector<Slice> slices(batch_keys.begin(), batch_keys.end());
         std::vector<std::string> values;
         std::vector<Status> statuses;
+        before = acked.load();
         db->MultiGet({}, slices, &values, &statuses);
-        for (const Status& ks : statuses) {
-          if (!ks.ok() && !ks.IsNotFound()) {
+        const int batch_after = acked.load();
+        for (size_t k = 0; k < statuses.size(); k++) {
+          const uint64_t ki = DecodeKey(batch_keys[k]);
+          if (statuses[k].ok()
+                  ? !fits(ki, &values[k], before, batch_after)
+                  : !statuses[k].IsNotFound() ||
+                        !fits(ki, nullptr, before, batch_after)) {
             bad_reads.fetch_add(1);
           }
         }
@@ -557,6 +649,7 @@ TEST_F(CompactionShapeTest, BackgroundSubcompactionsRaceReaders) {
     for (int i = 0; i < kKeys && s.ok(); i++) {
       const std::string key = EncodeKey(static_cast<uint64_t>(i));
       s = db->Put({}, key, ValueForKey(key, 32 + round));
+      acked.fetch_add(1);
     }
   }
   if (s.ok()) {
@@ -577,6 +670,644 @@ TEST_F(CompactionShapeTest, BackgroundSubcompactionsRaceReaders) {
     ASSERT_TRUE(db->Get({}, key, &value).ok()) << i;
     EXPECT_EQ(value, ValueForKey(key, 33)) << i;
   }
+}
+
+/// The DB's rows, from a full scan.
+std::map<std::string, std::string> ScanAll(DB* db,
+                                           const ReadOptions& options = {}) {
+  std::map<std::string, std::string> rows;
+  std::unique_ptr<Iterator> it(db->NewIterator(options));
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    rows.emplace(it->key().ToString(), it->value().ToString());
+  }
+  EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+  return rows;
+}
+
+/// Empty when `db` reads as `model` through a full scan (rows in order),
+/// scans of 20 rows from every 97th of `keys`, Get on every fifth of them
+/// and one MultiGet; else the first difference.
+std::string Mismatch(DB* db, const std::map<std::string, std::string>& model,
+                     int keys) {
+  std::unique_ptr<Iterator> it(db->NewIterator({}));
+  auto m = model.begin();
+  for (it->SeekToFirst(); it->Valid(); it->Next(), ++m) {
+    if (m == model.end() || it->key() != Slice(m->first) ||
+        it->value() != Slice(m->second)) {
+      return "scan row " + it->key().ToString();
+    }
+  }
+  if (!it->status().ok() || m != model.end()) {
+    return "scan ends early: " + it->status().ToString();
+  }
+  for (int i = 0; i < keys; i += 97) {
+    const std::string start = EncodeKey(static_cast<uint64_t>(i));
+    m = model.lower_bound(start);
+    it->Seek(start);
+    for (int rows = 0; rows < 20; rows++, it->Next(), ++m) {
+      if (!it->Valid() || m == model.end()) {
+        if (it->Valid() != (m != model.end())) {
+          return "scan from key " + std::to_string(i) + " ends at row " +
+                 std::to_string(rows);
+        }
+        break;
+      }
+      if (it->key() != Slice(m->first) || it->value() != Slice(m->second)) {
+        return "scan from key " + std::to_string(i) + ", row " +
+               std::to_string(rows);
+      }
+    }
+  }
+  auto expect = [&](const std::string& key, const Status& s,
+                    const std::string& value) -> std::string {
+    auto want = model.find(key);
+    if (want == model.end() ? !s.IsNotFound()
+                            : !s.ok() || value != want->second) {
+      return "read of " + key + ": " + s.ToString();
+    }
+    return "";
+  };
+  std::string value;
+  for (int i = 0; i < keys; i += 5) {
+    const std::string key = EncodeKey(static_cast<uint64_t>(i));
+    const Status s = db->Get({}, key, &value);
+    if (std::string why = expect(key, s, value); !why.empty()) {
+      return "Get " + why;
+    }
+  }
+  std::vector<std::string> batch;
+  for (int i = 0; i < keys; i += keys / 16 + 1) {
+    batch.push_back(EncodeKey(static_cast<uint64_t>(i)));
+  }
+  std::vector<Slice> slices(batch.begin(), batch.end());
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  db->MultiGet({}, slices, &values, &statuses);
+  for (size_t k = 0; k < batch.size(); k++) {
+    if (std::string why = expect(batch[k], statuses[k], values[k]);
+        !why.empty()) {
+      return "MultiGet " + why;
+    }
+  }
+  return "";
+}
+
+// A whole-level merge installs its finished subranges in key order and
+// frees each output-level input once every subrange it overlaps is
+// installed. CompactAll's transient is then the source level plus the
+// subranges in flight (at most 2 x threads + 1, of about 4 x
+// max_file_size of input each), not a second copy of the output level.
+// MemEnv's live-bytes gauge counts it deterministically, as RSS cannot.
+TEST_F(CompactionShapeTest, InstallsBoundTheCompactAllTransient) {
+  for (const int helpers : {0, 3}) {
+    SCOPED_TRACE(helpers);
+    std::unique_ptr<Env> base(NewMemEnv());
+    ObservingEnv env(base.get());
+    Options options = options_;
+    options.env = &env;
+    options.merge_policy = MergePolicy::kLeveling;
+    options.write_buffer_size = 64 << 10;
+    options.max_file_size = 4 << 10;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    static_cast<DBImpl*>(db.get())->TEST_SetSubcompactionHelpers(helpers);
+    constexpr int kKeys = 12000;
+    std::map<std::string, std::string> model;
+    for (int i = 0; i < kKeys; i++) {
+      const std::string key = EncodeKey(static_cast<uint64_t>(i));
+      model[key] = ValueForKey(key, 64);
+      ASSERT_TRUE(db->Put({}, key, model[key]).ok());
+    }
+    ASSERT_TRUE(db->CompactAll().ok());
+    // A newer level-0 run over the whole key range.
+    for (int i = 0; i < kKeys; i += 37) {
+      const std::string key = EncodeKey(static_cast<uint64_t>(i));
+      model[key] = "new";
+      ASSERT_TRUE(db->Put({}, key, model[key]).ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    const DBStats shape = db->GetStats();
+    ASSERT_EQ(shape.total_runs, 2) << db->DebugShape();
+    const uint64_t source = shape.bytes_per_level[0];
+    const uint64_t output = shape.total_bytes - source;
+    const uint64_t bound =
+        source + (2 * (helpers + 1) + 1) * 4 * options.max_file_size;
+    ASSERT_GT(output, 4 * bound) << db->DebugShape();
+
+    IoStats* io = base->io_stats();
+    io->Reset();
+    const uint64_t start = io->live_file_bytes.load();
+    const int syncs = env.manifest_syncs();
+    ASSERT_TRUE(db->CompactAll().ok());
+    const uint64_t transient = io->live_file_bytes_peak.load() - start;
+    EXPECT_LE(transient, bound) << "output level: " << output << " bytes";
+    // The final merge installs several times; the one before it (the
+    // level-0 run into the empty level 1) once.
+    EXPECT_GT(env.manifest_syncs() - syncs, 3);
+    EXPECT_EQ(db->GetStats().total_runs, 1) << db->DebugShape();
+    EXPECT_TRUE(ScanAll(db.get()) == model);
+  }
+}
+
+// Between the installs of one merge, readers see the tree the installs
+// have left so far. Before each output table is created, the env hook
+// reads that tree: scans, Gets and a MultiGet must match the model. Level
+// 1 is sparse, so its files span wide key ranges, and the dense level-0
+// runs above it supply the cuts: most cuts fall inside level-1 files,
+// which the outputs installed so far then overlap. With two level-0 runs
+// the policy merges them into level 1's run, and the interim outputs form
+// a run of their own until the final install (in that run a straddling
+// file would hide the keys only level 1 holds from seeks); with one,
+// CompactAll merges into a fresh run. Level-0 tombstones over level-1
+// keys are dropped by these bottommost merges, so removing a source-level
+// file before the final install would resurrect what they delete.
+TEST_F(CompactionShapeTest, InterimInstallsReadAsTheModel) {
+  for (const int l0_runs : {2, 1}) {
+    for (const int helpers : {0, 3}) {
+      SCOPED_TRACE("level-0 runs " + std::to_string(l0_runs) + ", helpers " +
+                   std::to_string(helpers));
+      std::unique_ptr<Env> base(NewMemEnv());
+      ObservingEnv env(base.get());
+      Options options = options_;
+      options.env = &env;
+      options.merge_policy = MergePolicy::kLeveling;
+      options.write_buffer_size = 1 << 20;  // flushes only when asked
+      options.max_file_size = 4 << 10;
+      options.level0_compaction_trigger = 2;
+      options.size_ratio = 10;
+      std::unique_ptr<DB> db;
+      ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+      static_cast<DBImpl*>(db.get())->TEST_SetSubcompactionHelpers(helpers);
+      constexpr int kKeys = 3000;
+      std::map<std::string, std::string> model;
+      auto put = [&](int i, const std::string& value) {
+        const std::string key = EncodeKey(static_cast<uint64_t>(i));
+        model[key] = value;
+        ASSERT_TRUE(db->Put({}, key, value).ok());
+      };
+      for (int round = 0; round < 2; round++) {
+        for (int i = 0; i < kKeys; i += 15) {
+          put(i, std::to_string(round) + std::string(80, 's'));
+        }
+        ASSERT_TRUE(db->Flush().ok());
+      }
+      ASSERT_TRUE(db->CompactAll().ok());
+      ASSERT_EQ(db->GetStats().runs_per_level[1], 1) << db->DebugShape();
+      for (int r = 0; r < l0_runs; r++) {
+        for (int i = r; i < kKeys; i++) {
+          if (i % 90 == 30) {
+            continue;  // only level 1 holds it
+          }
+          if (r + 1 == l0_runs && i % 45 == 0) {
+            const std::string key = EncodeKey(static_cast<uint64_t>(i));
+            model.erase(key);
+            ASSERT_TRUE(db->Delete({}, key).ok());
+          } else {
+            put(i, ValueForKey(EncodeKey(static_cast<uint64_t>(i)), 40 + r));
+          }
+        }
+        ASSERT_TRUE(db->Flush().ok());
+      }
+      ASSERT_EQ(db->GetStats().runs_per_level[0], l0_runs);
+
+      std::atomic<int> checks{0};
+      std::atomic<int> interim_checks{0};
+      std::mutex mu;
+      std::string first_mismatch;
+      const int syncs = env.manifest_syncs();
+      env.on_table = [&] {
+        checks++;
+        interim_checks += env.manifest_syncs() > syncs;
+        const std::string why = Mismatch(db.get(), model, kKeys);
+        std::lock_guard<std::mutex> lock(mu);
+        if (first_mismatch.empty()) {
+          first_mismatch = why;
+        }
+        return Status::OK();
+      };
+      const Status s = db->CompactAll();
+      env.on_table = nullptr;
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_EQ(first_mismatch, "");
+      EXPECT_GT(checks.load(), 10);
+      EXPECT_GT(interim_checks.load(), 0);
+      EXPECT_EQ(Mismatch(db.get(), model, kKeys), "");
+      const DBStats after = db->GetStats();
+      EXPECT_EQ(after.total_runs, 1) << db->DebugShape();
+      EXPECT_EQ(after.runs_per_level[1], 1) << db->DebugShape();
+    }
+  }
+}
+
+// A merge that removes no output-level input, such as a tiered push into a
+// fresh run, has nothing to free early: it installs once, however many
+// subranges it builds.
+TEST_F(CompactionShapeTest, MergeThatRemovesNothingInstallsOnce) {
+  ObservingEnv env(env_.get());
+  options_.env = &env;
+  options_.merge_policy = MergePolicy::kTiering;
+  options_.write_buffer_size = 1 << 20;  // flushes only when asked
+  options_.max_file_size = 4 << 10;
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  static_cast<DBImpl*>(db_.get())->TEST_SetSubcompactionHelpers(3);
+  for (int run = 0; run < options_.level0_compaction_trigger; run++) {
+    for (int i = run; i < 6000; i += 3) {
+      const std::string key = EncodeKey(static_cast<uint64_t>(i));
+      ASSERT_TRUE(db_->Put({}, key, ValueForKey(key, 32)).ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+  }
+  ASSERT_EQ(db_->GetStats().runs_per_level[0],
+            options_.level0_compaction_trigger);
+  env.TakeTableThreads();
+  const int syncs = env.manifest_syncs();
+  ASSERT_TRUE(db_->CompactAll().ok());
+  EXPECT_EQ(env.manifest_syncs() - syncs, 1);
+  EXPECT_GT(env.TakeTableThreads(), 1u);  // split into subranges
+  const DBStats after = db_->GetStats();
+  EXPECT_EQ(after.total_runs, 1) << db_->DebugShape();
+  EXPECT_EQ(after.runs_per_level[1], 1) << db_->DebugShape();
+}
+
+// CompactAll collapses a tree that lives in level 0 alone into one run
+// there, while a background flush may add a newer level-0 run. The
+// collapsed run takes its place in the run order before the merge starts,
+// so the flushed run stays newer and is probed first: a read between that
+// install and the next merge sees the flushed value, not the one it
+// overwrote.
+TEST_F(CompactionShapeTest, CollapseInstallsBelowAnOverlappingFlush) {
+  ObservingEnv env(env_.get());
+  options_.env = &env;
+  options_.merge_policy = MergePolicy::kLeveling;
+  options_.background_compaction = true;
+  options_.write_buffer_size = 1 << 20;  // flushes only when asked
+  options_.max_file_size = 4 << 10;
+  options_.level0_compaction_trigger = 8;
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  const std::string key = EncodeKey(7);
+  for (int run = 0; run < 3; run++) {
+    for (int i = run; i < 3000; i += 3) {
+      const std::string k = EncodeKey(static_cast<uint64_t>(i));
+      ASSERT_TRUE(db_->Put({}, k, ValueForKey(k, 32)).ok());
+    }
+    ASSERT_TRUE(db_->Put({}, key, "old").ok());
+    ASSERT_TRUE(db_->Flush().ok());
+  }
+  ASSERT_EQ(db_->GetStats().runs_per_level[0], 3) << db_->DebugShape();
+
+  // The first table the collapse builds flushes a newer value of `key`;
+  // every table built once that flush is in reads it back.
+  std::atomic<bool> flushing{false};
+  std::atomic<bool> flushed{false};
+  std::atomic<int> reads{0};
+  std::atomic<int> stale{0};
+  env.on_table = [&]() -> Status {
+    if (!flushing.exchange(true)) {
+      Status s = db_->Put({}, key, "new");
+      s = s.ok() ? db_->Flush() : s;
+      flushed = s.ok();
+      return s;
+    }
+    if (!flushed) {
+      return Status::OK();
+    }
+    std::string value;
+    const Status s = db_->Get({}, key, &value);
+    reads++;
+    stale += !s.ok() || value != "new";
+    return Status::OK();
+  };
+  const Status s = db_->CompactAll();
+  env.on_table = nullptr;
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(stale.load(), 0);
+  std::string value;
+  ASSERT_TRUE(db_->Get({}, key, &value).ok());
+  EXPECT_EQ(value, "new");
+}
+
+// A tree left between two installs of one merge holds the installed
+// source-level entries twice: in the source level and in the outputs.
+// With a snapshot older than those entries neither copy is shadowed, so
+// the next merge of that tree must drop the repeat itself, or it writes
+// one key twice into a table. Here a later subrange fails (inline mode:
+// CompactAll returns the error, and the next pick merges the bottom
+// level's two runs), and CompactAll runs again on a healthy disk.
+TEST_F(CompactionShapeTest, RemergeOfInterimInstallWritesEachEntryOnce) {
+  ObservingEnv env(env_.get());
+  auto recorder = std::make_shared<CompactionOutputRecorder>();
+  options_.env = &env;
+  options_.merge_policy = MergePolicy::kLeveling;
+  options_.write_buffer_size = 64 << 10;
+  options_.max_file_size = 4 << 10;
+  options_.listeners.push_back(recorder);
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  auto* impl = static_cast<DBImpl*>(db_.get());
+  impl->TEST_SetSubcompactionHelpers(0);
+  constexpr int kKeys = 6000;
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < kKeys; i++) {
+    const std::string key = EncodeKey(static_cast<uint64_t>(i));
+    model[key] = ValueForKey(key, 64);
+    ASSERT_TRUE(db_->Put({}, key, model[key]).ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+  const std::vector<int> runs = db_->GetStats().runs_per_level;
+  const int bottom = static_cast<int>(
+      std::find(runs.begin(), runs.end(), 1) - runs.begin());
+  ASSERT_LT(bottom, static_cast<int>(runs.size())) << db_->DebugShape();
+  const Snapshot* snapshot = db_->GetSnapshot();
+  const std::map<std::string, std::string> old_model = model;
+  for (int i = 0; i < kKeys; i += 5) {
+    const std::string key = EncodeKey(static_cast<uint64_t>(i));
+    model[key] = "new";
+    ASSERT_TRUE(db_->Put({}, key, model[key]).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+
+  // Fail the third table created once the bottom level holds the interim
+  // run next to what is left of its old one; that tree then holds the
+  // source level too.
+  int after_interim = 0;
+  DBStats interim;
+  env.on_table = [&] {
+    const DBStats shape = db_->GetStats();
+    if (after_interim < 3 &&
+        static_cast<int>(shape.runs_per_level.size()) > bottom &&
+        shape.runs_per_level[bottom] == 2 && ++after_interim == 3) {
+      interim = shape;
+      return Status::IOError("injected table failure");
+    }
+    return Status::OK();
+  };
+  Status s = db_->CompactAll();
+  env.on_table = nullptr;
+  ASSERT_TRUE(s.IsIOError()) << s.ToString();
+  ASSERT_EQ(after_interim, 3);
+  ASSERT_GT(interim.total_runs, 2);  // source is live
+  // The compaction after the failure merged the bottom level's two runs;
+  // the source level is still live.
+  EXPECT_EQ(db_->GetStats().runs_per_level[bottom], 1) << db_->DebugShape();
+  EXPECT_GT(db_->GetStats().total_runs, 1) << db_->DebugShape();
+  EXPECT_TRUE(ScanAll(db_.get()) == model);
+
+  recorder->outputs.clear();
+  s = db_->CompactAll();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_FALSE(recorder->outputs.empty());
+  EXPECT_EQ(db_->GetStats().total_runs, 1) << db_->DebugShape();
+  InternalKeyComparator icmp(BytewiseComparator());
+  for (const TableFileInfo& t : recorder->outputs) {
+    auto meta = std::make_shared<FileMetaData>();
+    meta->number = t.file_number;
+    meta->file_size = t.file_size;
+    meta->level = t.level;
+    const std::vector<FileMetaPtr> files = {meta};
+    std::unique_ptr<Iterator> it(impl->TEST_NewRunIterator(files));
+    std::string last;
+    int repeats = 0;
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      repeats += !last.empty() && icmp.Compare(Slice(last), it->key()) >= 0;
+      last = it->key().ToString();
+    }
+    ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+    EXPECT_EQ(repeats, 0) << "table " << t.file_number;
+  }
+  EXPECT_TRUE(ScanAll(db_.get()) == model);
+  ReadOptions at_snapshot;
+  at_snapshot.snapshot = snapshot;
+  EXPECT_TRUE(ScanAll(db_.get(), at_snapshot) == old_model);
+  db_->ReleaseSnapshot(snapshot);
+}
+
+
+// The final install moves the interim run's files into the output run.
+// An iterator opened between two installs pins the interim tree, whose
+// entries for those files predate the move. When a later merge consumes
+// the moved files, the iterator still reads them (it opens its tables
+// only as it reaches them), and once it is gone they are deleted.
+TEST_F(CompactionShapeTest, IteratorKeepsFilesTheFinalInstallMoved) {
+  for (const int helpers : {0, 3}) {
+    SCOPED_TRACE(helpers);
+    std::unique_ptr<Env> base(NewMemEnv());
+    ObservingEnv env(base.get());
+    Options options = options_;
+    options.env = &env;
+    options.merge_policy = MergePolicy::kLeveling;
+    options.write_buffer_size = 1 << 20;  // flushes only when asked
+    options.max_file_size = 4 << 10;
+    options.level0_compaction_trigger = 2;
+    options.size_ratio = 10;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    static_cast<DBImpl*>(db.get())->TEST_SetSubcompactionHelpers(helpers);
+    constexpr int kKeys = 3000;
+    std::map<std::string, std::string> model;
+    auto put_runs = [&](int runs, int step, int size) {
+      for (int r = 0; r < runs; r++) {
+        for (int i = r; i < kKeys; i += step) {
+          const std::string key = EncodeKey(static_cast<uint64_t>(i));
+          model[key] = ValueForKey(key, size + r);
+          ASSERT_TRUE(db->Put({}, key, model[key]).ok());
+        }
+        ASSERT_TRUE(db->Flush().ok());
+      }
+    };
+    put_runs(2, 15, 80);
+    ASSERT_TRUE(db->CompactAll().ok());
+    ASSERT_EQ(db->GetStats().runs_per_level[1], 1) << db->DebugShape();
+    // Two level-0 runs: the policy merges them into level 1's run, and the
+    // interim outputs form a run of their own until the final install.
+    put_runs(2, 1, 40);
+
+    std::unique_ptr<Iterator> held;
+    std::map<std::string, std::string> held_model;
+    std::mutex mu;
+    env.on_table = [&] {
+      std::lock_guard<std::mutex> lock(mu);
+      if (held == nullptr && db->GetStats().runs_per_level[1] == 2) {
+        held.reset(db->NewIterator({}));
+        held_model = model;
+      }
+      return Status::OK();
+    };
+    ASSERT_TRUE(db->CompactAll().ok());
+    env.on_table = nullptr;
+    ASSERT_NE(held, nullptr);
+    ASSERT_EQ(db->GetStats().total_runs, 1) << db->DebugShape();
+
+    // A newer pair of level-0 runs over the whole range: their merge
+    // consumes every level-1 file, the moved ones included.
+    put_runs(2, 2, 60);
+    ASSERT_TRUE(db->CompactAll().ok());
+    EXPECT_TRUE(ScanAll(db.get()) == model);
+
+    auto m = held_model.begin();
+    size_t rows = 0;
+    for (held->SeekToFirst(); held->Valid(); held->Next(), ++m, rows++) {
+      ASSERT_TRUE(m != held_model.end());
+      ASSERT_EQ(held->key().ToString(), m->first);
+      ASSERT_EQ(held->value().ToString(), m->second);
+    }
+    ASSERT_TRUE(held->status().ok()) << held->status().ToString();
+    EXPECT_EQ(rows, held_model.size());
+    held.reset();
+
+    // Every table file left on disk is live.
+    std::vector<std::string> children;
+    ASSERT_TRUE(env.GetChildren("/db", &children).ok());
+    int tables = 0;
+    for (const std::string& name : children) {
+      uint64_t number;
+      FileType type;
+      tables += ParseFileName(name, &number, &type) &&
+                type == FileType::kTableFile;
+    }
+    EXPECT_EQ(tables, db->GetStats().total_files);
+  }
+}
+
+/// Empty when every run of `v` holds files whose user-key ranges strictly
+/// increase; else the first run that does not.
+std::string OverlappingRun(const Version& v) {
+  const Comparator* ucmp = BytewiseComparator();
+  for (int level = 0; level < v.num_levels(); level++) {
+    for (const Run& run : v.levels()[level].runs) {
+      for (size_t i = 1; i < run.files.size(); i++) {
+        if (ucmp->Compare(ExtractUserKey(Slice(run.files[i - 1]->largest)),
+                          ExtractUserKey(Slice(run.files[i]->smallest))) >=
+            0) {
+          return "level " + std::to_string(level) + " run " +
+                 std::to_string(run.run_seq) + " file " +
+                 std::to_string(run.files[i]->number);
+        }
+      }
+    }
+  }
+  return "";
+}
+
+// A merge of level 1 into level 2 that stops between two installs (here a
+// failed table; a crash leaves the same tree) leaves level 2 with two
+// runs: the installed prefix's and what is left of the old one, whose
+// first file straddles the prefix's end cut. After a reopen, a
+// seek-triggered pick of the level-1 file that starts at that cut
+// overlaps the straddling file but no file of the prefix's run. Joining
+// its outputs to that run would give it overlapping files, which
+// seek-started scans misread; the policy first merges level 2 into one
+// run.
+TEST_F(CompactionShapeTest, PickAfterAStoppedMergeKeepsRunsDisjoint) {
+  ObservingEnv env(env_.get());
+  Options options = options_;
+  options.env = &env;
+  options.merge_policy = MergePolicy::kLeveling;
+  options.max_file_size = 4 << 10;
+  options.level0_compaction_trigger = 2;
+  constexpr int kKeys = 3000;
+  std::map<std::string, std::string> model;
+  auto put = [&](int i, int size) {
+    const std::string key = EncodeKey(static_cast<uint64_t>(i));
+    model[key] = ValueForKey(key, size);
+    ASSERT_TRUE(db_->Put({}, key, model[key]).ok());
+  };
+  auto reopen = [&](size_t write_buffer_size, int size_ratio,
+                    uint64_t seek_threshold) {
+    db_.reset();
+    options.write_buffer_size = write_buffer_size;
+    options.size_ratio = size_ratio;
+    options.seek_compaction_threshold = seek_threshold;
+    ASSERT_TRUE(DB::Open(options, "/db", &db_).ok());
+  };
+
+  // Sparse keys in level 1, then pushed into level 2: the small write
+  // buffer makes level 1's capacity (8 KB) smaller than them and level
+  // 2's (32 KB) larger.
+  reopen(1 << 20, 4, 0);  // flushes only when asked
+  for (int round = 0; round < 2; round++) {
+    for (int i = 0; i < kKeys; i += 15) {
+      put(i, 80 + round);
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+  reopen(1 << 10, 4, 0);
+  ASSERT_TRUE(db_->CompactAll().ok());
+  ASSERT_EQ(db_->GetStats().runs_per_level[2], 1) << db_->DebugShape();
+  ASSERT_EQ(db_->GetStats().total_runs, 1) << db_->DebugShape();
+
+  // Dense keys in level 1 (its capacity now out of reach).
+  reopen(1 << 20, 100, 0);
+  for (int round = 0; round < 2; round++) {
+    for (int i = 0; i < kKeys; i++) {
+      put(i, 60 + round);
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+  }
+  auto* impl = static_cast<DBImpl*>(db_.get());
+  // CompactAll merges level 1 into level 2. From its third table once the
+  // prefix is installed on, table creation fails, so the compaction that
+  // follows the failure cannot change the tree either.
+  impl->TEST_SetSubcompactionHelpers(0);
+  int after_interim = 0;
+  env.on_table = [&] {
+    const DBStats shape = db_->GetStats();
+    if (after_interim >= 2 ||
+        (shape.runs_per_level[1] == 1 && shape.runs_per_level[2] == 2)) {
+      if (++after_interim >= 3) {
+        return Status::IOError("injected table failure");
+      }
+    }
+    return Status::OK();
+  };
+  Status s = db_->CompactAll();
+  env.on_table = nullptr;
+  ASSERT_TRUE(s.IsIOError()) << s.ToString();
+
+  // The level-1 file that starts at the installed prefix's end cut, and
+  // the old run's first file straddling that cut.
+  const VersionPtr v = impl->TEST_CurrentVersion();
+  const auto& level2 = v->levels()[2].runs;
+  ASSERT_EQ(level2.size(), 2u) << db_->DebugShape();
+  const Comparator* ucmp = BytewiseComparator();
+  const std::string prefix_end =
+      ExtractUserKey(Slice(level2[0].files.back()->largest)).ToString();
+  FileMetaPtr g;
+  for (const FileMetaPtr& f : v->levels()[1].runs.at(0).files) {
+    if (ucmp->Compare(ExtractUserKey(Slice(f->smallest)), prefix_end) > 0) {
+      g = f;
+      break;
+    }
+  }
+  ASSERT_NE(g, nullptr);
+  const FileMetaPtr& straddling = level2[1].files.front();
+  ASSERT_LT(ucmp->Compare(ExtractUserKey(Slice(straddling->smallest)),
+                          prefix_end),
+            0);
+  const std::string g_smallest =
+      ExtractUserKey(Slice(g->smallest)).ToString();
+  ASSERT_GE(ucmp->Compare(ExtractUserKey(Slice(straddling->largest)),
+                          g_smallest),
+            0);
+
+  reopen(1 << 20, 100, 10);
+  impl = static_cast<DBImpl*>(db_.get());
+  // Absent keys inside the file's range, probed past its filter.
+  ReadOptions no_filter;
+  no_filter.use_filter = false;
+  std::string value;
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(
+        db_->Get(no_filter, g_smallest + "x", &value).IsNotFound());
+  }
+  // The next write runs the pick.
+  put(0, 50);
+  EXPECT_EQ(OverlappingRun(*impl->TEST_CurrentVersion()), "")
+      << db_->DebugShape();
+  EXPECT_EQ(Mismatch(db_.get(), model, kKeys), "");
+  ASSERT_TRUE(db_->CompactAll().ok());
+  EXPECT_EQ(db_->GetStats().total_runs, 1) << db_->DebugShape();
+  EXPECT_EQ(Mismatch(db_.get(), model, kKeys), "");
 }
 
 }  // namespace

@@ -293,18 +293,22 @@ TEST(CorruptionTest, ManifestEveryTruncation) {
 // Compaction over a corrupt input
 // ---------------------------------------------------------------------------
 
-/// Keeps the outputs of the last successful compaction, in key order.
+/// Keeps the outputs of the last successful compaction, in key order, and
+/// those a failed one installed before it failed.
 class CompactionOutputRecorder : public EventListener {
  public:
   void OnCompactionEnd(const CompactionJobInfo& info) override {
     if (info.status.ok()) {
       output_level = info.output_level;
       outputs = info.outputs;
+    } else {
+      installed_before_failure = info.outputs;
     }
   }
 
   int output_level = -1;
   std::vector<TableFileInfo> outputs;
+  std::vector<TableFileInfo> installed_before_failure;
 };
 
 std::set<std::string> TableFiles(Env* env, const std::string& dbname) {
@@ -324,9 +328,10 @@ std::set<std::string> TableFiles(Env* env, const std::string& dbname) {
 /// Builds an L1 run of at least eight files under a newer L0 run spanning
 /// it, flips a byte in the first data block of the run's file `victim`
 /// (counted from the end when negative), and compacts the two runs with
-/// `helpers` subcompaction helper threads. The compaction must fail as a
-/// whole: nothing is installed, the intact inputs keep serving reads, and
-/// the outputs already built are swept as orphans on the next open.
+/// `helpers` subcompaction helper threads. The compaction must fail. The
+/// subranges it installed before the failure stay, the tree keeps serving
+/// every intact key, and the outputs built but never installed are swept
+/// as orphans on the next open.
 void CompactOverCorruptInput(int victim, int helpers) {
   std::unique_ptr<Env> env(NewMemEnv());
   auto recorder = std::make_shared<CompactionOutputRecorder>();
@@ -389,13 +394,33 @@ void CompactOverCorruptInput(int victim, int helpers) {
     const std::string shape = db->DebugShape();
     const Status s = db->CompactAll();
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-    EXPECT_EQ(db->DebugShape(), shape);
+    if (recorder->installed_before_failure.empty()) {
+      EXPECT_EQ(db->DebugShape(), shape);
+    }
+    // One thread builds the subranges in key order and installs each
+    // before the next starts, so a corrupt last file leaves an installed
+    // prefix.
+    if (victim < 0 && helpers == 0) {
+      EXPECT_FALSE(recorder->installed_before_failure.empty())
+          << db->DebugShape();
+    }
     expect_intact_reads(db.get());
   }
   {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
-    EXPECT_EQ(TableFiles(env.get(), dbname), tables_before);
+    const std::set<std::string> tables = TableFiles(env.get(), dbname);
+    EXPECT_EQ(tables.size(),
+              static_cast<size_t>(db->GetStats().total_files))
+        << db->DebugShape();
+    EXPECT_EQ(tables.count(victim_name.substr(dbname.size() + 1)), 1u);
+    for (const TableFileInfo& t : recorder->installed_before_failure) {
+      const std::string name = TableFileName(dbname, t.file_number);
+      EXPECT_EQ(tables.count(name.substr(dbname.size() + 1)), 1u) << name;
+    }
+    if (recorder->installed_before_failure.empty()) {
+      EXPECT_EQ(tables, tables_before);
+    }
     expect_intact_reads(db.get());
   }
 }
@@ -410,7 +435,7 @@ TEST(CorruptionTest, CompactionFailsOnLazilyOpenedCorruptInput) {
 // The merge above is cut into subranges (one per 4 x max_file_size of
 // input). A corrupt block in the run's last file is read only by the last
 // subrange, after (serially) or while (with helpers) the others build
-// their outputs; it still fails the whole compaction.
+// and install their outputs; it still fails the compaction.
 TEST(CorruptionTest, CompactionFailsOnCorruptInputOfLaterSubrange) {
   for (const int helpers : {0, 3}) {
     SCOPED_TRACE(helpers);

@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -369,12 +370,36 @@ class KillAfterFlush : public EventListener {
   std::optional<Status> status_;
 };
 
+/// The DB's rows, from a full scan.
+std::map<std::string, std::string> ScanAll(DB* db) {
+  std::map<std::string, std::string> rows;
+  std::unique_ptr<Iterator> it(db->NewIterator({}));
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    rows.emplace(it->key().ToString(), it->value().ToString());
+  }
+  EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+  return rows;
+}
+
+/// Copies every file of `dbname` from `from` to `to`.
+void CopyDb(Env* from, Env* to, const std::string& dbname) {
+  std::vector<std::string> files;
+  ASSERT_TRUE(from->GetChildren(dbname, &files).ok());
+  for (const std::string& f : files) {
+    std::string data;
+    ASSERT_TRUE(ReadFileToString(from, dbname + "/" + f, &data).ok());
+    ASSERT_TRUE(WriteStringToFile(to, data, dbname + "/" + f).ok());
+  }
+}
+
 // A background compaction split into subranges, killed at each write-op
 // boundary in turn: in one subrange's table while the other subranges
-// build theirs, or in the manifest install. It installs nothing, its
-// failure sticks in bg_error_ as any background failure does, and every
-// acknowledged key still reads back.
-TEST_F(CrashTest, FailedSubcompactionInstallsNothing) {
+// build theirs, or in a manifest install. The merge installs its finished
+// subranges as it goes, so a failure may come after some installs, which
+// stay: every acknowledged key still reads back, and the failure sticks in
+// bg_error_ as any background failure does. Reopened on a healthy disk,
+// a CompactAll turns the tree into one run that reads as the model.
+TEST_F(CrashTest, FailedSubcompactionKeepsInstalledPrefix) {
   options_.background_compaction = true;
   options_.write_buffer_size = 16 << 10;
   options_.max_file_size = 4 << 10;
@@ -401,22 +426,17 @@ TEST_F(CrashTest, FailedSubcompactionInstallsNothing) {
   ASSERT_EQ(shape.runs_per_level[0], 1) << db_->DebugShape();
   ASSERT_EQ(shape.runs_per_level[1], 1) << db_->DebugShape();
   db_.reset();
-  std::vector<std::string> files;
-  ASSERT_TRUE(base_env_->GetChildren("/db", &files).ok());
   for (int i = 3; i < kKeys; i += 7) {
     model[EncodeKey(static_cast<uint64_t>(i))] = "b";
   }
 
   int failures = 0;
+  int installed_prefixes = 0;
   bool completed = false;
   for (uint64_t kill_at = 1; !completed; kill_at += 11) {
     ASSERT_LT(kill_at, 5000u) << "the compaction never completed";
     std::unique_ptr<Env> disk(NewMemEnv());
-    for (const std::string& f : files) {
-      std::string data;
-      ASSERT_TRUE(ReadFileToString(base_env_.get(), "/db/" + f, &data).ok());
-      ASSERT_TRUE(WriteStringToFile(disk.get(), data, "/db/" + f).ok());
-    }
+    CopyDb(base_env_.get(), disk.get(), "/db");
     FaultInjectionEnv env(disk.get());
     auto listener = std::make_shared<KillAfterFlush>(&env);
     Options options = options_;
@@ -424,7 +444,11 @@ TEST_F(CrashTest, FailedSubcompactionInstallsNothing) {
     options.listeners.push_back(listener);
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
-    static_cast<DBImpl*>(db.get())->TEST_SetSubcompactionHelpers(3);
+    // Every other kill point merges on one thread, in key order, so kills
+    // past its first install leave an installed prefix however the
+    // threads of the others are scheduled.
+    static_cast<DBImpl*>(db.get())->TEST_SetSubcompactionHelpers(
+        kill_at % 2 == 0 ? 0 : 3);
     // A second L0 run over the whole L1 run: its flush triggers an
     // L0 -> L1 merge of several subranges.
     for (int i = 3; i < kKeys; i += 7) {
@@ -443,7 +467,11 @@ TEST_F(CrashTest, FailedSubcompactionInstallsNothing) {
       completed = true;
     } else {
       failures++;
-      EXPECT_EQ(db->GetStats().total_runs, 3) << kill_at << db->DebugShape();
+      // Installs before the failure put their outputs in a run of their
+      // own next to what is left of the L1 run; both L0 runs stay.
+      const DBStats failed = db->GetStats();
+      EXPECT_EQ(failed.runs_per_level[0], 2) << kill_at << db->DebugShape();
+      installed_prefixes += failed.runs_per_level[1] == 2;
       EXPECT_FALSE(db->Put({}, "after", "x").ok()) << kill_at;
     }
     std::string value;
@@ -451,8 +479,89 @@ TEST_F(CrashTest, FailedSubcompactionInstallsNothing) {
       ASSERT_TRUE(db->Get({}, key, &value).ok()) << kill_at;
       ASSERT_EQ(value, want) << kill_at;
     }
+    ASSERT_TRUE(ScanAll(db.get()) == model) << kill_at;
+    if (!s.ok()) {
+      db.reset();
+      options.listeners.clear();
+      ASSERT_TRUE(DB::Open(options, "/db", &db).ok()) << kill_at;
+      ASSERT_TRUE(db->CompactAll().ok()) << kill_at;
+      EXPECT_EQ(db->GetStats().total_runs, 1) << kill_at << db->DebugShape();
+      ASSERT_TRUE(ScanAll(db.get()) == model) << kill_at;
+    }
   }
   EXPECT_GE(failures, 10);
+  EXPECT_GT(installed_prefixes, 0);
+}
+
+// A CompactAll killed at write-op boundaries in turn, then crashed and
+// reopened. Its merge installs its finished subranges as it goes, so some
+// kills fall between two interim installs: the recovered tree holds the
+// installed prefix next to the rest of the inputs, and the outputs built
+// after the last install are gone. Every recovered tree must read as the
+// model, and a CompactAll on a healthy disk must turn it into one run
+// that still does.
+TEST_F(CrashTest, CompactAllKillPointsKeepInstalledPrefix) {
+  options_.write_buffer_size = 64 << 10;
+  options_.max_file_size = 4 << 10;
+  options_.size_ratio = 10;
+  constexpr int kKeys = 1500;
+  std::map<std::string, std::string> model;
+  Open();
+  for (int i = 0; i < kKeys; i++) {
+    const std::string key = EncodeKey(static_cast<uint64_t>(i));
+    model[key] = ValueForKey(key, 40);
+    ASSERT_TRUE(db_->Put({}, key, model[key]).ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+  for (int i = 0; i < kKeys; i += 5) {
+    const std::string key = EncodeKey(static_cast<uint64_t>(i));
+    if (i % 15 == 0) {
+      model.erase(key);
+      ASSERT_TRUE(db_->Delete({}, key).ok());
+    } else {
+      model[key] = "new";
+      ASSERT_TRUE(db_->Put({}, key, model[key]).ok());
+    }
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  const DBStats shape = db_->GetStats();
+  ASSERT_EQ(shape.total_runs, 2) << db_->DebugShape();
+  ASSERT_EQ(shape.runs_per_level[1], 1) << db_->DebugShape();
+  db_.reset();
+
+  // Interim trees recovered, told apart by their level-1 bytes.
+  std::set<uint64_t> interim_trees;
+  int kills = 0;
+  bool completed = false;
+  for (uint64_t kill_at = 1; !completed; kill_at += 3) {
+    ASSERT_LT(kill_at, 5000u) << "the compaction never completed";
+    std::unique_ptr<Env> disk(NewMemEnv());
+    CopyDb(base_env_.get(), disk.get(), "/db");
+    FaultInjectionEnv env(disk.get());
+    Options options = options_;
+    options.env = &env;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    static_cast<DBImpl*>(db.get())->TEST_SetSubcompactionHelpers(0);
+    env.ArmKillPoint(kill_at);
+    completed = db->CompactAll().ok();
+    kills += !completed;
+    db.reset();
+    ASSERT_TRUE(env.Crash().ok());
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok()) << kill_at;
+    ASSERT_TRUE(ScanAll(db.get()) == model) << kill_at << db->DebugShape();
+    const DBStats recovered = db->GetStats();
+    if (recovered.runs_per_level[0] == 1 && recovered.runs_per_level[1] == 2) {
+      interim_trees.insert(recovered.bytes_per_level[1]);
+    }
+    ASSERT_TRUE(db->CompactAll().ok()) << kill_at;
+    EXPECT_EQ(db->GetStats().total_runs, 1) << kill_at << db->DebugShape();
+    ASSERT_TRUE(ScanAll(db.get()) == model) << kill_at;
+  }
+  EXPECT_GT(kills, 10);
+  // At least two interim trees: the first of them was followed by another
+  // interim install.
+  EXPECT_GE(interim_trees.size(), 2u);
 }
 
 TEST_F(CrashTest, KillPointMatrixIsPrefixConsistent) {

@@ -158,6 +158,46 @@ TEST(IoStatsTest, WritesChargedInBlocks) {
   EXPECT_EQ(env->io_stats()->bytes_written.load(), 10000u);
 }
 
+// MemEnv's files are memory: the live-bytes gauge counts every buffer not
+// yet freed, a removed file's too while a reader keeps it open, and its
+// high-water mark restarts from the gauge on Reset.
+TEST(IoStatsTest, LiveFileBytesFollowBuffers) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  IoStats* stats = env->io_stats();
+  EXPECT_EQ(stats->live_file_bytes.load(), 0u);
+  ASSERT_TRUE(WriteStringToFile(env.get(), std::string(3000, 'a'), "/a").ok());
+  ASSERT_TRUE(WriteStringToFile(env.get(), std::string(1000, 'b'), "/b").ok());
+  EXPECT_EQ(stats->live_file_bytes.load(), 4000u);
+  EXPECT_EQ(stats->live_file_bytes_peak.load(), 4000u);
+
+  std::unique_ptr<RandomAccessFile> reader;
+  ASSERT_TRUE(env->NewRandomAccessFile("/a", &reader).ok());
+  ASSERT_TRUE(env->RemoveFile("/a").ok());
+  EXPECT_EQ(stats->live_file_bytes.load(), 4000u);  // still open
+  reader.reset();
+  EXPECT_EQ(stats->live_file_bytes.load(), 1000u);
+
+  // Truncate-on-open frees the old buffer.
+  std::unique_ptr<WritableFile> writer;
+  ASSERT_TRUE(env->NewWritableFile("/b", &writer).ok());
+  EXPECT_EQ(stats->live_file_bytes.load(), 0u);
+  ASSERT_TRUE(writer->Append(std::string(500, 'c')).ok());
+  writer.reset();
+  EXPECT_EQ(stats->live_file_bytes.load(), 500u);
+  EXPECT_EQ(stats->live_file_bytes_peak.load(), 4000u);
+
+  stats->Reset();
+  EXPECT_EQ(stats->live_file_bytes.load(), 500u);
+  EXPECT_EQ(stats->live_file_bytes_peak.load(), 500u);
+  ASSERT_TRUE(env->RemoveFile("/b").ok());
+  EXPECT_EQ(stats->live_file_bytes.load(), 0u);
+  EXPECT_NE(stats->ToString().find("live_file_bytes=0 "), std::string::npos)
+      << stats->ToString();
+  EXPECT_NE(stats->ToString().find("live_file_bytes_peak=500"),
+            std::string::npos)
+      << stats->ToString();
+}
+
 TEST(MemEnvTest, UnlinkedFileStaysReadable) {
   // POSIX semantics: an open reader survives file removal.
   std::unique_ptr<Env> env(NewMemEnv());

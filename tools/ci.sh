@@ -30,8 +30,8 @@
 #   tsan-obs       ThreadSanitizer build, observability tests only (fast
 #                  race check over the PerfContext/StatsRegistry/listener
 #                  counter paths, compaction_test's lazily opened merge
-#                  inputs and subcompactions, plus property_test's
-#                  background rows; subset of `tsan`)
+#                  inputs, subcompactions and interim installs, plus
+#                  property_test's background rows; subset of `tsan`)
 #   asan-ubsan     Address+UB sanitizer builds + full ctest
 #   fuzz-smoke     libFuzzer harnesses (LSMLAB_FUZZ build, clang only),
 #                  10k runs per target from the checked-in seed corpora
@@ -166,11 +166,14 @@ leg_tsan_obs() {
   # its subcompaction helpers while readers open and probe tables through
   # the same TableCache. Subcompactions: helper threads building one
   # merge's subranges, with the serial merge as the reference, over a
-  # corrupt input, and without filling the block cache. (The inline shape
-  # tests add minutes under TSan and no threads; crash_test above already
-  # runs the failed-subcompaction kill-point sweep.)
-  GTEST_FILTER='*Background*:*Subcompaction*' ctest --test-dir build-ci-tsan \
-      --output-on-failure -R compaction_test
+  # corrupt input, and without filling the block cache. Installs: the
+  # calling thread installs finished subranges while helpers build and
+  # readers scan, Get and MultiGet the interim trees. (The other inline
+  # shape tests add minutes under TSan and no threads; crash_test above
+  # already runs the failed-subcompaction and CompactAll kill-point
+  # sweeps.)
+  GTEST_FILTER='*Background*:*Subcompaction*:*Install*' ctest \
+      --test-dir build-ci-tsan --output-on-failure -R compaction_test
   GTEST_FILTER='*Subrange*' ctest --test-dir build-ci-tsan \
       --output-on-failure -R corruption_test
   GTEST_FILTER='CompactionRead*' ctest --test-dir build-ci-tsan \
