@@ -123,6 +123,10 @@ class LeveledPolicy : public PolicyBase {
 
   const char* Name() const override { return "leveled"; }
 
+  size_t MaxRuns(const Version& /*v*/, int level) const override {
+    return level == 0 ? kUnboundedRuns : 1;
+  }
+
   std::optional<CompactionPick> Pick(const Version& v) override {
     for (int level = 1; level < v.num_levels(); level++) {
       if (v.levels()[level].runs.size() > 1) {
@@ -342,6 +346,10 @@ class LazyLevelingPolicy : public PolicyBase {
   using PolicyBase::PolicyBase;
 
   const char* Name() const override { return "lazy-leveling"; }
+
+  size_t MaxRuns(const Version& v, int level) const override {
+    return level == std::max(v.MaxPopulatedLevel(), 1) ? 1 : kUnboundedRuns;
+  }
 
   std::optional<CompactionPick> Pick(const Version& v) override {
     const int last = std::max(v.MaxPopulatedLevel(), 1);

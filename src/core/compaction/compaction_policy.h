@@ -1,6 +1,8 @@
 #ifndef LSMLAB_CORE_COMPACTION_COMPACTION_POLICY_H_
 #define LSMLAB_CORE_COMPACTION_COMPACTION_POLICY_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -30,6 +32,10 @@ struct CompactionPick {
   bool drop_only = false;
 };
 
+/// CompactionPolicy::MaxRuns of a level whose run count only triggers
+/// merges.
+inline constexpr size_t kUnboundedRuns = SIZE_MAX;
+
 /// Strategy deciding when a level overflows and what to merge — the
 /// merge-policy axis of the design space (leveling / tiering / lazy
 /// leveling / FIFO).
@@ -46,6 +52,15 @@ class CompactionPolicy {
 
   /// Byte capacity of `level` under this policy's shape.
   virtual uint64_t LevelCapacity(int level) const = 0;
+
+  /// Most runs `level` of `v` holds once an install completes its merge
+  /// (Version::CheckRunBound):
+  /// 1 at a level the policy keeps as one run, else kUnboundedRuns (level
+  /// 0 and tiered levels, whose run count is a merge trigger that flushes
+  /// may outpace).
+  virtual size_t MaxRuns(const Version& /*v*/, int /*level*/) const {
+    return kUnboundedRuns;
+  }
 };
 
 /// Builds the policy selected by options.merge_policy. `block_cache` (may

@@ -31,9 +31,9 @@ DBImpl::DBImpl(const Options& options, std::string dbname,
         options_.filter_bits_per_key, options_.max_levels,
         options_.size_ratio));
   }
-  versions_ = std::make_unique<VersionSet>(dbname_, &options_,
-                                           table_cache_.get(), &icmp_);
   policy_ = CreateCompactionPolicy(options_, &icmp_, options_.block_cache);
+  versions_ = std::make_unique<VersionSet>(
+      dbname_, &options_, table_cache_.get(), &icmp_, policy_.get());
   mem_ = new MemTable(icmp_, options_.memtable_rep,
                       options_.memtable_hash_index);
   mem_->Ref();
@@ -723,9 +723,8 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
 
   VersionEdit edit;
   const uint64_t run_seq = versions_->NewRunSeq();
-  for (FileMetaData& meta : outputs) {
-    meta.run_seq = run_seq;
-    edit.AddFile(0, meta);
+  for (const FileMetaData& meta : outputs) {
+    edit.AddFile(0, run_seq, meta);
   }
   edit.SetLogNumber(log_number);  // everything older is durable in tables
   // The manifest install and WAL retirement must be atomic with the
@@ -929,7 +928,6 @@ Status DBImpl::BuildTables(Iterator* iter, int output_level,
     if (fs.ok()) {
       meta.file_size = builder->FileSize();
       *bytes_written += meta.file_size;
-      meta.level = output_level;
       outputs->push_back(meta);
       fs = file->Close();
     }
@@ -1071,6 +1069,25 @@ void AppendRuns(const InternalKeyComparator& icmp,
   }
 }
 
+/// True when `files`, ordered by smallest key, are pairwise disjoint in
+/// user keys, so they can form one run: FindFileInRun needs each user key
+/// in one file of a run, which disjoint internal keys do not give.
+bool FormOneRun(const InternalKeyComparator& icmp,
+                std::vector<FileMetaPtr> files) {
+  std::sort(files.begin(), files.end(),
+            [&icmp](const FileMetaPtr& a, const FileMetaPtr& b) {
+              return icmp.Compare(Slice(a->smallest), Slice(b->smallest)) < 0;
+            });
+  const Comparator* ucmp = icmp.user_comparator();
+  for (size_t i = 1; i < files.size(); i++) {
+    if (ucmp->Compare(ExtractUserKey(Slice(files[i - 1]->largest)),
+                      ExtractUserKey(Slice(files[i]->smallest))) >= 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Subcompaction boundaries: user keys that cut a merge of `runs` into one
 /// subrange per kSubcompactionFiles x `file_bytes` (max_file_size, at
 /// least 1) of input. The cuts are smallest user keys of the largest run's
@@ -1148,6 +1165,14 @@ Status DBImpl::DoCompaction(CompactionPick pick, PendingEvents* events) {
     return InstallCompaction(&c, {}, /*end=*/nullptr, &released);
   }
 
+  // A pick whose inputs can form one run below, where they overlap
+  // nothing, moves them instead of merging. A moved table keeps the filter
+  // it was built with, so the move needs the output level to get the same
+  // filter bits: always under uniform bits, rarely under Monkey.
+  c.move = p.output_level != p.level && p.output_overlaps.empty() &&
+           table_cache_->FilterBitsPerKey(p.level) ==
+               table_cache_->FilterBitsPerKey(p.output_level) &&
+           FormOneRun(icmp_, p.inputs);
   const auto compaction_start = std::chrono::steady_clock::now();
   std::vector<TableFileInfo> input_infos;
   if (has_listeners()) {
@@ -1164,6 +1189,54 @@ Status DBImpl::DoCompaction(CompactionPick pick, PendingEvents* events) {
     begin.inputs = input_infos;
     events->push_back(
         [begin](EventListener& l) { l.OnCompactionBegin(begin); });
+  }
+  auto finish = [&](const Status& s, uint64_t bytes_written) {
+    const uint64_t micros = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - compaction_start)
+            .count());
+    GetPerfContext()->compaction_micros += micros;
+    stats_.Record(PhaseHistogram::kCompactionMicros,
+                  static_cast<double>(micros));
+    if (has_listeners()) {
+      CompactionJobInfo info;
+      info.db_name = dbname_;
+      info.input_level = p.level;
+      info.output_level = p.output_level;
+      info.bytes_written = bytes_written;
+      info.micros = micros;
+      info.moved = c.move;
+      info.status = s;
+      info.inputs = std::move(input_infos);
+      for (const FileMetaData& meta : c.installed) {
+        info.outputs.push_back(MakeTableFileInfo(meta, p.output_level));
+        const TableFileInfo created = info.outputs.back();
+        events->push_back(
+            [created](EventListener& l) { l.OnTableFileCreated(created); });
+      }
+      events->push_back(
+          [info](EventListener& l) { l.OnCompactionEnd(info); });
+    }
+    return s;
+  };
+
+  // Fixed before a merge starts: a flush the merge overlaps takes a newer
+  // run.
+  c.run_seq =
+      p.output_run_seq != 0 ? p.output_run_seq : versions_->NewRunSeq();
+  if (c.move) {
+    // The moved files keep what a merge into the bottom level would drop
+    // (shadowed versions, tombstones) until a merge rewrites them.
+    stats_.Add(Ticker::kCompactionMoves);
+    std::vector<FileMetaData> moved;
+    for (const FileMetaPtr& f : p.inputs) {
+      moved.push_back(*f);
+    }
+    // The moved files stay in the tree, so dropping these references
+    // deletes nothing.
+    std::vector<FileMetaPtr> released;
+    return finish(InstallCompaction(&c, moved, /*end=*/nullptr, &released),
+                  /*bytes_written=*/0);
   }
 
   const SequenceNumber smallest_snapshot = SmallestSnapshotLocked();
@@ -1204,10 +1277,6 @@ Status DBImpl::DoCompaction(CompactionPick pick, PendingEvents* events) {
       }
     }
   }
-  // Fixed before the merge: a flush the merge overlaps takes a newer run.
-  c.run_seq =
-      p.output_run_seq != 0 ? p.output_run_seq : versions_->NewRunSeq();
-
   // Merge with the lock released: the inputs are immutable files pinned by
   // the pick's shared_ptrs, so reads and writes proceed during the heavy
   // lifting. Compactions themselves never race — they are serialized on
@@ -1232,31 +1301,7 @@ Status DBImpl::DoCompaction(CompactionPick pick, PendingEvents* events) {
                              &bytes_written);
   mu_.Lock();
 
-  const uint64_t micros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - compaction_start)
-          .count());
-  GetPerfContext()->compaction_micros += micros;
-  stats_.Record(PhaseHistogram::kCompactionMicros,
-                static_cast<double>(micros));
-  if (has_listeners()) {
-    CompactionJobInfo info;
-    info.db_name = dbname_;
-    info.input_level = p.level;
-    info.output_level = p.output_level;
-    info.bytes_written = bytes_written;
-    info.micros = micros;
-    info.status = s;
-    info.inputs = std::move(input_infos);
-    for (const FileMetaData& meta : c.installed) {
-      info.outputs.push_back(MakeTableFileInfo(meta, p.output_level));
-      const TableFileInfo created = info.outputs.back();
-      events->push_back(
-          [created](EventListener& l) { l.OnTableFileCreated(created); });
-    }
-    events->push_back([info](EventListener& l) { l.OnCompactionEnd(info); });
-  }
-  return s;
+  return finish(s, bytes_written);
 }
 
 Status DBImpl::InstallCompaction(CompactionState* c,
@@ -1289,12 +1334,10 @@ Status DBImpl::InstallCompaction(CompactionState* c,
       edit.RemoveFile(pick.level, f->number);
     }
     if (c->interim_run_seq != 0) {
-      // Moves the outputs installed so far into the output run; their
-      // files stay.
-      for (FileMetaData meta : c->installed) {
+      // Moves the outputs installed so far into the output run.
+      for (const FileMetaData& meta : c->installed) {
         edit.RemoveFile(pick.output_level, meta.number);
-        meta.run_seq = c->run_seq;
-        edit.AddFile(pick.output_level, meta);
+        edit.AddFile(pick.output_level, c->run_seq, meta);
       }
     }
   }
@@ -1304,19 +1347,21 @@ Status DBImpl::InstallCompaction(CompactionState* c,
     }
   }
   uint64_t bytes = 0;
-  for (FileMetaData meta : outputs) {
-    meta.run_seq = run_seq;
+  for (const FileMetaData& meta : outputs) {
     bytes += meta.file_size;
-    edit.AddFile(pick.output_level, meta);
+    edit.AddFile(pick.output_level, run_seq, meta);
   }
   ScopedBlockingIoAllowed allow_io("compaction manifest install");
   // io-under-lock-ok: manifest install is atomic with the version swap.
   Status s = versions_->LogAndApply(&edit);
-  if (!s.ok()) {
-    // The outputs never became live: drop any reader the re-warm opened.
+  // Outputs of a failed merge install never became live: drop any reader
+  // the re-warm opened. A move's files are live either way.
+  if (!s.ok() && !c->move) {
     for (const FileMetaData& meta : outputs) {
       table_cache_->Evict(meta.number);
     }
+  }
+  if (!s.ok()) {
     return s;
   }
   for (FileMetaPtr& f : pick.output_overlaps) {
@@ -1326,10 +1371,14 @@ Status DBImpl::InstallCompaction(CompactionState* c,
   }
   if (final) {
     for (FileMetaPtr& f : pick.inputs) {
+      if (c->move) {
+        // The read trigger counts wasted probes at the file's level.
+        f->wasted_probes.store(0, std::memory_order_relaxed);
+      }
       released->push_back(std::move(f));
     }
   }
-  if (!outputs.empty()) {
+  if (!outputs.empty() && !c->move) {
     stats_.Add(Ticker::kBytesCompacted, bytes);
     stats_.Add(Ticker::kTableFilesCreated, outputs.size());
     c->installed.insert(c->installed.end(), outputs.begin(), outputs.end());
@@ -1348,6 +1397,7 @@ Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
   // removed file (its largest key lies below the subrange).
   std::vector<std::span<const FileMetaPtr>> runs;
   AppendRuns(icmp_, pick.inputs, &runs);
+  const size_t source_runs = runs.size();  // the rest are output-level runs
   AppendRuns(icmp_, pick.output_overlaps, &runs);
   const uint64_t file_bytes = std::max<size_t>(1, options_.max_file_size);
   // Each subrange ends its own short last file. A partial file picker
@@ -1363,7 +1413,7 @@ Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
                     : SubcompactionCuts(*ucmp, runs, file_bytes);
   const std::vector<Slice> bounds(cuts.begin(), cuts.end());
   struct Subcompaction {
-    std::vector<std::span<const FileMetaPtr>> runs;
+    std::vector<std::pair<std::span<const FileMetaPtr>, int>> runs;  // level
     Subrange range;
     std::vector<FileMetaData> outputs;
     uint64_t bytes_written = 0;
@@ -1378,7 +1428,8 @@ Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
     sub.range.begin = i > 0 ? &bounds[i - 1] : nullptr;
     sub.range.end = i < bounds.size() ? &bounds[i] : nullptr;
     uint64_t input_bytes = 0;
-    for (std::span<const FileMetaPtr> files : runs) {
+    for (size_t r = 0; r < runs.size(); r++) {
+      const std::span<const FileMetaPtr> files = runs[r];
       auto first = files.begin();
       auto last = files.end();
       if (sub.range.begin != nullptr) {
@@ -1394,7 +1445,8 @@ Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
         });
       }
       if (first != last) {
-        sub.runs.emplace_back(first, last);
+        sub.runs.emplace_back(std::span<const FileMetaPtr>(first, last),
+                              r < source_runs ? pick.level : output_level);
         for (auto f = first; f != last; ++f) {
           input_bytes += (*f)->file_size;
         }
@@ -1446,9 +1498,9 @@ Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
   auto build = [&](size_t i) {
     Subcompaction& sub = subs[i];
     std::vector<Iterator*> children;
-    for (std::span<const FileMetaPtr> files : sub.runs) {
-      children.push_back(
-          NewRunIterator(files, /*range=*/nullptr, /*fill_cache=*/false));
+    for (const auto& [files, level] : sub.runs) {
+      children.push_back(NewRunIterator(files, level, /*range=*/nullptr,
+                                        /*fill_cache=*/false));
     }
     std::unique_ptr<Iterator> merged(NewMergingIterator(
         &icmp_, children.data(), static_cast<int>(children.size())));
@@ -1530,7 +1582,7 @@ Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
                    subs[i].outputs.end());
     }
     if (c->prefetch_budget > 0) {
-      PrefetchOutputs(batch, &c->prefetch_budget);
+      PrefetchOutputs(batch, output_level, &c->prefetch_budget);
     }
     std::vector<FileMetaPtr> released;
     {
@@ -1565,13 +1617,13 @@ Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
 }
 
 void DBImpl::PrefetchOutputs(std::span<const FileMetaData> outputs,
-                             size_t* budget) {
+                             int level, size_t* budget) {
   for (const FileMetaData& meta : outputs) {
     if (*budget == 0) {
       break;
     }
     std::shared_ptr<SSTable> table;
-    if (!table_cache_->FindTable(meta, &table).ok()) {
+    if (!table_cache_->FindTable(meta, level, &table).ok()) {
       continue;
     }
     const size_t loaded = table->PrefetchBlocks(*budget);
@@ -1597,9 +1649,10 @@ DBImpl::ReadView DBImpl::PinReadView(const ReadOptions& options) {
 }
 
 Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> run_files,
-                                 const KeyRange* range, bool fill_cache) {
+                                 int level, const KeyRange* range,
+                                 bool fill_cache) {
   if (run_files.size() == 1 && range == nullptr) {
-    return table_cache_->NewIterator(run_files[0], fill_cache);
+    return table_cache_->NewIterator(run_files[0], level, fill_cache);
   }
   // Index iterator over the run's files: key = largest internal key of the
   // file, value = index into a pinned copy of the file list.
@@ -1653,18 +1706,18 @@ Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> run_files,
   StatsRegistry* stats = &stats_;
   return NewTwoLevelIterator(
       new RunFileIndexIterator(files, &icmp_),
-      [files, cache, stats, range,
+      [files, level, cache, stats, range,
        fill_cache](const Slice& index_value) -> Iterator* {
         const FileMetaPtr& file =
             (*files)[DecodeFixed64(index_value.data())];
         // Range filters are asked only once the read reaches the file
         // (tutorial §II-3); a proven-empty file is never read for data.
         if (range != nullptr &&
-            !cache->RangeMayMatch(*file, range->lo, range->hi)) {
+            !cache->RangeMayMatch(*file, level, range->lo, range->hi)) {
           stats->Add(Ticker::kRangeFilterSkips);
           return NewEmptyIterator();
         }
-        return cache->NewIterator(file, fill_cache);
+        return cache->NewIterator(file, level, fill_cache);
       });
 }
 
@@ -1718,8 +1771,8 @@ Iterator* DBImpl::NewReadIterator(const ReadOptions& options,
     view.imm->Unref();
   }
   const Comparator* ucmp = icmp_.user_comparator();
-  for (const LevelState& level : view.version->levels()) {
-    for (const Run& run : level.runs) {
+  for (int level = 0; level < view.version->num_levels(); level++) {
+    for (const Run& run : view.version->levels()[level].runs) {
       std::span<const FileMetaPtr> files = run.files;
       if (range != nullptr) {
         // Fence pointers narrow the run to the files overlapping
@@ -1739,7 +1792,7 @@ Iterator* DBImpl::NewReadIterator(const ReadOptions& options,
           continue;
         }
       }
-      children.push_back(NewRunIterator(files, range));
+      children.push_back(NewRunIterator(files, level, range));
     }
   }
   Iterator* merged = NewMergingIterator(&icmp_, children.data(),

@@ -107,26 +107,29 @@ class DBImpl : public DB {
   void AddShapeAndGauges(DBStats* stats) EXCLUDES(mu_);
 
   /// True iff the calling thread holds the DB mutex. Test hook for the
-  /// listener contract ("callbacks never run under mu_"). Holder tracking
-  /// is compiled out under NDEBUG, where this always returns false — the
-  /// check is meaningful in Debug/sanitizer builds and vacuous in release.
+  /// listener contract ("callbacks never run under mu_").
   bool TEST_MutexHeldByCurrentThread() const {
-#ifdef NDEBUG
-    return false;
-#else
     return mu_.HeldByCurrentThread();
-#endif
   }
 
-  /// NewRunIterator for tests that model-check the merge over real runs.
-  Iterator* TEST_NewRunIterator(std::span<const FileMetaPtr> files) {
-    return NewRunIterator(files);
+  /// NewRunIterator for tests that model-check the merge over real runs
+  /// (tables at `level`).
+  Iterator* TEST_NewRunIterator(std::span<const FileMetaPtr> files,
+                                int level) {
+    return NewRunIterator(files, level);
   }
 
   /// The current version, for tests that check the tree's file layout.
   VersionPtr TEST_CurrentVersion() {
     MutexLock lock(&mu_);
     return versions_->current();
+  }
+
+  /// The current version's Version::CheckConsistency (debug builds run
+  /// it at every install and after recovery).
+  Status TEST_CheckConsistency() {
+    MutexLock lock(&mu_);
+    return versions_->CheckConsistency();
   }
 
   /// Helper threads a compaction's subranges use besides the calling
@@ -262,9 +265,11 @@ class DBImpl : public DB {
       REQUIRES(mu_);
   /// Executes one compaction: the merge runs with mu_ released (inputs are
   /// immutable files) and installs its outputs in key order as it goes
-  /// (MergeRuns); pick metadata capture and each install hold mu_. Takes
-  /// the pick by value so that it stops referencing each input once an
-  /// install has removed it.
+  /// (MergeRuns); pick metadata capture and each install hold mu_. A pick
+  /// whose inputs form one run that overlaps nothing in a level with the
+  /// same filter bits installs as a move instead: one manifest edit, no
+  /// table bytes. Takes the pick by value so that it stops referencing
+  /// each input once an install has removed it.
   Status DoCompaction(CompactionPick pick, PendingEvents* events)
       REQUIRES(mu_);
   /// One compaction in flight. Inputs that an install removed are null
@@ -280,6 +285,8 @@ class DBImpl : public DB {
     std::vector<FileMetaData> installed;
     /// Bytes the Leaper re-warm may still load; 0 = no re-warm.
     size_t prefetch_budget = 0;
+    /// The compaction moves its inputs rather than merging them.
+    bool move = false;
   };
   /// A compaction's one install, interim and final alike: adds `outputs`
   /// (the next outputs in key order) to the output run and removes the
@@ -287,9 +294,11 @@ class DBImpl : public DB {
   /// installed prefix's end cut. The final install (`end` null) removes
   /// every input left, the source level's included. When the output run
   /// already exists, an interim install adds to the interim run instead,
-  /// and the final one moves that run's files into the output run. The
-  /// removed inputs' references move to *released, for the caller to drop
-  /// once mu_ is released (the drop deletes their files).
+  /// and the final one moves that run's files into the output run. A move
+  /// (`c->move`) passes the inputs as `outputs`: the same files change
+  /// run, and their cached readers stay open. The
+  /// references of inputs that left the tree move to *released, for the
+  /// caller to drop once mu_ is released (the drop deletes their files).
   Status InstallCompaction(CompactionState* c,
                            std::span<const FileMetaData> outputs,
                            const Slice* end,
@@ -330,19 +339,19 @@ class DBImpl : public DB {
                    SequenceNumber smallest_snapshot, uint64_t* bytes_written)
       EXCLUDES(mu_);
   SequenceNumber SmallestSnapshotLocked() const REQUIRES(mu_);
-  /// Loads compaction outputs' blocks into the block cache, up to
-  /// *budget bytes (decremented by what it loads), before the install
-  /// publishes them.
-  void PrefetchOutputs(std::span<const FileMetaData> outputs, size_t* budget)
-      EXCLUDES(mu_);
-  /// One run's iterator: concatenation of `files`, whose key ranges must
-  /// strictly increase. Tables open lazily as the iterator reaches them;
-  /// with `range`, a file its range filter proves empty is skipped. With
-  /// `fill_cache` false, block-cache misses are not inserted (compaction
-  /// inputs are read once and then deleted).
+  /// Loads the blocks of compaction outputs for `level` into the block
+  /// cache, up to *budget bytes (decremented by what it loads), before the
+  /// install publishes them.
+  void PrefetchOutputs(std::span<const FileMetaData> outputs, int level,
+                       size_t* budget) EXCLUDES(mu_);
+  /// One run's iterator: concatenation of `files` (tables at `level`),
+  /// whose key ranges must strictly increase. Tables open lazily as the
+  /// iterator reaches them; with `range`, a file its range filter proves
+  /// empty is skipped. With `fill_cache` false, block-cache misses are not
+  /// inserted (compaction inputs are read once and then deleted).
   /// The only place src/core reads tables as a stream (tools/lint.sh
   /// check 10): scans and compactions both merge runs through it.
-  Iterator* NewRunIterator(std::span<const FileMetaPtr> files,
+  Iterator* NewRunIterator(std::span<const FileMetaPtr> files, int level,
                            const KeyRange* range = nullptr,
                            bool fill_cache = true);
   /// Pinned snapshot of everything a read needs: referenced memtables, the
@@ -370,12 +379,12 @@ class DBImpl : public DB {
   InternalKeyComparator icmp_;
   /// Internally synchronized (own mutex + sharded LruCache locks).
   std::unique_ptr<TableCache> table_cache_;
+  std::unique_ptr<CompactionPolicy> policy_;
   /// All VersionSet state is guarded by mu_ except the atomic file-number
   /// counter, which background table builds bump with mu_ released (and
   /// Versions themselves, immutable once installed and pinned via
   /// shared_ptr). Not annotated GUARDED_BY for exactly that reason.
   std::unique_ptr<VersionSet> versions_;
-  std::unique_ptr<CompactionPolicy> policy_;
 
   Mutex mu_{LockRank::kDbMu};
   MemTable* mem_ GUARDED_BY(mu_) = nullptr;  // owned via Ref/Unref

@@ -175,9 +175,9 @@ size_t DBImpl::LookupKeys(const ReadOptions& options,
               return ucmp->Compare(a->searchable, b->searchable) < 0;
             });
   size_t filter_pruned = 0;
-  auto probe_file = [&](const FileMetaPtr& file,
+  auto probe_file = [&](const FileMetaPtr& file, int level,
                         std::span<BatchGetContext* const> ctxs) {
-    table_cache_->GetBatch(*file, ctxs, options.use_filter);
+    table_cache_->GetBatch(*file, level, ctxs, options.use_filter);
     for (BatchGetContext* ctx : ctxs) {
       KeyState* ks = static_cast<KeyState*>(ctx->arg);
       if (ctx->filter_pruned) {
@@ -222,8 +222,9 @@ size_t DBImpl::LookupKeys(const ReadOptions& options,
           continue;
         }
         if (file != nullptr) {
-          probe_file(*file, std::span<BatchGetContext* const>(pending).subspan(
-                                begin, i - begin));
+          probe_file(*file, level,
+                     std::span<BatchGetContext* const>(pending).subspan(
+                         begin, i - begin));
         }
         file = next;
         begin = i;

@@ -1,5 +1,7 @@
 #include "core/table_cache.h"
 
+#include <algorithm>
+
 #include "core/filename.h"
 #include "filter/filter_policy.h"
 
@@ -46,6 +48,7 @@ std::shared_ptr<SSTable> TableCache::TrackPin(
 void TableCache::ConfigureFilterBits(
     const std::vector<double>& bits_per_level) {
   std::vector<TableOptions> levels(options_->max_levels);
+  std::vector<double> filter_bits(options_->max_levels, 0.0);
   std::vector<std::unique_ptr<const FilterPolicy>> policies;
   for (int level = 0; level < options_->max_levels; level++) {
     TableOptions& t = levels[level];
@@ -74,31 +77,41 @@ void TableCache::ConfigureFilterBits(
               : NewBloomFilterPolicy(bits);
       policies.emplace_back(policy);
       t.filter_policy = policy;
+      filter_bits[level] = bits;
     } else {
       t.filter_policy = nullptr;
     }
   }
   MutexLock lock(&mu_);
   per_level_options_.swap(levels);
+  filter_bits_.swap(filter_bits);
   for (auto& policy : policies) {
     owned_filters_.push_back(std::move(policy));
   }
 }
 
-TableOptions TableCache::TableOptionsForLevel(int level) const {
-  MutexLock lock(&mu_);
-  // Levels ultimately come off the manifest; clamp rather than index out
-  // of bounds if a corrupt FileMetaData slips past recovery validation.
-  if (level < 0) {
-    level = 0;
-  }
-  if (level >= static_cast<int>(per_level_options_.size())) {
-    level = static_cast<int>(per_level_options_.size()) - 1;
-  }
-  return per_level_options_[level];
+namespace {
+
+/// Levels ultimately come off the manifest; clamp rather than index out of
+/// bounds if a corrupt one slips past recovery validation.
+size_t ClampLevel(int level, size_t levels) {
+  return static_cast<size_t>(
+      std::clamp(level, 0, static_cast<int>(levels) - 1));
 }
 
-Status TableCache::FindTable(const FileMetaData& meta,
+}  // namespace
+
+TableOptions TableCache::TableOptionsForLevel(int level) const {
+  MutexLock lock(&mu_);
+  return per_level_options_[ClampLevel(level, per_level_options_.size())];
+}
+
+double TableCache::FilterBitsPerKey(int level) const {
+  MutexLock lock(&mu_);
+  return filter_bits_[ClampLevel(level, filter_bits_.size())];
+}
+
+Status TableCache::FindTable(const FileMetaData& meta, int level,
                              std::shared_ptr<SSTable>* table,
                              std::source_location loc) {
   // Error paths must not leave a previously-resolved reader pinned in the
@@ -123,7 +136,7 @@ Status TableCache::FindTable(const FileMetaData& meta,
     return s;
   }
   std::unique_ptr<SSTable> t;
-  s = SSTable::Open(TableOptionsForLevel(meta.level), std::move(file),
+  s = SSTable::Open(TableOptionsForLevel(level), std::move(file),
                     meta.file_size, meta.number, options_->block_cache, &t);
   if (!s.ok()) {
     return s;
@@ -161,9 +174,10 @@ class TableIterator : public Iterator {
 
 }  // namespace
 
-Iterator* TableCache::NewIterator(const FileMetaPtr& file, bool fill_cache) {
+Iterator* TableCache::NewIterator(const FileMetaPtr& file, int level,
+                                  bool fill_cache) {
   std::shared_ptr<SSTable> table;
-  Status s = FindTable(*file, &table);
+  Status s = FindTable(*file, level, &table);
   if (!s.ok()) {
     return NewEmptyIterator(s);
   }
@@ -171,11 +185,11 @@ Iterator* TableCache::NewIterator(const FileMetaPtr& file, bool fill_cache) {
   return new TableIterator(iter, std::move(table), file);
 }
 
-void TableCache::GetBatch(const FileMetaData& meta,
+void TableCache::GetBatch(const FileMetaData& meta, int level,
                           std::span<BatchGetContext* const> keys,
                           bool use_filter) {
   std::shared_ptr<SSTable> table;  // pinned until the whole probe is done
-  Status s = FindTable(meta, &table);
+  Status s = FindTable(meta, level, &table);
   if (!s.ok()) {
     for (BatchGetContext* ctx : keys) {
       ctx->filter_pruned = false;
@@ -186,10 +200,10 @@ void TableCache::GetBatch(const FileMetaData& meta,
   table->MultiGet(keys, use_filter);
 }
 
-bool TableCache::RangeMayMatch(const FileMetaData& meta, const Slice& lo_user,
-                               const Slice& hi_user) {
+bool TableCache::RangeMayMatch(const FileMetaData& meta, int level,
+                               const Slice& lo_user, const Slice& hi_user) {
   std::shared_ptr<SSTable> table;
-  Status s = FindTable(meta, &table);
+  Status s = FindTable(meta, level, &table);
   if (!s.ok()) {
     return true;  // cannot prove emptiness
   }

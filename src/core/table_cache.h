@@ -43,16 +43,23 @@ class TableCache {
   /// A copy of the current options for tables at `level`.
   TableOptions TableOptionsForLevel(int level) const EXCLUDES(mu_);
 
-  /// Opens (or returns the cached) reader for `meta`. The out-param pins
-  /// the reader; in debug builds the pin is tracked with the caller's
-  /// source location, and destroying the TableCache while reader pins are
-  /// still outstanding aborts with a per-site leak report.
-  Status FindTable(const FileMetaData& meta, std::shared_ptr<SSTable>* table,
+  /// Filter bits per key of tables built at `level` from now on (0 when
+  /// they get no filter).
+  double FilterBitsPerKey(int level) const EXCLUDES(mu_);
+
+  /// Opens (or returns the cached) reader for `meta`, a table at `level`
+  /// (a reader opens with that level's options). The out-param pins the
+  /// reader; in debug builds the pin is tracked with the caller's source
+  /// location, and destroying the TableCache while reader pins are still
+  /// outstanding aborts with a per-site leak report.
+  Status FindTable(const FileMetaData& meta, int level,
+                   std::shared_ptr<SSTable>* table,
                    std::source_location loc = std::source_location::current());
 
-  /// Iterator over the whole table; pins the file and reader. With
-  /// `fill_cache` false its block-cache misses are not inserted.
-  Iterator* NewIterator(const FileMetaPtr& file, bool fill_cache = true);
+  /// Iterator over the whole table at `level`; pins the file and reader.
+  /// With `fill_cache` false its block-cache misses are not inserted.
+  Iterator* NewIterator(const FileMetaPtr& file, int level,
+                        bool fill_cache = true);
 
   /// Point lookup of sorted `keys` within one table (Get passes one key):
   /// resolves the reader handle once, pinned across the whole probe, and
@@ -60,12 +67,12 @@ class TableCache {
   /// fails every key — they all needed it — through its ctx->status;
   /// filter rejections and per-block corruption are reported per key the
   /// same way.
-  void GetBatch(const FileMetaData& meta,
+  void GetBatch(const FileMetaData& meta, int level,
                 std::span<BatchGetContext* const> keys, bool use_filter);
 
   /// Probes only the table's range filter.
-  bool RangeMayMatch(const FileMetaData& meta, const Slice& lo_user,
-                     const Slice& hi_user);
+  bool RangeMayMatch(const FileMetaData& meta, int level,
+                     const Slice& lo_user, const Slice& hi_user);
 
   void Evict(uint64_t file_number);
 
@@ -85,6 +92,7 @@ class TableCache {
 
   mutable Mutex mu_{LockRank::kTableCacheMu};
   std::vector<TableOptions> per_level_options_ GUARDED_BY(mu_);
+  std::vector<double> filter_bits_ GUARDED_BY(mu_);  // per level
   /// Every filter policy ever installed: open tables keep pointers to the
   /// ones they were opened with, so a reconfiguration never frees any.
   std::vector<std::unique_ptr<const FilterPolicy>> owned_filters_

@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "core/compaction/compaction_policy.h"
 #include "core/filename.h"
 #include "core/table_cache.h"
 #include "util/coding.h"
@@ -83,6 +84,47 @@ std::string Version::DebugString() const {
   return out.str();
 }
 
+Status Version::CheckConsistency(const Comparator* ucmp) const {
+  std::set<uint64_t> numbers;
+  for (int level = 0; level < num_levels(); level++) {
+    const std::string where = "level " + std::to_string(level);
+    for (const Run& run : levels_[level].runs) {
+      for (size_t i = 0; i < run.files.size(); i++) {
+        const FileMetaData& f = *run.files[i];
+        if (!numbers.insert(f.number).second) {
+          return Status::Corruption(where + ": file " +
+                                    std::to_string(f.number) + " twice");
+        }
+        if (i > 0 &&
+            ucmp->Compare(ExtractUserKey(Slice(run.files[i - 1]->largest)),
+                          ExtractUserKey(Slice(f.smallest))) >= 0) {
+          return Status::Corruption(
+              where + " run " + std::to_string(run.run_seq) + ": file " +
+              std::to_string(f.number) + " overlaps its predecessor");
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Status Version::CheckRunBound(const Version& base,
+                              const CompactionPolicy& policy) const {
+  for (int level = 0; level < num_levels(); level++) {
+    const size_t runs = levels_[level].runs.size();
+    // A merge into a level's one run that stops between two installs
+    // leaves the installed prefix's run beside it.
+    const size_t bound = policy.MaxRuns(*this, level);
+    if (bound != kUnboundedRuns && runs > bound + 1 &&
+        runs > base.levels_[level].runs.size()) {
+      return Status::Corruption("level " + std::to_string(level) +
+                                " grows to " + std::to_string(runs) +
+                                " runs");
+    }
+  }
+  return Status::OK();
+}
+
 // ----------------------------------------------------------- VersionEdit --
 
 namespace {
@@ -125,14 +167,14 @@ void VersionEdit::EncodeTo(std::string* dst) const {
     PutVarint32(dst, static_cast<uint32_t>(level));
     PutVarint64(dst, number);
   }
-  for (const auto& [level, meta] : new_files_) {
+  for (const NewFile& added : new_files_) {
     PutVarint32(dst, kNewFile);
-    PutVarint32(dst, static_cast<uint32_t>(level));
-    PutVarint64(dst, meta.number);
-    PutVarint64(dst, meta.file_size);
-    PutVarint64(dst, meta.run_seq);
-    PutLengthPrefixedSlice(dst, Slice(meta.smallest));
-    PutLengthPrefixedSlice(dst, Slice(meta.largest));
+    PutVarint32(dst, static_cast<uint32_t>(added.level));
+    PutVarint64(dst, added.meta.number);
+    PutVarint64(dst, added.meta.file_size);
+    PutVarint64(dst, added.run_seq);
+    PutLengthPrefixedSlice(dst, Slice(added.meta.smallest));
+    PutLengthPrefixedSlice(dst, Slice(added.meta.largest));
   }
 }
 
@@ -190,20 +232,20 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
       }
       case kNewFile: {
         uint32_t level;
-        FileMetaData meta;
+        NewFile added;
         Slice smallest, largest;
         if (!GetVarint32(&input, &level) ||
-            !GetVarint64(&input, &meta.number) ||
-            !GetVarint64(&input, &meta.file_size) ||
-            !GetVarint64(&input, &meta.run_seq) ||
+            !GetVarint64(&input, &added.meta.number) ||
+            !GetVarint64(&input, &added.meta.file_size) ||
+            !GetVarint64(&input, &added.run_seq) ||
             !GetLengthPrefixedSlice(&input, &smallest) ||
             !GetLengthPrefixedSlice(&input, &largest)) {
           return Status::Corruption("bad new file");
         }
-        meta.level = static_cast<int>(level);
-        meta.smallest = smallest.ToString();
-        meta.largest = largest.ToString();
-        new_files_.emplace_back(static_cast<int>(level), meta);
+        added.level = static_cast<int>(level);
+        added.meta.smallest = smallest.ToString();
+        added.meta.largest = largest.ToString();
+        new_files_.push_back(std::move(added));
         break;
       }
       default:
@@ -217,12 +259,14 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
 
 VersionSet::VersionSet(std::string dbname, const Options* options,
                        TableCache* table_cache,
-                       const InternalKeyComparator* icmp)
+                       const InternalKeyComparator* icmp,
+                       const CompactionPolicy* policy)
     : dbname_(std::move(dbname)),
       options_(options),
       env_(options->env),
       table_cache_(table_cache),
       icmp_(icmp),
+      policy_(policy),
       current_(std::make_shared<Version>(options->max_levels)) {}
 
 VersionSet::~VersionSet() = default;
@@ -247,14 +291,15 @@ FileMetaPtr VersionSet::WrapFile(const FileMetaData& meta) {
   return file;
 }
 
-std::shared_ptr<Version> VersionSet::ApplyEdit(const Version& base,
-                                               const VersionEdit& edit) {
+std::shared_ptr<Version> VersionSet::ApplyEdit(
+    const Version& base, const VersionEdit& edit,
+    std::vector<FileMetaPtr>* dropped) {
   auto v = std::make_shared<Version>(options_->max_levels);
   std::set<uint64_t> deleted;
   for (const auto& [level, number] : edit.deleted_files_) {
     deleted.insert(number);
   }
-  // Entries of removed files, for those the edit adds back.
+  // Files the edit removes, by number, until it adds them back.
   std::map<uint64_t, FileMetaPtr> removed;
 
   // Copy surviving files, preserving run structure.
@@ -268,10 +313,6 @@ std::shared_ptr<Version> VersionSet::ApplyEdit(const Version& base,
         } else {
           removed.emplace(f->number, f);
         }
-        // NOT marked obsolete here: the edit may still fail to reach the
-        // manifest, and a durable manifest must never reference a deleted
-        // file. LogAndApply marks dropped files once the install is synced;
-        // files dropped on other paths are swept as orphans at reopen.
       }
       if (!copy.files.empty()) {
         (*v->mutable_levels())[level].runs.push_back(std::move(copy));
@@ -280,16 +321,16 @@ std::shared_ptr<Version> VersionSet::ApplyEdit(const Version& base,
   }
 
   // Insert new files, grouping by run_seq.
-  for (const auto& [level, meta] : edit.new_files_) {
-    if (level < 0 || level >= v->num_levels()) {
+  for (const VersionEdit::NewFile& added : edit.new_files_) {
+    if (added.level < 0 || added.level >= v->num_levels()) {
       // Levels come off the manifest; Recover rejects out-of-range ones
       // before this point, so this only defends internally-built edits.
       continue;
     }
-    auto& runs = (*v->mutable_levels())[level].runs;
+    auto& runs = (*v->mutable_levels())[added.level].runs;
     Run* run = nullptr;
     for (Run& r : runs) {
-      if (r.run_seq == meta.run_seq) {
+      if (r.run_seq == added.run_seq) {
         run = &r;
         break;
       }
@@ -297,18 +338,14 @@ std::shared_ptr<Version> VersionSet::ApplyEdit(const Version& base,
     if (run == nullptr) {
       runs.emplace_back();
       run = &runs.back();
-      run->run_seq = meta.run_seq;
+      run->run_seq = added.run_seq;
     }
-    FileMetaData m = meta;
-    m.level = level;
-    // A file the edit removes and adds back moves: its new entry holds
-    // the old one, which keeps the deletion (see LogAndApply).
+    // A removed file added back moves: the same file in a new position.
     FileMetaPtr file;
-    if (auto it = removed.find(m.number); it != removed.end()) {
-      file = std::make_shared<FileMetaData>(m);
-      file->moved_from = it->second;
+    if (auto node = removed.extract(added.meta.number)) {
+      file = std::move(node.mapped());
     } else {
-      file = WrapFile(m);
+      file = WrapFile(added.meta);
     }
     // Files within a run stay ordered by smallest key. A compaction adds
     // its outputs in key order, so each lands at the end in log time.
@@ -327,6 +364,11 @@ std::shared_ptr<Version> VersionSet::ApplyEdit(const Version& base,
       return a.run_seq > b.run_seq;
     });
   }
+  if (dropped != nullptr) {
+    for (auto& [number, f] : removed) {
+      dropped->push_back(std::move(f));
+    }
+  }
   return v;
 }
 
@@ -340,13 +382,17 @@ Status VersionSet::WriteSnapshot(wal::Writer* manifest_writer) {
   for (int level = 0; level < current_->num_levels(); level++) {
     for (const Run& run : current_->levels()[level].runs) {
       for (const FileMetaPtr& f : run.files) {
-        edit.AddFile(level, *f);
+        edit.AddFile(level, run.run_seq, *f);
       }
     }
   }
   std::string record;
   edit.EncodeTo(&record);
   return manifest_writer->AddRecord(Slice(record));
+}
+
+Status VersionSet::CheckConsistency() const {
+  return current_->CheckConsistency(icmp_->user_comparator());
 }
 
 Status VersionSet::LogAndApply(VersionEdit* edit) {
@@ -359,7 +405,17 @@ Status VersionSet::LogAndApply(VersionEdit* edit) {
   edit->SetLastSequence(last_sequence_);
   edit->SetNextRunSeq(next_run_seq_);
 
-  auto v = ApplyEdit(*current_, *edit);
+  std::vector<FileMetaPtr> dropped;
+  auto v = ApplyEdit(*current_, *edit, &dropped);
+#ifndef NDEBUG
+  Status check = v->CheckConsistency(icmp_->user_comparator());
+  if (check.ok()) {
+    check = v->CheckRunBound(*current_, *policy_);
+  }
+  if (!check.ok()) {
+    return check;
+  }
+#endif
 
   std::string record;
   edit->EncodeTo(&record);
@@ -370,34 +426,13 @@ Status VersionSet::LogAndApply(VersionEdit* edit) {
   if (!s.ok()) {
     return s;
   }
-  // The edit is durable: files it drops may be physically deleted once the
-  // last reference (old versions, iterators) goes away. Marking before the
-  // sync would let a failed install delete files a crash-recovered manifest
-  // still references.
-  if (!edit->deleted_files_.empty()) {
-    std::set<uint64_t> deleted;
-    for (const auto& [level, number] : edit->deleted_files_) {
-      deleted.insert(number);
-    }
-    // A file the edit removes and adds back moves to another run; its
-    // bytes stay.
-    for (const auto& [level, meta] : edit->new_files_) {
-      deleted.erase(meta.number);
-    }
-    for (const auto& level : current_->levels()) {
-      for (const Run& run : level.runs) {
-        for (const FileMetaPtr& f : run.files) {
-          if (deleted.count(f->number) != 0) {
-            // Every entry the file had across moves: the first one
-            // deletes it once none is referenced.
-            for (FileMetaData* e = f.get(); e != nullptr;
-                 e = e->moved_from.get()) {
-              e->obsolete = true;
-            }
-          }
-        }
-      }
-    }
+  // The edit is durable: the files it left in no run may be physically
+  // deleted once the last reference (old versions, iterators) goes away.
+  // Marking before the sync would let a failed install delete files a
+  // crash-recovered manifest still references; files dropped on other
+  // paths (recovery replay) are swept as orphans at reopen.
+  for (const FileMetaPtr& f : dropped) {
+    f->obsolete = true;
   }
   current_ = std::move(v);
   return Status::OK();
@@ -483,8 +518,8 @@ Status VersionSet::Recover() {
     // A manifest is untrusted input: levels index straight into the
     // version's level vector, so reject out-of-range ones here instead of
     // corrupting memory in ApplyEdit on a release build.
-    for (const auto& [level, meta] : edit.new_files_) {
-      if (level < 0 || level >= options_->max_levels) {
+    for (const VersionEdit::NewFile& added : edit.new_files_) {
+      if (added.level < 0 || added.level >= options_->max_levels) {
         return Status::Corruption("version edit level out of range");
       }
     }
@@ -510,12 +545,18 @@ Status VersionSet::Recover() {
     if (edit.has_log_number_) {
       log_number_ = edit.log_number_;
     }
-    v = ApplyEdit(*v, edit);
+    v = ApplyEdit(*v, edit, /*dropped=*/nullptr);
   }
   if (!reporter.status.ok()) {
     return reporter.status;
   }
   current_ = std::move(v);
+#ifndef NDEBUG
+  s = CheckConsistency();
+  if (!s.ok()) {
+    return s;
+  }
+#endif
 
   // Continue appending to a fresh manifest (simplest correct form of
   // manifest rollover).

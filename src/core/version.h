@@ -15,6 +15,7 @@
 
 namespace lsmlab {
 
+class CompactionPolicy;
 class Env;
 class TableCache;
 
@@ -22,33 +23,27 @@ namespace wal {
 class Writer;
 }
 
-/// Metadata of one immutable SSTable. Shared (via shared_ptr) by every
-/// Version that contains the file; when the last reference drops and the
-/// file was superseded by a compaction, the on-disk file is deleted and the
-/// open table is evicted from the table cache.
+/// One immutable SSTable: what the file is, not where it sits. A file's
+/// position (its level and sorted run) belongs to the Version that holds
+/// it, so a move places the same object in another run. Shared (via
+/// shared_ptr) by every Version that contains the file; once a durable
+/// edit leaves it in no run and the last reference drops, the on-disk
+/// file is deleted and the open table is evicted from the table cache.
 struct FileMetaData {
   uint64_t number = 0;
   uint64_t file_size = 0;
   std::string smallest;  // smallest internal key
   std::string largest;   // largest internal key
-  /// Identity of the sorted run this file belongs to; globally monotonic,
-  /// larger = newer. All files of one flush/compaction output share it.
-  uint64_t run_seq = 0;
-  int level = 0;
 
   /// Point probes that reached this file but found nothing (a filterless
   /// or false-positive probe): the signal for read-triggered compaction
   /// (the "compaction trigger" primitive of [76]; LevelDB's allowed_seeks).
   mutable std::atomic<uint64_t> wasted_probes{0};
 
-  /// True once the file left the latest version; the destructor then
-  /// removes it from storage.
+  /// True once a durable edit left the file in no run; the destructor
+  /// then removes it from storage.
   bool obsolete = false;
   std::function<void(FileMetaData*)> cleanup;
-  /// Set when an edit moved the file to another run: the entry it had
-  /// before the move. That entry alone owns the file's deletion, so the
-  /// file stays while either entry is referenced.
-  std::shared_ptr<FileMetaData> moved_from;
 
   FileMetaData() = default;
   /// Copies describe the file (for manifest edits); runtime state — probe
@@ -57,16 +52,12 @@ struct FileMetaData {
       : number(o.number),
         file_size(o.file_size),
         smallest(o.smallest),
-        largest(o.largest),
-        run_seq(o.run_seq),
-        level(o.level) {}
+        largest(o.largest) {}
   FileMetaData& operator=(const FileMetaData& o) {
     number = o.number;
     file_size = o.file_size;
     smallest = o.smallest;
     largest = o.largest;
-    run_seq = o.run_seq;
-    level = o.level;
     return *this;
   }
 
@@ -79,8 +70,11 @@ struct FileMetaData {
 
 using FileMetaPtr = std::shared_ptr<FileMetaData>;
 
-/// One sorted run: files ordered by smallest key, pairwise non-overlapping.
+/// One sorted run: files ordered by smallest key, pairwise disjoint in
+/// user keys.
 struct Run {
+  /// Identity of the run; globally monotonic, larger = newer. All files
+  /// of one flush or compaction output share it.
   uint64_t run_seq = 0;
   std::vector<FileMetaPtr> files;
 
@@ -101,7 +95,8 @@ const FileMetaPtr* FindFileInRun(const Run& run, const Comparator* ucmp,
                                  const Slice& user_key);
 
 /// One level: runs ordered newest-first (queries probe in this order).
-/// Leveling keeps at most one run here; tiering up to T.
+/// Leveling keeps at most one run here; tiering up to T. A level's index
+/// in its Version is the level of every file it holds.
 struct LevelState {
   std::vector<Run> runs;
 
@@ -133,6 +128,19 @@ class Version {
 
   std::string DebugString() const;
 
+  /// The tree's structural invariants: each run's files are ordered and
+  /// disjoint in user keys, and no file number appears twice. Corruption
+  /// names the first violation.
+  Status CheckConsistency(const Comparator* ucmp) const;
+  /// The run bound of one install, for this version built from `base`:
+  /// no level grows past the runs `policy` allows plus the one interim
+  /// run that a merge into an existing run leaves beside it when it stops
+  /// between two installs (CollapseLevel repairs that). A level that
+  /// already held more in `base` may keep them: a tree written under
+  /// another policy opens, and its next picks collapse it.
+  Status CheckRunBound(const Version& base,
+                       const CompactionPolicy& policy) const;
+
  private:
   std::vector<LevelState> levels_;
 };
@@ -163,11 +171,12 @@ class VersionEdit {
     comparator_ = name;
   }
 
-  void AddFile(int level, const FileMetaData& meta) {
-    new_files_.emplace_back(level, meta);
+  /// Places the file in run `run_seq` of `level`. A file the same edit
+  /// removes moves there: the version keeps its FileMetaData, and its
+  /// bytes stay.
+  void AddFile(int level, uint64_t run_seq, const FileMetaData& meta) {
+    new_files_.push_back(NewFile{level, run_seq, meta});
   }
-  /// A file one edit removes and adds back moves (to another run or
-  /// level); its bytes are not deleted.
   void RemoveFile(int level, uint64_t file_number) {
     deleted_files_.emplace_back(level, file_number);
   }
@@ -188,7 +197,12 @@ class VersionEdit {
   uint64_t next_run_seq_ = 0;
   bool has_comparator_ = false;
   std::string comparator_;
-  std::vector<std::pair<int, FileMetaData>> new_files_;
+  struct NewFile {
+    int level = 0;
+    uint64_t run_seq = 0;
+    FileMetaData meta;
+  };
+  std::vector<NewFile> new_files_;
   std::vector<std::pair<int, uint64_t>> deleted_files_;
 };
 
@@ -196,8 +210,11 @@ class VersionEdit {
 /// counters. One per DB.
 class VersionSet {
  public:
+  /// `policy` bounds the runs per level that a debug-build install
+  /// accepts (Version::CheckRunBound); it must outlive the VersionSet.
   VersionSet(std::string dbname, const Options* options,
-             TableCache* table_cache, const InternalKeyComparator* icmp);
+             TableCache* table_cache, const InternalKeyComparator* icmp,
+             const CompactionPolicy* policy);
   ~VersionSet();
 
   VersionSet(const VersionSet&) = delete;
@@ -208,8 +225,14 @@ class VersionSet {
   Status Recover();
 
   /// Applies `edit` to the current version, persists it to the manifest,
-  /// and installs the result as current.
+  /// and installs the result as current. Files the edit leaves in no run
+  /// become obsolete: deleted once the last version holding them drops.
+  /// Debug builds first check the new version (CheckConsistency and
+  /// CheckRunBound) and install nothing when it fails.
   Status LogAndApply(VersionEdit* edit);
+
+  /// The current version's CheckConsistency.
+  Status CheckConsistency() const;
 
   VersionPtr current() const { return current_; }
 
@@ -250,14 +273,19 @@ class VersionSet {
  private:
   Status WriteSnapshot(wal::Writer* manifest_writer);
   FileMetaPtr WrapFile(const FileMetaData& meta);
+  /// `base` with `edit` applied. A file the edit removes and adds back
+  /// keeps its FileMetaData; the removed files it does not add back go to
+  /// *dropped (may be null).
   std::shared_ptr<Version> ApplyEdit(const Version& base,
-                                     const VersionEdit& edit);
+                                     const VersionEdit& edit,
+                                     std::vector<FileMetaPtr>* dropped);
 
   const std::string dbname_;
   const Options* const options_;
   Env* const env_;
   TableCache* const table_cache_;
   const InternalKeyComparator* const icmp_;
+  const CompactionPolicy* const policy_;
 
   VersionPtr current_;
   std::atomic<uint64_t> next_file_number_{2};

@@ -39,6 +39,9 @@ struct CompactionJobInfo {
   /// Every output installed, in key order: all of them on success, those
   /// installed before the failure otherwise.
   std::vector<TableFileInfo> outputs;
+  /// The inputs moved to output_level unchanged: no outputs, no bytes
+  /// written, and the input files stay live.
+  bool moved = false;
   Status status;
 };
 

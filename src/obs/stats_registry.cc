@@ -82,6 +82,8 @@ const char* StatsRegistry::TickerName(Ticker ticker) {
       return "flushes";
     case Ticker::kCompactions:
       return "compactions";
+    case Ticker::kCompactionMoves:
+      return "compaction.moves";
     case Ticker::kBytesFlushed:
       return "bytes.flushed";
     case Ticker::kBytesCompacted:

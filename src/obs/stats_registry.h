@@ -63,6 +63,8 @@ enum class Ticker : uint32_t {
   // Background pipeline.
   kFlushes,
   kCompactions,
+  kCompactionMoves,  ///< compactions that moved their inputs down whole
+                     ///< (no table bytes written)
   kBytesFlushed,
   kBytesCompacted,
   kTableFilesCreated,

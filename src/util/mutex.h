@@ -106,9 +106,11 @@ class ScopedBlockingIoAllowed {
 /// std::mutex / std::lock_guard / std::unique_lock are banned outside this
 /// header (tools/lint.sh): unannotated locks are invisible to the analysis.
 ///
-/// Debug builds additionally track the holding thread, so AssertHeld()
-/// aborts at runtime when the discipline is violated on a compiler without
-/// the static analysis.
+/// Every build tracks the holding thread, and debug builds check it, so
+/// AssertHeld() aborts at runtime when the discipline is violated on a
+/// compiler without the static analysis. The member exists in every build:
+/// a class that holds a Mutex has one layout whether or not a translation
+/// unit defines NDEBUG.
 ///
 /// Mutexes constructed with a LockRank additionally participate in the
 /// debug-build lock-order validator: Lock() aborts when the calling
@@ -128,11 +130,11 @@ class CAPABILITY("mutex") Mutex {
   void Lock() ACQUIRE() {
     DebugCheckRank();
     mu_.lock();
-    DebugMarkHeld();
+    MarkHeld();
   }
 
   void Unlock() RELEASE() {
-    DebugMarkReleased();
+    MarkReleased();
     mu_.unlock();
   }
 
@@ -140,7 +142,7 @@ class CAPABILITY("mutex") Mutex {
     if (!mu_.try_lock()) {
       return false;
     }
-    DebugMarkHeld();
+    MarkHeld();
     return true;
   }
 
@@ -149,28 +151,25 @@ class CAPABILITY("mutex") Mutex {
   /// REQUIRES contract cannot be expressed to the analysis (e.g. callbacks).
   void AssertHeld() ASSERT_CAPABILITY(this) { assert(HeldByCurrentThread()); }
 
-#ifndef NDEBUG
-  /// Debug builds only; release builds cannot verify and return true.
   bool HeldByCurrentThread() const {
     return holder_.load(std::memory_order_relaxed) ==
            std::this_thread::get_id();
   }
-#else
-  bool HeldByCurrentThread() const { return true; }
-#endif
 
  private:
   friend class CondVar;
 
-#ifndef NDEBUG
-  void DebugMarkHeld() {
+  void MarkHeld() {
     holder_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+#ifndef NDEBUG
     if (rank_ != LockRank::kUnranked) {
       lock_debug::HeldLockStack().push_back({this, rank_});
     }
+#endif
   }
-  void DebugMarkReleased() {
+  void MarkReleased() {
     holder_.store(std::thread::id(), std::memory_order_relaxed);
+#ifndef NDEBUG
     if (rank_ != LockRank::kUnranked) {
       // Engine locks are usually released LIFO, but hand-over-hand
       // sequences may release out of order; remove the newest entry for
@@ -184,7 +183,9 @@ class CAPABILITY("mutex") Mutex {
       }
       assert(false && "released a ranked mutex not on the held stack");
     }
+#endif
   }
+#ifndef NDEBUG
   /// Abort (before blocking on the lock) when acquiring this mutex would
   /// invert the documented lock order.
   void DebugCheckRank() const {
@@ -204,16 +205,12 @@ class CAPABILITY("mutex") Mutex {
     }
   }
 #else
-  void DebugMarkHeld() {}
-  void DebugMarkReleased() {}
   void DebugCheckRank() const {}
 #endif
 
   std::mutex mu_;
   const LockRank rank_ = LockRank::kUnranked;
-#ifndef NDEBUG
   std::atomic<std::thread::id> holder_{};
-#endif
 };
 
 /// Condition variable bound to one Mutex for its lifetime. Callers must
@@ -231,11 +228,11 @@ class CondVar {
   /// Atomically releases the mutex, blocks until signalled, reacquires.
   void Wait() NO_THREAD_SAFETY_ANALYSIS {
     assert(mu_->HeldByCurrentThread());
-    mu_->DebugMarkReleased();
+    mu_->MarkReleased();
     std::unique_lock<std::mutex> lock(mu_->mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();  // ownership returns to the caller's discipline
-    mu_->DebugMarkHeld();
+    mu_->MarkHeld();
   }
 
   /// Like Wait() but gives up after `timeout`. Returns true if the wait
@@ -244,11 +241,11 @@ class CondVar {
   bool TimedWait(std::chrono::microseconds timeout)
       NO_THREAD_SAFETY_ANALYSIS {
     assert(mu_->HeldByCurrentThread());
-    mu_->DebugMarkReleased();
+    mu_->MarkReleased();
     std::unique_lock<std::mutex> lock(mu_->mu_, std::adopt_lock);
     const std::cv_status status = cv_.wait_for(lock, timeout);
     lock.release();
-    mu_->DebugMarkHeld();
+    mu_->MarkHeld();
     return status == std::cv_status::timeout;
   }
 

@@ -14,27 +14,22 @@
 /// destructor assert fired somewhere" into "this call site leaked N pins".
 /// Every ctest run of a debug build doubles as a pin-leak check.
 ///
-/// Release builds compile the tracker down to an empty object and no-op
-/// inline calls; the defaulted source_location argument still exists but
-/// is never materialized into storage.
+/// Release builds make every call a no-op. The members exist in every
+/// build: a class that holds a PinTracker has one layout whether or not a
+/// translation unit defines NDEBUG.
 
-#include <source_location>
-
-#ifndef NDEBUG
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <source_location>
 #include <string>
 #include <unordered_map>
 
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-#endif
 
 namespace lsmlab {
-
-#ifndef NDEBUG
 
 class PinTracker {
  public:
@@ -48,22 +43,32 @@ class PinTracker {
   /// may be pinned many times (every Lookup of a resident entry returns
   /// the same pointer); each acquisition gets its own record.
   void Acquire(const void* pin, const std::source_location& loc) {
+#ifndef NDEBUG
     MutexLock lock(&mu_);
     live_.emplace(pin, FormatSite(loc));
+#else
+    (void)pin;
+    (void)loc;
+#endif
   }
 
   /// Drops one record for `pin`. Releasing a pin that was never acquired
   /// is itself a bug (a double-release upstream) and asserts.
   void Release(const void* pin) {
+#ifndef NDEBUG
     MutexLock lock(&mu_);
     auto it = live_.find(pin);
     assert(it != live_.end() && "released a pin that was never acquired");
     if (it != live_.end()) {
       live_.erase(it);
     }
+#else
+    (void)pin;
+#endif
   }
 
-  /// Number of currently live pins (test introspection).
+  /// Number of currently live pins (test introspection; 0 in release
+  /// builds).
   size_t LiveCount() const {
     MutexLock lock(&mu_);
     return live_.size();
@@ -107,26 +112,6 @@ class PinTracker {
   // handle address -> formatted acquisition site, one entry per live pin.
   std::unordered_multimap<const void*, std::string> live_ GUARDED_BY(mu_);
 };
-
-#else  // NDEBUG
-
-class PinTracker {
- public:
-  explicit PinTracker(const char* resource) { (void)resource; }
-
-  PinTracker(const PinTracker&) = delete;
-  PinTracker& operator=(const PinTracker&) = delete;
-
-  void Acquire(const void* pin, const std::source_location& loc) {
-    (void)pin;
-    (void)loc;
-  }
-  void Release(const void* pin) { (void)pin; }
-  size_t LiveCount() const { return 0; }
-  void CheckNoLivePins() {}
-};
-
-#endif  // NDEBUG
 
 }  // namespace lsmlab
 

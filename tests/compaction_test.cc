@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cache/block_cache.h"
+#include "core/compaction/compaction_policy.h"
 #include "core/db.h"
 #include "core/db_impl.h"
 #include "core/dbformat.h"
@@ -24,6 +25,7 @@
 #include "obs/event_listener.h"
 #include "storage/env.h"
 #include "util/comparator.h"
+#include "util/random.h"
 #include "workload/keygen.h"
 #include "workload/workload.h"
 
@@ -344,12 +346,19 @@ class ObservingEnv : public Env {
             return s;
           }
         }
+        std::unique_ptr<WritableFile> file;
+        Status s = base_->NewWritableFile(f, &file);
+        if (s.ok()) {
+          *r = std::make_unique<CountingFile>(std::move(file), nullptr,
+                                              &table_bytes_);
+        }
+        return s;
       } else if (type == FileType::kManifestFile) {
         std::unique_ptr<WritableFile> file;
         Status s = base_->NewWritableFile(f, &file);
         if (s.ok()) {
-          *r = std::make_unique<SyncCountingFile>(std::move(file),
-                                                  &manifest_syncs_);
+          *r = std::make_unique<CountingFile>(std::move(file),
+                                              &manifest_syncs_, nullptr);
         }
         return s;
       }
@@ -389,20 +398,30 @@ class ObservingEnv : public Env {
     return n;
   }
   int manifest_syncs() const { return manifest_syncs_.load(); }
+  /// Bytes appended to table files.
+  uint64_t table_bytes() const { return table_bytes_.load(); }
 
   /// Set while no DB runs on this env.
   std::function<Status()> on_table;
 
  private:
-  class SyncCountingFile : public WritableFile {
+  /// Counts syncs and appended bytes (either counter may be null).
+  class CountingFile : public WritableFile {
    public:
-    SyncCountingFile(std::unique_ptr<WritableFile> base,
-                     std::atomic<int>* syncs)
-        : base_(std::move(base)), syncs_(syncs) {}
-    Status Append(const Slice& data) override { return base_->Append(data); }
+    CountingFile(std::unique_ptr<WritableFile> base, std::atomic<int>* syncs,
+                 std::atomic<uint64_t>* bytes)
+        : base_(std::move(base)), syncs_(syncs), bytes_(bytes) {}
+    Status Append(const Slice& data) override {
+      if (bytes_ != nullptr) {
+        bytes_->fetch_add(data.size());
+      }
+      return base_->Append(data);
+    }
     Status Flush() override { return base_->Flush(); }
     Status Sync() override {
-      syncs_->fetch_add(1);
+      if (syncs_ != nullptr) {
+        syncs_->fetch_add(1);
+      }
       return base_->Sync();
     }
     Status Close() override { return base_->Close(); }
@@ -410,12 +429,14 @@ class ObservingEnv : public Env {
    private:
     std::unique_ptr<WritableFile> base_;
     std::atomic<int>* syncs_;
+    std::atomic<uint64_t>* bytes_;
   };
 
   Env* base_;
   std::mutex mu_;
   std::set<std::thread::id> threads_;
   std::atomic<int> manifest_syncs_{0};
+  std::atomic<uint64_t> table_bytes_{0};
 };
 
 /// Keeps the outputs of the last successful compaction, in key order.
@@ -686,10 +707,10 @@ std::map<std::string, std::string> ScanAll(DB* db,
 
 /// Empty when `db` reads as `model` through a full scan (rows in order),
 /// scans of 20 rows from every 97th of `keys`, Get on every fifth of them
-/// and one MultiGet; else the first difference.
+/// and one MultiGet, all with `options`; else the first difference.
 std::string Mismatch(DB* db, const std::map<std::string, std::string>& model,
-                     int keys) {
-  std::unique_ptr<Iterator> it(db->NewIterator({}));
+                     int keys, const ReadOptions& options = {}) {
+  std::unique_ptr<Iterator> it(db->NewIterator(options));
   auto m = model.begin();
   for (it->SeekToFirst(); it->Valid(); it->Next(), ++m) {
     if (m == model.end() || it->key() != Slice(m->first) ||
@@ -730,7 +751,7 @@ std::string Mismatch(DB* db, const std::map<std::string, std::string>& model,
   std::string value;
   for (int i = 0; i < keys; i += 5) {
     const std::string key = EncodeKey(static_cast<uint64_t>(i));
-    const Status s = db->Get({}, key, &value);
+    const Status s = db->Get(options, key, &value);
     if (std::string why = expect(key, s, value); !why.empty()) {
       return "Get " + why;
     }
@@ -742,7 +763,7 @@ std::string Mismatch(DB* db, const std::map<std::string, std::string>& model,
   std::vector<Slice> slices(batch.begin(), batch.end());
   std::vector<std::string> values;
   std::vector<Status> statuses;
-  db->MultiGet({}, slices, &values, &statuses);
+  db->MultiGet(options, slices, &values, &statuses);
   for (size_t k = 0; k < batch.size(); k++) {
     if (std::string why = expect(batch[k], statuses[k], values[k]);
         !why.empty()) {
@@ -1062,9 +1083,8 @@ TEST_F(CompactionShapeTest, RemergeOfInterimInstallWritesEachEntryOnce) {
     auto meta = std::make_shared<FileMetaData>();
     meta->number = t.file_number;
     meta->file_size = t.file_size;
-    meta->level = t.level;
     const std::vector<FileMetaPtr> files = {meta};
-    std::unique_ptr<Iterator> it(impl->TEST_NewRunIterator(files));
+    std::unique_ptr<Iterator> it(impl->TEST_NewRunIterator(files, t.level));
     std::string last;
     int repeats = 0;
     for (it->SeekToFirst(); it->Valid(); it->Next()) {
@@ -1308,6 +1328,455 @@ TEST_F(CompactionShapeTest, PickAfterAStoppedMergeKeepsRunsDisjoint) {
   ASSERT_TRUE(db_->CompactAll().ok());
   EXPECT_EQ(db_->GetStats().total_runs, 1) << db_->DebugShape();
   EXPECT_EQ(Mismatch(db_.get(), model, kKeys), "");
+}
+
+// ------------------------------------------------------------------ Moves --
+
+/// Counts compactions and keeps the end event of each move.
+class MoveRecorder : public EventListener {
+ public:
+  void OnCompactionEnd(const CompactionJobInfo& info) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    compactions_++;
+    if (info.moved) {
+      moves_.push_back(info);
+    }
+  }
+  int compactions() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return compactions_;
+  }
+  std::vector<CompactionJobInfo> moves() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return moves_;
+  }
+
+ private:
+  std::mutex mu_;
+  int compactions_ = 0;
+  std::vector<CompactionJobInfo> moves_;
+};
+
+/// The sorted file numbers of `level` in `v`.
+std::vector<uint64_t> LevelFiles(const Version& v, int level) {
+  std::vector<uint64_t> numbers;
+  for (const Run& run : v.levels()[level].runs) {
+    for (const FileMetaPtr& f : run.files) {
+      numbers.push_back(f->number);
+    }
+  }
+  std::sort(numbers.begin(), numbers.end());
+  return numbers;
+}
+
+/// Table files in `dir` of `env`.
+int TableFilesOnDisk(Env* env, const std::string& dir) {
+  std::vector<std::string> children;
+  EXPECT_TRUE(env->GetChildren(dir, &children).ok());
+  int tables = 0;
+  for (const std::string& name : children) {
+    uint64_t number;
+    FileType type;
+    tables += ParseFileName(name, &number, &type) &&
+              type == FileType::kTableFile;
+  }
+  return tables;
+}
+
+/// A leveled tree loaded with random keys until its first move: level 1,
+/// built by merges, overflows into the empty level 2. Each put runs at
+/// most one compaction, so the put that moves runs nothing else after its
+/// flush. Before that put the fixture took a snapshot and an iterator, and
+/// noted level 1's files and the table bytes written so far.
+class MoveTest : public CompactionShapeTest {
+ protected:
+  static constexpr int kKeys = 2000;
+
+  void LoadUntilMove() {
+    env_wrapper_ = std::make_unique<ObservingEnv>(env_.get());
+    options_.env = env_wrapper_.get();
+    options_.merge_policy = MergePolicy::kLeveling;
+    options_.write_buffer_size = 8 << 10;
+    options_.max_file_size = 4 << 10;
+    options_.level0_compaction_trigger = 2;
+    options_.size_ratio = 2;
+    options_.max_compactions_per_write = 1;
+    options_.listeners.push_back(recorder_);
+    ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+    impl_ = static_cast<DBImpl*>(db_.get());
+    Random rnd(301);
+    for (int n = 0; recorder_->moves().empty(); n++) {
+      ASSERT_LT(n, 50000) << db_->DebugShape();
+      if (snapshot_ != nullptr) {
+        db_->ReleaseSnapshot(snapshot_);
+      }
+      snapshot_ = db_->GetSnapshot();
+      held_.reset(db_->NewIterator({}));
+      before_ = model_;
+      level1_ = LevelFiles(*impl_->TEST_CurrentVersion(), 1);
+      table_bytes_ = env_wrapper_->table_bytes();
+      flushed_ = db_->GetStats().bytes_flushed;
+      Put(static_cast<int>(rnd.Uniform(kKeys)), 40 + n % 50);
+    }
+  }
+
+  void Put(int i, int size) {
+    const std::string key = EncodeKey(static_cast<uint64_t>(i));
+    model_[key] = ValueForKey(key, size);
+    ASSERT_TRUE(db_->Put({}, key, model_[key]).ok());
+  }
+
+  std::unique_ptr<ObservingEnv> env_wrapper_;
+  std::shared_ptr<MoveRecorder> recorder_ = std::make_shared<MoveRecorder>();
+  DBImpl* impl_ = nullptr;
+  std::map<std::string, std::string> model_;
+  std::map<std::string, std::string> before_;  // the model at snapshot_
+  const Snapshot* snapshot_ = nullptr;
+  std::unique_ptr<Iterator> held_;  // opened at snapshot_'s sequence
+  std::vector<uint64_t> level1_;
+  uint64_t table_bytes_ = 0;
+  uint64_t flushed_ = 0;
+};
+
+// A whole-level push of level 1 into an empty level 2 overlaps nothing
+// there, so it installs as a move: level 2 then holds level 1's files
+// under their numbers, the move writes no table byte, and the tree reads
+// as the model at its head and at a snapshot taken before the move.
+TEST_F(MoveTest, MoveIntoAnEmptyLevelKeepsItsFiles) {
+  LoadUntilMove();
+  const std::vector<CompactionJobInfo> moves = recorder_->moves();
+  ASSERT_EQ(moves.size(), 1u);
+  EXPECT_EQ(moves[0].input_level, 1);
+  EXPECT_EQ(moves[0].output_level, 2);
+  EXPECT_EQ(moves[0].bytes_written, 0u);
+  EXPECT_TRUE(moves[0].outputs.empty());
+  std::vector<uint64_t> inputs;
+  for (const TableFileInfo& f : moves[0].inputs) {
+    inputs.push_back(f.file_number);
+  }
+  std::sort(inputs.begin(), inputs.end());
+  EXPECT_EQ(inputs, level1_);
+  const VersionPtr v = impl_->TEST_CurrentVersion();
+  EXPECT_TRUE(v->levels()[1].runs.empty()) << db_->DebugShape();
+  EXPECT_EQ(LevelFiles(*v, 2), level1_);
+  // The put that moved wrote table bytes for its flush alone.
+  EXPECT_EQ(env_wrapper_->table_bytes() - table_bytes_,
+            db_->GetStats().bytes_flushed - flushed_);
+  EXPECT_TRUE(impl_->TEST_CheckConsistency().ok());
+
+  EXPECT_EQ(Mismatch(db_.get(), model_, kKeys), "");
+  ReadOptions at_snapshot;
+  at_snapshot.snapshot = snapshot_;
+  EXPECT_EQ(Mismatch(db_.get(), before_, kKeys, at_snapshot), "");
+  db_->ReleaseSnapshot(snapshot_);
+}
+
+// An iterator opened before a move pins the tree that lists the moved
+// files at their old level. When a later merge consumes them, the
+// iterator still reads them, and once it is gone they are deleted: no
+// table file is left that the tree does not hold.
+TEST_F(MoveTest, IteratorOpenedBeforeAMoveReadsAfterAMerge) {
+  LoadUntilMove();
+  db_->ReleaseSnapshot(snapshot_);
+  Random rnd(302);
+  auto moved_file_live = [&] {
+    const std::vector<uint64_t> live =
+        LevelFiles(*impl_->TEST_CurrentVersion(), 2);
+    for (uint64_t number : level1_) {
+      if (std::binary_search(live.begin(), live.end(), number)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  for (int n = 0; moved_file_live(); n++) {
+    ASSERT_LT(n, 50000) << db_->DebugShape();
+    Put(static_cast<int>(rnd.Uniform(kKeys)), 30);
+  }
+  EXPECT_EQ(Mismatch(db_.get(), model_, kKeys), "");
+
+  auto m = before_.begin();
+  for (held_->SeekToFirst(); held_->Valid(); held_->Next(), ++m) {
+    ASSERT_TRUE(m != before_.end());
+    ASSERT_EQ(held_->key().ToString(), m->first);
+    ASSERT_EQ(held_->value().ToString(), m->second);
+  }
+  ASSERT_TRUE(held_->status().ok()) << held_->status().ToString();
+  EXPECT_TRUE(m == before_.end());
+  held_.reset();
+  EXPECT_EQ(TableFilesOnDisk(env_wrapper_.get(), "/db"),
+            db_->GetStats().total_files);
+}
+
+// Sequential keys flush into runs that overlap nothing below them, so
+// every compaction of the load moves its runs down, from level 0 and from
+// level 1 alike: the tables written are about the flushed bytes. A tree
+// that merged every pick instead writes over three times the user bytes.
+TEST_F(CompactionShapeTest, SequentialLoadMovesRunsInsteadOfMerging) {
+  ObservingEnv env(env_.get());
+  auto recorder = std::make_shared<MoveRecorder>();
+  options_.env = &env;
+  options_.merge_policy = MergePolicy::kLeveling;
+  options_.write_buffer_size = 16 << 10;
+  options_.max_file_size = 16 << 10;
+  options_.listeners.push_back(recorder);
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  constexpr int kKeys = 20000;
+  std::map<std::string, std::string> model;
+  uint64_t user_bytes = 0;
+  for (int i = 0; i < kKeys; i++) {
+    const std::string key = EncodeKey(static_cast<uint64_t>(i));
+    model[key] = ValueForKey(key, 100);
+    user_bytes += key.size() + model[key].size();
+    ASSERT_TRUE(db_->Put({}, key, model[key]).ok());
+  }
+  std::set<int> moved_from;
+  for (const CompactionJobInfo& move : recorder->moves()) {
+    moved_from.insert(move.input_level);
+  }
+  EXPECT_TRUE(moved_from.count(0)) << db_->DebugShape();
+  EXPECT_TRUE(moved_from.count(1)) << db_->DebugShape();
+  EXPECT_GE(db_->GetStats().num_levels, 3) << db_->DebugShape();
+  EXPECT_LE(static_cast<double>(env.table_bytes()), 1.5 * user_bytes)
+      << db_->DebugShape();
+  EXPECT_EQ(Mismatch(db_.get(), model, kKeys), "");
+  EXPECT_TRUE(
+      static_cast<DBImpl*>(db_.get())->TEST_CheckConsistency().ok());
+}
+
+// Two level-0 runs whose ranges meet at one user key, the newer run
+// holding its newer version: their internal keys are disjoint, but one
+// run would hold the key in two files, which a point lookup's binary
+// search cannot serve. They merge; runs that do not share the key move.
+TEST_F(CompactionShapeTest, RunsSharingABoundaryUserKeyNeverMoveAsOne) {
+  for (const int newer_end : {100, 99}) {
+    SCOPED_TRACE(newer_end);
+    std::unique_ptr<Env> base(NewMemEnv());
+    auto recorder = std::make_shared<MoveRecorder>();
+    Options options = options_;
+    options.env = base.get();
+    options.merge_policy = MergePolicy::kLeveling;
+    options.write_buffer_size = 1 << 20;  // flushes only when asked
+    options.level0_compaction_trigger = 2;
+    options.listeners.push_back(recorder);
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    std::map<std::string, std::string> model;
+    auto put_run = [&](int lo, int hi, const std::string& value) {
+      for (int i = lo; i <= hi; i++) {
+        const std::string key = EncodeKey(static_cast<uint64_t>(i));
+        model[key] = value;
+        ASSERT_TRUE(db->Put({}, key, value).ok());
+      }
+      ASSERT_TRUE(db->Flush().ok());
+    };
+    put_run(100, 199, "old");
+    put_run(0, newer_end, "new");
+    ASSERT_EQ(db->GetStats().runs_per_level[0], 2) << db->DebugShape();
+    ASSERT_TRUE(db->CompactAll().ok());
+    EXPECT_EQ(recorder->compactions(), 1);
+    EXPECT_EQ(recorder->moves().size(), newer_end == 100 ? 0u : 1u);
+    EXPECT_EQ(db->GetStats().runs_per_level[1], 1) << db->DebugShape();
+    EXPECT_TRUE(static_cast<DBImpl*>(db.get())->TEST_CheckConsistency().ok());
+    EXPECT_EQ(Mismatch(db.get(), model, 200), "");
+  }
+}
+
+// Monkey gives each level its own filter bits per key, and a moved table
+// keeps the filter it was built with: under Monkey the sequential load
+// that moves every run under uniform bits merges instead.
+TEST_F(CompactionShapeTest, MonkeyWithUnequalBitsDoesNotMove) {
+  auto recorder = std::make_shared<MoveRecorder>();
+  options_.merge_policy = MergePolicy::kLeveling;
+  options_.filter_allocation = FilterAllocation::kMonkey;
+  options_.write_buffer_size = 16 << 10;
+  options_.max_file_size = 16 << 10;
+  options_.listeners.push_back(recorder);
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  constexpr int kKeys = 20000;
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < kKeys; i++) {
+    const std::string key = EncodeKey(static_cast<uint64_t>(i));
+    model[key] = ValueForKey(key, 100);
+    ASSERT_TRUE(db_->Put({}, key, model[key]).ok());
+  }
+  EXPECT_GT(recorder->compactions(), 10);
+  EXPECT_TRUE(recorder->moves().empty());
+  EXPECT_EQ(Mismatch(db_.get(), model, kKeys), "");
+}
+
+// ------------------------------------------------------------ Consistency --
+
+/// A file of `number` spanning user keys [lo, hi].
+FileMetaPtr TestFile(uint64_t number, const std::string& lo,
+                     const std::string& hi) {
+  auto f = std::make_shared<FileMetaData>();
+  f->number = number;
+  AppendInternalKey(&f->smallest, lo, 9, ValueType::kTypeValue);
+  AppendInternalKey(&f->largest, hi, 1, ValueType::kTypeValue);
+  return f;
+}
+
+/// A version whose levels hold `levels`, from level 0 down.
+Version TestVersion(int num_levels,
+                    const std::vector<std::vector<lsmlab::Run>>& levels) {
+  Version v(num_levels);
+  for (size_t level = 0; level < levels.size(); level++) {
+    (*v.mutable_levels())[level].runs = levels[level];
+  }
+  return v;
+}
+
+lsmlab::Run TestRun(uint64_t seq, std::vector<FileMetaPtr> files) {
+  lsmlab::Run r;
+  r.run_seq = seq;
+  r.files = std::move(files);
+  return r;
+}
+
+// CheckConsistency names each broken invariant: a run whose files overlap
+// in user keys (a shared boundary key included) and a file number twice.
+TEST(ConsistencyTest, CheckConsistencyRejectsBrokenTrees) {
+  const int kLevels = Options().max_levels;
+  auto check = [&](const std::vector<std::vector<lsmlab::Run>>& levels) {
+    return TestVersion(kLevels, levels).CheckConsistency(BytewiseComparator());
+  };
+  const auto run = TestRun;
+
+  // Runs may overlap each other, at level 0 and below it.
+  EXPECT_TRUE(check({{run(3, {TestFile(1, "a", "m")}),
+                      run(2, {TestFile(2, "c", "z")}),
+                      run(1, {TestFile(3, "a", "z")})},
+                     {run(4, {TestFile(4, "a", "f"), TestFile(5, "g", "p")}),
+                      run(5, {TestFile(6, "b", "q")}),
+                      run(6, {TestFile(7, "a", "z")})}})
+                  .ok());
+  Status s =
+      check({{}, {run(1, {TestFile(1, "a", "f"), TestFile(2, "f", "p")})}});
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  s = check({{}, {run(1, {TestFile(1, "a", "f"), TestFile(2, "c", "p")})}});
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  s = check({{run(2, {TestFile(7, "a", "b")})},
+             {run(1, {TestFile(7, "c", "d")})}});
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+// CheckRunBound refuses an install that grows a one-run level past its run
+// plus one interim run, and lets a level keep the runs it already held.
+TEST(ConsistencyTest, CheckRunBoundRejectsOnlyGrowth) {
+  Options options;
+  options.merge_policy = MergePolicy::kLeveling;
+  InternalKeyComparator icmp(BytewiseComparator());
+  const std::unique_ptr<CompactionPolicy> policy =
+      CreateCompactionPolicy(options, &icmp, nullptr);
+  const auto run = TestRun;
+  const Version one_run =
+      TestVersion(options.max_levels, {{}, {run(1, {TestFile(1, "a", "b")})}});
+  const Version two_runs = TestVersion(
+      options.max_levels, {{},
+                           {run(2, {TestFile(2, "a", "b")}),
+                            run(1, {TestFile(3, "c", "d")})}});
+  const Version three_runs = TestVersion(
+      options.max_levels, {{},
+                           {run(3, {TestFile(4, "a", "b")}),
+                            run(2, {TestFile(5, "c", "d")}),
+                            run(1, {TestFile(6, "e", "f")})}});
+  // Level 0 has no bound.
+  const Version l0_runs = TestVersion(
+      options.max_levels, {{run(3, {TestFile(7, "a", "b")}),
+                            run(2, {TestFile(8, "a", "b")}),
+                            run(1, {TestFile(9, "a", "b")})}});
+
+  EXPECT_TRUE(two_runs.CheckRunBound(one_run, *policy).ok());
+  EXPECT_TRUE(l0_runs.CheckRunBound(one_run, *policy).ok());
+  Status s = three_runs.CheckRunBound(one_run, *policy);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  s = three_runs.CheckRunBound(two_runs, *policy);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_TRUE(three_runs.CheckRunBound(three_runs, *policy).ok());
+}
+
+// The merge policy is an option of each open, not of the tree. A tree
+// written under tiering, with three runs at a level from 1 down, reopens
+// under leveling (debug builds check the recovered version), and the
+// leveled picks collapse each level to one run without losing a key.
+TEST_F(CompactionShapeTest, TieredTreeReopensUnderLeveling) {
+  options_.merge_policy = MergePolicy::kTiering;
+  options_.size_ratio = 4;  // a tiered level holds up to 3 runs
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  auto most_runs = [&] {
+    const DBStats stats = db_->GetStats();
+    int most = 0;
+    for (size_t level = 1; level < stats.runs_per_level.size(); level++) {
+      most = std::max(most, stats.runs_per_level[level]);
+    }
+    return most;
+  };
+  std::map<std::string, std::string> model;
+  auto gen = NewUniformGenerator(1 << 24, 42);
+  for (int i = 0; i < 40000 && most_runs() < 3; i++) {
+    const std::string key = EncodeKey(gen->Next());
+    model[key] = ValueForKey(key, 32);
+    ASSERT_TRUE(db_->Put({}, key, model[key]).ok());
+  }
+  ASSERT_GE(most_runs(), 3) << db_->DebugShape();
+
+  db_.reset();
+  options_.merge_policy = MergePolicy::kLeveling;
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  auto* impl = static_cast<DBImpl*>(db_.get());
+  EXPECT_TRUE(impl->TEST_CheckConsistency().ok());
+  const std::string key = EncodeKey(1);
+  model[key] = ValueForKey(key, 32);
+  ASSERT_TRUE(db_->Put({}, key, model[key]).ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  EXPECT_EQ(most_runs(), 1) << db_->DebugShape();
+  EXPECT_TRUE(impl->TEST_CheckConsistency().ok());
+  std::string value;
+  for (const auto& [k, v] : model) {
+    ASSERT_TRUE(db_->Get({}, k, &value).ok()) << k;
+    ASSERT_EQ(value, v) << k;
+  }
+}
+
+// Every policy's trees pass CheckConsistency after a load of overwrites
+// and deletes and after CompactAll. Debug builds run the check at every
+// install too, and refuse an install that fails it.
+TEST_F(CompactionShapeTest, EveryPolicyPassesConsistencyCheck) {
+  for (const MergePolicy policy :
+       {MergePolicy::kLeveling, MergePolicy::kTiering,
+        MergePolicy::kLazyLeveling}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    std::unique_ptr<Env> base(NewMemEnv());
+    Options options = options_;
+    options.env = base.get();
+    options.merge_policy = policy;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    auto* impl = static_cast<DBImpl*>(db.get());
+    Random rnd(7);
+    constexpr int kKeys = 4000;
+    std::map<std::string, std::string> model;
+    for (int n = 0; n < 20000; n++) {
+      // Half sequential (moves), half random (merges).
+      const int i = n % 2 == 0 ? n / 2 % kKeys
+                               : static_cast<int>(rnd.Uniform(kKeys));
+      const std::string key = EncodeKey(static_cast<uint64_t>(i));
+      if (rnd.OneIn(8)) {
+        model.erase(key);
+        ASSERT_TRUE(db->Delete({}, key).ok());
+      } else {
+        model[key] = ValueForKey(key, 20 + n % 40);
+        ASSERT_TRUE(db->Put({}, key, model[key]).ok());
+      }
+    }
+    EXPECT_TRUE(impl->TEST_CheckConsistency().ok());
+    EXPECT_EQ(Mismatch(db.get(), model, kKeys), "");
+    ASSERT_TRUE(db->CompactAll().ok());
+    EXPECT_EQ(db->GetStats().total_runs, 1) << db->DebugShape();
+    EXPECT_TRUE(impl->TEST_CheckConsistency().ok());
+    EXPECT_EQ(Mismatch(db.get(), model, kKeys), "");
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -515,8 +516,11 @@ TEST(ConcurrencyTest, WriteBufferAtArenaFloorMakesProgress) {
       ::testing::ExitedWithCode(0), "");
 }
 
-/// Records the input files of every successful compaction and counts the
-/// ones some earlier compaction already consumed.
+/// Records the inputs of every successful compaction and counts the ones
+/// an earlier compaction already took. A merge consumes its inputs, so no
+/// later compaction may take them. A move takes its inputs out of their
+/// level only: a later compaction may take them from the level they moved
+/// to, but not from the one they left.
 class CompactionInputRecorder : public EventListener {
  public:
   void OnCompactionEnd(const CompactionJobInfo& info) override {
@@ -525,8 +529,14 @@ class CompactionInputRecorder : public EventListener {
     }
     std::lock_guard<std::mutex> lock(mu_);
     for (const TableFileInfo& f : info.inputs) {
-      if (!consumed_.insert(f.file_number).second) {
+      const std::pair<uint64_t, int> at(f.file_number, f.level);
+      if (consumed_.count(f.file_number) != 0 || moved_.count(at) != 0) {
         reused_++;
+      }
+      if (info.moved) {
+        moved_.insert(at);
+      } else {
+        consumed_.insert(f.file_number);
       }
     }
     compactions_++;
@@ -543,6 +553,7 @@ class CompactionInputRecorder : public EventListener {
  private:
   std::mutex mu_;
   std::set<uint64_t> consumed_;
+  std::set<std::pair<uint64_t, int>> moved_;  ///< (file number, level left)
   int reused_ = 0;
   int compactions_ = 0;
 };
@@ -550,8 +561,8 @@ class CompactionInputRecorder : public EventListener {
 // Inline mode: CompactAll merges with the DB mutex released while a writer
 // keeps filling, flushing and compacting on its own thread. While
 // CompactAll holds the compaction token the writer must leave compaction
-// picks alone, or both merge and install the same input files. No file
-// may be the input of two successful compactions.
+// picks alone, or both install the same input files. No file may be the
+// input of two successful compactions from the same level.
 TEST(ConcurrencyTest, InlineCompactAllExcludesWriteCompactions) {
   std::unique_ptr<Env> env(NewMemEnv());
   auto recorder = std::make_shared<CompactionInputRecorder>();

@@ -159,10 +159,9 @@ TEST(VersionEditTest, EncodeDecodeRoundtrip) {
   FileMetaData meta;
   meta.number = 9;
   meta.file_size = 1024;
-  meta.run_seq = 3;
   meta.smallest = IKey("aaa", 5);
   meta.largest = IKey("zzz", 2);
-  edit.AddFile(2, meta);
+  edit.AddFile(2, /*run_seq=*/3, meta);
   edit.RemoveFile(1, 4);
 
   std::string encoded;
@@ -267,6 +266,25 @@ TEST(MergingIteratorTest, InterleavesRuns) {
   EXPECT_EQ(order, "4321");
 }
 
+#ifndef NDEBUG
+// Debug builds: a child that steps back (here, as a run whose files
+// overlap would) fails the merge with Corruption at that step. DBIter
+// alone would hide it on a full scan, skipping the repeated user key.
+TEST(MergingIteratorTest, ChildOutOfKeyOrderFailsTheMerge) {
+  InternalKeyComparator icmp(BytewiseComparator());
+  auto* run = new VectorIterator(
+      {{IKey("a", 1), "1"}, {IKey("c", 1), "3"}, {IKey("b", 1), "2"}});
+  auto* mem = new VectorIterator({{IKey("d", 2), "4"}});
+  Iterator* children[] = {run, mem};
+  std::unique_ptr<Iterator> merged(NewMergingIterator(&icmp, children, 2));
+  merged->SeekToFirst();
+  merged->Next();
+  EXPECT_TRUE(merged->status().ok());
+  merged->Next();  // c -> b
+  EXPECT_TRUE(merged->status().IsCorruption()) << merged->status().ToString();
+}
+#endif
+
 // Model check of the merge over the children a real read sees: a memtable
 // (several versions per key), a multi-table run read through
 // DBImpl::NewRunIterator with an empty table between two others, and an
@@ -354,7 +372,7 @@ TEST(MergingIteratorTest, ModelCheckAgainstMap) {
     seq++;
   }
 
-  Iterator* children[] = {mem->NewIterator(), impl->TEST_NewRunIterator(run),
+  Iterator* children[] = {mem->NewIterator(), impl->TEST_NewRunIterator(run, 0),
                           NewEmptyIterator()};
   mem->Unref();
   std::unique_ptr<Iterator> merged(NewMergingIterator(&icmp, children, 3));

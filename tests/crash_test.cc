@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <condition_variable>
 #include <limits>
@@ -19,6 +20,7 @@
 
 #include "core/db.h"
 #include "core/db_impl.h"
+#include "core/filename.h"
 #include "core/sharded_db.h"
 #include "obs/event_listener.h"
 #include "storage/fault_env.h"
@@ -491,6 +493,93 @@ TEST_F(CrashTest, FailedSubcompactionKeepsInstalledPrefix) {
   }
   EXPECT_GE(failures, 10);
   EXPECT_GT(installed_prefixes, 0);
+}
+
+/// The sorted file numbers of `level` in `db`'s current version.
+std::vector<uint64_t> LevelFiles(DB* db, int level) {
+  std::vector<uint64_t> numbers;
+  const VersionPtr v = static_cast<DBImpl*>(db)->TEST_CurrentVersion();
+  for (const Run& run : v->levels()[level].runs) {
+    for (const FileMetaPtr& f : run.files) {
+      numbers.push_back(f->number);
+    }
+  }
+  std::sort(numbers.begin(), numbers.end());
+  return numbers;
+}
+
+// A move installs by one manifest record. CompactAll over a level-0 run
+// that overlaps nothing below moves it into the empty level 1 first; that
+// CompactAll, killed at each write op of the record in turn and then
+// crashed, recovers on either side of the record's sync: the run still in
+// level 0, or the same files in level 1. Either tree reads as the model
+// and passes the consistency check, and every table file on disk is one
+// the tree holds: no moved file is deleted or left behind.
+TEST_F(CrashTest, MoveKillPointsRecoverOnEitherSideOfTheSync) {
+  options_.max_file_size = 4 << 10;
+  constexpr int kKeys = 1500;
+  std::map<std::string, std::string> model;
+  Open();
+  auto put = [&](int i) {
+    const std::string key = EncodeKey(static_cast<uint64_t>(i));
+    model[key] = ValueForKey(key, 40);
+    ASSERT_TRUE(db_->Put({}, key, model[key]).ok());
+  };
+  for (int i = 0; i < kKeys; i++) {
+    put(i);
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+  for (int i = kKeys; i < kKeys + 20; i++) {  // above every key below
+    put(i);
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  const DBStats shape = db_->GetStats();
+  ASSERT_EQ(shape.total_runs, 2) << db_->DebugShape();
+  ASSERT_EQ(shape.runs_per_level[0], 1) << db_->DebugShape();
+  ASSERT_EQ(shape.runs_per_level[1], 0) << db_->DebugShape();
+  const std::vector<uint64_t> moving = LevelFiles(db_.get(), 0);
+  db_.reset();
+
+  bool before_sync = false;
+  bool after_sync = false;
+  for (uint64_t kill_at = 1; !after_sync; kill_at++) {
+    ASSERT_LT(kill_at, 20u) << "the move never became durable";
+    std::unique_ptr<Env> disk(NewMemEnv());
+    CopyDb(base_env_.get(), disk.get(), "/db");
+    FaultInjectionEnv env(disk.get());
+    Options options = options_;
+    options.env = &env;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    env.ArmKillPoint(kill_at);
+    EXPECT_FALSE(db->CompactAll().ok()) << kill_at;
+    db.reset();
+    ASSERT_TRUE(env.Crash().ok());
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok()) << kill_at;
+    ASSERT_TRUE(ScanAll(db.get()) == model) << kill_at << db->DebugShape();
+    EXPECT_TRUE(
+        static_cast<DBImpl*>(db.get())->TEST_CheckConsistency().ok());
+    const std::vector<uint64_t> level0 = LevelFiles(db.get(), 0);
+    const std::vector<uint64_t> level1 = LevelFiles(db.get(), 1);
+    if (level0 == moving && level1.empty()) {
+      before_sync = true;
+    } else {
+      ASSERT_TRUE(level0.empty() && level1 == moving)
+          << kill_at << db->DebugShape();
+      after_sync = true;
+    }
+    std::vector<std::string> children;
+    ASSERT_TRUE(disk->GetChildren("/db", &children).ok());
+    int tables = 0;
+    for (const std::string& name : children) {
+      uint64_t number;
+      FileType type;
+      tables += ParseFileName(name, &number, &type) &&
+                type == FileType::kTableFile;
+    }
+    EXPECT_EQ(tables, db->GetStats().total_files) << kill_at;
+  }
+  EXPECT_TRUE(before_sync);
 }
 
 // A CompactAll killed at write-op boundaries in turn, then crashed and

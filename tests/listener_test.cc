@@ -296,6 +296,51 @@ TEST_F(ListenerTest, CompactionEventsCarryInputsOutputsAndDeletions) {
   EXPECT_EQ(listener_->mutex_violations(), 0);
 }
 
+// Level-0 runs that overlap nothing, neither each other nor level 1,
+// move there: one begin/end pair, marked moved, with the runs' files as
+// inputs and nothing written, created or deleted. The compaction counts
+// as one, and as one move; the bytes and table-file tickers do not see it.
+TEST_F(ListenerTest, MoveFiresOnePairAndCreatesNoFile) {
+  options_.level0_compaction_trigger = 2;
+  Open();
+  ASSERT_TRUE(db_->Put({}, "a1", "v").ok());
+  ASSERT_TRUE(db_->Put({}, "a2", "v").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->Put({}, "b1", "v").ok());
+  ASSERT_TRUE(db_->Put({}, "b2", "v").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->CompactAll().ok());
+
+  const auto events = listener_->events();
+  const auto begins = IndicesOf(events, "compaction.begin");
+  const auto ends = IndicesOf(events, "compaction.end");
+  ASSERT_EQ(begins.size(), 1u);
+  ASSERT_EQ(ends.size(), 1u);
+  EXPECT_LT(begins[0], ends[0]);
+  const auto& end = events[ends[0]].compaction;
+  EXPECT_TRUE(end.status.ok());
+  EXPECT_TRUE(end.moved);
+  EXPECT_EQ(end.input_level, 0);
+  EXPECT_EQ(end.output_level, 1);
+  EXPECT_EQ(end.inputs.size(), 2u);
+  EXPECT_EQ(end.bytes_written, 0u);
+  EXPECT_TRUE(end.outputs.empty());
+  EXPECT_EQ(IndicesOf(events, "file.created").size(), 2u);  // the flushes
+  EXPECT_TRUE(IndicesOf(events, "file.deleted").empty());
+
+  const DBStats stats = db_->GetStats();
+  EXPECT_EQ(stats.compactions, 1u);
+  EXPECT_EQ(stats.bytes_compacted, 0u);
+  EXPECT_EQ(stats.runs_per_level[1], 1) << db_->DebugShape();
+  std::string dump;
+  ASSERT_TRUE(db_->GetProperty("lsmlab.stats", &dump));
+  EXPECT_NE(dump.find("ticker.compaction.moves=1\n"), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("ticker.table_files.created=2\n"), std::string::npos)
+      << dump;
+  EXPECT_EQ(listener_->mutex_violations(), 0);
+}
+
 TEST_F(ListenerTest, BackgroundFlushReportsBackgroundFlag) {
   options_.background_compaction = true;
   // Must stay above the arena's 4 KiB block floor or an empty memtable

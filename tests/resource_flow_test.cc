@@ -114,7 +114,7 @@ TEST(ResourceFlowTest, LeakedTableCachePinAbortsNamingTheSite) {
       {
         std::shared_ptr<SSTable> pinned;  // outlives the cache below
         auto cache = std::make_unique<TableCache>("/db", &options, &icmp);
-        ASSERT_TRUE(cache->FindTable(meta, &pinned).ok());
+        ASSERT_TRUE(cache->FindTable(meta, 0, &pinned).ok());
         cache.reset();  // reader pin still live
       },
       "TableCache reader pin: 1 pin\\(s\\) still live");

@@ -171,9 +171,11 @@ leg_tsan_obs() {
   # readers scan, Get and MultiGet the interim trees. (The other inline
   # shape tests add minutes under TSan and no threads; crash_test above
   # already runs the failed-subcompaction and CompactAll kill-point
-  # sweeps.)
-  GTEST_FILTER='*Background*:*Subcompaction*:*Install*' ctest \
-      --test-dir build-ci-tsan --output-on-failure -R compaction_test
+  # sweeps.) Moves: a move install next to iterators and snapshots that
+  # pinned the tree before it, and the consistency check every install
+  # runs in this Debug build.
+  GTEST_FILTER='*Background*:*Subcompaction*:*Install*:*Move*:*Consistency*' \
+      ctest --test-dir build-ci-tsan --output-on-failure -R compaction_test
   GTEST_FILTER='*Subrange*' ctest --test-dir build-ci-tsan \
       --output-on-failure -R corruption_test
   GTEST_FILTER='CompactionRead*' ctest --test-dir build-ci-tsan \

@@ -104,8 +104,7 @@ std::string BuildVersionEdit() {
   meta.file_size = 4096;
   meta.smallest = "aaa";
   meta.largest = "zzz";
-  meta.run_seq = 3;
-  edit.AddFile(1, meta);
+  edit.AddFile(1, /*run_seq=*/3, meta);
   std::string encoded;
   edit.EncodeTo(&encoded);
   return encoded;
