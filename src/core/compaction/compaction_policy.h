@@ -15,8 +15,8 @@ namespace lsmlab {
 class BlockCache;
 
 /// One unit of compaction work chosen by a policy (tutorial I-2 / [76]:
-/// trigger, granularity, and data-movement policy are the compaction
-/// primitives; the data-layout primitive is the policy subclass itself).
+/// trigger, data layout, granularity and data movement are the compaction
+/// primitives).
 struct CompactionPick {
   /// Source level; -1 means "drop only" (FIFO eviction).
   int level = 0;
@@ -30,28 +30,27 @@ struct CompactionPick {
   uint64_t output_run_seq = 0;
   /// FIFO: delete inputs without rewriting them.
   bool drop_only = false;
+  /// MergeRuns may cut the merge into key subranges. Each subrange ends
+  /// its own short last file, which a partial file picker later moves
+  /// alone, so a policy that picks single files clears this.
+  bool subcompactions = true;
 };
 
 /// CompactionPolicy::MaxRuns of a level whose run count only triggers
 /// merges.
 inline constexpr size_t kUnboundedRuns = SIZE_MAX;
 
-/// Strategy deciding when a level overflows and what to merge — the
-/// merge-policy axis of the design space (leveling / tiering / lazy
-/// leveling / FIFO).
+/// Strategy deciding when a level overflows and what to merge: the
+/// data-layout axis of the design space. One merging policy serves the
+/// leveling, tiering and lazy leveling presets; FIFO never merges.
 class CompactionPolicy {
  public:
   virtual ~CompactionPolicy() = default;
-
-  virtual const char* Name() const = 0;
 
   /// Returns the next compaction to run against `v`, or nullopt when the
   /// shape is within bounds. Policies may keep cursor state (round-robin
   /// picking), so this is non-const.
   virtual std::optional<CompactionPick> Pick(const Version& v) = 0;
-
-  /// Byte capacity of `level` under this policy's shape.
-  virtual uint64_t LevelCapacity(int level) const = 0;
 
   /// Most runs `level` of `v` holds once an install completes its merge
   /// (Version::CheckRunBound):
@@ -68,6 +67,13 @@ class CompactionPolicy {
 std::unique_ptr<CompactionPolicy> CreateCompactionPolicy(
     const Options& options, const InternalKeyComparator* icmp,
     BlockCache* block_cache);
+
+/// The next step of a major compaction (DB::CompactAll) on `v`: the
+/// shallowest populated level merges with all of the next level into one
+/// fresh run, or, when it is the deepest, its runs merge into one.
+/// nullopt once the tree is a single run.
+std::optional<CompactionPick> PickMajorCompaction(const Version& v,
+                                                  const Options& options);
 
 }  // namespace lsmlab
 

@@ -843,39 +843,14 @@ Status DBImpl::CompactAllLocked(PendingEvents* events) {
   // single sorted run at the deepest populated level, so bottom-level
   // garbage (shadowed versions, spent tombstones) is fully collected.
   while (s.ok()) {
-    CompactionPick pick;
-    {
-      // Not held across the merge: each install frees what it removes.
-      const VersionPtr v = versions_->current();
-      if (v->TotalRuns() <= 1) {
-        break;
-      }
-      int shallowest = -1;
-      for (int level = 0; level < v->num_levels(); level++) {
-        if (!v->levels()[level].runs.empty()) {
-          shallowest = level;
-          break;
-        }
-      }
-      const int bottom = v->MaxPopulatedLevel();
-      pick.level = shallowest;
-      pick.output_run_seq = 0;  // outputs always form one fresh run
-      for (const Run& run : v->levels()[shallowest].runs) {
-        pick.inputs.insert(pick.inputs.end(), run.files.begin(),
-                           run.files.end());
-      }
-      if (shallowest == bottom) {
-        pick.output_level = shallowest;  // collapse the bottom's runs
-      } else {
-        // Consume the next level entirely too, producing one merged run.
-        pick.output_level = shallowest + 1;
-        for (const Run& run : v->levels()[shallowest + 1].runs) {
-          pick.output_overlaps.insert(pick.output_overlaps.end(),
-                                      run.files.begin(), run.files.end());
-        }
-      }
+    // The version is not held across the merge: each install frees what
+    // it removes.
+    std::optional<CompactionPick> pick =
+        PickMajorCompaction(*versions_->current(), options_);
+    if (!pick.has_value()) {
+      break;
     }
-    s = DoCompaction(std::move(pick), events);
+    s = DoCompaction(std::move(*pick), events);
   }
   manual_compaction_ = false;
   MaybeScheduleBackgroundWork(events);
@@ -1400,17 +1375,9 @@ Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
   const size_t source_runs = runs.size();  // the rest are output-level runs
   AppendRuns(icmp_, pick.output_overlaps, &runs);
   const uint64_t file_bytes = std::max<size_t>(1, options_.max_file_size);
-  // Each subrange ends its own short last file. A partial file picker
-  // later moves such a file alone, for few bytes per rewrite of the next
-  // level (E10/E17 write_amp rose by 3-24% when these merges were split),
-  // so under one every merge is a single subrange. Whole-level and tiered
-  // merges rewrite a level or run whole, whatever its file sizes.
-  const bool partial_picks =
-      options_.merge_policy == MergePolicy::kLeveling &&
-      options_.file_picker != CompactionFilePicker::kWholeLevel;
   const std::vector<std::string> cuts =
-      partial_picks ? std::vector<std::string>()
-                    : SubcompactionCuts(*ucmp, runs, file_bytes);
+      pick.subcompactions ? SubcompactionCuts(*ucmp, runs, file_bytes)
+                          : std::vector<std::string>();
   const std::vector<Slice> bounds(cuts.begin(), cuts.end());
   struct Subcompaction {
     std::vector<std::pair<std::span<const FileMetaPtr>, int>> runs;  // level
