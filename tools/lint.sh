@@ -64,6 +64,13 @@
 #      pruning, pinning and tickers drift from the first. Deliberate
 #      exceptions carry an `iter-ok:` comment on the call line or the line
 #      above.
+#  13. One merging policy: at most two classes in src/ derive from
+#      CompactionPolicy (the merging policy, whose presets are leveling,
+#      tiering and lazy leveling, and FIFO), and no src/ file outside
+#      src/core/compaction/ and src/core/options.h reads `merge_policy` or
+#      `file_picker` (comment lines aside). A third policy class is a
+#      second pick loop; an option read elsewhere re-derives from Options
+#      what the picks already say, such as whether a merge may be split.
 #
 # `lint.sh --self-test` seeds a throwaway tree with one violation per check
 # and asserts every check fires (the same discipline as
@@ -77,7 +84,7 @@ if [ "${1:-}" = "--self-test" ]; then
   self="$(cd "$(dirname "$0")" && pwd)/$(basename "$0")"
   tmp="$(mktemp -d -t lint_self_test.XXXXXX)"
   trap 'rm -rf "$tmp"' EXIT
-  mkdir -p "$tmp/src/core" "$tmp/src/memtable" "$tmp/tools"
+  mkdir -p "$tmp/src/core/compaction" "$tmp/src/memtable" "$tmp/tools"
   # check 1 must fire inside the lock-free skiplist specifically: a raw
   # mutex smuggled into the concurrent-insert path would be invisible to
   # the thread-safety analysis AND would break the lock-free reader
@@ -124,6 +131,19 @@ void Loud() {
   // status-ok: documented drop, must NOT fire
   DoOther().IgnoreError();
 }
+class ThirdPolicy : public CompactionPolicy {};       // check 13
+bool Split() { return options_.merge_policy == MergePolicy::kTiering; }  // check 13
+// A comment may name options_.file_picker: must NOT fire
+EOF
+  cat > "$tmp/src/core/compaction/compaction_policy.cc" << 'EOF'
+class FluidPolicy : public CompactionPolicy {         // check 13: must NOT fire alone
+  bool Partial() { return options_.file_picker != kWhole; }  // check 13: must NOT fire
+};
+class FifoPolicy
+    : public CompactionPolicy {};
+EOF
+  cat > "$tmp/src/core/options.h" << 'EOF'
+  MergePolicy merge_policy = MergePolicy::kLeveling;  // check 13: must NOT fire
 EOF
   cat > "$tmp/src/core/db_iter.cc" << 'EOF'
 Iterator* NewDBIterator(const Comparator* ucmp, Iterator* it, SequenceNumber s) {  // check 12: must NOT fire
@@ -192,12 +212,26 @@ EOF
     echo "lint --self-test: annotated IgnoreError wrongly flagged"
     fail=1
   fi
+  expect "third CompactionPolicy subclass"
+  if ! grep -q 'ThirdPolicy' <<< "$out"; then
+    echo "lint --self-test: seeded third CompactionPolicy subclass not listed"
+    fail=1
+  fi
+  expect "merge_policy/file_picker read outside src/core/compaction"
+  if ! grep -q 'Split()' <<< "$out"; then
+    echo "lint --self-test: seeded merge_policy read not flagged"
+    fail=1
+  fi
+  if grep -qE 'Partial\(\)|MergePolicy merge_policy|comment may name' <<< "$out"; then
+    echo "lint --self-test: compaction/, options.h or comment read wrongly flagged"
+    fail=1
+  fi
   if [ "$rc" -eq 0 ]; then
     echo "lint --self-test: seeded tree passed the lint (expected failure)"
     fail=1
   fi
   if [ "$fail" -eq 0 ]; then
-    echo "lint --self-test: PASS (all 12 checks fire on seeded violations)"
+    echo "lint --self-test: PASS (all 13 checks fire on seeded violations)"
   fi
   exit "$fail"
 fi
@@ -397,6 +431,20 @@ grep -rl --include='*.h' --include='*.cc' 'NewDBIterator(' src/core/ \
       END { if (n > 1) for (i = 1; i <= n; i++) print sites[i] }
     ' \
   | report "second NewDBIterator call site in src/core (build user iterators through DBImpl::NewReadIterator, or mark the call iter-ok:)"
+
+# 13. One merging policy. Every CompactionPolicy subclass is listed once
+#     there are more than two; a base on its own line counts too.
+grep -rnE --include='*.h' --include='*.cc' \
+    '(public|protected|private)[[:space:]]+(lsmlab::)?CompactionPolicy\b|(class|struct)[^;(]*:[[:space:]]*(lsmlab::)?CompactionPolicy\b' \
+    src/ 2>/dev/null \
+  | awk '{ sites[++n] = $0 } END { if (n > 2) for (i = 1; i <= n; i++) print sites[i] }' \
+  | report "third CompactionPolicy subclass (make it a preset of the merging policy in src/core/compaction/)"
+
+grep -rnE --include='*.h' --include='*.cc' '\b(merge_policy|file_picker)\b' \
+    src/ 2>/dev/null \
+  | grep -vE '^src/core/compaction/|^src/core/options\.h:' \
+  | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' \
+  | report "merge_policy/file_picker read outside src/core/compaction/ and options.h (let the policy's picks say it)"
 
 if [ "$fail" -eq 0 ]; then
   echo "lint: OK"
