@@ -20,16 +20,21 @@ class BlockCache;
 class Snapshot;
 
 /// The merge-policy axis of the LSM design space (tutorial I-2, III-1).
+/// The three merging values are presets of one pick loop: each level from
+/// 1 down is leveled (one run, fires on bytes, picks into it join its
+/// run) or tiered (fires at size_ratio runs, picks into it add a fresh
+/// run), and the preset says which. Level 0 fires at
+/// level0_compaction_trigger runs under each of them.
 enum class MergePolicy {
-  /// One sorted run per level; a full level merges into the next.
-  /// Read-optimized: O(L) runs. [O'Neil '96; LevelDB/RocksDB leveled]
+  /// Every level from 1 down is leveled. Read-optimized: O(L) runs.
+  /// [O'Neil '96; LevelDB/RocksDB leveled]
   kLeveling,
-  /// Up to T runs per level; a full level merges into one run of the next.
-  /// Write-optimized: O(L*T) runs. [Jagadish '97; Cassandra/RocksDB
-  /// universal]
+  /// Every level is tiered. Write-optimized: O(L*T) runs. [Jagadish '97;
+  /// Cassandra/RocksDB universal]
   kTiering,
-  /// Tiering on all levels except the largest, which is leveled — most of
-  /// the read benefit at most of the write savings. [Dostoevsky, Dayan '18]
+  /// Every level is tiered except the largest populated one, which is
+  /// leveled: most of the read benefit at most of the write savings.
+  /// [Dostoevsky, Dayan '18]
   kLazyLeveling,
   /// No merging: drop the oldest run once total size exceeds the budget.
   /// [RocksDB FIFO]
@@ -38,11 +43,12 @@ enum class MergePolicy {
 
 /// Which file a leveled partial compaction picks from the overflowing level
 /// (tutorial I-2 "which file(s) to compact affects performance" [74, 76]).
+/// Applies under kLeveling only; the other presets move whole levels.
 enum class CompactionFilePicker {
   kRoundRobin,   ///< cycle through the level's key space
   kMinOverlap,   ///< file with least overlapping bytes in the next level
   kCold,         ///< file least recently read (via block-cache hotness)
-  kOldest,       ///< file that has been in the level longest
+  kOldest,       ///< file that reached the level first
   kWholeLevel,   ///< no partial compaction: merge the entire level
 };
 
