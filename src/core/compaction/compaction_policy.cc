@@ -151,11 +151,10 @@ class FluidPolicy : public CompactionPolicy {
   }
 
   /// A collapse of `level`'s runs into one fresh run, for a leveled level
-  /// that holds more: a merge into it stopped between two of its installs
-  /// (a crash or a failed subrange), leaving the installed prefix's run
-  /// beside the rest of the old one. Merging the level first keeps a later
-  /// pick from joining or moving part of it, which could leave one run
-  /// holding overlapping files or push a newer file below an older one.
+  /// that holds more: a tree written under tiering and reopened under
+  /// leveling or lazy leveling. Merging the level first keeps a later
+  /// pick from joining or moving part of one run, which could push a
+  /// newer file below an older one.
   static CompactionPick CollapseLevel(const Version& v, int level) {
     CompactionPick pick;
     pick.level = level;
@@ -419,9 +418,14 @@ std::optional<CompactionPick> PickMajorCompaction(const Version& v,
   if (shallowest == v.MaxPopulatedLevel()) {
     pick.output_level = shallowest;  // collapse the bottom's runs
   } else {
-    // Consume the next level entirely too, producing one merged run.
+    // Consume the next level entirely too, producing one merged run: its
+    // run, when it holds one, so the level never holds a second.
     pick.output_level = shallowest + 1;
     pick.output_overlaps = AllFiles(v, shallowest + 1);
+    const std::vector<Run>& runs = v.levels()[shallowest + 1].runs;
+    if (runs.size() == 1) {
+      pick.output_run_seq = runs[0].run_seq;
+    }
   }
   return pick;
 }

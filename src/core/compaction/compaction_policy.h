@@ -26,7 +26,8 @@ struct CompactionPick {
   /// Files of the output level's run overlapping the inputs (leveled
   /// merges); they are consumed and rewritten too.
   std::vector<FileMetaPtr> output_overlaps;
-  /// Run the outputs join; 0 = allocate a fresh run (tiered push).
+  /// Run the outputs join, at every install of the merge; 0 = allocate a
+  /// fresh run (tiered push).
   uint64_t output_run_seq = 0;
   /// FIFO: delete inputs without rewriting them.
   bool drop_only = false;
@@ -52,11 +53,10 @@ class CompactionPolicy {
   /// picking), so this is non-const.
   virtual std::optional<CompactionPick> Pick(const Version& v) = 0;
 
-  /// Most runs `level` of `v` holds once an install completes its merge
-  /// (Version::CheckRunBound):
-  /// 1 at a level the policy keeps as one run, else kUnboundedRuns (level
-  /// 0 and tiered levels, whose run count is a merge trigger that flushes
-  /// may outpace).
+  /// Most runs `level` of `v` holds after any install
+  /// (Version::CheckRunBound): 1 at a level the policy keeps as one run,
+  /// else kUnboundedRuns (level 0 and tiered levels, whose run count is a
+  /// merge trigger that flushes may outpace).
   virtual size_t MaxRuns(const Version& /*v*/, int /*level*/) const {
     return kUnboundedRuns;
   }
@@ -70,7 +70,8 @@ std::unique_ptr<CompactionPolicy> CreateCompactionPolicy(
 
 /// The next step of a major compaction (DB::CompactAll) on `v`: the
 /// shallowest populated level merges with all of the next level into one
-/// fresh run, or, when it is the deepest, its runs merge into one.
+/// run (the next level's, when it holds exactly one; else a fresh one),
+/// or, when it is the deepest, its runs merge into one.
 /// nullopt once the tree is a single run.
 std::optional<CompactionPick> PickMajorCompaction(const Version& v,
                                                   const Options& options);

@@ -112,10 +112,7 @@ Status Version::CheckRunBound(const Version& base,
                               const CompactionPolicy& policy) const {
   for (int level = 0; level < num_levels(); level++) {
     const size_t runs = levels_[level].runs.size();
-    // A merge into a level's one run that stops between two installs
-    // leaves the installed prefix's run beside it.
-    const size_t bound = policy.MaxRuns(*this, level);
-    if (bound != kUnboundedRuns && runs > bound + 1 &&
+    if (runs > policy.MaxRuns(*this, level) &&
         runs > base.levels_[level].runs.size()) {
       return Status::Corruption("level " + std::to_string(level) +
                                 " grows to " + std::to_string(runs) +

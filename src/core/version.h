@@ -133,11 +133,10 @@ class Version {
   /// names the first violation.
   Status CheckConsistency(const Comparator* ucmp) const;
   /// The run bound of one install, for this version built from `base`:
-  /// no level grows past the runs `policy` allows plus the one interim
-  /// run that a merge into an existing run leaves beside it when it stops
-  /// between two installs (CollapseLevel repairs that). A level that
-  /// already held more in `base` may keep them: a tree written under
-  /// another policy opens, and its next picks collapse it.
+  /// no level grows past the runs `policy` allows, between two installs
+  /// of a merge as after its last. A level that already held more in
+  /// `base` may keep them: a tree written under another policy opens,
+  /// and its next picks collapse it.
   Status CheckRunBound(const Version& base,
                        const CompactionPolicy& policy) const;
 

@@ -394,6 +394,19 @@ void CopyDb(Env* from, Env* to, const std::string& dbname) {
   }
 }
 
+/// The sorted file numbers of `level` in `db`'s current version.
+std::vector<uint64_t> LevelFiles(DB* db, int level) {
+  std::vector<uint64_t> numbers;
+  const VersionPtr v = static_cast<DBImpl*>(db)->TEST_CurrentVersion();
+  for (const Run& run : v->levels()[level].runs) {
+    for (const FileMetaPtr& f : run.files) {
+      numbers.push_back(f->number);
+    }
+  }
+  std::sort(numbers.begin(), numbers.end());
+  return numbers;
+}
+
 // A background compaction split into subranges, killed at each write-op
 // boundary in turn: in one subrange's table while the other subranges
 // build theirs, or in a manifest install. The merge installs its finished
@@ -427,6 +440,7 @@ TEST_F(CrashTest, FailedSubcompactionKeepsInstalledPrefix) {
   const DBStats shape = db_->GetStats();
   ASSERT_EQ(shape.runs_per_level[0], 1) << db_->DebugShape();
   ASSERT_EQ(shape.runs_per_level[1], 1) << db_->DebugShape();
+  const std::vector<uint64_t> level1 = LevelFiles(db_.get(), 1);
   db_.reset();
   for (int i = 3; i < kKeys; i += 7) {
     model[EncodeKey(static_cast<uint64_t>(i))] = "b";
@@ -469,11 +483,12 @@ TEST_F(CrashTest, FailedSubcompactionKeepsInstalledPrefix) {
       completed = true;
     } else {
       failures++;
-      // Installs before the failure put their outputs in a run of their
-      // own next to what is left of the L1 run; both L0 runs stay.
+      // Installs before the failure put their outputs in the L1 run,
+      // beside what is left of its old files; both L0 runs stay.
       const DBStats failed = db->GetStats();
       EXPECT_EQ(failed.runs_per_level[0], 2) << kill_at << db->DebugShape();
-      installed_prefixes += failed.runs_per_level[1] == 2;
+      EXPECT_EQ(failed.runs_per_level[1], 1) << kill_at << db->DebugShape();
+      installed_prefixes += LevelFiles(db.get(), 1) != level1;
       EXPECT_FALSE(db->Put({}, "after", "x").ok()) << kill_at;
     }
     std::string value;
@@ -493,19 +508,6 @@ TEST_F(CrashTest, FailedSubcompactionKeepsInstalledPrefix) {
   }
   EXPECT_GE(failures, 10);
   EXPECT_GT(installed_prefixes, 0);
-}
-
-/// The sorted file numbers of `level` in `db`'s current version.
-std::vector<uint64_t> LevelFiles(DB* db, int level) {
-  std::vector<uint64_t> numbers;
-  const VersionPtr v = static_cast<DBImpl*>(db)->TEST_CurrentVersion();
-  for (const Run& run : v->levels()[level].runs) {
-    for (const FileMetaPtr& f : run.files) {
-      numbers.push_back(f->number);
-    }
-  }
-  std::sort(numbers.begin(), numbers.end());
-  return numbers;
 }
 
 // A move installs by one manifest record. CompactAll over a level-0 run
@@ -584,11 +586,11 @@ TEST_F(CrashTest, MoveKillPointsRecoverOnEitherSideOfTheSync) {
 
 // A CompactAll killed at write-op boundaries in turn, then crashed and
 // reopened. Its merge installs its finished subranges as it goes, so some
-// kills fall between two interim installs: the recovered tree holds the
-// installed prefix next to the rest of the inputs, and the outputs built
-// after the last install are gone. Every recovered tree must read as the
-// model, and a CompactAll on a healthy disk must turn it into one run
-// that still does.
+// kills fall between two installs: the recovered L1 run holds the
+// installed prefix beside the rest of its old files, L0 keeps its run,
+// and the outputs built after the last install are gone. Every recovered
+// tree must read as the model, and a CompactAll on a healthy disk must
+// turn it into one run that still does.
 TEST_F(CrashTest, CompactAllKillPointsKeepInstalledPrefix) {
   options_.write_buffer_size = 64 << 10;
   options_.max_file_size = 4 << 10;
@@ -618,8 +620,9 @@ TEST_F(CrashTest, CompactAllKillPointsKeepInstalledPrefix) {
   ASSERT_EQ(shape.runs_per_level[1], 1) << db_->DebugShape();
   db_.reset();
 
-  // Interim trees recovered, told apart by their level-1 bytes.
-  std::set<uint64_t> interim_trees;
+  // Trees recovered between two installs, told apart by their level-1
+  // bytes.
+  std::set<uint64_t> prefix_trees;
   int kills = 0;
   bool completed = false;
   for (uint64_t kill_at = 1; !completed; kill_at += 3) {
@@ -640,17 +643,19 @@ TEST_F(CrashTest, CompactAllKillPointsKeepInstalledPrefix) {
     ASSERT_TRUE(DB::Open(options, "/db", &db).ok()) << kill_at;
     ASSERT_TRUE(ScanAll(db.get()) == model) << kill_at << db->DebugShape();
     const DBStats recovered = db->GetStats();
-    if (recovered.runs_per_level[0] == 1 && recovered.runs_per_level[1] == 2) {
-      interim_trees.insert(recovered.bytes_per_level[1]);
+    EXPECT_EQ(recovered.runs_per_level[1], 1) << kill_at << db->DebugShape();
+    if (recovered.runs_per_level[0] == 1 &&
+        recovered.bytes_per_level[1] != shape.bytes_per_level[1]) {
+      prefix_trees.insert(recovered.bytes_per_level[1]);
     }
     ASSERT_TRUE(db->CompactAll().ok()) << kill_at;
     EXPECT_EQ(db->GetStats().total_runs, 1) << kill_at << db->DebugShape();
     ASSERT_TRUE(ScanAll(db.get()) == model) << kill_at;
   }
   EXPECT_GT(kills, 10);
-  // At least two interim trees: the first of them was followed by another
-  // interim install.
-  EXPECT_GE(interim_trees.size(), 2u);
+  // At least two such trees: the first of them was followed by another
+  // install before the last.
+  EXPECT_GE(prefix_trees.size(), 2u);
 }
 
 TEST_F(CrashTest, KillPointMatrixIsPrefixConsistent) {

@@ -30,7 +30,7 @@
 #   tsan-obs       ThreadSanitizer build, observability tests only (fast
 #                  race check over the PerfContext/StatsRegistry/listener
 #                  counter paths, compaction_test's lazily opened merge
-#                  inputs, subcompactions and interim installs, plus
+#                  inputs, subcompactions and incremental installs, plus
 #                  property_test's background rows; subset of `tsan`)
 #   asan-ubsan     Address+UB sanitizer builds + full ctest
 #   fuzz-smoke     libFuzzer harnesses (LSMLAB_FUZZ build, clang only),
@@ -168,7 +168,8 @@ leg_tsan_obs() {
   # merge's subranges, with the serial merge as the reference, over a
   # corrupt input, and without filling the block cache. Installs: the
   # calling thread installs finished subranges while helpers build and
-  # readers scan, Get and MultiGet the interim trees. (The other inline
+  # readers scan, Get and MultiGet the trees between installs, and an
+  # iterator pins one of them. (The other inline
   # shape tests add minutes under TSan and no threads; crash_test above
   # already runs the failed-subcompaction and CompactAll kill-point
   # sweeps.) Moves: a move install next to iterators and snapshots that
