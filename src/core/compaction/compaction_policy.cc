@@ -175,24 +175,17 @@ class FluidPolicy : public CompactionPolicy {
   }
 
   /// Files of the output level's runs overlapping [smallest, largest] in
-  /// user-key space.
+  /// user-key space: one fence search per run.
   std::vector<FileMetaPtr> Overlaps(const Version& v, int output_level,
                                     const Slice& smallest,
                                     const Slice& largest) const {
     std::vector<FileMetaPtr> result;
-    const Comparator* ucmp = icmp_->user_comparator();
-    Slice user_lo = ExtractUserKey(smallest);
-    Slice user_hi = ExtractUserKey(largest);
+    const Slice lo = ExtractUserKey(smallest);
+    const Slice hi = ExtractUserKey(largest);
     for (const Run& run : v.levels()[output_level].runs) {
-      for (const FileMetaPtr& f : run.files) {
-        Slice f_lo = ExtractUserKey(Slice(f->smallest));
-        Slice f_hi = ExtractUserKey(Slice(f->largest));
-        if (ucmp->Compare(f_hi, user_lo) < 0 ||
-            ucmp->Compare(f_lo, user_hi) > 0) {
-          continue;
-        }
-        result.push_back(f);
-      }
+      const std::span<const FileMetaPtr> files =
+          FenceSearch(run.files, *icmp_->user_comparator(), &lo, &hi);
+      result.insert(result.end(), files.begin(), files.end());
     }
     return result;
   }

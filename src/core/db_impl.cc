@@ -208,8 +208,9 @@ Status DB::Open(const Options& options, const std::string& name,
   if (options.env == nullptr) {
     return Status::InvalidArgument("Options::env must be set");
   }
-  if (options.num_shards < 1) {
-    return Status::InvalidArgument("Options::num_shards must be >= 1");
+  if (options.num_shards < 1 || options.num_shards > kMaxShards) {
+    return Status::InvalidArgument("Options::num_shards must be in [1, " +
+                                   std::to_string(kMaxShards) + "]");
   }
   // Refuses to open a database whose on-disk shard count disagrees with
   // options.num_shards (including opening a sharded directory as a plain
@@ -241,18 +242,11 @@ Status DestroyDB(const Options& options, const std::string& name) {
     return Status::InvalidArgument("Options::env must be set");
   }
   // A sharded database keeps each shard in its own subdirectory; read the
-  // marker (before the sweep below deletes it) and clear each shard.
-  std::string marker;
-  if (ReadFileToString(options.env, name + "/" + kShardMarkerFile, &marker)
-          .ok()) {
-    int recorded = 0;
-    for (char c : marker) {
-      if (c < '0' || c > '9') {
-        break;
-      }
-      recorded = recorded * 10 + (c - '0');
-    }
-    for (int k = 0; k < recorded; k++) {
+  // marker (before the sweep below deletes it) and clear each shard. A
+  // marker that does not parse leaves only the root to sweep.
+  int shards = 0;
+  if (ReadShardMarker(options.env, name, &shards).ok()) {
+    for (int k = 0; k < shards; k++) {
       Options shard_options = options;
       shard_options.num_shards = 1;  // shard dirs are flat; no recursion
       // status-ok: best-effort per-shard destroy; leftovers surface in
@@ -278,24 +272,35 @@ Status DestroyDB(const Options& options, const std::string& name) {
 // (Batch separation itself — SeparatingHandler / SeparateBatch — lives in
 // db_write.cc with the rest of the write path.)
 
+Status DecodeValueTag(Slice* stored, bool* pointer) {
+  *pointer = false;
+  if (stored->empty()) {
+    return Status::OK();
+  }
+  const char tag = (*stored)[0];
+  if (tag != kVlogInlineTag && tag != kVlogPointerTag) {
+    return Status::Corruption("unknown value tag");
+  }
+  *pointer = tag == kVlogPointerTag;
+  stored->remove_prefix(1);
+  return Status::OK();
+}
+
 Status DBImpl::ResolveValue(const Slice& stored, std::string* out) {
-  if (vlog_ == nullptr) {
-    out->assign(stored.data(), stored.size());
+  Slice payload = stored;
+  bool pointer = false;
+  if (vlog_ != nullptr) {
+    Status s = DecodeValueTag(&payload, &pointer);
+    if (!s.ok()) {
+      return s;
+    }
+  }
+  if (!pointer) {
+    out->assign(payload.data(), payload.size());
     return Status::OK();
   }
-  if (stored.empty()) {
-    out->clear();
-    return Status::OK();
-  }
-  if (stored[0] == kVlogInlineTag) {
-    out->assign(stored.data() + 1, stored.size() - 1);
-    return Status::OK();
-  }
-  if (stored[0] == kVlogPointerTag) {
-    stats_.Add(Ticker::kSeparatedReads);
-    return vlog_->Get(Slice(stored.data() + 1, stored.size() - 1), out);
-  }
-  return Status::Corruption("unknown value tag");
+  stats_.Add(Ticker::kSeparatedReads);
+  return vlog_->Get(payload, out);
 }
 
 Status DBImpl::GarbageCollectValues() {
@@ -321,12 +326,10 @@ Status DBImpl::GarbageCollectValues() {
       NewReadIterator(ReadOptions(), nullptr, /*resolve_values=*/false));
   Status s;
   for (it->SeekToFirst(); it->Valid() && s.ok(); it->Next()) {
-    const Slice stored = it->value();
-    if (stored.size() < 2 || stored[0] != kVlogPointerTag) {
-      continue;
-    }
-    const Slice pointer(stored.data() + 1, stored.size() - 1);
-    if (!ValueLog::PointsInto(pointer, victims)) {
+    Slice pointer = it->value();
+    bool separated = false;
+    if (!DecodeValueTag(&pointer, &separated).ok() || !separated ||
+        !ValueLog::PointsInto(pointer, victims)) {
       continue;
     }
     std::string value;
@@ -348,20 +351,6 @@ Status DBImpl::GarbageCollectValues() {
 }
 
 // ------------------------------------------------------------- Recovery --
-
-namespace {
-
-class WalReporter : public wal::Reader::Reporter {
- public:
-  Status status;
-  void Corruption(size_t /*bytes*/, const Status& s) override {
-    if (status.ok()) {
-      status = s;
-    }
-  }
-};
-
-}  // namespace
 
 Status DBImpl::RecoverWal(PendingEvents* events) {
   std::vector<std::string> children;
@@ -395,8 +384,7 @@ Status DBImpl::RecoverWal(PendingEvents* events) {
     if (!s.ok()) {
       return s;
     }
-    WalReporter reporter;
-    wal::Reader reader(file.get(), &reporter);
+    wal::Reader reader(file.get(), /*reporter=*/nullptr);
     Slice record;
     std::string scratch;
     // io-under-lock-ok: WAL replay during single-threaded recovery.
@@ -410,8 +398,8 @@ Status DBImpl::RecoverWal(PendingEvents* events) {
       const SequenceNumber last = batch.sequence() + batch.Count() - 1;
       max_sequence = std::max(max_sequence, last);
     }
-    if (!reporter.status.ok()) {
-      return reporter.status;
+    if (!reader.status().ok()) {
+      return reader.status();
     }
   }
   versions_->SetLastSequence(max_sequence);
@@ -1049,23 +1037,14 @@ void AppendRuns(const InternalKeyComparator& icmp,
   }
 }
 
-/// True when `files`, ordered by smallest key, are pairwise disjoint in
-/// user keys, so they can form one run: FindFileInRun needs each user key
-/// in one file of a run, which disjoint internal keys do not give.
+/// True when `files` can form one run (FirstOverlap, once ordered).
 bool FormOneRun(const InternalKeyComparator& icmp,
                 std::vector<FileMetaPtr> files) {
   std::sort(files.begin(), files.end(),
             [&icmp](const FileMetaPtr& a, const FileMetaPtr& b) {
               return icmp.Compare(Slice(a->smallest), Slice(b->smallest)) < 0;
             });
-  const Comparator* ucmp = icmp.user_comparator();
-  for (size_t i = 1; i < files.size(); i++) {
-    if (ucmp->Compare(ExtractUserKey(Slice(files[i - 1]->largest)),
-                      ExtractUserKey(Slice(files[i]->smallest))) >= 0) {
-      return false;
-    }
-  }
-  return true;
+  return FirstOverlap(files, *icmp.user_comparator()) == files.size();
 }
 
 /// Subcompaction boundaries: user keys that cut a merge of `runs` into one
@@ -1395,26 +1374,14 @@ Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
     sub.ends_install = i == cuts.size() || (removes && cuts[i].second);
     uint64_t input_bytes = 0;
     for (size_t r = 0; r < runs.size(); r++) {
-      const std::span<const FileMetaPtr> files = runs[r];
-      auto first = files.begin();
-      auto last = files.end();
-      if (sub.range.begin != nullptr) {
-        first = std::partition_point(first, last, [&](const FileMetaPtr& f) {
-          return ucmp->Compare(ExtractUserKey(Slice(f->largest)),
-                               *sub.range.begin) < 0;
-        });
-      }
-      if (sub.range.end != nullptr) {
-        last = std::partition_point(first, last, [&](const FileMetaPtr& f) {
-          return ucmp->Compare(ExtractUserKey(Slice(f->smallest)),
-                               *sub.range.end) < 0;
-        });
-      }
-      if (first != last) {
-        sub.runs.emplace_back(std::span<const FileMetaPtr>(first, last),
+      const std::span<const FileMetaPtr> files =
+          FenceSearch(runs[r], *ucmp, sub.range.begin, sub.range.end,
+                      /*hi_open=*/true);
+      if (!files.empty()) {
+        sub.runs.emplace_back(files,
                               r < source_runs ? pick.level : output_level);
-        for (auto f = first; f != last; ++f) {
-          input_bytes += (*f)->file_size;
+        for (const FileMetaPtr& f : files) {
+          input_bytes += f->file_size;
         }
       }
     }
@@ -1431,7 +1398,7 @@ Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
     }
   }
 
-  // The calling thread builds too; helpers are short-lived threads, not
+  // The calling thread works too; helpers are short-lived threads, not
   // bg_pool_, which runs this compaction and, when shared, other shards'
   // work. Shards compacting together may ask for more threads than there
   // are cores; EXPERIMENTS.md E22 measured no loss from it.
@@ -1444,11 +1411,11 @@ Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
   }
   helpers = std::min(helpers, subs.size() - 1);
   // Each time the finished prefix of subranges grows to an end an install
-  // may take, the calling thread installs it, and no subrange starts 2 x
-  // threads or more ahead of the installed prefix unless the next install
-  // ends further on: uninstalled outputs stay about two per thread. A
-  // merge that removes no output-level input frees nothing early; it
-  // installs once, at the end, and runs ahead freely.
+  // may take, it is installed, and no subrange starts 2 x threads or more
+  // ahead of the installed prefix unless the next install ends further
+  // on: uninstalled outputs stay about two per thread. A merge that
+  // removes no output-level input frees nothing early; it installs once,
+  // at the end, and runs ahead freely.
   const size_t window = removes ? 2 * (helpers + 1) : subs.size();
   for (size_t i = subs.size(), end = subs.size(); i-- > 0;) {
     end = subs[i].ends_install ? i + 1 : end;
@@ -1462,11 +1429,12 @@ Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
   size_t next = 0;
   size_t finished = 0;
   size_t installed = 0;
+  bool installing = false;
   std::vector<bool> done(subs.size(), false);
   bool failed = false;
+  Status s;  // the failed install's status
 
-  auto build = [&](size_t i) {
-    Subcompaction& sub = subs[i];
+  auto build = [&](Subcompaction& sub) {
     std::vector<Iterator*> children;
     for (const auto& [files, level] : sub.runs) {
       children.push_back(NewRunIterator(files, level, /*range=*/nullptr,
@@ -1479,98 +1447,74 @@ Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
                              /*drop_tombstones=*/bottommost,
                              smallest_snapshot, &sub.outputs,
                              &sub.bytes_written, sub.range);
-    merged.reset();
-    MutexLock lock(&progress_mu);
-    done[i] = true;
-    failed = failed || !sub.status.ok();
-    for (size_t j = finished; j < subs.size() && done[j]; j++) {
-      finished = subs[j].ends_install ? j + 1 : finished;
-    }
-    progress_cv.SignalAll();
   };
-  // Helpers build until no subrange is left or one has failed.
-  auto claim = [&](size_t* i) {
-    MutexLock lock(&progress_mu);
-    while (!failed && next < subs.size() && next >= subs[installed].reach) {
-      progress_cv.Wait();
-    }
-    if (failed || next >= subs.size()) {
-      return false;
-    }
-    *i = next++;
-    return true;
-  };
-  std::vector<std::jthread> threads;  // joined on every path out
-  threads.reserve(helpers);
-  for (size_t t = 0; t < helpers; t++) {
-    threads.emplace_back([&] {
-      // A helper's block reads and merge steps count in this DB's
-      // tickers, as the caller's do when its operation ends.
-      PerfContext* perf = GetPerfContext();
-      const PerfContext before = *perf;
-      size_t i = 0;
-      while (claim(&i)) {
-        build(i);
-      }
-      stats_.MergePerfDelta(perf->Delta(before));
-    });
-  }
-
-  // The calling thread installs and, while there is nothing to install,
-  // builds.
-  Status s;
-  while (true) {
-    size_t start = subs.size();  // the subrange to build, if any
-    size_t batch_begin = 0;
-    size_t batch_end = 0;
-    {
-      MutexLock lock(&progress_mu);
-      while (!failed && installed < subs.size()) {
-        if (finished > installed) {
-          batch_begin = installed;
-          batch_end = finished;
-          break;
-        }
-        if (next < subs.size() && next < subs[installed].reach) {
-          start = next++;
-          break;
-        }
-        progress_cv.Wait();
-      }
-    }
-    if (start < subs.size()) {
-      build(start);
-      continue;
-    }
-    if (batch_end == 0) {
-      break;  // all installed, or failed
-    }
+  auto install = [&](size_t begin, size_t end) {
     std::vector<FileMetaData> batch;
-    for (size_t i = batch_begin; i < batch_end; i++) {
+    for (size_t i = begin; i < end; i++) {
       batch.insert(batch.end(), subs[i].outputs.begin(),
                    subs[i].outputs.end());
     }
     if (c->prefetch_budget > 0) {
       PrefetchOutputs(batch, output_level, &c->prefetch_budget);
     }
+    // Declared before the lock, so dropped with mu_ released: the last
+    // reference deletes the file.
     std::vector<FileMetaPtr> released;
-    {
-      MutexLock lock(&mu_);
-      s = InstallCompaction(c, batch, subs[batch_end - 1].range.end,
-                            &released);
+    MutexLock lock(&mu_);
+    return InstallCompaction(c, batch, subs[end - 1].range.end, &released);
+  };
+  // Every thread runs one loop until all is installed or a step failed:
+  // install the finished prefix if no install is running, else build the
+  // next subrange the window allows, else wait.
+  auto work = [&] {
+    progress_mu.Lock();
+    while (!failed && installed < subs.size()) {
+      if (finished > installed && !installing) {
+        const size_t begin = installed;
+        const size_t end = finished;
+        installing = true;
+        progress_mu.Unlock();
+        Status is = install(begin, end);
+        progress_mu.Lock();
+        installing = false;
+        if (is.ok()) {
+          installed = end;
+        } else {
+          failed = true;
+          s = std::move(is);
+        }
+      } else if (next < subs.size() && next < subs[installed].reach) {
+        const size_t i = next++;
+        progress_mu.Unlock();
+        build(subs[i]);
+        progress_mu.Lock();
+        done[i] = true;
+        failed = failed || !subs[i].status.ok();
+        for (size_t j = finished; j < subs.size() && done[j]; j++) {
+          finished = subs[j].ends_install ? j + 1 : finished;
+        }
+      } else {
+        progress_cv.Wait();
+        continue;
+      }
+      progress_cv.SignalAll();
     }
-    // Dropped with mu_ released: the last reference deletes the file.
-    released.clear();
-    MutexLock lock(&progress_mu);
-    if (s.ok()) {
-      installed = batch_end;
-    } else {
-      failed = true;
+    progress_mu.Unlock();
+  };
+  {
+    std::vector<std::jthread> threads;  // joined on every path out
+    threads.reserve(helpers);
+    for (size_t t = 0; t < helpers; t++) {
+      threads.emplace_back([&] {
+        // A helper's block reads and merge steps count in this DB's
+        // tickers, as the caller's do when its operation ends.
+        PerfContext* perf = GetPerfContext();
+        const PerfContext before = *perf;
+        work();
+        stats_.MergePerfDelta(perf->Delta(before));
+      });
     }
-    progress_cv.SignalAll();
-  }
-  for (std::jthread& t : threads) {
-    t.join();
+    work();
   }
 
   // A subrange skipped after a failure has no outputs and an OK status,
@@ -1641,18 +1585,10 @@ Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> run_files,
       pos_ = files_->empty() ? 0 : files_->size() - 1;
     }
     void Seek(const Slice& target) override {
-      // First file whose largest >= target.
-      size_t lo = 0;
-      size_t hi = files_->size();
-      while (lo < hi) {
-        const size_t mid = lo + (hi - lo) / 2;
-        if (icmp_->Compare(Slice((*files_)[mid]->largest), target) < 0) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      pos_ = lo;
+      // The files from the first whose largest key is not below target.
+      pos_ = files_->size() - FenceSearch(*files_, *icmp_, &target, nullptr,
+                                          false, /*internal_keys=*/true)
+                                  .size();
     }
     void Next() override { pos_++; }
     void Prev() override { pos_ = pos_ == 0 ? files_->size() : pos_ - 1; }
@@ -1742,26 +1678,15 @@ Iterator* DBImpl::NewReadIterator(const ReadOptions& options,
   const Comparator* ucmp = icmp_.user_comparator();
   for (int level = 0; level < view.version->num_levels(); level++) {
     for (const Run& run : view.version->levels()[level].runs) {
-      std::span<const FileMetaPtr> files = run.files;
-      if (range != nullptr) {
-        // Fence pointers narrow the run to the files overlapping
-        // [lo, hi] without opening any table.
-        auto first = std::partition_point(
-            files.begin(), files.end(), [&](const FileMetaPtr& f) {
-              return ucmp->Compare(ExtractUserKey(Slice(f->largest)),
-                                   range->lo) < 0;
-            });
-        auto last = std::partition_point(
-            first, files.end(), [&](const FileMetaPtr& f) {
-              return ucmp->Compare(ExtractUserKey(Slice(f->smallest)),
-                                   range->hi) <= 0;
-            });
-        files = std::span<const FileMetaPtr>(first, last);
-        if (files.empty()) {
-          continue;
-        }
+      // Fence pointers narrow the run to the files overlapping [lo, hi]
+      // without opening any table.
+      const std::span<const FileMetaPtr> files =
+          range != nullptr
+              ? FenceSearch(run.files, *ucmp, &range->lo, &range->hi)
+              : std::span<const FileMetaPtr>(run.files);
+      if (!files.empty()) {
+        children.push_back(NewRunIterator(files, level, range));
       }
-      children.push_back(NewRunIterator(files, level, range));
     }
   }
   Iterator* merged = NewMergingIterator(&icmp_, children.data(),

@@ -27,10 +27,16 @@
 namespace lsmlab {
 
 /// Value tags used when key-value separation is enabled: every stored value
-/// carries one as its first byte. Shared by ResolveValue and the iterators
-/// (db_impl.cc) and the point-lookup core (db_multiget.cc).
+/// carries one as its first byte. The write path (db_write.cc) writes them
+/// and DecodeValueTag reads them.
 inline constexpr char kVlogInlineTag = 0x00;
 inline constexpr char kVlogPointerTag = 0x01;
+
+/// Strips the tag from a value stored under key-value separation, leaving
+/// in *stored the value itself or, when *pointer, its value-log pointer.
+/// An empty value reads as inline; an unknown tag is Corruption. The one
+/// reader of the tags: ResolveValue, LookupKeys and GarbageCollectValues.
+Status DecodeValueTag(Slice* stored, bool* pointer);
 
 /// The ticker fields of DBStats, read from a snapshot of one registry or
 /// of several merged. Shape and gauges stay zero; DBImpl::AddShapeAndGauges

@@ -255,20 +255,18 @@ size_t DBImpl::LookupKeys(const ReadOptions& options,
     if (vlog_ == nullptr) {
       continue;
     }
-    std::string& stored = *ks.value;  // tag dispatch, as ResolveValue
-    if (stored.empty()) {
-      continue;
-    }
-    if (stored[0] == kVlogInlineTag) {
-      stored.erase(0, 1);
-    } else if (stored[0] == kVlogPointerTag) {
-      stats_.Add(Ticker::kSeparatedReads);
-      ks.pointer.swap(stored);  // the slot now receives the payload
-      vlog_reads.push_back(ValueLog::BatchRead{
-          Slice(ks.pointer.data() + 1, ks.pointer.size() - 1), ks.value,
-          ks.status});
+    std::string& stored = *ks.value;
+    Slice payload(stored);
+    bool pointer = false;
+    *ks.status = DecodeValueTag(&payload, &pointer);
+    if (!pointer) {
+      stored.erase(0, stored.size() - payload.size());
     } else {
-      *ks.status = Status::Corruption("unknown value tag");
+      stats_.Add(Ticker::kSeparatedReads);
+      // The slot receives the value; the pointer moves out of it.
+      ks.pointer.assign(payload.data(), payload.size());
+      vlog_reads.push_back(
+          ValueLog::BatchRead{Slice(ks.pointer), ks.value, ks.status});
     }
   }
   if (!vlog_reads.empty()) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "core/merging_iterator.h"
 #include "storage/env.h"
@@ -20,44 +21,58 @@ std::string ShardPath(const std::string& dbname, int shard) {
   return dbname + "/shard-" + std::to_string(shard);
 }
 
-Status CheckShardMarker(const Options& options, const std::string& name) {
-  Env* env = options.env;
+Status ReadShardMarker(Env* env, const std::string& name, int* shards) {
+  *shards = 0;
   const std::string marker = name + "/" + kShardMarkerFile;
-  if (env->FileExists(marker)) {
-    std::string contents;
-    Status s = ReadFileToString(env, marker, &contents);
-    if (!s.ok()) {
-      return s;
-    }
-    int recorded = 0;
-    for (char c : contents) {
-      if (c < '0' || c > '9') {
-        break;  // tolerate a trailing newline
-      }
-      recorded = recorded * 10 + (c - '0');
-    }
-    if (recorded < 1) {
-      return Status::Corruption(marker, "unparseable shard count");
-    }
-    if (recorded != options.num_shards) {
-      return Status::InvalidArgument(
-          name, "created with " + std::to_string(recorded) +
-                    " shards; reopen with Options::num_shards = " +
-                    std::to_string(recorded));
-    }
+  if (!env->FileExists(marker)) {
     return Status::OK();
   }
-  if (options.num_shards <= 1) {
-    return Status::OK();  // plain single-instance layout; no marker
-  }
-  // First sharded open: record the count before any shard writes data, so
-  // a crash mid-create cannot leave shard directories with no marker.
-  Status s = env->CreateDir(name);
+  std::string contents;
+  Status s = ReadFileToString(env, marker, &contents);
   if (!s.ok()) {
     return s;
   }
-  return WriteStringToFile(env, std::to_string(options.num_shards) + "\n",
-                           marker);
+  int count = 0;
+  for (char c : contents) {
+    if (c < '0' || c > '9') {
+      break;  // tolerate a trailing newline
+    }
+    count = count * 10 + (c - '0');
+    if (count > kMaxShards) {
+      return Status::Corruption(marker, "shard count out of range");
+    }
+  }
+  if (count < 1) {
+    return Status::Corruption(marker, "unparseable shard count");
+  }
+  *shards = count;
+  return Status::OK();
+}
+
+Status CheckShardMarker(const Options& options, const std::string& name) {
+  int recorded = 0;
+  Status s = ReadShardMarker(options.env, name, &recorded);
+  if (!s.ok()) {
+    return s;
+  }
+  if (recorded > 0 && recorded != options.num_shards) {
+    return Status::InvalidArgument(
+        name, "created with " + std::to_string(recorded) +
+                  " shards; reopen with Options::num_shards = " +
+                  std::to_string(recorded));
+  }
+  if (recorded > 0 || options.num_shards <= 1) {
+    return Status::OK();  // a matching marker, or a plain layout
+  }
+  // First sharded open: record the count before any shard writes data, so
+  // a crash mid-create cannot leave shard directories with no marker.
+  s = options.env->CreateDir(name);
+  if (!s.ok()) {
+    return s;
+  }
+  return WriteStringToFile(options.env,
+                           std::to_string(options.num_shards) + "\n",
+                           name + "/" + kShardMarkerFile);
 }
 
 // ------------------------------------------------------------ Snapshots --
@@ -362,13 +377,11 @@ Status ShardedDB::Scan(
 
 // ---------------------------------------------------------- Maintenance --
 
-Status ShardedDB::CompactAll() {
+Status ShardedDB::OnEveryShard(Status (DBImpl::*op)()) {
   std::vector<Status> statuses(num_shards_);
-  std::vector<int> targets;
-  for (int k = 0; k < num_shards_; k++) {
-    targets.push_back(k);
-  }
-  FanOut(targets, [&](int k) { statuses[k] = shards_[k]->CompactAll(); });
+  std::vector<int> targets(num_shards_);
+  std::iota(targets.begin(), targets.end(), 0);
+  FanOut(targets, [&](int k) { statuses[k] = (*shards_[k].*op)(); });
   Status s;
   for (const Status& st : statuses) {
     MergeStatus(&s, st);
@@ -376,19 +389,9 @@ Status ShardedDB::CompactAll() {
   return s;
 }
 
-Status ShardedDB::Flush() {
-  std::vector<Status> statuses(num_shards_);
-  std::vector<int> targets;
-  for (int k = 0; k < num_shards_; k++) {
-    targets.push_back(k);
-  }
-  FanOut(targets, [&](int k) { statuses[k] = shards_[k]->Flush(); });
-  Status s;
-  for (const Status& st : statuses) {
-    MergeStatus(&s, st);
-  }
-  return s;
-}
+Status ShardedDB::CompactAll() { return OnEveryShard(&DBImpl::CompactAll); }
+
+Status ShardedDB::Flush() { return OnEveryShard(&DBImpl::Flush); }
 
 Status ShardedDB::GarbageCollectValues() {
   // Sequential: vlog GC is rare, heavy, and per-shard independent.

@@ -30,6 +30,16 @@ uint32_t ShardOfKey(const Slice& key, uint32_t num_shards);
 /// rehashing the keyspace would strand every key on the wrong shard.
 inline constexpr char kShardMarkerFile[] = "SHARDS";
 
+/// The most shards one database may have, and so the largest count a
+/// SHARDS marker may record: a longer digit run in a marker is corruption,
+/// not a count to open or destroy that many shards by.
+inline constexpr int kMaxShards = 4096;
+
+/// The shard count `name`'s SHARDS marker records into *shards, 0 when
+/// there is no marker. A count outside [1, kMaxShards] is Corruption.
+/// CheckShardMarker and DestroyDB read the marker through it.
+Status ReadShardMarker(Env* env, const std::string& name, int* shards);
+
 /// Subdirectory holding shard `shard`'s files: "<dbname>/shard-<shard>".
 std::string ShardPath(const std::string& dbname, int shard);
 
@@ -127,6 +137,9 @@ class ShardedDB : public DB {
   /// done.
   void FanOut(const std::vector<int>& targets,
               const std::function<void(int)>& fn);
+  /// Runs `op` on every shard through FanOut; the lowest-numbered shard's
+  /// failure wins.
+  Status OnEveryShard(Status (DBImpl::*op)());
 
   const Options options_;
   const std::string dbname_;

@@ -47,8 +47,26 @@ std::shared_ptr<SSTable> TableCache::TrackPin(
 
 void TableCache::ConfigureFilterBits(
     const std::vector<double>& bits_per_level) {
-  std::vector<TableOptions> levels(options_->max_levels);
   std::vector<double> filter_bits(options_->max_levels, 0.0);
+  for (int level = 0; level < options_->max_levels; level++) {
+    const double bits =
+        level < static_cast<int>(bits_per_level.size())
+            ? bits_per_level[level]
+            : options_->filter_bits_per_key;
+    if (bits > 0 &&
+        options_->filter_allocation != FilterAllocation::kNone) {
+      filter_bits[level] = bits;
+    }
+  }
+  {
+    // Policies are kept forever, so a call that changes no level's bits
+    // (Monkey re-derives them on every flush and compaction) makes none.
+    MutexLock lock(&mu_);
+    if (filter_bits == filter_bits_) {
+      return;
+    }
+  }
+  std::vector<TableOptions> levels(options_->max_levels);
   std::vector<std::unique_ptr<const FilterPolicy>> policies;
   for (int level = 0; level < options_->max_levels; level++) {
     TableOptions& t = levels[level];
@@ -64,22 +82,13 @@ void TableCache::ConfigureFilterBits(
       return ExtractUserKey(internal_key);
     };
     t.range_filter_policy = options_->range_filter_policy;
-
-    const double bits =
-        level < static_cast<int>(bits_per_level.size())
-            ? bits_per_level[level]
-            : options_->filter_bits_per_key;
-    if (bits > 0 &&
-        options_->filter_allocation != FilterAllocation::kNone) {
+    if (filter_bits[level] > 0) {
       const FilterPolicy* policy =
           options_->filter_factory != nullptr
-              ? options_->filter_factory(bits)
-              : NewBloomFilterPolicy(bits);
+              ? options_->filter_factory(filter_bits[level])
+              : NewBloomFilterPolicy(filter_bits[level]);
       policies.emplace_back(policy);
       t.filter_policy = policy;
-      filter_bits[level] = bits;
-    } else {
-      t.filter_policy = nullptr;
     }
   }
   MutexLock lock(&mu_);

@@ -34,29 +34,51 @@ int Version::NumFiles() const {
   return total;
 }
 
+std::span<const FileMetaPtr> FenceSearch(std::span<const FileMetaPtr> files,
+                                         const Comparator& cmp,
+                                         const Slice* lo, const Slice* hi,
+                                         bool hi_open, bool internal_keys) {
+  auto key = [internal_keys](const std::string& bound) {
+    return internal_keys ? Slice(bound) : ExtractUserKey(Slice(bound));
+  };
+  auto first = files.begin();
+  if (lo != nullptr) {
+    first = std::partition_point(first, files.end(), [&](const FileMetaPtr& f) {
+      return cmp.Compare(key(f->largest), *lo) < 0;
+    });
+  }
+  auto last = files.end();
+  if (hi != nullptr) {
+    last = std::partition_point(first, last, [&](const FileMetaPtr& f) {
+      const int c = cmp.Compare(key(f->smallest), *hi);
+      return c < 0 || (c == 0 && !hi_open);
+    });
+  }
+  return {first, last};
+}
+
 const FileMetaPtr* FindFileInRun(const Run& run, const Comparator* ucmp,
                                  const Slice& user_key) {
-  // First file whose largest user key is >= user_key; since run files are
-  // sorted and disjoint, it is the only candidate.
-  size_t lo = 0;
-  size_t hi = run.files.size();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (ucmp->Compare(ExtractUserKey(Slice(run.files[mid]->largest)),
-                      user_key) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
+  // Run files are disjoint, so the first whose largest key is not below
+  // user_key is the only candidate.
+  const std::span<const FileMetaPtr> files =
+      FenceSearch(run.files, *ucmp, &user_key, nullptr);
+  if (files.empty() ||
+      ucmp->Compare(user_key, ExtractUserKey(Slice(files[0]->smallest))) < 0) {
+    return nullptr;
+  }
+  return &files[0];
+}
+
+size_t FirstOverlap(std::span<const FileMetaPtr> files,
+                    const Comparator& ucmp) {
+  for (size_t i = 1; i < files.size(); i++) {
+    if (ucmp.Compare(ExtractUserKey(Slice(files[i - 1]->largest)),
+                     ExtractUserKey(Slice(files[i]->smallest))) >= 0) {
+      return i;
     }
   }
-  if (lo == run.files.size()) {
-    return nullptr;
-  }
-  if (ucmp->Compare(user_key,
-                    ExtractUserKey(Slice(run.files[lo]->smallest))) < 0) {
-    return nullptr;
-  }
-  return &run.files[lo];
+  return files.size();
 }
 
 int Version::MaxPopulatedLevel() const {
@@ -89,19 +111,17 @@ Status Version::CheckConsistency(const Comparator* ucmp) const {
   for (int level = 0; level < num_levels(); level++) {
     const std::string where = "level " + std::to_string(level);
     for (const Run& run : levels_[level].runs) {
-      for (size_t i = 0; i < run.files.size(); i++) {
-        const FileMetaData& f = *run.files[i];
-        if (!numbers.insert(f.number).second) {
+      for (const FileMetaPtr& f : run.files) {
+        if (!numbers.insert(f->number).second) {
           return Status::Corruption(where + ": file " +
-                                    std::to_string(f.number) + " twice");
+                                    std::to_string(f->number) + " twice");
         }
-        if (i > 0 &&
-            ucmp->Compare(ExtractUserKey(Slice(run.files[i - 1]->largest)),
-                          ExtractUserKey(Slice(f.smallest))) >= 0) {
-          return Status::Corruption(
-              where + " run " + std::to_string(run.run_seq) + ": file " +
-              std::to_string(f.number) + " overlaps its predecessor");
-        }
+      }
+      const size_t i = FirstOverlap(run.files, *ucmp);
+      if (i < run.files.size()) {
+        return Status::Corruption(
+            where + " run " + std::to_string(run.run_seq) + ": file " +
+            std::to_string(run.files[i]->number) + " overlaps its predecessor");
       }
     }
   }
@@ -369,7 +389,14 @@ std::shared_ptr<Version> VersionSet::ApplyEdit(
   return v;
 }
 
-Status VersionSet::WriteSnapshot(wal::Writer* manifest_writer) {
+Status VersionSet::NewManifest() {
+  manifest_number_ = NewFileNumber();
+  const std::string name = ManifestFileName(dbname_, manifest_number_);
+  Status s = env_->NewWritableFile(name, &manifest_file_);
+  if (!s.ok()) {
+    return s;
+  }
+  manifest_writer_ = std::make_unique<wal::Writer>(manifest_file_.get());
   VersionEdit edit;
   edit.SetComparatorName(icmp_->user_comparator()->Name());
   edit.SetNextFileNumber(next_file_number_);
@@ -385,7 +412,17 @@ Status VersionSet::WriteSnapshot(wal::Writer* manifest_writer) {
   }
   std::string record;
   edit.EncodeTo(&record);
-  return manifest_writer->AddRecord(Slice(record));
+  s = manifest_writer_->AddRecord(Slice(record));
+  if (s.ok()) {
+    // The manifest must be durable before CURRENT points at it.
+    s = manifest_file_->Sync();
+  }
+  if (!s.ok()) {
+    return s;
+  }
+  return WriteStringToFile(env_,
+                           Slice(name.substr(dbname_.size() + 1) + "\n"),
+                           CurrentFileName(dbname_));
 }
 
 Status VersionSet::CheckConsistency() const {
@@ -435,20 +472,6 @@ Status VersionSet::LogAndApply(VersionEdit* edit) {
   return Status::OK();
 }
 
-namespace {
-
-class LogReporter : public wal::Reader::Reporter {
- public:
-  Status status;
-  void Corruption(size_t /*bytes*/, const Status& s) override {
-    if (status.ok()) {
-      status = s;
-    }
-  }
-};
-
-}  // namespace
-
 Status VersionSet::Recover() {
   // status-ok: dir may already exist; a real failure surfaces when
   // CURRENT is read.
@@ -459,26 +482,7 @@ Status VersionSet::Recover() {
     if (!options_->create_if_missing) {
       return Status::InvalidArgument(dbname_, "does not exist");
     }
-    // Fresh DB: write an initial manifest.
-    manifest_number_ = NewFileNumber();
-    const std::string manifest_name =
-        ManifestFileName(dbname_, manifest_number_);
-    Status s = env_->NewWritableFile(manifest_name, &manifest_file_);
-    if (!s.ok()) {
-      return s;
-    }
-    manifest_writer_ = std::make_unique<wal::Writer>(manifest_file_.get());
-    s = WriteSnapshot(manifest_writer_.get());
-    if (s.ok()) {
-      // The manifest must be durable before CURRENT points at it.
-      s = manifest_file_->Sync();
-    }
-    if (!s.ok()) {
-      return s;
-    }
-    return WriteStringToFile(
-        env_, Slice(manifest_name.substr(dbname_.size() + 1) + "\n"),
-        current_name);
+    return NewManifest();
   }
 
   if (options_->error_if_exists) {
@@ -501,8 +505,7 @@ Status VersionSet::Recover() {
   if (!s.ok()) {
     return s;
   }
-  LogReporter reporter;
-  wal::Reader reader(manifest.get(), &reporter);
+  wal::Reader reader(manifest.get(), /*reporter=*/nullptr);
   Slice record;
   std::string scratch;
   auto v = std::make_shared<Version>(options_->max_levels);
@@ -544,8 +547,8 @@ Status VersionSet::Recover() {
     }
     v = ApplyEdit(*v, edit, /*dropped=*/nullptr);
   }
-  if (!reporter.status.ok()) {
-    return reporter.status;
+  if (!reader.status().ok()) {
+    return reader.status();
   }
   current_ = std::move(v);
 #ifndef NDEBUG
@@ -555,26 +558,9 @@ Status VersionSet::Recover() {
   }
 #endif
 
-  // Continue appending to a fresh manifest (simplest correct form of
-  // manifest rollover).
-  manifest_number_ = NewFileNumber();
-  const std::string new_manifest =
-      ManifestFileName(dbname_, manifest_number_);
-  s = env_->NewWritableFile(new_manifest, &manifest_file_);
-  if (!s.ok()) {
-    return s;
-  }
-  manifest_writer_ = std::make_unique<wal::Writer>(manifest_file_.get());
-  s = WriteSnapshot(manifest_writer_.get());
-  if (s.ok()) {
-    s = manifest_file_->Sync();  // durable before CURRENT references it
-  }
-  if (!s.ok()) {
-    return s;
-  }
-  s = WriteStringToFile(
-      env_, Slice(new_manifest.substr(dbname_.size() + 1) + "\n"),
-      current_name);
+  // Continue in a fresh manifest (simplest correct form of manifest
+  // rollover).
+  s = NewManifest();
   if (s.ok()) {
     // status-ok: best-effort; a stale manifest is ignored once CURRENT
     // moved on.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,12 +88,28 @@ struct Run {
   }
 };
 
+/// The fence search, the one search of a run by key: the files of
+/// `files` (one run: ordered by smallest key, disjoint in user keys) whose
+/// key ranges meet the keys from `*lo` to `*hi`, `*hi` excluded when
+/// `hi_open`. A null bound is open. `cmp` compares user keys, or whole
+/// internal keys when `internal_keys`. One binary search per bound given.
+std::span<const FileMetaPtr> FenceSearch(std::span<const FileMetaPtr> files,
+                                         const Comparator& cmp,
+                                         const Slice* lo, const Slice* hi,
+                                         bool hi_open = false,
+                                         bool internal_keys = false);
+
 /// The single file of `run` whose [smallest, largest] user-key range covers
-/// `user_key`, or nullptr when no file does. Run files are ordered by
-/// smallest key and pairwise non-overlapping, so a binary search over the
-/// fence pointers suffices. Shared by the Get and MultiGet read paths.
+/// `user_key`, or nullptr when no file does: one fence search with a lower
+/// bound only. Shared by the Get and MultiGet read paths.
 const FileMetaPtr* FindFileInRun(const Run& run, const Comparator* ucmp,
                                  const Slice& user_key);
+
+/// The first of `files` (ordered by smallest key) whose user keys overlap
+/// its predecessor's, or files.size() when they are pairwise disjoint and
+/// so can form one run: the fence search needs each user key in one file.
+size_t FirstOverlap(std::span<const FileMetaPtr> files,
+                    const Comparator& ucmp);
 
 /// One level: runs ordered newest-first (queries probe in this order).
 /// Leveling keeps at most one run here; tiering up to T. A level's index
@@ -270,7 +287,9 @@ class VersionSet {
   }
 
  private:
-  Status WriteSnapshot(wal::Writer* manifest_writer);
+  /// Starts a new manifest holding a snapshot of the current version, and
+  /// points CURRENT at it once the snapshot is durable.
+  Status NewManifest();
   FileMetaPtr WrapFile(const FileMetaData& meta);
   /// `base` with `edit` applied. A file the edit removes and adds back
   /// keeps its FileMetaData; the removed files it does not add back go to

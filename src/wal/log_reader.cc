@@ -12,6 +12,9 @@ Reader::Reader(SequentialFile* file, Reporter* reporter)
       backing_store_(new char[kBlockSize]) {}
 
 void Reader::ReportCorruption(uint64_t bytes, const char* reason) {
+  if (status_.ok()) {
+    status_ = Status::Corruption(reason);
+  }
   if (reporter_ != nullptr) {
     reporter_->Corruption(static_cast<size_t>(bytes),
                           Status::Corruption(reason));

@@ -13,7 +13,8 @@ namespace wal {
 
 /// Replays records written by wal::Writer. Corrupt or torn tail records are
 /// skipped and reported, so a crash mid-write loses at most the unsynced
-/// suffix — never previously acknowledged records.
+/// suffix — never previously acknowledged records. A torn tail is not a
+/// corruption; status() keeps the first corruption skipped.
 class Reader {
  public:
   /// Interface for corruption reports during replay.
@@ -23,7 +24,7 @@ class Reader {
     virtual void Corruption(size_t bytes, const Status& status) = 0;
   };
 
-  /// Does not take ownership of `file` or `reporter`.
+  /// Does not take ownership of `file` or `reporter` (may be null).
   Reader(SequentialFile* file, Reporter* reporter);
 
   Reader(const Reader&) = delete;
@@ -32,6 +33,9 @@ class Reader {
   /// Reads the next complete record into *record (may point into *scratch).
   /// Returns false at end of input.
   bool ReadRecord(Slice* record, std::string* scratch);
+
+  /// The first corruption skipped so far, or OK.
+  const Status& status() const { return status_; }
 
  private:
   // Extended record types for internal signalling.
@@ -45,6 +49,7 @@ class Reader {
   std::unique_ptr<char[]> backing_store_;
   Slice buffer_;
   bool eof_ = false;
+  Status status_;
 };
 
 }  // namespace wal

@@ -179,6 +179,85 @@ TEST(VersionEditTest, RejectsGarbage) {
   EXPECT_FALSE(edit.DecodeFrom(Slice("\xff\xff\xff garbage")).ok());
 }
 
+// --------------------------------------------------------- Fence search --
+
+// The fence search on a hand-built run of three files, [b, d], [f, h] and
+// [k, m]: the range form at open bounds, at bounds equal to a file's
+// smallest or largest user key with closed and half-open ends, and in the
+// gaps; FindFileInRun agrees with the closed range [key, key].
+TEST(FenceSearchTest, RangesAndPointsOfARun) {
+  const Comparator* ucmp = BytewiseComparator();
+  lsmlab::Run run;
+  for (const auto& [lo, hi] : {std::pair<std::string, std::string>{"b", "d"},
+                               {"f", "h"},
+                               {"k", "m"}}) {
+    auto f = std::make_shared<FileMetaData>();
+    f->number = run.files.size() + 1;
+    f->smallest = IKey(lo, 9);
+    f->largest = IKey(hi, 5);
+    run.files.push_back(std::move(f));
+  }
+  // The numbers of the files FenceSearch returns, "" for none; "-" is an
+  // open bound.
+  auto search = [&](const std::string& lo, const std::string& hi,
+                    bool hi_open) {
+    const Slice lo_key(lo);
+    const Slice hi_key(hi);
+    std::string numbers;
+    for (const FileMetaPtr& f :
+         FenceSearch(run.files, *ucmp, lo == "-" ? nullptr : &lo_key,
+                     hi == "-" ? nullptr : &hi_key, hi_open)) {
+      numbers += std::to_string(f->number);
+    }
+    return numbers;
+  };
+  EXPECT_EQ(search("-", "-", false), "123");
+  EXPECT_EQ(search("-", "-", true), "123");
+  EXPECT_EQ(search("d", "-", false), "123");  // lo at a largest key
+  EXPECT_EQ(search("e", "-", false), "23");   // lo in a gap
+  EXPECT_EQ(search("n", "-", false), "");
+  EXPECT_EQ(search("-", "f", false), "12");  // hi at a smallest key
+  EXPECT_EQ(search("-", "f", true), "1");
+  EXPECT_EQ(search("-", "b", true), "");
+  EXPECT_EQ(search("-", "a", false), "");
+  EXPECT_EQ(search("h", "k", false), "23");
+  EXPECT_EQ(search("h", "k", true), "2");
+  EXPECT_EQ(search("i", "j", false), "");  // both bounds in one gap
+  EXPECT_EQ(search("e", "e", false), "");
+  EXPECT_EQ(search("c", "l", true), "123");
+
+  for (char c = 'a'; c <= 'n'; c++) {
+    const std::string key(1, c);
+    const FileMetaPtr* found = FindFileInRun(run, ucmp, Slice(key));
+    const std::string range = search(key, key, false);
+    EXPECT_EQ(found == nullptr ? "" : std::to_string((*found)->number), range)
+        << key;
+    EXPECT_LE(range.size(), 1u) << key;
+  }
+
+  // Whole internal keys: file 1 ends at d@5, so a seek to d@3 lies past
+  // it and a seek to d@7 does not.
+  const InternalKeyComparator icmp(ucmp);
+  const std::string newer = IKey("d", 7);
+  const std::string older = IKey("d", 3);
+  const Slice newer_key(newer);
+  const Slice older_key(older);
+  EXPECT_EQ(FenceSearch(run.files, icmp, &newer_key, nullptr, false,
+                        /*internal_keys=*/true)
+                .size(),
+            3u);
+  EXPECT_EQ(FenceSearch(run.files, icmp, &older_key, nullptr, false,
+                        /*internal_keys=*/true)
+                .size(),
+            2u);
+
+  const lsmlab::Run empty;
+  EXPECT_EQ(FindFileInRun(empty, ucmp, Slice("c")), nullptr);
+  const Slice c("c");
+  EXPECT_TRUE(FenceSearch(empty.files, *ucmp, &c, &c).empty());
+  EXPECT_TRUE(FenceSearch(empty.files, *ucmp, nullptr, nullptr).empty());
+}
+
 // ------------------------------------------------------------ Filenames --
 
 TEST(FilenameTest, RoundtripAllTypes) {

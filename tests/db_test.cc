@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -394,6 +395,36 @@ TEST_F(DBTest, MonkeyAllocationWorks) {
   for (int i = 0; i < 3000; i += 17) {
     ASSERT_TRUE(db_->Get({}, Key(i), &value).ok());
   }
+}
+
+std::atomic<int> filter_policies_made{0};
+
+const FilterPolicy* CountingBloomPolicy(double bits_per_key) {
+  filter_policies_made++;
+  return NewBloomFilterPolicy(bits_per_key);
+}
+
+// Monkey re-derives its per-level bits on every flush and compaction, but
+// they change only with the tree's depth. The table cache keeps every
+// policy it makes, so it makes new ones only when the bits change.
+TEST_F(DBTest, MonkeyMakesFilterPoliciesOnlyWhenItsBitsChange) {
+  options_.filter_allocation = FilterAllocation::kMonkey;
+  options_.filter_factory = &CountingBloomPolicy;
+  filter_policies_made = 0;
+  Open();
+  const int at_open = filter_policies_made;
+  for (int i = 0; i < 3000; i++) {
+    ASSERT_TRUE(db_->Put({}, Key(i), std::string(20, 'v')).ok());
+  }
+  const DBStats stats = db_->GetStats();
+  int depth = 0;
+  for (size_t level = 0; level < stats.runs_per_level.size(); level++) {
+    depth = stats.runs_per_level[level] > 0 ? static_cast<int>(level) + 1
+                                            : depth;
+  }
+  ASSERT_GT(stats.flushes + stats.compactions,
+            static_cast<uint64_t>(depth) + 2);
+  EXPECT_LE(filter_policies_made - at_open, depth * options_.max_levels);
 }
 
 TEST_F(DBTest, RangeFilterSkipsEmptyRanges) {

@@ -616,5 +616,32 @@ TEST_F(ShardedDBTest, DestroyDBRemovesShardSubdirectories) {
   ASSERT_TRUE(DB::Open(ShardedOptions(2), "/db", &db).ok());
 }
 
+// A SHARDS marker is outside input: a count past kMaxShards is corruption.
+// The 11-digit one would overflow an int, and DestroyDB once destroyed as
+// many shards as it parsed to (past a minute on MemEnv); it now sweeps only
+// the root. A count within the bound still names the mismatch.
+TEST_F(ShardedDBTest, ShardMarkerPastTheBoundIsCorruption) {
+  const std::string marker = std::string("/db/") + kShardMarkerFile;
+  ASSERT_TRUE(env_->CreateDir("/db").ok());
+  Options plain = ShardedOptions(2);
+  plain.num_shards = 1;
+  std::unique_ptr<DB> db;
+  for (const std::string& count :
+       {std::to_string(kMaxShards + 1), std::string("99999999999")}) {
+    ASSERT_TRUE(WriteStringToFile(env_.get(), count + "\n", marker).ok());
+    EXPECT_TRUE(DB::Open(ShardedOptions(2), "/db", &db).IsCorruption())
+        << count;
+    EXPECT_TRUE(DB::Open(plain, "/db", &db).IsCorruption()) << count;
+    ASSERT_TRUE(DestroyDB(ShardedOptions(2), "/db").ok());
+    EXPECT_FALSE(env_->FileExists(marker)) << count;
+  }
+  ASSERT_TRUE(
+      WriteStringToFile(env_.get(), std::to_string(kMaxShards) + "\n", marker)
+          .ok());
+  EXPECT_TRUE(DB::Open(ShardedOptions(2), "/db", &db).IsInvalidArgument());
+  ASSERT_TRUE(DestroyDB(ShardedOptions(2), "/db").ok());
+  Open(ShardedOptions(2));
+}
+
 }  // namespace
 }  // namespace lsmlab

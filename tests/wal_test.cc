@@ -40,6 +40,9 @@ class WalTest : public ::testing::Test {
     while (reader.ReadRecord(&record, &scratch)) {
       result.push_back(record.ToString());
     }
+    // status() keeps the first corruption, exactly when one was reported.
+    EXPECT_EQ(reader.status().IsCorruption(), reporter.count > 0);
+    EXPECT_EQ(reader.status().ok(), reporter.count == 0);
     if (corruption_reports != nullptr) {
       *corruption_reports = reporter.count;
     }

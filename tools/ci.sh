@@ -166,10 +166,10 @@ leg_tsan_obs() {
   # its subcompaction helpers while readers open and probe tables through
   # the same TableCache. Subcompactions: helper threads building one
   # merge's subranges, with the serial merge as the reference, over a
-  # corrupt input, and without filling the block cache. Installs: the
-  # calling thread installs finished subranges while helpers build and
-  # readers scan, Get and MultiGet the trees between installs, and an
-  # iterator pins one of them. (The other inline
+  # corrupt input, and without filling the block cache. Installs: any
+  # thread of the merge, the calling one or a helper, installs finished
+  # subranges while the others build and readers scan, Get and MultiGet
+  # the trees between installs, and an iterator pins one of them. (The other inline
   # shape tests add minutes under TSan and no threads; crash_test above
   # already runs the failed-subcompaction and CompactAll kill-point
   # sweeps.) Moves: a move install next to iterators and snapshots that

@@ -71,6 +71,13 @@
 #      `file_picker` (comment lines aside). A third policy class is a
 #      second pick loop; an option read elsewhere re-derives from Options
 #      what the picks already say, such as whether a merge may be split.
+#  14. One fence search: `partition_point`, `lower_bound` and `upper_bound`
+#      appear in src/core only in version.cc, home of FenceSearch, the one
+#      search of a run's files by key (point lookups, range reads,
+#      subrange narrowing, run seeks and the policy's overlap search).
+#      A second search drifts from the first in its bound rules.
+#      Deliberate exceptions carry a `fence-ok:` comment on the call line
+#      or the line above; comment lines do not count.
 #
 # `lint.sh --self-test` seeds a throwaway tree with one violation per check
 # and asserts every check fires (the same discipline as
@@ -134,6 +141,15 @@ void Loud() {
 class ThirdPolicy : public CompactionPolicy {};       // check 13
 bool Split() { return options_.merge_policy == MergePolicy::kTiering; }  // check 13
 // A comment may name options_.file_picker: must NOT fire
+auto Fence() { return std::lower_bound(a, b, key); }  // check 14
+auto Kept() {
+  // fence-ok: documented exception, must NOT fire
+  return std::upper_bound(c, d, key);
+}
+// A comment may name std::partition_point: must NOT fire
+EOF
+  cat > "$tmp/src/core/version.cc" << 'EOF'
+auto Search() { return std::partition_point(e, f, pred); }  // check 14: must NOT fire
 EOF
   cat > "$tmp/src/core/compaction/compaction_policy.cc" << 'EOF'
 class FluidPolicy : public CompactionPolicy {         // check 13: must NOT fire alone
@@ -226,12 +242,21 @@ EOF
     echo "lint --self-test: compaction/, options.h or comment read wrongly flagged"
     fail=1
   fi
+  expect "fence search outside src/core/version.cc"
+  if ! grep -q 'Fence()' <<< "$out"; then
+    echo "lint --self-test: seeded lower_bound not flagged"
+    fail=1
+  fi
+  if grep -qE 'upper_bound\(c|partition_point' <<< "$out"; then
+    echo "lint --self-test: version.cc, fence-ok: or comment search wrongly flagged"
+    fail=1
+  fi
   if [ "$rc" -eq 0 ]; then
     echo "lint --self-test: seeded tree passed the lint (expected failure)"
     fail=1
   fi
   if [ "$fail" -eq 0 ]; then
-    echo "lint --self-test: PASS (all 13 checks fire on seeded violations)"
+    echo "lint --self-test: PASS (all 14 checks fire on seeded violations)"
   fi
   exit "$fail"
 fi
@@ -445,6 +470,23 @@ grep -rnE --include='*.h' --include='*.cc' '\b(merge_policy|file_picker)\b' \
   | grep -vE '^src/core/compaction/|^src/core/options\.h:' \
   | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' \
   | report "merge_policy/file_picker read outside src/core/compaction/ and options.h (let the policy's picks say it)"
+
+# 14. One fence search. A `fence-ok:` comment on the call line or the line
+#     above excuses a deliberate exception; comment lines never match.
+grep -rlE --include='*.h' --include='*.cc' \
+    '\b(partition_point|lower_bound|upper_bound)\b' src/core/ 2>/dev/null \
+  | grep -v '^src/core/version\.cc$' \
+  | while read -r f; do
+      awk -v file="$f" '
+        /(partition_point|lower_bound|upper_bound)/ && $0 !~ /^[[:space:]]*\/\// {
+          if ($0 !~ /fence-ok:/ && prev !~ /fence-ok:/) {
+            printf "%s:%d: %s\n", file, NR, $0
+          }
+        }
+        { prev = $0 }
+      ' "$f"
+    done \
+  | report "fence search outside src/core/version.cc (search a run's files through FenceSearch, or mark the call fence-ok:)"
 
 if [ "$fail" -eq 0 ]; then
   echo "lint: OK"
