@@ -55,7 +55,9 @@ struct DBStats {
   uint64_t group_followers = 0;    ///< writers committed by someone else's group
   uint64_t wal_syncs = 0;          ///< group commits that synced the WAL
   uint64_t wal_sync_skipped = 0;   ///< group commits the policy left unsynced
-  uint64_t vlog_syncs = 0;         ///< write-path value-log syncs
+  /// Value-log fsyncs, issued before a WAL fsync or a flush install
+  /// while the value log holds unsynced values; none otherwise.
+  uint64_t vlog_syncs = 0;
   // Memtable apply phase: parallel_applies + serial_applies ==
   // group_commits (each group takes exactly one apply path; see
   // Options::allow_concurrent_memtable_write).
@@ -162,8 +164,9 @@ class DB {
   /// Flushes the memtable and runs compactions until the shape is stable.
   virtual Status CompactAll() = 0;
 
-  /// Rewrites live separated values out of closed value-log segments and
-  /// deletes the segments (WiscKey-style GC). Requires key-value
+  /// Rewrites live separated values out of closed value-log segments,
+  /// flushes so the rewritten values and their pointers are durable, and
+  /// only then deletes the segments (WiscKey-style GC). Requires key-value
   /// separation to be enabled and no live snapshots. Assumes no concurrent
   /// writers: a value it re-puts can overwrite a newer write of the key.
   virtual Status GarbageCollectValues() = 0;

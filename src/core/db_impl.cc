@@ -109,47 +109,34 @@ DBImpl::~DBImpl() {
 }
 
 Status DBImpl::Init() {
+  Status s = versions_->Recover();
+  if (s.ok() && vlog_ != nullptr) {
+    s = vlog_->Open();
+  }
+  if (s.ok()) {
+    s = RecoverWal();
+  }
   PendingEvents events;
-  Status s;
-  {
+  if (s.ok()) {
     MutexLock lock(&mu_);
-    s = InitLocked(&events);
+    if (mem_->num_entries() > 0) {
+      s = FlushOnCallerLocked(&events);
+      if (s.ok()) {
+        s = MaybeCompact(&events);
+      }
+    }
+    if (s.ok() && wal_ == nullptr) {  // a recovery flush opened one
+      s = NewWal();
+    }
+  }
+  if (s.ok()) {
+    // After the recovery flush: the sweep is what deletes replayed WALs.
+    versions_->RemoveOrphanedFiles();
   }
   // Recovery may flush and compact; listeners observe those like any
   // other flush/compaction, after the lock is gone.
   NotifyListeners(&events);
   return s;
-}
-
-Status DBImpl::InitLocked(PendingEvents* events) {
-  // Recovery is single-threaded: no writer or background thread exists
-  // yet, so holding mu_ across manifest/WAL/vlog I/O cannot stall anyone.
-  ScopedBlockingIoAllowed allow_io("single-threaded recovery");
-  // io-under-lock-ok: recovery manifest read precedes any concurrency.
-  Status s = versions_->Recover();
-  if (!s.ok()) {
-    return s;
-  }
-  if (vlog_ != nullptr) {
-    // io-under-lock-ok: value-log scan/open during single-threaded recovery.
-    s = vlog_->Open();
-    if (!s.ok()) {
-      return s;
-    }
-  }
-  s = RecoverWal(events);
-  if (!s.ok()) {
-    return s;
-  }
-  if (wal_ == nullptr) {  // a recovery flush already opened a fresh WAL
-    s = NewWal();
-    if (!s.ok()) {
-      return s;
-    }
-  }
-  // io-under-lock-ok: orphan sweep during single-threaded recovery.
-  versions_->RemoveOrphanedFiles();
-  return Status::OK();
 }
 
 // ------------------------------------------------------------- Listeners --
@@ -344,6 +331,12 @@ Status DBImpl::GarbageCollectValues() {
   if (s.ok()) {
     s = it->status();
   }
+  if (s.ok()) {
+    // The re-put values must be durable before the segments holding their
+    // old copies go: a flush fsyncs the value log and installs the fresh
+    // pointers.
+    s = Flush();
+  }
   if (!s.ok()) {
     return s;
   }
@@ -352,9 +345,8 @@ Status DBImpl::GarbageCollectValues() {
 
 // ------------------------------------------------------------- Recovery --
 
-Status DBImpl::RecoverWal(PendingEvents* events) {
+Status DBImpl::RecoverWal() {
   std::vector<std::string> children;
-  // io-under-lock-ok: WAL discovery during single-threaded recovery.
   Status s = options_.env->GetChildren(dbname_, &children);
   if (!s.ok()) {
     return s;
@@ -376,10 +368,14 @@ Status DBImpl::RecoverWal(PendingEvents* events) {
   }
   std::sort(wals.begin(), wals.end());
 
+  MemTable* mem;
+  {
+    MutexLock lock(&mu_);
+    mem = mem_;
+  }
   SequenceNumber max_sequence = versions_->last_sequence();
   for (uint64_t number : wals) {
     std::unique_ptr<SequentialFile> file;
-    // io-under-lock-ok: WAL replay during single-threaded recovery.
     s = options_.env->NewSequentialFile(WalFileName(dbname_, number), &file);
     if (!s.ok()) {
       return s;
@@ -387,11 +383,10 @@ Status DBImpl::RecoverWal(PendingEvents* events) {
     wal::Reader reader(file.get(), /*reporter=*/nullptr);
     Slice record;
     std::string scratch;
-    // io-under-lock-ok: WAL replay during single-threaded recovery.
     while (reader.ReadRecord(&record, &scratch)) {
       WriteBatch batch;
       batch.SetContentsFrom(record);
-      s = batch.InsertInto(mem_);
+      s = batch.InsertInto(mem);
       if (!s.ok()) {
         return s;
       }
@@ -403,15 +398,7 @@ Status DBImpl::RecoverWal(PendingEvents* events) {
     }
   }
   versions_->SetLastSequence(max_sequence);
-
-  if (mem_->num_entries() > 0) {
-    s = FlushOnCallerLocked(events);
-    if (!s.ok()) {
-      return s;
-    }
-    s = MaybeCompact(events);
-  }
-  return s;
+  return Status::OK();
 }
 
 Status DBImpl::NewWal() {
@@ -447,21 +434,10 @@ Status DBImpl::FreezeMemTableLocked() {
   // race a leader (Flush paths) wait for log_busy_ to clear before getting
   // here; MakeRoomForWrite runs on the leader itself, before its window.
   assert(!log_busy_);
-  // Rotation I/O (one vlog fsync + one WAL create) is intentionally done
-  // under mu_: it must be atomic with the mem_/imm_ swap.
-  ScopedBlockingIoAllowed allow_io("memtable freeze + WAL rotation");
-  // WiscKey durability order: the frozen entries' values must be durable
-  // in the value log before their pointers can become durable in tables.
-  if (vlog_ != nullptr) {
-    // io-under-lock-ok: durability barrier must precede the memtable swap.
-    Status vs = vlog_->Sync(/*fsync=*/true);
-    if (!vs.ok()) {
-      return vs;
-    }
-    // Safe to touch the leader-owned flag here because rotation only runs
-    // while the log is idle (same as wal_unsynced_bytes_ in NewWal).
-    vlog_unsynced_ = false;
-  }
+  // The WAL create is intentionally done under mu_: it must be atomic with
+  // the mem_/imm_ swap. The frozen entries' values are made durable by
+  // their flush, before its install (FlushImmMemTable).
+  ScopedBlockingIoAllowed allow_io("WAL rotation");
   // Rotate the WAL so writes into the fresh memtable land in a fresh log;
   // the old log is pinned until the frozen memtable's flush is durable.
   const uint64_t old_wal = wal_number_;
@@ -497,6 +473,10 @@ Status DBImpl::MakeRoomForWrite(PendingEvents* events) {
   // stall below could wait for a compaction the policy never picks.
   const int stop_trigger =
       std::max(options_.l0_stop_trigger, options_.level0_compaction_trigger);
+  // Set once the worker found nothing to pick with level 0 at the stop
+  // trigger: no merge will drain it (FIFO only drops runs past its size
+  // budget), so waiting for one would livelock this writer.
+  bool nothing_to_pick = false;
   auto stage_stall = [&](WriteStallInfo::Cause cause, int l0_runs) {
     if (!has_listeners()) {
       return;
@@ -542,13 +522,15 @@ Status DBImpl::MakeRoomForWrite(PendingEvents* events) {
       // background worker installs it.
       stage_stall(WriteStallInfo::Cause::kMemtableFull, l0_runs);
       StallWait();
-    } else if (paced && l0_runs >= stop_trigger) {
+    } else if (paced && l0_runs >= stop_trigger && !nothing_to_pick) {
       // Too many L0 runs: every extra run taxes reads, so block until
       // compaction digests the backlog.
       stage_stall(WriteStallInfo::Cause::kL0Stop, l0_runs);
       bg_compaction_hint_ = true;
       MaybeScheduleBackgroundWork(events);
       StallWait();
+      // Only a pick that finds nothing clears the hint set above.
+      nothing_to_pick = !bg_compaction_hint_;
     } else {
       Status s = FreezeMemTableLocked();
       if (!s.ok()) {
@@ -664,16 +646,19 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
   const uint64_t wal_to_delete = imm_wal_to_delete_;
 
   // Build the L0 tables without the lock: imm_ is immutable and writers
-  // must be able to keep filling mem_ meanwhile.
+  // must be able to keep filling mem_ meanwhile. WiscKey durability
+  // order: the values imm's pointers name are made durable first, before
+  // the install makes the pointers durable.
   mu_.Unlock();
-  std::unique_ptr<Iterator> iter(imm->NewIterator());
   std::vector<FileMetaData> outputs;
   uint64_t bytes_written = 0;
-  Status s = BuildTables(iter.get(), /*output_level=*/0,
-                         /*drop_shadowed=*/false, /*drop_tombstones=*/false,
-                         smallest_snapshot, &outputs, &bytes_written,
-                         Subrange());
-  iter.reset();
+  Status s = SyncValueLog();
+  if (s.ok()) {
+    std::unique_ptr<Iterator> iter(imm->NewIterator());
+    s = BuildTables(iter.get(), /*output_level=*/0,
+                    /*drop_shadowed=*/false, /*drop_tombstones=*/false,
+                    smallest_snapshot, &outputs, &bytes_written, Subrange());
+  }
   mu_.Lock();
 
   auto finish = [&](const Status& status) {
@@ -718,26 +703,32 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
     edit.AddFile(0, run_seq, meta);
   }
   edit.SetLogNumber(log_number);  // everything older is durable in tables
-  // The manifest install and WAL retirement must be atomic with the
-  // version swap, so this short I/O tail runs under mu_ by design.
-  ScopedBlockingIoAllowed allow_io("flush manifest install");
-  // io-under-lock-ok: manifest install is atomic with the version swap.
-  s = versions_->LogAndApply(&edit);
+  {
+    // The manifest install must be atomic with the version swap, so it
+    // runs under mu_ by design.
+    ScopedBlockingIoAllowed allow_io("flush manifest install");
+    // io-under-lock-ok: manifest install is atomic with the version swap.
+    s = versions_->LogAndApply(&edit);
+  }
   if (!s.ok()) {
     bg_error_ = s;
     finish(s);
     return s;
   }
 
-  imm_->Unref();
-  imm_ = nullptr;
   if (options_.enable_wal && wal_to_delete != 0) {
+    // The install retired the WAL; unlink it without the lock. imm_ stays
+    // set meanwhile (readers find its entries in the new run too), so no
+    // freeze can replace it before this flush lets go of it.
+    mu_.Unlock();
     // status-ok: best-effort; a leftover WAL is re-deleted on the next
     // recovery.
-    // io-under-lock-ok: WAL unlink is a metadata op tied to the install.
     options_.env->RemoveFile(WalFileName(dbname_, wal_to_delete))
         .IgnoreError();
+    mu_.Lock();
   }
+  imm_->Unref();
+  imm_ = nullptr;
   finish(Status::OK());
   // A fresh L0 run may now violate the shape: fall through to compaction.
   bg_compaction_hint_ = true;

@@ -54,8 +54,11 @@ class DBImpl : public DB {
          ThreadPool* shared_bg_pool = nullptr);
   ~DBImpl() override;
 
-  /// Recovers manifest + WAL; called once by DB::Open.
-  Status Init();
+  /// Recovers the DB; called once by DB::Open. The manifest read, the
+  /// value-log open and the WAL replay run without mu_, since no other
+  /// thread can reach the DB yet; mu_ is held to flush and compact what
+  /// was replayed and to open the WAL. The orphan sweep runs last.
+  Status Init() EXCLUDES(mu_);
 
   Status Put(const WriteOptions& options, const Slice& key,
              const Slice& value) override;
@@ -184,7 +187,6 @@ class DBImpl : public DB {
   /// observer, possibly under mu_) into *events.
   void DrainDeletions(PendingEvents* events) EXCLUDES(deletions_mu_);
 
-  Status InitLocked(PendingEvents* events) REQUIRES(mu_);
   /// The point-lookup core behind Get (a batch of one) and MultiGet,
   /// defined in db_multiget.cc: resolves keys[i] into values[i] and
   /// statuses[i]. Takes mu_ only briefly to pin the memtables, version and
@@ -204,11 +206,10 @@ class DBImpl : public DB {
   /// cap, giving each follower its parallel_base: `base` plus the entries
   /// ahead of it. Returns the batch to commit — the leader's own for a
   /// group of one, else group_batch_ — and reports the last claimed
-  /// writer, whether any member requested sync or appended to the value
-  /// log, and the member count.
+  /// writer, whether any member requested sync, and the member count.
   WriteBatch* BuildWriteGroupLocked(SequenceNumber base, Writer** last_writer,
-                                    bool* group_sync, bool* vlog_appended,
-                                    uint64_t* writer_count) REQUIRES(mu_);
+                                    bool* group_sync, uint64_t* writer_count)
+      REQUIRES(mu_);
   /// The write path's one memtable insert: inserts `batch` into `mem` at
   /// sequence `base` with mu_ released, then takes mu_ and reports in to
   /// the group's apply (apply_status_, apply_pending_). `concurrent`
@@ -224,8 +225,9 @@ class DBImpl : public DB {
   bool ShouldSyncWal(bool group_sync, uint64_t record_bytes) const;
   Status FlushLocked(PendingEvents* events) REQUIRES(mu_);
   Status CompactAllLocked(PendingEvents* events) REQUIRES(mu_);
-  /// Replays WAL files newer than the manifest's log number.
-  Status RecoverWal(PendingEvents* events) REQUIRES(mu_);
+  /// Replays WAL files newer than the manifest's log number into mem_.
+  /// Runs before Init takes mu_: no other thread can reach the DB yet.
+  Status RecoverWal() EXCLUDES(mu_);
   Status NewWal() REQUIRES(mu_);
   /// Freezes mem_ into imm_ behind a fresh memtable + WAL so writers can
   /// continue while the worker flushes. REQUIRES additionally:
@@ -255,9 +257,11 @@ class DBImpl : public DB {
   /// releasing mu_ while building tables. Returns true while more work may
   /// be pending.
   bool BackgroundStep(PendingEvents* events) REQUIRES(mu_);
-  /// Flushes imm_ into a level-0 run, building tables with mu_ released;
-  /// only the manifest install holds it. REQUIRES additionally:
-  /// imm_ != nullptr. On failure the error is also recorded in bg_error_.
+  /// Flushes imm_ into a level-0 run. With mu_ released it fsyncs the
+  /// value log (SyncValueLog) and builds the tables; it holds mu_ for the
+  /// manifest install, then releases it again to unlink the retired WAL
+  /// before clearing imm_. REQUIRES additionally: imm_ != nullptr. On
+  /// failure the error is also recorded in bg_error_.
   Status FlushImmMemTable(PendingEvents* events) REQUIRES(mu_);
   /// Counted condition-variable wait: blocks on bg_cv_ and accrues the
   /// stall counters.
@@ -371,10 +375,12 @@ class DBImpl : public DB {
   ReadView PinReadView(const ReadOptions& options) EXCLUDES(mu_);
   /// Key-value separation: encodes `updates` into *separated with large
   /// values moved to the value log as tagged pointers and the rest tagged
-  /// inline. Sets *vlog_appended iff at least one value actually moved to
-  /// the log, so the leader can skip the value-log sync otherwise.
-  Status SeparateBatch(const WriteBatch& updates, WriteBatch* separated,
-                       bool* vlog_appended);
+  /// inline.
+  Status SeparateBatch(const WriteBatch& updates, WriteBatch* separated);
+  /// Makes every separated value durable before a WAL fsync or a flush
+  /// install makes pointers to it durable (ValueLog::Sync), counting a
+  /// real fsync in vlog.syncs. OK without separation.
+  Status SyncValueLog() EXCLUDES(mu_);
   bool has_listeners() const { return !options_.listeners.empty(); }
 
   const Options options_;
@@ -427,12 +433,6 @@ class DBImpl : public DB {
   /// (queue-front discipline means there is never more than one leader).
   WriteBatch group_batch_;
   uint64_t wal_unsynced_bytes_ = 0;
-  /// True while the value log holds appended-but-not-fsynced bytes.
-  /// WiscKey durability order: any WAL fsync makes previously appended
-  /// pointer records durable, so it must be preceded by a value-log fsync
-  /// whenever this is set — even if the fsyncing group itself separated
-  /// nothing (tests/write_group_test.cc CrossGroupVlogDurabilityOrder).
-  bool vlog_unsynced_ = false;
   std::chrono::steady_clock::time_point last_wal_sync_ =
       std::chrono::steady_clock::now();
 

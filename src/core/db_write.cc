@@ -16,8 +16,9 @@
 //      The leader then claims a prefix of the queue up to a size cap and
 //      concatenates the members into one batch with contiguous sequence
 //      numbers, noting each member's base within it. It sets log_busy_
-//      and RELEASES mu_ for its commit window: the value-log sync, the
-//      single WAL append, the sync the durability mode calls for, and the
+//      and RELEASES mu_ for its commit window: the single WAL append, the
+//      sync the durability mode calls for (preceded by ValueLog::Sync,
+//      which fsyncs only if the value log holds unsynced values), and the
 //      memtable insert. Readers and the background thread proceed under
 //      mu_ meanwhile; only WAL rotation (memtable freeze) must wait for
 //      log_busy_ to clear.
@@ -54,8 +55,6 @@ struct DBImpl::Writer {
 
   WriteBatch* batch = nullptr;
   bool sync = false;
-  /// Separating this writer's batch appended to the value log.
-  bool vlog_appended = false;
   bool done = false;
   // Parallel group apply: the leader sets parallel_base while building the
   // group and parallel_apply once the group is in the WAL, both under mu_;
@@ -107,7 +106,7 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
   if (vlog_ != nullptr) {
     // The group is the concatenation of already-separated members, so
     // each member's batch is exactly its share of the WAL record.
-    Status s = SeparateBatch(*updates, &separated, &w.vlog_appended);
+    Status s = SeparateBatch(*updates, &separated);
     if (!s.ok()) {
       return s;
     }
@@ -156,10 +155,9 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
   if (s.ok()) {
     const SequenceNumber base = versions_->last_sequence() + 1;
     bool group_sync = false;
-    bool vlog_appended = false;
     uint64_t writer_count = 1;
-    WriteBatch* group = BuildWriteGroupLocked(
-        base, &last_writer, &group_sync, &vlog_appended, &writer_count);
+    WriteBatch* group =
+        BuildWriteGroupLocked(base, &last_writer, &group_sync, &writer_count);
     const bool parallel =
         writer_count > 1 && options_.allow_concurrent_memtable_write;
     apply_pending_ = parallel ? writer_count : 1;
@@ -180,25 +178,13 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
         ShouldSyncWal(group_sync, group->Contents().size());
     bool synced = false;
     bool wal_appended = false;
-    if (vlog_appended) {
-      // Some member buffered new value-log bytes (Add flushes, never
-      // fsyncs); they stay unsynced until the next value-log fsync.
-      vlog_unsynced_ = true;
-    }
-    if (vlog_ != nullptr && vlog_unsynced_ && (vlog_appended || want_sync)) {
+    if (want_sync) {
       // WiscKey durability order: separated values must be durable before
-      // their pointers are. A WAL fsync makes every previously appended
-      // pointer record durable, so it must be preceded by a value-log
-      // fsync whenever ANY unsynced value-log bytes exist — whether this
-      // group appended them or an earlier non-sync group did. Groups that
-      // separated nothing and fsync nothing skip the call entirely.
-      s = vlog_->Sync(/*fsync=*/want_sync);
-      if (s.ok()) {
-        stats_.Add(Ticker::kVlogSyncs);
-        if (want_sync) {
-          vlog_unsynced_ = false;
-        }
-      }
+      // their pointers are. A WAL fsync makes every pointer record
+      // appended so far durable, whichever group separated its value, so
+      // it is preceded by a value-log fsync whenever the value log holds
+      // unsynced values.
+      s = SyncValueLog();
     }
     if (s.ok() && wal != nullptr) {
       s = wal->AddRecord(group->Contents());
@@ -307,7 +293,6 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
 WriteBatch* DBImpl::BuildWriteGroupLocked(SequenceNumber base,
                                           Writer** last_writer,
                                           bool* group_sync,
-                                          bool* vlog_appended,
                                           uint64_t* writer_count) {
   Writer* leader = writers_.front();
   size_t bytes = leader->batch->ApproximateSize();
@@ -320,7 +305,6 @@ WriteBatch* DBImpl::BuildWriteGroupLocked(SequenceNumber base,
   }
 
   *group_sync = leader->sync;
-  *vlog_appended = leader->vlog_appended;
   *last_writer = leader;
   *writer_count = 1;
   WriteBatch* group = leader->batch;
@@ -340,7 +324,6 @@ WriteBatch* DBImpl::BuildWriteGroupLocked(SequenceNumber base,
     group_batch_.Append(*follower->batch);
     bytes += follower->batch->ApproximateSize();
     *group_sync = *group_sync || follower->sync;
-    *vlog_appended = *vlog_appended || follower->vlog_appended;
     *last_writer = follower;
     ++(*writer_count);
   }
@@ -410,7 +393,6 @@ class SeparatingHandler : public WriteBatch::Handler {
         return;
       }
       stored.append(pointer);
-      separated_count_++;
     } else {
       stored.push_back(kVlogInlineTag);
       stored.append(value.data(), value.size());
@@ -421,29 +403,33 @@ class SeparatingHandler : public WriteBatch::Handler {
   void Delete(const Slice& key) override { out_->Delete(key); }
 
   Status status() const { return status_; }
-  /// Values actually appended to the value log (a batch of small values
-  /// separates nothing and needs no value-log sync).
-  uint64_t separated_count() const { return separated_count_; }
 
  private:
   ValueLog* vlog_;
   size_t threshold_;
   WriteBatch* out_;
-  uint64_t separated_count_ = 0;
   Status status_;
 };
 
 }  // namespace
 
-Status DBImpl::SeparateBatch(const WriteBatch& updates, WriteBatch* separated,
-                             bool* vlog_appended) {
+Status DBImpl::SeparateBatch(const WriteBatch& updates,
+                             WriteBatch* separated) {
   SeparatingHandler handler(vlog_.get(), options_.value_separation_threshold,
                             separated);
   Status s = updates.Iterate(&handler);
   if (s.ok()) {
     s = handler.status();
   }
-  *vlog_appended = handler.separated_count() > 0;
+  return s;
+}
+
+Status DBImpl::SyncValueLog() {
+  bool synced = false;
+  Status s = vlog_ != nullptr ? vlog_->Sync(&synced) : Status::OK();
+  if (synced) {
+    stats_.Add(Ticker::kVlogSyncs);
+  }
   return s;
 }
 

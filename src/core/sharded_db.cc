@@ -21,6 +21,28 @@ std::string ShardPath(const std::string& dbname, int shard) {
   return dbname + "/shard-" + std::to_string(shard);
 }
 
+namespace {
+
+/// Consumes the decimal number at the front of *in into *n. False when
+/// *in starts with no digit or the number passes kMaxShards, so no digit
+/// run can overflow an int. The one parse of a shard count or index:
+/// ReadShardMarker and GetProperty's "lsmlab.shard.<k>.".
+bool ConsumeShardNumber(Slice* in, int* n) {
+  *n = 0;
+  size_t digits = 0;
+  for (; digits < in->size() && (*in)[digits] >= '0' && (*in)[digits] <= '9';
+       digits++) {
+    *n = *n * 10 + ((*in)[digits] - '0');
+    if (*n > kMaxShards) {
+      return false;
+    }
+  }
+  in->remove_prefix(digits);
+  return digits > 0;
+}
+
+}  // namespace
+
 Status ReadShardMarker(Env* env, const std::string& name, int* shards) {
   *shards = 0;
   const std::string marker = name + "/" + kShardMarkerFile;
@@ -32,18 +54,10 @@ Status ReadShardMarker(Env* env, const std::string& name, int* shards) {
   if (!s.ok()) {
     return s;
   }
+  Slice in(contents);  // a trailing newline is tolerated
   int count = 0;
-  for (char c : contents) {
-    if (c < '0' || c > '9') {
-      break;  // tolerate a trailing newline
-    }
-    count = count * 10 + (c - '0');
-    if (count > kMaxShards) {
-      return Status::Corruption(marker, "shard count out of range");
-    }
-  }
-  if (count < 1) {
-    return Status::Corruption(marker, "unparseable shard count");
+  if (!ConsumeShardNumber(&in, &count) || count < 1) {
+    return Status::Corruption(marker, "shard count not in [1, kMaxShards]");
   }
   *shards = count;
   return Status::OK();
@@ -432,25 +446,17 @@ bool ShardedDB::GetProperty(const Slice& property, std::string* value) {
     *value = std::to_string(TEST_BgJobsHighWater());
     return true;
   }
-  const std::string prop = property.ToString();
-  const std::string shard_prefix = "lsmlab.shard.";
-  if (prop.rfind(shard_prefix, 0) == 0) {
-    const size_t dot = prop.find('.', shard_prefix.size());
-    if (dot == std::string::npos || dot == shard_prefix.size()) {
-      return false;
-    }
+  const Slice shard_prefix("lsmlab.shard.");
+  if (property.starts_with(shard_prefix)) {
+    Slice rest = property;
+    rest.remove_prefix(shard_prefix.size());
     int shard = 0;
-    for (size_t i = shard_prefix.size(); i < dot; i++) {
-      if (prop[i] < '0' || prop[i] > '9') {
-        return false;
-      }
-      shard = shard * 10 + (prop[i] - '0');
-    }
-    if (shard >= num_shards_) {
+    if (!ConsumeShardNumber(&rest, &shard) || shard >= num_shards_ ||
+        !rest.starts_with(".")) {
       return false;
     }
-    return shards_[shard]->GetProperty(
-        Slice("lsmlab." + prop.substr(dot + 1)), value);
+    rest.remove_prefix(1);
+    return shards_[shard]->GetProperty("lsmlab." + rest.ToString(), value);
   }
   if (property == Slice("lsmlab.stats")) {
     *value = MergedStats().ToString();

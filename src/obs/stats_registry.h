@@ -49,8 +49,8 @@ enum class Ticker : uint32_t {
   kWalGroupCommits,    ///< commit groups built by a leader
   kWalGroupFollowers,  ///< writers that rode along in someone else's group
   kWalSyncSkipped,     ///< group commits the durability policy left unsynced
-  kVlogSyncs,          ///< write-path value-log syncs (skipped when a batch
-                       ///< separated nothing)
+  kVlogSyncs,          ///< value-log fsyncs (ValueLog::Sync issues one only
+                       ///< when it holds unsynced values)
   kWriteSlowdowns,
   kWriteStalls,
   kWriteSlowdownMicros,

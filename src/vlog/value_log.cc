@@ -82,6 +82,7 @@ Status ValueLog::RotateLocked() {
     if (!s.ok()) {
       return s;
     }
+    unsynced_ = false;
   }
   current_number_++;
   files_.insert(current_number_);
@@ -114,6 +115,7 @@ Status ValueLog::Add(const Slice& value, std::string* pointer) {
     return s;
   }
   current_offset_ += record.size();
+  unsynced_ = true;
   file_bytes_[current_number_] += record.size();
   total_bytes_ += record.size();
 
@@ -247,12 +249,18 @@ void ValueLog::GetBatch(std::vector<BatchRead>* reads) const {
   }
 }
 
-Status ValueLog::Sync(bool fsync) {
+Status ValueLog::Sync(bool* synced) {
   MutexLock lock(&mu_);
-  if (current_file_ == nullptr) {
+  *synced = false;
+  if (!unsynced_) {
     return Status::OK();
   }
-  return fsync ? current_file_->Sync() : current_file_->Flush();
+  Status s = current_file_->Sync();
+  if (s.ok()) {
+    unsynced_ = false;
+    *synced = true;
+  }
+  return s;
 }
 
 std::vector<uint64_t> ValueLog::ClosedFiles() const {

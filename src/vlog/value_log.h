@@ -27,8 +27,10 @@ namespace lsmlab {
 /// Pointer encoding (stored as the LSM value):
 ///   varint64 file_number | varint64 offset | varint32 size
 ///
-/// Thread-compatible under the DB write lock; reads are lock-free after
-/// the file handle is opened.
+/// Internally synchronized: writers append, the group-commit leader and
+/// the flush worker sync, and readers resolve pointers, all at once. It
+/// owns the durability of what it holds: it knows whether any appended
+/// value is not yet fsynced.
 class ValueLog {
  public:
   /// `dbname` is the database directory; log files are named
@@ -43,7 +45,8 @@ class ValueLog {
   Status Open();
 
   /// Appends `value`, encoding its pointer into *pointer. Rotates to a new
-  /// file when the current one exceeds the size limit.
+  /// file when the current one exceeds the size limit. The value reaches
+  /// the file (Flush) but is durable only after the next Sync.
   Status Add(const Slice& value, std::string* pointer);
 
   /// Resolves a pointer produced by Add (possibly in an earlier session).
@@ -62,8 +65,11 @@ class ValueLog {
   /// it front-to-back instead of seeking per key in LSM order.
   void GetBatch(std::vector<BatchRead>* reads) const;
 
-  /// Flushes (and optionally fsyncs) the current log file.
-  Status Sync(bool fsync);
+  /// Makes every value added so far durable: fsyncs the current log file
+  /// if an Add since the last fsync or rotation left it unsynced (a
+  /// rotation fsyncs the file it closes). Sets *synced to whether it
+  /// issued an fsync.
+  Status Sync(bool* synced);
 
   /// Numbers of all closed (non-current) log files — GC candidates.
   std::vector<uint64_t> ClosedFiles() const;
@@ -120,6 +126,9 @@ class ValueLog {
   uint64_t current_number_ GUARDED_BY(mu_) = 0;
   uint64_t current_offset_ GUARDED_BY(mu_) = 0;
   std::unique_ptr<WritableFile> current_file_ GUARDED_BY(mu_);
+  /// The current file holds values no fsync has covered yet: Add sets
+  /// it, Sync and RotateLocked clear it.
+  bool unsynced_ GUARDED_BY(mu_) = false;
 
   // Open read handles, keyed by file number (lazily opened, kept).
   mutable Mutex readers_mu_ ACQUIRED_AFTER(mu_){LockRank::kValueLogReadersMu};

@@ -516,6 +516,51 @@ TEST(ConcurrencyTest, WriteBufferAtArenaFloorMakesProgress) {
       ::testing::ExitedWithCode(0), "");
 }
 
+// FIFO never merges level 0, so in background mode level 0 reaches the
+// stop trigger while its runs are far under the size budget. The write
+// controller's stop stall waits for a merge; once the worker finds
+// nothing to pick, the writer must go on instead of waiting again and
+// again. Returns a process exit code: 0 on success.
+int FifoPutsPastTheStopTrigger() {
+  std::unique_ptr<Env> env(NewMemEnv());
+  Options options;
+  options.env = env.get();
+  options.background_compaction = true;
+  options.merge_policy = MergePolicy::kFifo;
+  options.write_buffer_size = 64 << 10;
+  std::unique_ptr<DB> db;
+  if (!DB::Open(options, "/fifo", &db).ok()) {
+    return 1;
+  }
+  const std::string value(1000, 'q');
+  constexpr int kPuts = 2000;  // about 30 memtables, past 12 level-0 runs
+  for (int i = 0; i < kPuts; i++) {
+    if (!db->Put({}, TestKey(0, i), value).ok()) {
+      return 2;
+    }
+  }
+  const DBStats stats = db->GetStats();
+  std::string got;
+  if (stats.runs_per_level.empty() ||
+      stats.runs_per_level[0] < options.l0_stop_trigger ||
+      !db->Get({}, TestKey(0, kPuts - 1), &got).ok() || got != value) {
+    return 3;
+  }
+  return 0;
+}
+
+// The Puts run in a child process under a 20 s alarm, so a livelock fails
+// the test (killed by SIGALRM) instead of hanging it.
+TEST(ConcurrencyTest, FifoAtTheStopTriggerMakesProgress) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        alarm(20);
+        std::_Exit(FifoPutsPastTheStopTrigger());
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
 /// Records the inputs of every successful compaction and counts the ones
 /// an earlier compaction already took. A merge consumes its inputs, so no
 /// later compaction may take them. A move takes its inputs out of their

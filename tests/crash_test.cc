@@ -232,6 +232,32 @@ TEST_F(CrashTest, SeparatedValuesSurviveSegmentRotation) {
   }
 }
 
+// Value-log GC re-puts each live value into the current segment, then
+// deletes the closed ones. A crash after it must lose no acknowledged
+// value: the re-puts (non-sync writes) must be durable, values and
+// pointers both, before the old copies go.
+TEST_F(CrashTest, SeparatedValuesSurviveCrashAfterGarbageCollection) {
+  options_.value_separation_threshold = 64;
+  options_.max_vlog_file_bytes = 4096;
+  Open();
+  WriteOptions sync;
+  sync.sync = true;
+  constexpr int kKeys = 20;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(
+        db_->Put(sync, EncodeKey(i), ValueForKey(EncodeKey(i), 1000)).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->GarbageCollectValues().ok());
+  CrashAndReopen();
+  std::string value;
+  for (int i = 0; i < kKeys; i++) {
+    Status s = db_->Get({}, EncodeKey(i), &value);
+    ASSERT_TRUE(s.ok()) << i << ": " << s.ToString();
+    EXPECT_EQ(value, ValueForKey(EncodeKey(i), 1000)) << i;
+  }
+}
+
 TEST_F(CrashTest, RandomizedCrashPointsArePrefixConsistent) {
   // Crash at pseudo-random moments of a mixed workload. After recovery the
   // DB must correspond to the state after some single cut point c in the

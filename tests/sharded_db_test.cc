@@ -424,9 +424,16 @@ TEST_F(ShardedDBTest, PropertiesAggregateAcrossShards) {
   EXPECT_EQ(db_->GetStats().writes, static_cast<uint64_t>(kKeys));
 
   // Out-of-range / malformed shard properties answer false, not garbage.
-  EXPECT_FALSE(db_->GetProperty("lsmlab.shard.9.stats", &value));
-  EXPECT_FALSE(db_->GetProperty("lsmlab.shard.x.stats", &value));
-  EXPECT_FALSE(db_->GetProperty("lsmlab.shard.", &value));
+  // An index is bounded like a SHARDS count, so a long digit run can
+  // neither overflow an int into a negative index nor wrap onto a shard.
+  for (const char* property :
+       {"lsmlab.shard.9.stats", "lsmlab.shard.x.stats", "lsmlab.shard.",
+        "lsmlab.shard.1", "lsmlab.shard.1x.stats",
+        "lsmlab.shard.2147483648.stats", "lsmlab.shard.4294967297.stats",
+        "lsmlab.shard.99999999999999999999.stats"}) {
+    EXPECT_FALSE(db_->GetProperty(property, &value)) << property;
+    EXPECT_TRUE(value.empty()) << property;
+  }
 }
 
 // GetStats and "lsmlab.stats" on a sharded DB are the shards' registries

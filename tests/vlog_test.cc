@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/db.h"
 #include "core/write_batch.h"
@@ -317,6 +321,72 @@ TEST_F(KvSeparationTest, WalRecoveryOfPointers) {
   std::string v;
   ASSERT_TRUE(db_->Get({}, "unflushed", &v).ok());
   EXPECT_EQ(v, large);
+}
+
+// Background mode: writers append separated values (and the leaders of
+// their sync puts fsync the value log) while the worker's flushes fsync
+// it too, before each install. They all share the value log's unsynced
+// state; the ctest TSan run of this suite checks that sharing.
+TEST(KvSeparationBackgroundTest, WritersAppendWhileFlushesSyncTheValueLog) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  Options options;
+  options.env = env.get();
+  options.background_compaction = true;
+  options.write_buffer_size = 8 << 10;
+  options.max_file_size = 8 << 10;
+  options.level0_compaction_trigger = 2;
+  options.value_separation_threshold = 128;
+  options.max_vlog_file_bytes = 16 << 10;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/bgvlog", &db).ok());
+
+  constexpr int kWriters = 2;
+  constexpr int kPutsPerWriter = 300;
+  auto key_of = [](int w, int i) {
+    return EncodeKey(static_cast<uint64_t>(w * kPutsPerWriter + i));
+  };
+  std::atomic<bool> failed{false};
+  std::atomic<int> writers_done{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; w++) {
+    threads.emplace_back([&, w] {
+      WriteOptions sync;
+      sync.sync = true;
+      for (int i = 0; i < kPutsPerWriter; i++) {
+        const std::string key = key_of(w, i);
+        if (!db->Put(i % 10 == 0 ? sync : WriteOptions(), key,
+                     ValueForKey(key, 512))
+                 .ok()) {
+          failed = true;
+        }
+      }
+      writers_done++;
+    });
+  }
+  threads.emplace_back([&] {
+    while (writers_done.load() < kWriters) {
+      if (!db->Flush().ok()) {
+        failed = true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  ASSERT_FALSE(failed.load());
+  const DBStats stats = db->GetStats();
+  EXPECT_GT(stats.flushes, 0u);
+  EXPECT_GT(stats.vlog_syncs, 0u);
+
+  std::string value;
+  for (int w = 0; w < kWriters; w++) {
+    for (int i = 0; i < kPutsPerWriter; i++) {
+      const std::string key = key_of(w, i);
+      ASSERT_TRUE(db->Get({}, key, &value).ok()) << key;
+      EXPECT_EQ(value, ValueForKey(key, 512)) << key;
+    }
+  }
 }
 
 }  // namespace

@@ -125,8 +125,7 @@ class WalGateEnv : public Env {
 
   int wal_appends() const { return wal_appends_.load(); }
   int wal_syncs() const { return wal_syncs_.load(); }
-  /// File-level fsyncs of .vlog files (ValueLog::Sync(false) only
-  /// flushes, which this deliberately does not count).
+  /// File-level fsyncs of .vlog files.
   int vlog_syncs() const { return vlog_syncs_.load(); }
 
  private:

@@ -13,9 +13,9 @@ MemTable::AddConcurrent, WriteBatch::InsertIntoConcurrent) run outside
 mu_ by design — the whole point is that group members insert in parallel
 without serializing on the DB mutex — so calling one while a no-io
 engine mutex is held is flagged exactly like blocking I/O. The serial
-siblings (Insert/Add/InsertInto) are not in the set: WAL recovery calls
-them under mu_ by design (tools/lint.sh check 11 confines them to the
-write path's apply helper and recovery).
+siblings (Insert/Add/InsertInto) are not in the set: a serial insert
+races no other member, so it needs no lock released (tools/lint.sh check
+11 confines them to the write path's apply helper and WAL recovery).
 
 The tool:
   1. scans every .h/.cc under src/ (file list from compile_commands.json when
@@ -74,7 +74,7 @@ RAW_BLOCKING = {
 # (the member-parallel insert region of src/core/db_write.cc). Matched by
 # method name alone — the names are unique to the concurrent memtable
 # path, and their serial siblings (Insert/Add/InsertInto) stay callable
-# under mu_ for WAL recovery.
+# under mu_.
 APPLY_BLOCKING = {
     "InsertConcurrently", "AddConcurrent", "InsertIntoConcurrent",
 }

@@ -148,7 +148,8 @@ leg_tsan_obs() {
   # group-commit writer queue (leader WAL I/O with mu_ released), the
   # concurrent memtable (lock-free skiplist inserts + parallel group apply),
   # the sharded router (parallel batch fan-out over a shared background
-  # pool), and compaction inputs (a background merge opens its input tables
+  # pool), the value log's unsynced state (writers append while leaders
+  # and the flush worker sync it), and compaction inputs (a background merge opens its input tables
   # lazily, run by run, through the TableCache readers share). Run just
   # those suites (plus the general concurrency one) under TSan for a quick
   # signal; the full `tsan` leg still covers everything.
@@ -156,7 +157,7 @@ leg_tsan_obs() {
       -DCMAKE_BUILD_TYPE=Debug -DLSMLAB_SANITIZE=thread >/dev/null
   cmake --build build-ci-tsan -j "$JOBS"
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-      -R 'perf_context_test|listener_test|concurrency_test|crash_test|multiget_test|memtable_test|write_group_test|sharded_db_test'
+      -R 'perf_context_test|listener_test|concurrency_test|crash_test|multiget_test|memtable_test|write_group_test|sharded_db_test|vlog_test'
   # The model checker's background rows (its Get and MultiGet actions run
   # next to background flushes and compactions) and its sharded row
   # (MultiGet and batches fan out on the router's dispatch pool).
