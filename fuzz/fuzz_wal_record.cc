@@ -1,6 +1,6 @@
 // libFuzzer harness for WAL record framing: the input is a log file image
 // read back record by record. The reader must terminate (no unbounded
-// resync loops), never crash, and report drops through the Reporter only.
+// resync loops), never crash, and report drops through status() only.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,12 +20,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::unique_ptr<SequentialFile> file;
   if (!env->NewSequentialFile(fname, &file).ok()) return 0;
 
-  struct CountingReporter : public wal::Reader::Reporter {
-    size_t drops = 0;
-    void Corruption(size_t, const Status&) override { drops++; }
-  } reporter;
-
-  wal::Reader reader(file.get(), &reporter);
+  wal::Reader reader(file.get());
   Slice record;
   std::string scratch;
   int records = 0;

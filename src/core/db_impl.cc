@@ -3,22 +3,17 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <map>
 #include <optional>
-#include <ranges>
 #include <set>
 #include <thread>
 
-#include "cache/block_cache.h"
+#include "core/compaction/compaction_job.h"
 #include "core/db_iter.h"
 #include "core/filename.h"
 #include "core/merging_iterator.h"
 #include "core/sharded_db.h"
-#include "format/sstable_builder.h"
-#include "format/two_level_iterator.h"
 #include "obs/perf_context.h"
 #include "tuning/monkey.h"
-#include "util/coding.h"
 #include "wal/log_reader.h"
 
 namespace lsmlab {
@@ -28,7 +23,8 @@ DBImpl::DBImpl(const Options& options, std::string dbname,
     : options_(options),
       dbname_(std::move(dbname)),
       icmp_(options.comparator) {
-  table_cache_ = std::make_unique<TableCache>(dbname_, &options_, &icmp_);
+  table_cache_ = std::make_unique<TableCache>(dbname_, &options_, &icmp_,
+                                              &stats_);
   if (options_.filter_allocation == FilterAllocation::kMonkey) {
     table_cache_->ConfigureFilterBits(MonkeyBitsPerLevel(
         options_.filter_bits_per_key, options_.max_levels,
@@ -380,7 +376,7 @@ Status DBImpl::RecoverWal() {
     if (!s.ok()) {
       return s;
     }
-    wal::Reader reader(file.get(), /*reporter=*/nullptr);
+    wal::Reader reader(file.get());
     Slice record;
     std::string scratch;
     while (reader.ReadRecord(&record, &scratch)) {
@@ -655,55 +651,22 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
   Status s = SyncValueLog();
   if (s.ok()) {
     std::unique_ptr<Iterator> iter(imm->NewIterator());
-    s = BuildTables(iter.get(), /*output_level=*/0,
-                    /*drop_shadowed=*/false, /*drop_tombstones=*/false,
-                    smallest_snapshot, &outputs, &bytes_written, Subrange());
+    s = BuildTables(table_cache_.get(), versions_.get(), iter.get(),
+                    /*output_level=*/0, /*drop_shadowed=*/false,
+                    /*drop_tombstones=*/false, smallest_snapshot, &outputs,
+                    &bytes_written);
   }
   mu_.Lock();
 
-  auto finish = [&](const Status& status) {
-    const uint64_t micros = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - flush_start)
-            .count());
-    GetPerfContext()->flush_micros += micros;
-    stats_.Record(PhaseHistogram::kFlushMicros,
-                  static_cast<double>(micros));
-    if (!has_listeners()) {
-      return;
+  if (s.ok()) {
+    stats_.Add(Ticker::kBytesFlushed, bytes_written);
+    stats_.Add(Ticker::kTableFilesCreated, outputs.size());
+    VersionEdit edit;
+    const uint64_t run_seq = versions_->NewRunSeq();
+    for (const FileMetaData& meta : outputs) {
+      edit.AddFile(0, run_seq, meta);
     }
-    FlushJobInfo info;
-    info.db_name = dbname_;
-    info.background = bg_pool_ != nullptr;
-    info.bytes_written = bytes_written;
-    info.micros = micros;
-    info.status = status;
-    if (status.ok()) {
-      for (const FileMetaData& meta : outputs) {
-        info.outputs.push_back(MakeTableFileInfo(meta, /*level=*/0));
-        const TableFileInfo created = info.outputs.back();
-        events->push_back(
-            [created](EventListener& l) { l.OnTableFileCreated(created); });
-      }
-    }
-    events->push_back([info](EventListener& l) { l.OnFlushEnd(info); });
-  };
-
-  if (!s.ok()) {
-    bg_error_ = s;
-    finish(s);
-    return s;
-  }
-  stats_.Add(Ticker::kBytesFlushed, bytes_written);
-  stats_.Add(Ticker::kTableFilesCreated, outputs.size());
-
-  VersionEdit edit;
-  const uint64_t run_seq = versions_->NewRunSeq();
-  for (const FileMetaData& meta : outputs) {
-    edit.AddFile(0, run_seq, meta);
-  }
-  edit.SetLogNumber(log_number);  // everything older is durable in tables
-  {
+    edit.SetLogNumber(log_number);  // everything older is durable in tables
     // The manifest install must be atomic with the version swap, so it
     // runs under mu_ by design.
     ScopedBlockingIoAllowed allow_io("flush manifest install");
@@ -712,24 +675,32 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
   }
   if (!s.ok()) {
     bg_error_ = s;
-    finish(s);
+    outputs.clear();  // none was installed
+  } else {
+    if (options_.enable_wal && wal_to_delete != 0) {
+      // The install retired the WAL; unlink it without the lock. imm_
+      // stays set meanwhile (readers find its entries in the new run too),
+      // so no freeze can replace it before this flush lets go of it.
+      mu_.Unlock();
+      // status-ok: best-effort; a leftover WAL is re-deleted on the next
+      // recovery.
+      options_.env->RemoveFile(WalFileName(dbname_, wal_to_delete))
+          .IgnoreError();
+      mu_.Lock();
+    }
+    imm_->Unref();
+    imm_ = nullptr;
+  }
+  FlushJobInfo info;
+  info.background = bg_pool_ != nullptr;
+  info.bytes_written = bytes_written;
+  info.status = s;
+  FinishJob(flush_start, PhaseHistogram::kFlushMicros,
+            &PerfContext::flush_micros, outputs, /*level=*/0,
+            std::move(info), &EventListener::OnFlushEnd, events);
+  if (!s.ok()) {
     return s;
   }
-
-  if (options_.enable_wal && wal_to_delete != 0) {
-    // The install retired the WAL; unlink it without the lock. imm_ stays
-    // set meanwhile (readers find its entries in the new run too), so no
-    // freeze can replace it before this flush lets go of it.
-    mu_.Unlock();
-    // status-ok: best-effort; a leftover WAL is re-deleted on the next
-    // recovery.
-    options_.env->RemoveFile(WalFileName(dbname_, wal_to_delete))
-        .IgnoreError();
-    mu_.Lock();
-  }
-  imm_->Unref();
-  imm_ = nullptr;
-  finish(Status::OK());
   // A fresh L0 run may now violate the shape: fall through to compaction.
   bg_compaction_hint_ = true;
   bg_cv_.SignalAll();
@@ -855,144 +826,6 @@ void DBImpl::ReconfigureMonkeyLocked(int output_level) {
       options_.filter_bits_per_key, depth, options_.size_ratio));
 }
 
-Status DBImpl::BuildTables(Iterator* iter, int output_level,
-                           bool drop_shadowed, bool drop_tombstones,
-                           SequenceNumber smallest_snapshot,
-                           std::vector<FileMetaData>* outputs,
-                           uint64_t* bytes_written, Subrange range) {
-  outputs->clear();
-  *bytes_written = 0;
-  const TableOptions topts = table_cache_->TableOptionsForLevel(output_level);
-
-  std::unique_ptr<WritableFile> file;
-  std::unique_ptr<SSTableBuilder> builder;
-  FileMetaData meta;
-  Status s;
-
-  auto finish_output = [&]() -> Status {
-    if (builder == nullptr || builder->NumEntries() == 0) {
-      if (builder != nullptr) {
-        builder->Abandon();
-        builder.reset();
-        file.reset();
-        // status-ok: empty output; the orphan sweep catches leftovers.
-        options_.env->RemoveFile(TableFileName(dbname_, meta.number))
-            .IgnoreError();
-      }
-      return Status::OK();
-    }
-    Status fs = builder->Finish();
-    if (fs.ok()) {
-      meta.file_size = builder->FileSize();
-      *bytes_written += meta.file_size;
-      outputs->push_back(meta);
-      fs = file->Close();
-    }
-    builder.reset();
-    file.reset();
-    return fs;
-  };
-
-  std::string last_user_key;
-  bool has_last_user_key = false;
-  SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
-
-  if (range.begin != nullptr) {
-    iter->Seek(LookupKey(*range.begin, kMaxSequenceNumber).internal_key());
-  } else {
-    iter->SeekToFirst();
-  }
-  for (; iter->Valid() && s.ok(); iter->Next()) {
-    const Slice key = iter->key();
-    const Slice user_key = ExtractUserKey(key);
-    if (range.end != nullptr &&
-        icmp_.user_comparator()->Compare(user_key, *range.end) >= 0) {
-      break;
-    }
-    const SequenceNumber seq = ExtractSequence(key);
-    const ValueType type = ExtractValueType(key);
-
-    bool drop = false;
-    if (drop_shadowed || drop_tombstones) {
-      if (!has_last_user_key ||
-          icmp_.user_comparator()->Compare(user_key, Slice(last_user_key)) !=
-              0) {
-        last_user_key.assign(user_key.data(), user_key.size());
-        has_last_user_key = true;
-        last_sequence_for_key = kMaxSequenceNumber;
-      }
-      if (seq == last_sequence_for_key) {
-        // The previous entry again: a tree left between two installs of
-        // one compaction (by a crash or a failed subrange) holds the
-        // installed source-level entries in two levels. A snapshot older
-        // than them keeps both copies from being shadowed.
-        drop = true;
-      } else if (drop_shadowed &&
-                 last_sequence_for_key <= smallest_snapshot) {
-        // A newer version visible to every snapshot shadows this entry.
-        drop = true;
-      } else if (drop_tombstones && type == ValueType::kTypeDeletion &&
-                 seq <= smallest_snapshot) {
-        // Bottom-most data: the tombstone has nothing left to delete.
-        drop = true;
-      }
-      last_sequence_for_key = seq;
-    }
-    if (drop) {
-      continue;
-    }
-
-    // Cut the output only at user-key boundaries: all versions of a user
-    // key must live in one file, or a partial compaction could consume a
-    // key's tombstone without its older versions (and vice versa),
-    // breaking the bottommost-drop reasoning and run-overlap pruning.
-    if (builder != nullptr &&
-        builder->FileSize() >= options_.max_file_size &&
-        icmp_.user_comparator()->Compare(
-            user_key, ExtractUserKey(Slice(meta.largest))) != 0) {
-      s = finish_output();
-      if (!s.ok()) {
-        break;
-      }
-    }
-
-    if (builder == nullptr) {
-      meta = FileMetaData();
-      if (range.numbers > 0) {
-        meta.number = range.first_number++;
-        range.numbers--;
-      } else {
-        meta.number = versions_->NewFileNumber();
-      }
-      s = options_.env->NewWritableFile(TableFileName(dbname_, meta.number),
-                                        &file);
-      if (!s.ok()) {
-        break;
-      }
-      builder = std::make_unique<SSTableBuilder>(topts, file.get());
-      meta.smallest = key.ToString();
-    }
-    builder->Add(key, iter->value());
-    // In place: a fresh string per entry would allocate, as internal keys
-    // outgrow the small-string buffer.
-    meta.largest.assign(key.data(), key.size());
-  }
-  if (s.ok()) {
-    s = iter->status();
-  }
-  if (s.ok()) {
-    s = finish_output();
-  } else if (builder != nullptr) {
-    builder->Abandon();
-    builder.reset();
-    file.reset();
-    // status-ok: already failing; the orphan sweep catches leftovers.
-    options_.env->RemoveFile(TableFileName(dbname_, meta.number))
-        .IgnoreError();
-  }
-  return s;
-}
-
 SequenceNumber DBImpl::SmallestSnapshotLocked() const {
   if (snapshots_.empty()) {
     return versions_->last_sequence();
@@ -1002,537 +835,113 @@ SequenceNumber DBImpl::SmallestSnapshotLocked() const {
 
 // ------------------------------------------------------------ Compaction --
 
-namespace {
-
-/// Input bytes per subcompaction, in units of Options::max_file_size.
-/// perfbench read_cold set-up on a 4-core host, by unit: 2 → 1.19-1.32 s,
-/// 4 → 1.19-1.46 s, 8 → 1.43-1.52 s, 16 → 1.98-2.23 s. 4 is about as fast
-/// as 2 with half the subranges, so half the short last files.
-constexpr uint64_t kSubcompactionFiles = 4;
-
-/// Appends `files` to *runs as maximal chains whose key ranges strictly
-/// increase: one merge child per sorted run, not per file, so the merge
-/// costs O(entries x runs), not O(entries x files). The rule holds for any
-/// file list; overlapping L0 runs just form separate chains.
-void AppendRuns(const InternalKeyComparator& icmp,
-                std::span<const FileMetaPtr> files,
-                std::vector<std::span<const FileMetaPtr>>* runs) {
-  size_t begin = 0;
-  for (size_t i = 0; i < files.size(); i++) {
-    const bool last = i + 1 == files.size();
-    if (last || icmp.Compare(Slice(files[i]->largest),
-                             Slice(files[i + 1]->smallest)) >= 0) {
-      runs->push_back(files.subspan(begin, i + 1 - begin));
-      begin = i + 1;
-    }
-  }
-}
-
-/// True when `files` can form one run (FirstOverlap, once ordered).
-bool FormOneRun(const InternalKeyComparator& icmp,
-                std::vector<FileMetaPtr> files) {
-  std::sort(files.begin(), files.end(),
-            [&icmp](const FileMetaPtr& a, const FileMetaPtr& b) {
-              return icmp.Compare(Slice(a->smallest), Slice(b->smallest)) < 0;
-            });
-  return FirstOverlap(files, *icmp.user_comparator()) == files.size();
-}
-
-/// Subcompaction boundaries: user keys that cut a merge of `runs` into one
-/// subrange per kSubcompactionFiles x `file_bytes` (max_file_size, at
-/// least 1) of input, each paired with whether an install may end there.
-/// The cuts are smallest user keys of the files of the largest run (by
-/// bytes), spaced by that run's bytes, and of runs[*along], the run the
-/// outputs join, spaced by its bytes: no file of that run straddles its
-/// own cuts, so only those may end an install when `along` is given. The
-/// cuts depend only on the input files, never on the core count, and
-/// each is a user-key boundary, so every version of a key falls in one
-/// subrange. Empty when the merge is too small to split.
-std::vector<std::pair<std::string, bool>> SubcompactionCuts(
-    const Comparator& ucmp,
-    const std::vector<std::span<const FileMetaPtr>>& runs,
-    std::optional<size_t> along, uint64_t file_bytes) {
-  uint64_t total = 0;
-  std::vector<uint64_t> bytes(runs.size(), 0);
-  size_t largest = 0;
-  for (size_t r = 0; r < runs.size(); r++) {
-    for (const FileMetaPtr& f : runs[r]) {
-      bytes[r] += f->file_size;
-    }
-    total += bytes[r];
-    if (bytes[r] > bytes[largest]) {
-      largest = r;
-    }
-  }
-  const uint64_t subranges = total / (kSubcompactionFiles * file_bytes);
-  auto less = [&ucmp](const std::string& a, const std::string& b) {
-    return ucmp.Compare(Slice(a), Slice(b)) < 0;
-  };
-  std::map<std::string, bool, decltype(less)> cuts(less);
-  for (const size_t r : {largest, along.value_or(largest)}) {
-    const uint64_t share = bytes[r] / std::max<uint64_t>(subranges, 1);
-    uint64_t seen = 0;
-    uint64_t next = 1;  // the cut ending subrange `next - 1`
-    for (size_t i = 1; i < runs[r].size() && next < subranges; i++) {
-      seen += runs[r][i - 1]->file_size;
-      if (seen < next * share) {
-        continue;
-      }
-      cuts[ExtractUserKey(Slice(runs[r][i]->smallest)).ToString()] |=
-          !along.has_value() || r == *along;
-      while (next < subranges && seen >= next * share) {
-        next++;
-      }
-    }
-  }
-  return {cuts.begin(), cuts.end()};
-}
-
-}  // namespace
-
-Status DBImpl::MaybeCompact(PendingEvents* events, int max_picks) {
+Status DBImpl::MaybeCompact(PendingEvents* events) {
   Status s;
-  int done = 0;
-  while (s.ok() && (max_picks == 0 || done < max_picks)) {
+  while (s.ok()) {
     auto pick = policy_->Pick(*versions_->current());
     if (!pick.has_value()) {
       break;
     }
     s = DoCompaction(std::move(*pick), events);
-    done++;
   }
   return s;
+}
+
+template <typename JobInfo>
+void DBImpl::FinishJob(std::chrono::steady_clock::time_point start,
+                       PhaseHistogram phase, uint64_t PerfContext::*micros,
+                       std::span<const FileMetaData> outputs, int level,
+                       JobInfo info,
+                       void (EventListener::*on_end)(const JobInfo&),
+                       PendingEvents* events) {
+  info.micros = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  GetPerfContext()->*micros += info.micros;
+  stats_.Record(phase, static_cast<double>(info.micros));
+  if (!has_listeners()) {
+    return;
+  }
+  info.db_name = dbname_;
+  for (const FileMetaData& meta : outputs) {
+    info.outputs.push_back(MakeTableFileInfo(meta, level));
+    const TableFileInfo created = info.outputs.back();
+    events->push_back(
+        [created](EventListener& l) { l.OnTableFileCreated(created); });
+  }
+  events->push_back([info = std::move(info), on_end](EventListener& l) {
+    (l.*on_end)(info);
+  });
 }
 
 Status DBImpl::DoCompaction(CompactionPick pick, PendingEvents* events) {
   stats_.Add(Ticker::kCompactions);
   ReconfigureMonkeyLocked(pick.output_level);
-
-  CompactionState c;
-  c.pick = std::move(pick);
-  const CompactionPick& p = c.pick;
-  if (p.drop_only) {
-    std::vector<FileMetaPtr> released;
-    return InstallCompaction(&c, {}, /*end=*/nullptr, &released);
-  }
-
-  // A pick whose inputs can form one run below, where they overlap
-  // nothing, moves them instead of merging. A moved table keeps the filter
-  // it was built with, so the move needs the output level to get the same
-  // filter bits: always under uniform bits, rarely under Monkey.
-  c.move = p.output_level != p.level && p.output_overlaps.empty() &&
-           table_cache_->FilterBitsPerKey(p.level) ==
-               table_cache_->FilterBitsPerKey(p.output_level) &&
-           FormOneRun(icmp_, p.inputs);
-  const auto compaction_start = std::chrono::steady_clock::now();
-  std::vector<TableFileInfo> input_infos;
-  if (has_listeners()) {
-    for (const FileMetaPtr& f : p.inputs) {
-      input_infos.push_back(MakeTableFileInfo(*f, p.level));
+  const auto start = std::chrono::steady_clock::now();
+  const bool drop_only = pick.drop_only;
+  CompactionJobInfo info;
+  info.input_level = pick.level;
+  info.output_level = pick.output_level;
+  if (!drop_only && has_listeners()) {
+    for (const FileMetaPtr& f : pick.inputs) {
+      info.inputs.push_back(MakeTableFileInfo(*f, pick.level));
     }
-    for (const FileMetaPtr& f : p.output_overlaps) {
-      input_infos.push_back(MakeTableFileInfo(*f, p.output_level));
+    for (const FileMetaPtr& f : pick.output_overlaps) {
+      info.inputs.push_back(MakeTableFileInfo(*f, pick.output_level));
     }
-    CompactionJobInfo begin;
+    CompactionJobInfo begin = info;
     begin.db_name = dbname_;
-    begin.input_level = p.level;
-    begin.output_level = p.output_level;
-    begin.inputs = input_infos;
     events->push_back(
         [begin](EventListener& l) { l.OnCompactionBegin(begin); });
   }
-  auto finish = [&](const Status& s, uint64_t bytes_written) {
-    const uint64_t micros = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - compaction_start)
-            .count());
-    GetPerfContext()->compaction_micros += micros;
-    stats_.Record(PhaseHistogram::kCompactionMicros,
-                  static_cast<double>(micros));
-    if (has_listeners()) {
-      CompactionJobInfo info;
-      info.db_name = dbname_;
-      info.input_level = p.level;
-      info.output_level = p.output_level;
-      info.bytes_written = bytes_written;
-      info.micros = micros;
-      info.moved = c.move;
-      info.status = s;
-      info.inputs = std::move(input_infos);
-      for (const FileMetaData& meta : c.installed) {
-        info.outputs.push_back(MakeTableFileInfo(meta, p.output_level));
-        const TableFileInfo created = info.outputs.back();
-        events->push_back(
-            [created](EventListener& l) { l.OnTableFileCreated(created); });
-      }
-      events->push_back(
-          [info](EventListener& l) { l.OnCompactionEnd(info); });
-    }
-    return s;
-  };
-
   // Fixed before a merge starts: a flush the merge overlaps takes a newer
   // run.
-  c.run_seq =
-      p.output_run_seq != 0 ? p.output_run_seq : versions_->NewRunSeq();
-  if (c.move) {
-    // The moved files keep what a merge into the bottom level would drop
-    // (shadowed versions, tombstones) until a merge rewrites them.
+  const uint64_t run_seq = drop_only || pick.output_run_seq != 0
+                               ? pick.output_run_seq
+                               : versions_->NewRunSeq();
+  // The job holds no version: each install frees the inputs it removes.
+  CompactionJob job(
+      std::move(pick), *versions_->current(), table_cache_.get(),
+      versions_.get(), SmallestSnapshotLocked(), run_seq,
+      test_subcompaction_helpers_.load(),
+      [this](VersionEdit* edit) { return InstallCompactionEdit(edit); });
+  if (job.move()) {
     stats_.Add(Ticker::kCompactionMoves);
-    std::vector<FileMetaData> moved;
-    for (const FileMetaPtr& f : p.inputs) {
-      moved.push_back(*f);
-    }
-    // The moved files stay in the tree, so dropping these references
-    // deletes nothing.
-    std::vector<FileMetaPtr> released;
-    return finish(InstallCompaction(&c, moved, /*end=*/nullptr, &released),
-                  /*bytes_written=*/0);
   }
-
-  const SequenceNumber smallest_snapshot = SmallestSnapshotLocked();
-  // Tombstones can be dropped only when nothing deeper can hold the key:
-  // no data below the output level, and every *other* run of the output
-  // level is either the run we merge into (its remaining files cannot
-  // overlap the compaction key range, or they would be in output_overlaps)
-  // or fully consumed by this compaction. The version is not held across
-  // the merge: each install frees the inputs it removes.
-  bool bottommost;
-  {
-    const VersionPtr base = versions_->current();
-    bottommost = base->MaxPopulatedLevel() <= p.output_level;
-    std::set<uint64_t> consumed;
-    for (const FileMetaPtr& f : p.inputs) {
-      consumed.insert(f->number);
-    }
-    for (const FileMetaPtr& f : p.output_overlaps) {
-      consumed.insert(f->number);
-    }
-    for (const Run& run : base->levels()[p.output_level].runs) {
-      if (!bottommost) {
-        break;
-      }
-      if (p.output_run_seq != 0 && run.run_seq == p.output_run_seq) {
-        continue;
-      }
-      for (const FileMetaPtr& f : run.files) {
-        if (consumed.count(f->number) == 0) {
-          bottommost = false;
-          break;
-        }
-      }
-    }
-  }
-  // Merge with the lock released: the inputs are immutable files pinned by
+  // Run with the lock released: the inputs are immutable files pinned by
   // the pick's shared_ptrs, so reads and writes proceed during the heavy
   // lifting. Compactions themselves never race — they are serialized on
   // the background thread (or excluded by the manual-compaction token).
   mu_.Unlock();
-  // Leaper-style re-warm (tutorial §II-1): if the compaction consumes hot
-  // files, each install first loads its outputs' blocks, so readers do
-  // not take a burst of cold misses.
-  if (options_.prefetch_after_compaction && options_.block_cache != nullptr) {
-    uint64_t input_accesses = 0;
-    for (const auto* files : {&p.inputs, &p.output_overlaps}) {
-      for (const FileMetaPtr& f : *files) {
-        input_accesses += options_.block_cache->FileAccesses(f->number);
-      }
-    }
-    if (input_accesses >= options_.prefetch_hotness_threshold) {
-      c.prefetch_budget = options_.prefetch_budget_bytes;
-    }
-  }
-  uint64_t bytes_written = 0;
-  const Status s = MergeRuns(&c, bottommost, smallest_snapshot,
-                             &bytes_written);
+  const Status s = job.Run();
   mu_.Lock();
-
-  return finish(s, bytes_written);
-}
-
-Status DBImpl::InstallCompaction(CompactionState* c,
-                                 std::span<const FileMetaData> outputs,
-                                 const Slice* end,
-                                 std::vector<FileMetaPtr>* released) {
-  CompactionPick& pick = c->pick;
-  const bool final = end == nullptr;
-  // The output-level inputs lying wholly below the installed prefix's end;
-  // null entries were removed by an earlier install.
-  const Comparator* ucmp = icmp_.user_comparator();
-  auto removes = [&](const FileMetaPtr& f) {
-    return f != nullptr &&
-           (final ||
-            ucmp->Compare(ExtractUserKey(Slice(f->largest)), *end) < 0);
-  };
-  VersionEdit edit;
-  if (final) {
-    for (const FileMetaPtr& f : pick.inputs) {
-      edit.RemoveFile(pick.level, f->number);
-    }
-  }
-  for (const FileMetaPtr& f : pick.output_overlaps) {
-    if (removes(f)) {
-      edit.RemoveFile(pick.output_level, f->number);
-    }
-  }
-  uint64_t bytes = 0;
-  for (const FileMetaData& meta : outputs) {
-    bytes += meta.file_size;
-    edit.AddFile(pick.output_level, c->run_seq, meta);
-  }
-  ScopedBlockingIoAllowed allow_io("compaction manifest install");
-  // io-under-lock-ok: manifest install is atomic with the version swap.
-  Status s = versions_->LogAndApply(&edit);
-  // Outputs of a failed merge install never became live: drop any reader
-  // the re-warm opened. A move's files are live either way.
-  if (!s.ok() && !c->move) {
-    for (const FileMetaData& meta : outputs) {
-      table_cache_->Evict(meta.number);
-    }
-  }
-  if (!s.ok()) {
+  if (drop_only) {
     return s;
   }
-  for (FileMetaPtr& f : pick.output_overlaps) {
-    if (removes(f)) {
-      released->push_back(std::move(f));
-    }
+  uint64_t installed_bytes = 0;
+  for (const FileMetaData& meta : job.installed()) {
+    installed_bytes += meta.file_size;
   }
-  if (final) {
-    for (FileMetaPtr& f : pick.inputs) {
-      if (c->move) {
-        // The read trigger counts wasted probes at the file's level.
-        f->wasted_probes.store(0, std::memory_order_relaxed);
-      }
-      released->push_back(std::move(f));
-    }
-  }
-  if (!outputs.empty() && !c->move) {
-    stats_.Add(Ticker::kBytesCompacted, bytes);
-    stats_.Add(Ticker::kTableFilesCreated, outputs.size());
-    c->installed.insert(c->installed.end(), outputs.begin(), outputs.end());
-  }
-  return Status::OK();
-}
-
-Status DBImpl::MergeRuns(CompactionState* c, bool bottommost,
-                         SequenceNumber smallest_snapshot,
-                         uint64_t* bytes_written) {
-  const CompactionPick& pick = c->pick;
-  const int output_level = pick.output_level;
-  const Comparator* ucmp = icmp_.user_comparator();
-  // Views of the pick's vectors. An install nulls the entries it removes
-  // but never resizes them, and no subrange that starts later reads a
-  // removed file (its largest key lies below the subrange).
-  std::vector<std::span<const FileMetaPtr>> runs;
-  AppendRuns(icmp_, pick.inputs, &runs);
-  const size_t source_runs = runs.size();  // the rest are output-level runs
-  AppendRuns(icmp_, pick.output_overlaps, &runs);
-  const uint64_t file_bytes = std::max<size_t>(1, options_.max_file_size);
-  // A merge that joins a run and rewrites part of it (its output-level
-  // inputs are one chain) installs only where no file the run keeps
-  // straddles the end.
-  std::optional<size_t> along;
-  if (pick.output_run_seq != 0 && runs.size() > source_runs) {
-    along = source_runs;
-  }
-  const std::vector<std::pair<std::string, bool>> cuts =
-      pick.subcompactions ? SubcompactionCuts(*ucmp, runs, along, file_bytes)
-                          : std::vector<std::pair<std::string, bool>>();
-  const auto keys = cuts | std::views::keys;
-  const std::vector<Slice> bounds(keys.begin(), keys.end());
-  const bool removes = !pick.output_overlaps.empty();
-  struct Subcompaction {
-    std::vector<std::pair<std::span<const FileMetaPtr>, int>> runs;  // level
-    Subrange range;
-    bool ends_install = false;  // an install may end after it
-    // With subs[0, i) installed, subranges below subs[i].reach may start:
-    // the window, stretched to the end of the next install, or the
-    // builders would wait for an install that waits for them.
-    size_t reach = 0;
-    std::vector<FileMetaData> outputs;
-    uint64_t bytes_written = 0;
-    Status status;
-  };
-  // Subrange i holds user keys [cuts[i-1], cuts[i]); the first and last
-  // are open. Fence pointers narrow each run to the files overlapping it.
-  std::vector<Subcompaction> subs(cuts.size() + 1);
-  uint64_t numbers = 0;
-  for (size_t i = 0; i < subs.size(); i++) {
-    Subcompaction& sub = subs[i];
-    sub.range.begin = i > 0 ? &bounds[i - 1] : nullptr;
-    sub.range.end = i < bounds.size() ? &bounds[i] : nullptr;
-    sub.ends_install = i == cuts.size() || (removes && cuts[i].second);
-    uint64_t input_bytes = 0;
-    for (size_t r = 0; r < runs.size(); r++) {
-      const std::span<const FileMetaPtr> files =
-          FenceSearch(runs[r], *ucmp, sub.range.begin, sub.range.end,
-                      /*hi_open=*/true);
-      if (!files.empty()) {
-        sub.runs.emplace_back(files,
-                              r < source_runs ? pick.level : output_level);
-        for (const FileMetaPtr& f : files) {
-          input_bytes += f->file_size;
-        }
-      }
-    }
-    // Output numbers follow key order whoever builds first, as in a
-    // serial merge; a subrange that outgrows its share draws fresh ones.
-    sub.range.numbers = subs.size() > 1 ? input_bytes / file_bytes + 2 : 0;
-    numbers += sub.range.numbers;
-  }
-  if (numbers > 0) {
-    uint64_t next_number = versions_->NewFileNumber(numbers);
-    for (Subcompaction& sub : subs) {
-      sub.range.first_number = next_number;
-      next_number += sub.range.numbers;
-    }
-  }
-
-  // The calling thread works too; helpers are short-lived threads, not
-  // bg_pool_, which runs this compaction and, when shared, other shards'
-  // work. Shards compacting together may ask for more threads than there
-  // are cores; EXPERIMENTS.md E22 measured no loss from it.
-  size_t helpers = 0;
-  const int forced = test_subcompaction_helpers_.load();
-  if (forced >= 0) {
-    helpers = static_cast<size_t>(forced);
-  } else if (std::thread::hardware_concurrency() > 1) {
-    helpers = std::thread::hardware_concurrency() - 1;
-  }
-  helpers = std::min(helpers, subs.size() - 1);
-  // Each time the finished prefix of subranges grows to an end an install
-  // may take, it is installed, and no subrange starts 2 x threads or more
-  // ahead of the installed prefix unless the next install ends further
-  // on: uninstalled outputs stay about two per thread. A merge that
-  // removes no output-level input frees nothing early; it installs once,
-  // at the end, and runs ahead freely.
-  const size_t window = removes ? 2 * (helpers + 1) : subs.size();
-  for (size_t i = subs.size(), end = subs.size(); i-- > 0;) {
-    end = subs[i].ends_install ? i + 1 : end;
-    subs[i].reach = std::max(i + window, end);
-  }
-
-  // Subranges start in key order; subs[0, finished) are built and end
-  // where an install may end, and subs[0, installed) are installed.
-  Mutex progress_mu;
-  CondVar progress_cv(&progress_mu);
-  size_t next = 0;
-  size_t finished = 0;
-  size_t installed = 0;
-  bool installing = false;
-  std::vector<bool> done(subs.size(), false);
-  bool failed = false;
-  Status s;  // the failed install's status
-
-  auto build = [&](Subcompaction& sub) {
-    std::vector<Iterator*> children;
-    for (const auto& [files, level] : sub.runs) {
-      children.push_back(NewRunIterator(files, level, /*range=*/nullptr,
-                                        /*fill_cache=*/false));
-    }
-    std::unique_ptr<Iterator> merged(NewMergingIterator(
-        &icmp_, children.data(), static_cast<int>(children.size())));
-    sub.status = BuildTables(merged.get(), output_level,
-                             /*drop_shadowed=*/true,
-                             /*drop_tombstones=*/bottommost,
-                             smallest_snapshot, &sub.outputs,
-                             &sub.bytes_written, sub.range);
-  };
-  auto install = [&](size_t begin, size_t end) {
-    std::vector<FileMetaData> batch;
-    for (size_t i = begin; i < end; i++) {
-      batch.insert(batch.end(), subs[i].outputs.begin(),
-                   subs[i].outputs.end());
-    }
-    if (c->prefetch_budget > 0) {
-      PrefetchOutputs(batch, output_level, &c->prefetch_budget);
-    }
-    // Declared before the lock, so dropped with mu_ released: the last
-    // reference deletes the file.
-    std::vector<FileMetaPtr> released;
-    MutexLock lock(&mu_);
-    return InstallCompaction(c, batch, subs[end - 1].range.end, &released);
-  };
-  // Every thread runs one loop until all is installed or a step failed:
-  // install the finished prefix if no install is running, else build the
-  // next subrange the window allows, else wait.
-  auto work = [&] {
-    progress_mu.Lock();
-    while (!failed && installed < subs.size()) {
-      if (finished > installed && !installing) {
-        const size_t begin = installed;
-        const size_t end = finished;
-        installing = true;
-        progress_mu.Unlock();
-        Status is = install(begin, end);
-        progress_mu.Lock();
-        installing = false;
-        if (is.ok()) {
-          installed = end;
-        } else {
-          failed = true;
-          s = std::move(is);
-        }
-      } else if (next < subs.size() && next < subs[installed].reach) {
-        const size_t i = next++;
-        progress_mu.Unlock();
-        build(subs[i]);
-        progress_mu.Lock();
-        done[i] = true;
-        failed = failed || !subs[i].status.ok();
-        for (size_t j = finished; j < subs.size() && done[j]; j++) {
-          finished = subs[j].ends_install ? j + 1 : finished;
-        }
-      } else {
-        progress_cv.Wait();
-        continue;
-      }
-      progress_cv.SignalAll();
-    }
-    progress_mu.Unlock();
-  };
-  {
-    std::vector<std::jthread> threads;  // joined on every path out
-    threads.reserve(helpers);
-    for (size_t t = 0; t < helpers; t++) {
-      threads.emplace_back([&] {
-        // A helper's block reads and merge steps count in this DB's
-        // tickers, as the caller's do when its operation ends.
-        PerfContext* perf = GetPerfContext();
-        const PerfContext before = *perf;
-        work();
-        stats_.MergePerfDelta(perf->Delta(before));
-      });
-    }
-    work();
-  }
-
-  // A subrange skipped after a failure has no outputs and an OK status,
-  // so the failure still surfaces.
-  *bytes_written = 0;
-  for (const Subcompaction& sub : subs) {
-    if (s.ok()) {
-      s = sub.status;
-    }
-    *bytes_written += sub.bytes_written;
-  }
+  stats_.Add(Ticker::kBytesCompacted, installed_bytes);
+  stats_.Add(Ticker::kTableFilesCreated, job.installed().size());
+  info.bytes_written = job.bytes_written();
+  info.moved = job.move();
+  info.status = s;
+  FinishJob(start, PhaseHistogram::kCompactionMicros,
+            &PerfContext::compaction_micros, job.installed(),
+            info.output_level, std::move(info),
+            &EventListener::OnCompactionEnd, events);
   return s;
 }
 
-void DBImpl::PrefetchOutputs(std::span<const FileMetaData> outputs,
-                             int level, size_t* budget) {
-  for (const FileMetaData& meta : outputs) {
-    if (*budget == 0) {
-      break;
-    }
-    std::shared_ptr<SSTable> table;
-    if (!table_cache_->FindTable(meta, level, &table).ok()) {
-      continue;
-    }
-    const size_t loaded = table->PrefetchBlocks(*budget);
-    *budget = loaded >= *budget ? 0 : *budget - loaded;
-  }
+Status DBImpl::InstallCompactionEdit(VersionEdit* edit) {
+  MutexLock lock(&mu_);
+  // The manifest install must be atomic with the version swap, so it runs
+  // under mu_ by design.
+  ScopedBlockingIoAllowed allow_io("compaction manifest install");
+  // io-under-lock-ok: manifest install is atomic with the version swap.
+  return versions_->LogAndApply(edit);
 }
 
 // -------------------------------------------------------------- Read path --
@@ -1550,71 +959,6 @@ DBImpl::ReadView DBImpl::PinReadView(const ReadOptions& options) {
   view.sequence = options.snapshot != nullptr ? options.snapshot->sequence()
                                               : versions_->last_sequence();
   return view;
-}
-
-Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> run_files,
-                                 int level, const KeyRange* range,
-                                 bool fill_cache) {
-  if (run_files.size() == 1 && range == nullptr) {
-    return table_cache_->NewIterator(run_files[0], level, fill_cache);
-  }
-  // Index iterator over the run's files: key = largest internal key of the
-  // file, value = index into a pinned copy of the file list.
-  auto files = std::make_shared<std::vector<FileMetaPtr>>(run_files.begin(),
-                                                          run_files.end());
-
-  class RunFileIndexIterator : public Iterator {
-   public:
-    explicit RunFileIndexIterator(
-        std::shared_ptr<std::vector<FileMetaPtr>> files,
-        const InternalKeyComparator* icmp)
-        : files_(std::move(files)), icmp_(icmp), pos_(files_->size()) {}
-
-    bool Valid() const override { return pos_ < files_->size(); }
-    void SeekToFirst() override { pos_ = 0; }
-    void SeekToLast() override {
-      pos_ = files_->empty() ? 0 : files_->size() - 1;
-    }
-    void Seek(const Slice& target) override {
-      // The files from the first whose largest key is not below target.
-      pos_ = files_->size() - FenceSearch(*files_, *icmp_, &target, nullptr,
-                                          false, /*internal_keys=*/true)
-                                  .size();
-    }
-    void Next() override { pos_++; }
-    void Prev() override { pos_ = pos_ == 0 ? files_->size() : pos_ - 1; }
-    Slice key() const override { return Slice((*files_)[pos_]->largest); }
-    Slice value() const override {
-      buf_.clear();
-      PutFixed64(&buf_, pos_);
-      return Slice(buf_);
-    }
-    Status status() const override { return Status::OK(); }
-
-   private:
-    std::shared_ptr<std::vector<FileMetaPtr>> files_;
-    const InternalKeyComparator* icmp_;
-    size_t pos_;
-    mutable std::string buf_;
-  };
-
-  TableCache* cache = table_cache_.get();
-  StatsRegistry* stats = &stats_;
-  return NewTwoLevelIterator(
-      new RunFileIndexIterator(files, &icmp_),
-      [files, level, cache, stats, range,
-       fill_cache](const Slice& index_value) -> Iterator* {
-        const FileMetaPtr& file =
-            (*files)[DecodeFixed64(index_value.data())];
-        // Range filters are asked only once the read reaches the file
-        // (tutorial §II-3); a proven-empty file is never read for data.
-        if (range != nullptr &&
-            !cache->RangeMayMatch(*file, level, range->lo, range->hi)) {
-          stats->Add(Ticker::kRangeFilterSkips);
-          return NewEmptyIterator();
-        }
-        return cache->NewIterator(file, level, fill_cache);
-      });
 }
 
 namespace {
@@ -1676,7 +1020,7 @@ Iterator* DBImpl::NewReadIterator(const ReadOptions& options,
               ? FenceSearch(run.files, *ucmp, &range->lo, &range->hi)
               : std::span<const FileMetaPtr>(run.files);
       if (!files.empty()) {
-        children.push_back(NewRunIterator(files, level, range));
+        children.push_back(table_cache_->NewRunIterator(files, level, range));
       }
     }
   }

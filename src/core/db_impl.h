@@ -79,12 +79,7 @@ class DBImpl : public DB {
   /// for the resolving iterator; not part of the DB interface.
   Status ResolveValue(const Slice& stored, std::string* out);
 
-  /// User keys [lo, hi], inclusive. The range and the bytes it views must
-  /// outlive every iterator built over it.
-  struct KeyRange {
-    Slice lo;
-    Slice hi;
-  };
+  using KeyRange = TableCache::KeyRange;
   /// The one user-iterator builder (NewIterator, Scan, GC, ShardedDB):
   /// pins the view, merges one child per memtable and run, wraps in
   /// DBIter. With `range`, runs keep only the files their fence pointers
@@ -119,13 +114,6 @@ class DBImpl : public DB {
   /// listener contract ("callbacks never run under mu_").
   bool TEST_MutexHeldByCurrentThread() const {
     return mu_.HeldByCurrentThread();
-  }
-
-  /// NewRunIterator for tests that model-check the merge over real runs
-  /// (tables at `level`).
-  Iterator* TEST_NewRunIterator(std::span<const FileMetaPtr> files,
-                                int level) {
-    return NewRunIterator(files, level);
   }
 
   /// The current version, for tests that check the tree's file layout.
@@ -269,98 +257,31 @@ class DBImpl : public DB {
   /// Re-derives the Monkey per-level filter allocation for the current
   /// tree depth.
   void ReconfigureMonkeyLocked(int output_level) REQUIRES(mu_);
-  /// Runs compactions until the policy is satisfied, or until `max_picks`
-  /// compactions have run (0 = unlimited); may release mu_ during merges.
-  Status MaybeCompact(PendingEvents* events, int max_picks = 0)
-      REQUIRES(mu_);
-  /// Executes one compaction: the merge runs with mu_ released (inputs are
-  /// immutable files) and installs its outputs in key order as it goes
-  /// (MergeRuns); pick metadata capture and each install hold mu_. A pick
-  /// whose inputs form one run that overlaps nothing in a level with the
-  /// same filter bits installs as a move instead: one manifest edit, no
-  /// table bytes. Takes the pick by value so that it stops referencing
-  /// each input once an install has removed it.
+  /// Runs compactions until the policy is satisfied; releases mu_ while
+  /// each runs.
+  Status MaybeCompact(PendingEvents* events) REQUIRES(mu_);
+  /// Executes one compaction pick as a CompactionJob, run with mu_
+  /// released (inputs are immutable files); the job installs through
+  /// InstallCompactionEdit. Takes the pick by value so that the job stops
+  /// referencing each input once an install has removed it. Keeps the
+  /// tickers and stages the listener events.
   Status DoCompaction(CompactionPick pick, PendingEvents* events)
       REQUIRES(mu_);
-  /// One compaction in flight. Inputs that an install removed are null
-  /// in `pick`; `installed` lists the outputs installed so far, in key
-  /// order.
-  struct CompactionState {
-    CompactionPick pick;
-    /// The run the outputs join, fixed before the merge starts.
-    uint64_t run_seq = 0;
-    std::vector<FileMetaData> installed;
-    /// Bytes the Leaper re-warm may still load; 0 = no re-warm.
-    size_t prefetch_budget = 0;
-    /// The compaction moves its inputs rather than merging them.
-    bool move = false;
-  };
-  /// Every install of a compaction: adds `outputs` (the next outputs in
-  /// key order) to the output run and removes the output-level inputs
-  /// whose largest user key lies below `end`, the installed prefix's end
-  /// cut. A merge into an existing run is cut at that run's file
-  /// boundaries, so the files the run keeps lie at or above `end`, clear
-  /// of the outputs. The final install (`end` null) removes every input
-  /// left, the source level's included. A move (`c->move`) passes the
-  /// inputs as `outputs`: the same files change run, and their cached
-  /// readers stay open. The references of inputs that left the tree move
-  /// to *released, for the caller to drop once mu_ is released (the drop
-  /// deletes their files).
-  Status InstallCompaction(CompactionState* c,
-                           std::span<const FileMetaData> outputs,
-                           const Slice* end,
-                           std::vector<FileMetaPtr>* released) REQUIRES(mu_);
-  /// One compaction subrange: user keys [*begin, *end) (a null bound is
-  /// open), and `numbers` output file numbers reserved from
-  /// `first_number` on (fresh ones follow once they run out).
-  struct Subrange {
-    const Slice* begin = nullptr;
-    const Slice* end = nullptr;
-    uint64_t first_number = 0;
-    uint64_t numbers = 0;
-  };
-  /// Builds output file(s) from `iter`'s entries in `range`, splitting at
-  /// max_file_size. A merge (`drop_shadowed`) writes an entry that
-  /// repeats the previous one only once: a tree left between two installs
-  /// of one compaction holds its installed source-level entries twice.
-  /// Thread-safe: touches no mu_-protected state (the snapshot horizon is
-  /// captured by the caller while it still holds mu_).
-  Status BuildTables(Iterator* iter, int output_level, bool drop_shadowed,
-                     bool drop_tombstones, SequenceNumber smallest_snapshot,
-                     std::vector<FileMetaData>* outputs,
-                     uint64_t* bytes_written, Subrange range);
-  /// A compaction's merge of its pick's inputs into tables for the output
-  /// level, run with mu_ released. Unless a partial file picker is
-  /// configured, a merge of at least two subranges' worth of input is cut
-  /// into key subranges, each merged from its own run iterators by the
-  /// calling thread and up to hardware_concurrency() - 1 short-lived
-  /// helper threads that hold no lock. Each time the finished prefix of
-  /// subranges grows, the calling thread installs it (InstallCompaction),
-  /// and no subrange starts 2 x threads or more ahead of the installed
-  /// prefix; a merge that removes no output-level input installs once, at
-  /// the end. The first failing subrange's status wins; installs already
-  /// made stay.
-  /// *bytes_written sums every output built. Input blocks are read
-  /// without filling the block cache.
-  Status MergeRuns(CompactionState* c, bool bottommost,
-                   SequenceNumber smallest_snapshot, uint64_t* bytes_written)
-      EXCLUDES(mu_);
+  /// The compaction job's install hook: applies one edit to the manifest
+  /// and the current version under mu_.
+  Status InstallCompactionEdit(VersionEdit* edit) EXCLUDES(mu_);
+  /// Ends a flush or a compaction that began at `start`: adds its wall
+  /// time to the `micros` PerfContext field and the `phase` histogram and,
+  /// with listeners, stages OnTableFileCreated for each of `outputs`
+  /// (tables at `level`), then `on_end` with `info`, completed.
+  template <typename JobInfo>
+  void FinishJob(std::chrono::steady_clock::time_point start,
+                 PhaseHistogram phase, uint64_t PerfContext::*micros,
+                 std::span<const FileMetaData> outputs, int level,
+                 JobInfo info,
+                 void (EventListener::*on_end)(const JobInfo&),
+                 PendingEvents* events);
   SequenceNumber SmallestSnapshotLocked() const REQUIRES(mu_);
-  /// Loads the blocks of compaction outputs for `level` into the block
-  /// cache, up to *budget bytes (decremented by what it loads), before the
-  /// install publishes them.
-  void PrefetchOutputs(std::span<const FileMetaData> outputs, int level,
-                       size_t* budget) EXCLUDES(mu_);
-  /// One run's iterator: concatenation of `files` (tables at `level`),
-  /// whose key ranges must strictly increase. Tables open lazily as the
-  /// iterator reaches them; with `range`, a file its range filter proves
-  /// empty is skipped. With `fill_cache` false, block-cache misses are not
-  /// inserted (compaction inputs are read once and then deleted).
-  /// The only place src/core reads tables as a stream (tools/lint.sh
-  /// check 10): scans and compactions both merge runs through it.
-  Iterator* NewRunIterator(std::span<const FileMetaPtr> files, int level,
-                           const KeyRange* range = nullptr,
-                           bool fill_cache = true);
   /// Pinned snapshot of everything a read needs: referenced memtables, the
   /// current version (shared_ptr), and the visible sequence. Taken under
   /// mu_ in one short critical section so that iterator construction runs

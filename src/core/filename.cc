@@ -35,6 +35,10 @@ std::string CurrentFileName(const std::string& dbname) {
   return dbname + "/CURRENT";
 }
 
+std::string TempFileName(const std::string& dbname, uint64_t number) {
+  return MakeFileName(dbname, number, "dbtmp");
+}
+
 bool ParseFileName(const std::string& filename, uint64_t* number,
                    FileType* type) {
   if (filename == "CURRENT") {
@@ -66,6 +70,8 @@ bool ParseFileName(const std::string& filename, uint64_t* number,
     *type = FileType::kTableFile;
   } else if (suffix == "wal") {
     *type = FileType::kWalFile;
+  } else if (suffix == "dbtmp") {
+    *type = FileType::kTempFile;
   } else {
     *type = FileType::kUnknown;
     return false;

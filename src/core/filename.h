@@ -11,6 +11,7 @@ enum class FileType {
   kWalFile,
   kManifestFile,
   kCurrentFile,
+  kTempFile,
   kUnknown,
 };
 
@@ -18,6 +19,8 @@ std::string TableFileName(const std::string& dbname, uint64_t number);
 std::string WalFileName(const std::string& dbname, uint64_t number);
 std::string ManifestFileName(const std::string& dbname, uint64_t number);
 std::string CurrentFileName(const std::string& dbname);
+/// A file written whole and then renamed into place (the next CURRENT).
+std::string TempFileName(const std::string& dbname, uint64_t number);
 
 /// Parses a directory entry name; returns false for foreign files.
 bool ParseFileName(const std::string& filename, uint64_t* number,

@@ -84,7 +84,6 @@ struct Options {
   Env* env = nullptr;
   const Comparator* comparator = BytewiseComparator();
   bool create_if_missing = true;
-  bool error_if_exists = false;
 
   // --- Shape (Module I) --------------------------------------------------
   MergePolicy merge_policy = MergePolicy::kLeveling;

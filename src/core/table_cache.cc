@@ -4,12 +4,17 @@
 
 #include "core/filename.h"
 #include "filter/filter_policy.h"
+#include "format/two_level_iterator.h"
+#include "util/coding.h"
 
 namespace lsmlab {
 
 TableCache::TableCache(std::string dbname, const Options* options,
-                       const InternalKeyComparator* icmp)
-    : dbname_(std::move(dbname)), options_(options), icmp_(icmp) {
+                       const InternalKeyComparator* icmp, StatsRegistry* stats)
+    : dbname_(std::move(dbname)),
+      options_(options),
+      icmp_(icmp),
+      stats_(stats) {
   // Default: uniform bits everywhere; ConfigureFilterBits overrides.
   std::vector<double> uniform(options_->max_levels,
                               options_->filter_bits_per_key);
@@ -192,6 +197,69 @@ Iterator* TableCache::NewIterator(const FileMetaPtr& file, int level,
   }
   Iterator* iter = table->NewIterator(fill_cache);
   return new TableIterator(iter, std::move(table), file);
+}
+
+Iterator* TableCache::NewRunIterator(std::span<const FileMetaPtr> run_files,
+                                     int level, const KeyRange* range,
+                                     bool fill_cache) {
+  if (run_files.size() == 1 && range == nullptr) {
+    return NewIterator(run_files[0], level, fill_cache);
+  }
+  // Index iterator over the run's files: key = largest internal key of the
+  // file, value = index into a pinned copy of the file list.
+  auto files = std::make_shared<std::vector<FileMetaPtr>>(run_files.begin(),
+                                                          run_files.end());
+
+  class RunFileIndexIterator : public Iterator {
+   public:
+    explicit RunFileIndexIterator(
+        std::shared_ptr<std::vector<FileMetaPtr>> files,
+        const InternalKeyComparator* icmp)
+        : files_(std::move(files)), icmp_(icmp), pos_(files_->size()) {}
+
+    bool Valid() const override { return pos_ < files_->size(); }
+    void SeekToFirst() override { pos_ = 0; }
+    void SeekToLast() override {
+      pos_ = files_->empty() ? 0 : files_->size() - 1;
+    }
+    void Seek(const Slice& target) override {
+      // The files from the first whose largest key is not below target.
+      pos_ = files_->size() - FenceSearch(*files_, *icmp_, &target, nullptr,
+                                          false, /*internal_keys=*/true)
+                                  .size();
+    }
+    void Next() override { pos_++; }
+    void Prev() override { pos_ = pos_ == 0 ? files_->size() : pos_ - 1; }
+    Slice key() const override { return Slice((*files_)[pos_]->largest); }
+    Slice value() const override {
+      buf_.clear();
+      PutFixed64(&buf_, pos_);
+      return Slice(buf_);
+    }
+    Status status() const override { return Status::OK(); }
+
+   private:
+    std::shared_ptr<std::vector<FileMetaPtr>> files_;
+    const InternalKeyComparator* icmp_;
+    size_t pos_;
+    mutable std::string buf_;
+  };
+
+  return NewTwoLevelIterator(
+      new RunFileIndexIterator(files, icmp_),
+      [this, files, level, range,
+       fill_cache](const Slice& index_value) -> Iterator* {
+        const FileMetaPtr& file =
+            (*files)[DecodeFixed64(index_value.data())];
+        // Range filters are asked only once the read reaches the file
+        // (tutorial §II-3); a proven-empty file is never read for data.
+        if (range != nullptr &&
+            !RangeMayMatch(*file, level, range->lo, range->hi)) {
+          stats_->Add(Ticker::kRangeFilterSkips);
+          return NewEmptyIterator();
+        }
+        return NewIterator(file, level, fill_cache);
+      });
 }
 
 void TableCache::GetBatch(const FileMetaData& meta, int level,

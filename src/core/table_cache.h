@@ -11,6 +11,7 @@
 #include "core/options.h"
 #include "core/version.h"
 #include "format/sstable_reader.h"
+#include "obs/stats_registry.h"
 #include "util/iterator.h"
 #include "util/mutex.h"
 #include "util/pin_tracker.h"
@@ -26,12 +27,22 @@ namespace lsmlab {
 /// allocation (tutorial §II-5).
 class TableCache {
  public:
+  /// `stats` is the DB's registry: the files range filters skip count in
+  /// it, and so do the reads of compaction helpers that use this cache.
   TableCache(std::string dbname, const Options* options,
-             const InternalKeyComparator* icmp);
+             const InternalKeyComparator* icmp, StatsRegistry* stats);
   ~TableCache();
 
   TableCache(const TableCache&) = delete;
   TableCache& operator=(const TableCache&) = delete;
+
+  /// The database directory its tables live in, and the options and
+  /// comparator they are read and built with.
+  const std::string& dbname() const { return dbname_; }
+  const Options& options() const { return *options_; }
+  const InternalKeyComparator& icmp() const { return *icmp_; }
+  /// The tickers reads through this cache count in.
+  StatsRegistry* stats() const { return stats_; }
 
   /// Installs per-level filter bits/key (index = level), for tables
   /// opened or built from now on. Safe against concurrent
@@ -56,10 +67,22 @@ class TableCache {
                    std::shared_ptr<SSTable>* table,
                    std::source_location loc = std::source_location::current());
 
-  /// Iterator over the whole table at `level`; pins the file and reader.
-  /// With `fill_cache` false its block-cache misses are not inserted.
-  Iterator* NewIterator(const FileMetaPtr& file, int level,
-                        bool fill_cache = true);
+  /// User keys [lo, hi], inclusive. The range and the bytes it views must
+  /// outlive every iterator built over it.
+  struct KeyRange {
+    Slice lo;
+    Slice hi;
+  };
+  /// One run's iterator: concatenation of `files` (tables at `level`),
+  /// whose key ranges must strictly increase. Tables open lazily as the
+  /// iterator reaches them; with `range`, a file its range filter proves
+  /// empty is skipped. With `fill_cache` false, block-cache misses are not
+  /// inserted (compaction inputs are read once and then deleted).
+  /// The only reader of tables as a stream (tools/lint.sh check 10):
+  /// scans and compactions both merge runs through it.
+  Iterator* NewRunIterator(std::span<const FileMetaPtr> files, int level,
+                           const KeyRange* range = nullptr,
+                           bool fill_cache = true);
 
   /// Point lookup of sorted `keys` within one table (Get passes one key):
   /// resolves the reader handle once, pinned across the whole probe, and
@@ -80,6 +103,10 @@ class TableCache {
   size_t IndexMemoryUsage() const;
 
  private:
+  /// Iterator over the whole table at `level`; pins the file and reader.
+  /// With `fill_cache` false its block-cache misses are not inserted.
+  Iterator* NewIterator(const FileMetaPtr& file, int level, bool fill_cache);
+
   /// Debug builds: wraps the cached reader in a shared_ptr whose deleter
   /// unregisters the pin when the last copy handed to this caller dies.
   /// Release builds return `table` unchanged.
@@ -89,6 +116,7 @@ class TableCache {
   const std::string dbname_;
   const Options* const options_;
   const InternalKeyComparator* const icmp_;
+  StatsRegistry* const stats_;
 
   mutable Mutex mu_{LockRank::kTableCacheMu};
   std::vector<TableOptions> per_level_options_ GUARDED_BY(mu_);

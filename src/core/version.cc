@@ -420,9 +420,15 @@ Status VersionSet::NewManifest() {
   if (!s.ok()) {
     return s;
   }
-  return WriteStringToFile(env_,
-                           Slice(name.substr(dbname_.size() + 1) + "\n"),
-                           CurrentFileName(dbname_));
+  // CURRENT is replaced, never rewritten in place, so a crash leaves the
+  // old one or the new one. A temp file left behind is an orphan.
+  const std::string temp = TempFileName(dbname_, manifest_number_);
+  s = WriteStringToFile(env_, Slice(name.substr(dbname_.size() + 1) + "\n"),
+                        temp);
+  if (s.ok()) {
+    s = env_->RenameFile(temp, CurrentFileName(dbname_));
+  }
+  return s;
 }
 
 Status VersionSet::CheckConsistency() const {
@@ -482,11 +488,21 @@ Status VersionSet::Recover() {
     if (!options_->create_if_missing) {
       return Status::InvalidArgument(dbname_, "does not exist");
     }
+    // Tables without CURRENT are a database that lost it: a fresh one
+    // would sweep them as orphans. A manifest alone names no data; a
+    // first open that dies before its CURRENT leaves one.
+    std::vector<std::string> children;
+    if (env_->GetChildren(dbname_, &children).ok()) {
+      for (const std::string& child : children) {
+        uint64_t number;
+        FileType type;
+        if (ParseFileName(child, &number, &type) &&
+            type == FileType::kTableFile) {
+          return Status::Corruption(dbname_, "has tables but no CURRENT");
+        }
+      }
+    }
     return NewManifest();
-  }
-
-  if (options_->error_if_exists) {
-    return Status::InvalidArgument(dbname_, "exists (error_if_exists)");
   }
 
   std::string current_contents;
@@ -505,7 +521,7 @@ Status VersionSet::Recover() {
   if (!s.ok()) {
     return s;
   }
-  wal::Reader reader(manifest.get(), /*reporter=*/nullptr);
+  wal::Reader reader(manifest.get());
   Slice record;
   std::string scratch;
   auto v = std::make_shared<Version>(options_->max_levels);
@@ -598,6 +614,9 @@ void VersionSet::RemoveOrphanedFiles() {
         break;
       case FileType::kManifestFile:
         keep = number >= manifest_number_;
+        break;
+      case FileType::kTempFile:
+        keep = false;
         break;
       default:
         keep = true;

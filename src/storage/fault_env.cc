@@ -216,6 +216,8 @@ Status FaultInjectionEnv::Crash() {
   return result;
 }
 
+void FaultInjectionEnv::Kill() { state_->crashed.store(true); }
+
 void FaultInjectionEnv::MarkSynced() {
   MutexLock lock(&state_->mu);
   state_->files.clear();  // untracked files are implicitly durable

@@ -43,6 +43,11 @@ class FaultInjectionEnv : public Env {
   /// this env, then reopen the DB to exercise recovery.
   Status Crash();
 
+  /// Simulates the process dying now: every later write operation fails,
+  /// so a DB torn down afterwards writes nothing more and its buffered
+  /// state is lost. Crash() then rolls the files back and revives the env.
+  void Kill();
+
   /// Treat every byte written so far as durable (a checkpoint).
   void MarkSynced();
 

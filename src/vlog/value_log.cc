@@ -14,7 +14,14 @@ ValueLog::ValueLog(Env* env, std::string dbname, size_t max_file_bytes)
 ValueLog::~ValueLog() {
   MutexLock lock(&mu_);
   if (current_file_ != nullptr) {
-    // status-ok: best-effort close on teardown; the data is already synced.
+    // The next session's recovery flush makes pointers into this segment
+    // durable, so its tail must be durable first: sync it at close.
+    if (unsynced_) {
+      // status-ok: a destructor cannot report; a failed sync leaves the
+      // tail no less durable than not syncing it would.
+      current_file_->Sync().IgnoreError();
+    }
+    // status-ok: best-effort close on teardown; the tail is synced above.
     current_file_->Close().IgnoreError();
   }
 }

@@ -6,18 +6,12 @@
 namespace lsmlab {
 namespace wal {
 
-Reader::Reader(SequentialFile* file, Reporter* reporter)
-    : file_(file),
-      reporter_(reporter),
-      backing_store_(new char[kBlockSize]) {}
+Reader::Reader(SequentialFile* file)
+    : file_(file), backing_store_(new char[kBlockSize]) {}
 
-void Reader::ReportCorruption(uint64_t bytes, const char* reason) {
+void Reader::ReportCorruption(const char* reason) {
   if (status_.ok()) {
     status_ = Status::Corruption(reason);
-  }
-  if (reporter_ != nullptr) {
-    reporter_->Corruption(static_cast<size_t>(bytes),
-                          Status::Corruption(reason));
   }
 }
 
@@ -32,7 +26,7 @@ bool Reader::ReadRecord(Slice* record, std::string* scratch) {
     switch (record_type) {
       case kFullType:
         if (in_fragmented_record) {
-          ReportCorruption(scratch->size(), "partial record without end");
+          ReportCorruption("partial record without end");
           scratch->clear();
         }
         *record = fragment;
@@ -40,7 +34,7 @@ bool Reader::ReadRecord(Slice* record, std::string* scratch) {
 
       case kFirstType:
         if (in_fragmented_record) {
-          ReportCorruption(scratch->size(), "partial record without end");
+          ReportCorruption("partial record without end");
         }
         scratch->assign(fragment.data(), fragment.size());
         in_fragmented_record = true;
@@ -48,8 +42,7 @@ bool Reader::ReadRecord(Slice* record, std::string* scratch) {
 
       case kMiddleType:
         if (!in_fragmented_record) {
-          ReportCorruption(fragment.size(),
-                           "missing start of fragmented record");
+          ReportCorruption("missing start of fragmented record");
         } else {
           scratch->append(fragment.data(), fragment.size());
         }
@@ -57,8 +50,7 @@ bool Reader::ReadRecord(Slice* record, std::string* scratch) {
 
       case kLastType:
         if (!in_fragmented_record) {
-          ReportCorruption(fragment.size(),
-                           "missing start of fragmented record");
+          ReportCorruption("missing start of fragmented record");
         } else {
           scratch->append(fragment.data(), fragment.size());
           *record = Slice(*scratch);
@@ -75,15 +67,14 @@ bool Reader::ReadRecord(Slice* record, std::string* scratch) {
 
       case kBadRecord:
         if (in_fragmented_record) {
-          ReportCorruption(scratch->size(), "error in middle of record");
+          ReportCorruption("error in middle of record");
           in_fragmented_record = false;
           scratch->clear();
         }
         break;
 
       default:
-        ReportCorruption(fragment.size() + scratch->size(),
-                         "unknown record type");
+        ReportCorruption("unknown record type");
         in_fragmented_record = false;
         scratch->clear();
         break;
@@ -101,7 +92,7 @@ unsigned int Reader::ReadPhysicalRecord(Slice* result) {
             file_->Read(kBlockSize, &buffer_, backing_store_.get());
         if (!status.ok()) {
           buffer_.clear();
-          ReportCorruption(kBlockSize, "read error");
+          ReportCorruption("read error");
           eof_ = true;
           return kEof;
         }
@@ -121,10 +112,9 @@ unsigned int Reader::ReadPhysicalRecord(Slice* result) {
     const unsigned int type = static_cast<uint8_t>(header[6]);
     const uint32_t length = a | (b << 8);
     if (kHeaderSize + length > buffer_.size()) {
-      const size_t drop_size = buffer_.size();
       buffer_.clear();
       if (!eof_) {
-        ReportCorruption(drop_size, "bad record length");
+        ReportCorruption("bad record length");
         return kBadRecord;
       }
       return kEof;  // torn tail
@@ -140,9 +130,8 @@ unsigned int Reader::ReadPhysicalRecord(Slice* result) {
     const uint32_t expected_crc = crc32c::Unmask(DecodeFixed32(header));
     uint32_t actual_crc = crc32c::Value(header + 6, 1 + length);
     if (actual_crc != expected_crc) {
-      const size_t drop_size = buffer_.size();
       buffer_.clear();
-      ReportCorruption(drop_size, "checksum mismatch");
+      ReportCorruption("checksum mismatch");
       return kBadRecord;
     }
 

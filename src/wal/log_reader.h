@@ -12,20 +12,13 @@ namespace lsmlab {
 namespace wal {
 
 /// Replays records written by wal::Writer. Corrupt or torn tail records are
-/// skipped and reported, so a crash mid-write loses at most the unsynced
-/// suffix — never previously acknowledged records. A torn tail is not a
-/// corruption; status() keeps the first corruption skipped.
+/// skipped, so a crash mid-write loses at most the unsynced suffix — never
+/// previously acknowledged records. A torn tail is not a corruption;
+/// status() keeps the first corruption skipped.
 class Reader {
  public:
-  /// Interface for corruption reports during replay.
-  class Reporter {
-   public:
-    virtual ~Reporter() = default;
-    virtual void Corruption(size_t bytes, const Status& status) = 0;
-  };
-
-  /// Does not take ownership of `file` or `reporter` (may be null).
-  Reader(SequentialFile* file, Reporter* reporter);
+  /// Does not take ownership of `file`.
+  explicit Reader(SequentialFile* file);
 
   Reader(const Reader&) = delete;
   Reader& operator=(const Reader&) = delete;
@@ -42,10 +35,9 @@ class Reader {
   enum { kEof = kMaxRecordType + 1, kBadRecord = kMaxRecordType + 2 };
 
   unsigned int ReadPhysicalRecord(Slice* result);
-  void ReportCorruption(uint64_t bytes, const char* reason);
+  void ReportCorruption(const char* reason);
 
   SequentialFile* const file_;
-  Reporter* const reporter_;
   std::unique_ptr<char[]> backing_store_;
   Slice buffer_;
   bool eof_ = false;

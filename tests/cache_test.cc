@@ -213,7 +213,8 @@ TEST(TableCacheTest, ErrorPathsDoNotRetainPriorHandle) {
   options.env = env.get();
   options.filter_allocation = FilterAllocation::kNone;
   InternalKeyComparator icmp(BytewiseComparator());
-  TableCache cache("/db", &options, &icmp);
+  StatsRegistry stats;
+  TableCache cache("/db", &options, &icmp, &stats);
 
   ASSERT_TRUE(env->CreateDir("/db").ok());
   const std::string good_name = TableFileName("/db", 7);
@@ -358,6 +359,47 @@ TEST(PrefetchTest, FirstGetAfterHotCompactionHitsCache) {
       EXPECT_EQ(after.misses, before.misses + 1);
     }
   }
+}
+
+// prefetch_budget_bytes bounds the Leaper re-warm: the hot compaction of
+// FirstGetAfterHotCompactionHitsCache loads about one block under a
+// one-block budget, and more under the default one.
+TEST(PrefetchTest, BudgetBoundsTheReWarm) {
+  uint64_t inserts[2] = {0, 0};
+  for (const int small : {0, 1}) {
+    std::unique_ptr<Env> env(NewMemEnv());
+    BlockCache cache(8 << 20);
+    Options options;
+    options.env = env.get();
+    options.write_buffer_size = 1 << 20;
+    options.max_file_size = 1 << 20;
+    options.block_cache = &cache;
+    options.prefetch_after_compaction = true;
+    options.prefetch_hotness_threshold = 1;
+    if (small) {
+      options.prefetch_budget_bytes = options.block_size;
+    }
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+    auto key = [](int i) { return "key" + std::to_string(10000 + i); };
+    for (int i = 0; i < 1000; i++) {
+      ASSERT_TRUE(db->Put({}, key(i), std::string(100, 'v')).ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    std::string value;
+    for (int i = 0; i < 1000; i++) {  // heat the input tables
+      ASSERT_TRUE(db->Get({}, key(i), &value).ok());
+    }
+    for (int i = 0; i < 1000; i += 2) {
+      ASSERT_TRUE(db->Put({}, key(i), std::string(100, 'w')).ok());
+    }
+    const uint64_t before = cache.GetStats().inserts;
+    ASSERT_TRUE(db->CompactAll().ok());
+    inserts[small] = cache.GetStats().inserts - before;
+  }
+  EXPECT_GE(inserts[1], 1u);
+  EXPECT_LE(inserts[1], 2u);
+  EXPECT_GT(inserts[0], 10 * inserts[1]);
 }
 
 }  // namespace

@@ -11,18 +11,24 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "cache/block_cache.h"
+#include "core/compaction/compaction_job.h"
 #include "core/compaction/compaction_policy.h"
 #include "core/db.h"
 #include "core/db_impl.h"
 #include "core/dbformat.h"
 #include "core/filename.h"
+#include "core/table_cache.h"
+#include "core/version.h"
+#include "memtable/memtable.h"
 #include "obs/event_listener.h"
 #include "storage/env.h"
 #include "util/comparator.h"
@@ -1095,12 +1101,14 @@ TEST_F(CompactionShapeTest, RemergeOfInstalledPrefixWritesEachEntryOnce) {
   ASSERT_FALSE(recorder->outputs.empty());
   EXPECT_EQ(db_->GetStats().total_runs, 1) << db_->DebugShape();
   InternalKeyComparator icmp(BytewiseComparator());
+  StatsRegistry stats;
+  TableCache tables("/db", &options_, &icmp, &stats);
   for (const TableFileInfo& t : recorder->outputs) {
     auto meta = std::make_shared<FileMetaData>();
     meta->number = t.file_number;
     meta->file_size = t.file_size;
     const std::vector<FileMetaPtr> files = {meta};
-    std::unique_ptr<Iterator> it(impl->TEST_NewRunIterator(files, t.level));
+    std::unique_ptr<Iterator> it(tables.NewRunIterator(files, t.level));
     std::string last;
     int repeats = 0;
     for (it->SeekToFirst(); it->Valid(); it->Next()) {
@@ -2076,6 +2084,324 @@ TEST_F(CompactionShapeTest, PresetsBuildTheParentsTrees) {
   }
   if (HasFailure()) {
     std::printf("%s", digests.c_str());
+  }
+}
+
+// ------------------------------------------------------- Compaction job --
+
+/// The user key of `i`: fixed width, so byte order is numeric order.
+std::string JobKey(int i) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "k%06d", i);
+  return buf;
+}
+
+/// A hand-built run of `files` files of `bytes` bytes each, keys
+/// [first + 10 i, first + 10 i + 9] for file i, numbered from `number`.
+std::vector<FileMetaPtr> HandRun(int first, int files, uint64_t bytes,
+                                 uint64_t number) {
+  std::vector<FileMetaPtr> run;
+  for (int i = 0; i < files; i++) {
+    auto f = std::make_shared<FileMetaData>();
+    f->number = number + i;
+    f->file_size = bytes;
+    AppendInternalKey(&f->smallest, JobKey(first + 10 * i), 9,
+                      ValueType::kTypeValue);
+    AppendInternalKey(&f->largest, JobKey(first + 10 * i + 9), 9,
+                      ValueType::kTypeValue);
+    run.push_back(std::move(f));
+  }
+  return run;
+}
+
+/// SubcompactionCuts of `runs`, joining runs[*along], as user keys with a
+/// '*' after each an install may end at. A subrange is 4000 bytes.
+std::vector<std::string> Cuts(const std::vector<std::vector<FileMetaPtr>>& runs,
+                              std::optional<size_t> along) {
+  const std::vector<std::span<const FileMetaPtr>> views(runs.begin(),
+                                                        runs.end());
+  std::vector<std::string> names;
+  for (const auto& [key, ends_install] :
+       SubcompactionCuts(*BytewiseComparator(), views, along, 1000)) {
+    names.push_back(key + (ends_install ? "*" : ""));
+  }
+  return names;
+}
+
+// The cut rule on FileMetaData alone: one subrange per 4 x max_file_size
+// of input, cut at smallest user keys of the largest run's files, spaced
+// by its bytes, and of the joined run's, and only the joined run's cuts
+// may end an install. The rule takes no helper count: the job's threads
+// never change where a merge is cut.
+TEST(SubcompactionCutTest, CutsFollowTheLargestAndTheJoinedRun) {
+  // A merge into a run larger than its source: the joined run is the
+  // largest, so its cuts are all there is, and each may end an install.
+  // 16000 bytes make four subranges, cut after 3000, 6000 and 9000 bytes
+  // of the joined run: at its files 3, 6 and 9.
+  const std::vector<std::string> joined_cuts = {
+      JobKey(30) + "*", JobKey(60) + "*", JobKey(90) + "*"};
+  EXPECT_EQ(Cuts({HandRun(0, 4, 1000, 100), HandRun(0, 12, 1000, 200)}, 1),
+            joined_cuts);
+  // A merge into a fresh run joins nothing: the largest run's cuts may
+  // all end an install. Two level-0 runs, the larger of 12 files.
+  EXPECT_EQ(Cuts({HandRun(5, 4, 1000, 300), HandRun(0, 12, 1000, 400)},
+                 std::nullopt),
+            joined_cuts);
+  // Below two subranges of input no cut is made: 7000 bytes are one
+  // subrange.
+  EXPECT_TRUE(
+      Cuts({HandRun(0, 4, 1000, 100), HandRun(0, 3, 1000, 200)}, 1).empty());
+  // 8000 bytes are two: one cut, on the larger (joined) run.
+  EXPECT_EQ(Cuts({HandRun(0, 4, 999, 100), HandRun(0, 4, 1001, 200)}, 1),
+            (std::vector<std::string>{JobKey(20) + "*"}));
+}
+
+// Today's rule for a merge into a run smaller than its largest input: the
+// largest run's cuts and the joined run's, so up to twice the subranges,
+// each ending its own short last file (ROADMAP item 2 will change this).
+// Only the joined run's cuts may end an install.
+TEST(SubcompactionCutTest, CutsDoubleForAMergeIntoASmallerRun) {
+  // 16000 bytes, four subranges: the 12-file source run is cut at its
+  // files 3, 6 and 9, the 4-file joined run at each of its files 1-3.
+  EXPECT_EQ(Cuts({HandRun(0, 12, 1000, 100), HandRun(3, 4, 1000, 200)}, 1),
+            (std::vector<std::string>{JobKey(13) + "*", JobKey(23) + "*",
+                                      JobKey(30), JobKey(33) + "*",
+                                      JobKey(60), JobKey(90)}));
+}
+
+/// One compaction job over real tables on MemEnv: a level-0 run merged
+/// into a level-1 run it joins, through a VersionSet the fake install hook
+/// applies each edit to. The hook records the tree after each install and
+/// fails the install numbered `fail_at` (1-based; 0 = none).
+class CompactionJobTest : public ::testing::Test {
+ protected:
+  /// The file numbers and key bounds of one level-1 file.
+  struct Output {
+    uint64_t number;
+    std::string smallest;
+    std::string largest;
+    bool operator==(const Output&) const = default;
+  };
+  /// The tree after one install: the level-1 run's files in key order,
+  /// and the level-0 files.
+  struct Installed {
+    std::vector<Output> l1;
+    std::set<uint64_t> l0;
+  };
+  struct Result {
+    Status status;
+    std::vector<Installed> installs;
+    std::vector<FileMetaData> installed;  // CompactionJob::installed()
+    std::vector<SubcompactionCut> cuts;
+    std::set<uint64_t> l0_inputs;
+    std::set<uint64_t> l1_inputs;
+    uint64_t run_seq = 0;
+  };
+
+  void SetUp() override { options_.max_file_size = 4 << 10; }
+
+  /// Tables at `level` holding every `step`-th key of [0, n) at sequence
+  /// `seq`, installed as one run.
+  static void AddRun(VersionSet* versions, TableCache* tables, int level,
+                     int n, int step, SequenceNumber seq) {
+    MemTable* mem = new MemTable(tables->icmp());
+    mem->Ref();
+    for (int i = 0; i < n; i += step) {
+      mem->Add(seq, ValueType::kTypeValue, JobKey(i),
+               std::string(100, static_cast<char>('a' + level)));
+    }
+    std::unique_ptr<Iterator> iter(mem->NewIterator());
+    std::vector<FileMetaData> outputs;
+    uint64_t bytes = 0;
+    ASSERT_TRUE(BuildTables(tables, versions, iter.get(), level, false,
+                            false, kMaxSequenceNumber, &outputs, &bytes)
+                    .ok());
+    iter.reset();
+    mem->Unref();
+    VersionEdit edit;
+    const uint64_t run_seq = versions->NewRunSeq();
+    for (const FileMetaData& meta : outputs) {
+      edit.AddFile(level, run_seq, meta);
+    }
+    ASSERT_TRUE(versions->LogAndApply(&edit).ok());
+  }
+
+  Result RunJob(int helpers, int fail_at) {
+    Result result;
+    std::unique_ptr<Env> env(NewMemEnv());
+    Options options = options_;
+    options.env = env.get();
+    const InternalKeyComparator icmp(options.comparator);
+    std::unique_ptr<CompactionPolicy> policy =
+        CreateCompactionPolicy(options, &icmp, nullptr);
+    StatsRegistry stats;
+    TableCache tables("/db", &options, &icmp, &stats);
+    VersionSet versions("/db", &options, &tables, &icmp, policy.get());
+    EXPECT_TRUE(versions.Recover().ok());
+    // Level 1 holds every key of [0, 4000); level 0 every third, newer.
+    AddRun(&versions, &tables, 1, 4000, 1, 1);
+    AddRun(&versions, &tables, 0, 4000, 3, 2);
+    const VersionPtr base = versions.current();
+    CompactionPick pick;
+    pick.level = 0;
+    pick.output_level = 1;
+    pick.inputs = base->levels()[0].runs[0].files;
+    pick.output_overlaps = base->levels()[1].runs[0].files;
+    pick.output_run_seq = base->levels()[1].runs[0].run_seq;
+    result.run_seq = pick.output_run_seq;
+    for (const FileMetaPtr& f : pick.inputs) {
+      result.l0_inputs.insert(f->number);
+    }
+    for (const FileMetaPtr& f : pick.output_overlaps) {
+      result.l1_inputs.insert(f->number);
+    }
+    result.cuts = SubcompactionCuts(
+        *icmp.user_comparator(),
+        {std::span<const FileMetaPtr>(pick.inputs),
+         std::span<const FileMetaPtr>(pick.output_overlaps)},
+        /*along=*/1, options.max_file_size);
+    int calls = 0;
+    {
+      CompactionJob job(
+          std::move(pick), *base, &tables, &versions,
+          /*smallest_snapshot=*/2, result.run_seq, helpers,
+          [&](VersionEdit* edit) {
+            if (++calls == fail_at) {
+              return Status::IOError("install failed");
+            }
+            Status s = versions.LogAndApply(edit);
+            Installed tree;
+            const Version& v = *versions.current();
+            if (v.levels()[1].runs.size() != 1) {
+              ADD_FAILURE() << "level 1 holds " << v.levels()[1].runs.size()
+                            << " runs";
+              return s;
+            }
+            EXPECT_EQ(v.levels()[1].runs[0].run_seq, result.run_seq);
+            for (const FileMetaPtr& f : v.levels()[1].runs[0].files) {
+              tree.l1.push_back({f->number, f->smallest, f->largest});
+            }
+            for (const lsmlab::Run& run : v.levels()[0].runs) {
+              for (const FileMetaPtr& f : run.files) {
+                tree.l0.insert(f->number);
+              }
+            }
+            result.installs.push_back(std::move(tree));
+            return s;
+          });
+      EXPECT_FALSE(job.move());
+      result.status = job.Run();
+      result.installed = job.installed();
+    }
+    return result;
+  }
+
+  Options options_;
+};
+
+/// The user key of an internal key.
+std::string UserKeyOf(const std::string& internal_key) {
+  return ExtractUserKey(Slice(internal_key)).ToString();
+}
+
+// The install order of a merge into the run it joins: each install adds
+// the next outputs in key order to that run and removes the output-level
+// inputs wholly below its end, a cut along the joined run; source-level
+// inputs stay until the final install, which removes every input left.
+// With 0 and 3 helpers the installs together add the same files and
+// remove the same inputs; where the installs end may differ with timing.
+TEST_F(CompactionJobTest, InstallsRemoveOnlyInputsBelowTheirEnd) {
+  std::vector<Output> added_by[2];
+  for (const int helpers : {0, 3}) {
+    SCOPED_TRACE("helpers " + std::to_string(helpers));
+    const Result r = RunJob(helpers, /*fail_at=*/0);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    ASSERT_GE(r.cuts.size(), 3u);
+    ASSERT_GT(r.l1_inputs.size(), 4u);
+    ASSERT_GE(r.installs.size(), 2u);
+    std::set<uint64_t> removed;
+    std::vector<Output> added;
+    std::string installed_end;  // every output so far lies below it
+    for (size_t i = 0; i < r.installs.size(); i++) {
+      SCOPED_TRACE("install " + std::to_string(i));
+      const Installed& tree = r.installs[i];
+      const bool final = i + 1 == r.installs.size();
+      // The run: the outputs installed so far, then the inputs it keeps.
+      std::vector<Output> outputs;
+      std::vector<Output> kept;
+      for (const Output& f : tree.l1) {
+        (r.l1_inputs.count(f.number) > 0 ? kept : outputs).push_back(f);
+      }
+      ASSERT_GT(outputs.size(), added.size());
+      EXPECT_TRUE(std::equal(added.begin(), added.end(), outputs.begin()));
+      // The new outputs follow the earlier ones in key order.
+      for (size_t j = added.size(); j < outputs.size(); j++) {
+        EXPECT_GT(UserKeyOf(outputs[j].smallest), installed_end);
+        installed_end = UserKeyOf(outputs[j].largest);
+      }
+      added = outputs;
+      if (final) {
+        EXPECT_TRUE(kept.empty());
+        EXPECT_TRUE(tree.l0.empty());
+        break;
+      }
+      // A non-final install ends at the first joined-run cut past its
+      // outputs; it removed exactly the inputs wholly below that cut.
+      auto end = std::find_if(r.cuts.begin(), r.cuts.end(),
+                              [&](const SubcompactionCut& c) {
+                                return c.first > installed_end;
+                              });
+      ASSERT_NE(end, r.cuts.end());
+      EXPECT_TRUE(end->second) << end->first;
+      EXPECT_EQ(tree.l0, r.l0_inputs);  // the source level stays whole
+      for (const uint64_t number : r.l1_inputs) {
+        const bool gone = std::none_of(
+            kept.begin(), kept.end(),
+            [number](const Output& f) { return f.number == number; });
+        if (gone) {
+          removed.insert(number);
+        }
+      }
+      for (const Output& f : kept) {
+        EXPECT_GE(UserKeyOf(f.smallest), end->first) << f.number;
+      }
+      for (const uint64_t number : removed) {
+        const auto was = std::find_if(
+            r.installs[0].l1.begin(), r.installs[0].l1.end(),
+            [number](const Output& f) { return f.number == number; });
+        if (was != r.installs[0].l1.end()) {
+          EXPECT_LT(UserKeyOf(was->largest), end->first) << number;
+        }
+      }
+    }
+    ASSERT_EQ(r.installed.size(), added.size());
+    for (size_t j = 0; j < added.size(); j++) {
+      EXPECT_EQ(r.installed[j].number, added[j].number);
+    }
+    added_by[helpers == 0 ? 0 : 1] = added;
+  }
+  EXPECT_EQ(added_by[0], added_by[1]);
+}
+
+// A hook that fails the second install stops the job: the first install
+// stays in the tree, no later install is tried, and the job returns the
+// hook's status.
+TEST_F(CompactionJobTest, FailingInstallHookStopsTheJob) {
+  for (const int helpers : {0, 3}) {
+    SCOPED_TRACE("helpers " + std::to_string(helpers));
+    const Result r = RunJob(helpers, /*fail_at=*/2);
+    EXPECT_TRUE(r.status.IsIOError()) << r.status.ToString();
+    EXPECT_EQ(r.status.ToString(), "IOError: install failed");
+    ASSERT_EQ(r.installs.size(), 1u);  // only the one that succeeded
+    // The first install's outputs stay installed; installed() lists them.
+    const Installed& tree = r.installs[0];
+    size_t outputs = 0;
+    for (const Output& f : tree.l1) {
+      outputs += r.l1_inputs.count(f.number) == 0 ? 1 : 0;
+    }
+    EXPECT_GT(outputs, 0u);
+    EXPECT_EQ(r.installed.size(), outputs);
+    EXPECT_EQ(tree.l0, r.l0_inputs);
   }
 }
 

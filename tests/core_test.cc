@@ -366,18 +366,16 @@ TEST(MergingIteratorTest, ChildOutOfKeyOrderFailsTheMerge) {
 
 // Model check of the merge over the children a real read sees: a memtable
 // (several versions per key), a multi-table run read through
-// DBImpl::NewRunIterator with an empty table between two others, and an
+// TableCache::NewRunIterator with an empty table between two others, and an
 // empty child. Every position after a random mix of seeks and steps, with
 // direction switches, must match a std::map of the same internal keys.
 TEST(MergingIteratorTest, ModelCheckAgainstMap) {
   std::unique_ptr<Env> env(NewMemEnv());
   Options options;
   options.env = env.get();
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
-  auto* impl = static_cast<DBImpl*>(db.get());
-
   InternalKeyComparator icmp(BytewiseComparator());
+  StatsRegistry stats;
+  TableCache tables("/db", &options, &icmp, &stats);
   auto user_key = [](int i) {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "k%03d", i);
@@ -451,7 +449,7 @@ TEST(MergingIteratorTest, ModelCheckAgainstMap) {
     seq++;
   }
 
-  Iterator* children[] = {mem->NewIterator(), impl->TEST_NewRunIterator(run, 0),
+  Iterator* children[] = {mem->NewIterator(), tables.NewRunIterator(run, 0),
                           NewEmptyIterator()};
   mem->Unref();
   std::unique_ptr<Iterator> merged(NewMergingIterator(&icmp, children, 3));

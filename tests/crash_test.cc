@@ -46,7 +46,8 @@ class CrashTest : public ::testing::Test {
   void Open() { ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok()); }
 
   void CrashAndReopen() {
-    db_.reset();  // the "process" dies; its buffered state is lost
+    env_->Kill();  // the "process" dies; its buffered state is lost
+    db_.reset();   // a teardown that can no longer write
     ASSERT_TRUE(env_->Crash().ok());
     Open();
   }
@@ -193,6 +194,117 @@ TEST_F(CrashTest, SeparatedValuesSurviveCrashAfterFlush) {
     ASSERT_TRUE(db_->Get({}, EncodeKey(i), &value).ok()) << i;
     EXPECT_EQ(value, big);
   }
+}
+
+// A clean close leaves the value-log segment the session wrote open, and
+// the next session's recovery flush makes durable the pointers into it,
+// so the segment's tail must be durable by then: a crash after the second
+// close must not lose the values of the first session's non-sync puts.
+TEST_F(CrashTest, PreviousSessionsValueLogTailSurvivesCrash) {
+  options_.value_separation_threshold = 64;
+  Open();
+  const std::string big(1000, 'T');
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(db_->Put({}, EncodeKey(i), big).ok());
+  }
+  db_.reset();  // clean close: nothing synced the segment's tail
+  Open();       // replays the WAL and flushes pointers into that segment
+  CrashAndReopen();
+  std::string value;
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(db_->Get({}, EncodeKey(i), &value).ok()) << i;
+    EXPECT_EQ(value, big);
+  }
+}
+
+// Three sessions. The first writes sync puts, flushes part of them and
+// closes. The second reopens under every kill point of its recovery: the
+// manifest it starts, CURRENT, the WAL replay's flush, the compaction that
+// flush triggers and their manifest installs. After a crash the third
+// must read every acknowledged write. A CURRENT rewritten in place dies
+// with the crash, and the third session then starts an empty database.
+TEST_F(CrashTest, ReopenKillPointsKeepEverySyncedWrite) {
+  WriteOptions sync;
+  sync.sync = true;
+  const std::string pad(100, 'p');
+  auto first_session = [&] {
+    db_.reset();
+    base_env_.reset(NewMemEnv());
+    env_ = std::make_unique<FaultInjectionEnv>(base_env_.get());
+    options_.env = env_.get();
+    Open();
+    for (int i = 0; i < 40; i++) {
+      ASSERT_TRUE(db_->Put(sync, EncodeKey(i), "v" + std::to_string(i) + pad)
+                      .ok());
+      if (i == 19) {
+        ASSERT_TRUE(db_->Flush().ok());
+      }
+    }
+    db_.reset();
+  };
+  // The un-killed second session counts the write ops to sweep.
+  first_session();
+  const uint64_t before = env_->write_ops();
+  Open();
+  db_.reset();
+  const uint64_t reopen_ops = env_->write_ops() - before;
+  ASSERT_GT(reopen_ops, 5u);  // manifest, CURRENT, flush, compaction
+
+  bool killed_in_current = false;
+  for (uint64_t k = 0; k <= reopen_ops; k++) {
+    first_session();
+    env_->ArmKillPoint(k);
+    {
+      std::unique_ptr<DB> db;
+      // status-ok: the kill may fail the open; the crash below decides.
+      DB::Open(options_, "/db", &db).IgnoreError();
+      env_->Kill();  // the process dies before its teardown
+    }
+    const std::string victim = env_->kill_file();
+    killed_in_current = killed_in_current ||
+                        victim.find("CURRENT") != std::string::npos ||
+                        victim.find(".dbtmp") != std::string::npos;
+    ASSERT_TRUE(env_->Crash().ok());
+    ASSERT_NO_FATAL_FAILURE(Open())
+        << "kill point " << k << " (file " << victim << ")";
+    for (int i = 0; i < 40; i++) {
+      std::string value;
+      ASSERT_TRUE(db_->Get({}, EncodeKey(i), &value).ok())
+          << "kill point " << k << " (file " << victim << "), key " << i;
+      EXPECT_EQ(value, "v" + std::to_string(i) + pad);
+    }
+  }
+  EXPECT_TRUE(killed_in_current);
+}
+
+// A directory holding tables but no CURRENT is a database that lost its
+// CURRENT, not an empty one: Open refuses it and keeps the tables. A
+// leftover temp file of a CURRENT replacement is swept at open.
+TEST_F(CrashTest, OpenRefusesTablesWithoutCurrent) {
+  Open();
+  ASSERT_TRUE(db_->Put({}, "k", "v").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  db_.reset();
+  ASSERT_TRUE(WriteStringToFile(env_.get(), "MANIFEST-000099\n",
+                                TempFileName("/db", 99))
+                  .ok());
+  Open();
+  EXPECT_FALSE(env_->FileExists(TempFileName("/db", 99)));
+  std::string value;
+  ASSERT_TRUE(db_->Get({}, "k", &value).ok());
+  db_.reset();
+
+  ASSERT_TRUE(env_->RemoveFile(CurrentFileName("/db")).ok());
+  std::vector<std::string> before;
+  ASSERT_TRUE(env_->GetChildren("/db", &before).ok());
+  std::unique_ptr<DB> db;
+  const Status s = DB::Open(options_, "/db", &db);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  std::vector<std::string> after;
+  ASSERT_TRUE(env_->GetChildren("/db", &after).ok());
+  std::sort(before.begin(), before.end());
+  std::sort(after.begin(), after.end());
+  EXPECT_EQ(after, before);
 }
 
 // A sync put that rotates the value log must not strand the values of
@@ -581,6 +693,7 @@ TEST_F(CrashTest, MoveKillPointsRecoverOnEitherSideOfTheSync) {
     ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
     env.ArmKillPoint(kill_at);
     EXPECT_FALSE(db->CompactAll().ok()) << kill_at;
+    env.Kill();
     db.reset();
     ASSERT_TRUE(env.Crash().ok());
     ASSERT_TRUE(DB::Open(options, "/db", &db).ok()) << kill_at;
@@ -664,6 +777,7 @@ TEST_F(CrashTest, CompactAllKillPointsKeepInstalledPrefix) {
     env.ArmKillPoint(kill_at);
     completed = db->CompactAll().ok();
     kills += !completed;
+    env.Kill();
     db.reset();
     ASSERT_TRUE(env.Crash().ok());
     ASSERT_TRUE(DB::Open(options, "/db", &db).ok()) << kill_at;
@@ -780,6 +894,7 @@ TEST_F(CrashTest, KillPointMatrixIsPrefixConsistent) {
       kills_by_kind[kind]++;
     }
 
+    env_->Kill();
     db_.reset();
     ASSERT_TRUE(env_->Crash().ok());
     Open();
@@ -908,6 +1023,7 @@ TEST_F(CrashTest, GroupCommitKillPointsArePrefixConsistent) {
   const int sweep_end = std::min<int>(static_cast<int>(total_ops), 160);
   for (int k = 0; k < sweep_end; k++) {
     run(k, &acked, &durable, &total_ops);
+    env_->Kill();
     db_.reset();
     ASSERT_TRUE(env_->Crash().ok());
     Open();
@@ -1042,6 +1158,7 @@ TEST_F(CrashTest, ShardedKillPointsArePerShardPrefixConsistent) {
   const int sweep_end = std::min<int>(static_cast<int>(total_ops), 240);
   for (int k = 0; k < sweep_end; k += 2) {
     run(k);
+    env_->Kill();
     db_.reset();
     ASSERT_TRUE(env_->Crash().ok());
     Open();

@@ -12,6 +12,7 @@
 #include "rangefilter/range_filter.h"
 #include "storage/env.h"
 #include "util/random.h"
+#include "workload/keygen.h"
 
 namespace lsmlab {
 namespace {
@@ -622,6 +623,106 @@ TEST_F(DBTest, DestroyRemovesEverything) {
   options_.create_if_missing = false;
   std::unique_ptr<DB> db2;
   EXPECT_FALSE(DB::Open(options_, "/db", &db2).ok());
+}
+
+// ------------------------------------------------------ Options pinned --
+// Each option below is set by no other test; these pin what it changes.
+
+// enable_wal = false: no log file is ever written, so only flushed data
+// outlives the session; a sync write still succeeds.
+TEST_F(DBTest, WalDisabledKeepsOnlyFlushedData) {
+  options_.enable_wal = false;
+  Open();
+  WriteOptions sync;
+  sync.sync = true;
+  ASSERT_TRUE(db_->Put(sync, "flushed", "v1").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->Put(sync, "unflushed", "v2").ok());
+  std::string value;
+  ASSERT_TRUE(db_->Get({}, "unflushed", &value).ok());
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_->GetChildren("/db", &children).ok());
+  for (const std::string& child : children) {
+    EXPECT_EQ(child.find(".wal"), std::string::npos) << child;
+  }
+  EXPECT_EQ(db_->GetStats().wal_syncs, 0u);
+  Reopen();
+  ASSERT_TRUE(db_->Get({}, "flushed", &value).ok());
+  EXPECT_EQ(value, "v1");
+  EXPECT_TRUE(db_->Get({}, "unflushed", &value).IsNotFound());
+}
+
+// max_levels bounds the tree's depth: a load that would fill five levels
+// at size ratio 2 stops at three, and its last level holds the data.
+TEST_F(DBTest, MaxLevelsBoundsTheTreeDepth) {
+  options_.max_levels = 3;
+  options_.size_ratio = 2;
+  options_.write_buffer_size = 4 << 10;
+  options_.max_file_size = 4 << 10;
+  options_.level0_compaction_trigger = 2;
+  Open();
+  for (int i = 0; i < 6000; i++) {
+    ASSERT_TRUE(db_->Put({}, Key(i), std::to_string(i)).ok());
+  }
+  const DBStats stats = db_->GetStats();
+  EXPECT_EQ(stats.num_levels, 3);
+  ASSERT_EQ(stats.bytes_per_level.size(), 3u);
+  EXPECT_GT(stats.bytes_per_level[2], stats.bytes_per_level[1])
+      << db_->DebugShape();
+  std::string value;
+  for (int i = 0; i < 6000; i += 97) {
+    ASSERT_TRUE(db_->Get({}, Key(i), &value).ok()) << i;
+    EXPECT_EQ(value, std::to_string(i));
+  }
+}
+
+// hash_index_util_ratio sizes each data block's hash index: entries /
+// ratio buckets, so a lower ratio writes larger tables.
+TEST_F(DBTest, HashIndexUtilRatioSizesTheBlockHashIndex) {
+  uint64_t bytes[2] = {0, 0};
+  for (const int sparse : {0, 1}) {
+    env_.reset(NewMemEnv());
+    options_.env = env_.get();
+    options_.block_hash_index = true;
+    options_.hash_index_util_ratio = sparse ? 0.25 : 1.0;
+    Open();
+    for (int i = 0; i < 2000; i++) {
+      ASSERT_TRUE(db_->Put({}, Key(i), std::to_string(i)).ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+    std::string value;
+    ASSERT_TRUE(db_->Get({}, Key(1234), &value).ok());
+    bytes[sparse] = db_->GetStats().total_bytes;
+    db_.reset();
+  }
+  EXPECT_GT(bytes[1], bytes[0]);
+}
+
+// learned_index_epsilon bounds the learned fence model's error: a tighter
+// bound needs more segments over keys spaced unevenly, so more index
+// memory.
+TEST_F(DBTest, LearnedIndexEpsilonSizesTheModel) {
+  size_t memory[2] = {0, 0};
+  for (const int loose : {0, 1}) {
+    env_.reset(NewMemEnv());
+    options_.env = env_.get();
+    options_.index_type = TableOptions::IndexType::kLearnedPlr;
+    options_.learned_index_epsilon = loose ? 256 : 1;
+    options_.block_size = 256;
+    options_.write_buffer_size = 1 << 20;
+    options_.max_file_size = 1 << 20;
+    Open();
+    // Cubes: the gaps between keys grow, so no line fits the fences.
+    for (uint64_t i = 0; i < 3000; i++) {
+      ASSERT_TRUE(db_->Put({}, EncodeKey(i * i * i), "v").ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+    std::string value;
+    ASSERT_TRUE(db_->Get({}, EncodeKey(8), &value).ok());  // opens the table
+    memory[loose] = db_->GetStats().index_filter_memory;
+    db_.reset();
+  }
+  EXPECT_GT(memory[0], memory[1]);
 }
 
 }  // namespace

@@ -91,7 +91,7 @@ TEST(FuzzTest, WalReaderNeverCrashes) {
     ASSERT_TRUE(WriteStringToFile(env.get(), input, fname).ok());
     std::unique_ptr<SequentialFile> file;
     ASSERT_TRUE(env->NewSequentialFile(fname, &file).ok());
-    wal::Reader reader(file.get(), nullptr);
+    wal::Reader reader(file.get());
     Slice record;
     std::string scratch;
     int records = 0;

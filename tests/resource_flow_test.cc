@@ -94,6 +94,7 @@ TEST(ResourceFlowTest, LeakedTableCachePinAbortsNamingTheSite) {
   options.env = env.get();
   options.filter_allocation = FilterAllocation::kNone;
   InternalKeyComparator icmp(BytewiseComparator());
+  StatsRegistry stats;
 
   ASSERT_TRUE(env->CreateDir("/db").ok());
   FileMetaData meta;
@@ -101,7 +102,7 @@ TEST(ResourceFlowTest, LeakedTableCachePinAbortsNamingTheSite) {
   {
     std::unique_ptr<WritableFile> file;
     ASSERT_TRUE(env->NewWritableFile(TableFileName("/db", 3), &file).ok());
-    TableCache scratch("/db", &options, &icmp);
+    TableCache scratch("/db", &options, &icmp, &stats);
     SSTableBuilder builder(scratch.TableOptionsForLevel(0), file.get());
     std::string ikey;
     AppendInternalKey(&ikey, "key", 1, ValueType::kTypeValue);
@@ -113,7 +114,8 @@ TEST(ResourceFlowTest, LeakedTableCachePinAbortsNamingTheSite) {
   EXPECT_DEATH(
       {
         std::shared_ptr<SSTable> pinned;  // outlives the cache below
-        auto cache = std::make_unique<TableCache>("/db", &options, &icmp);
+        auto cache =
+            std::make_unique<TableCache>("/db", &options, &icmp, &stats);
         ASSERT_TRUE(cache->FindTable(meta, 0, &pinned).ok());
         cache.reset();  // reader pin still live
       },

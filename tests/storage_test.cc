@@ -279,6 +279,27 @@ TEST_F(FaultEnvTest, RenameCarriesDurabilityState) {
   EXPECT_EQ(data, "x");
 }
 
+// After Kill, the dead process's teardown cannot sync its tail; Crash then
+// rolls back to what was synced before and lets the next process write.
+TEST_F(FaultEnvTest, KillFailsWritesUntilCrash) {
+  std::unique_ptr<WritableFile> f;
+  ASSERT_TRUE(env_->NewWritableFile("/a", &f).ok());
+  ASSERT_TRUE(f->Append("durable").ok());
+  ASSERT_TRUE(f->Sync().ok());
+  ASSERT_TRUE(f->Append("-tail").ok());
+  env_->Kill();
+  EXPECT_TRUE(f->Sync().IsIOError());
+  EXPECT_TRUE(f->Append("more").IsIOError());
+  ASSERT_TRUE(f->Close().ok());
+  ASSERT_TRUE(env_->Crash().ok());
+  std::string data;
+  ASSERT_TRUE(ReadFileToString(env_.get(), "/a", &data).ok());
+  EXPECT_EQ(data, "durable");
+  ASSERT_TRUE(env_->NewWritableFile("/b", &f).ok());
+  EXPECT_TRUE(f->Append("alive").ok());
+  EXPECT_TRUE(f->Sync().ok());
+}
+
 TEST_F(FaultEnvTest, MarkSyncedCheckpointsEverything) {
   std::unique_ptr<WritableFile> f;
   ASSERT_TRUE(env_->NewWritableFile("/a", &f).ok());

@@ -983,5 +983,76 @@ TEST(WriteGroupTest, CorruptBatchFailsOnlyItsWriterWithSeparation) {
             stats.group_commits);
 }
 
+// max_write_group_bytes caps a commit group: the staging of
+// MixedSyncGroupSyncsExactlyOnce (X parked in its sync, A, B and C queued
+// behind it), with a cap below one batch, commits each writer alone.
+TEST(WriteGroupTest, MaxWriteGroupBytesCapsTheGroup) {
+  std::unique_ptr<Env> base(NewMemEnv());
+  WalGateEnv gate(base.get());
+  Options options;
+  options.env = &gate;
+  options.max_write_group_bytes = 1;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/wg_cap", &db).ok());
+  DBImpl* impl = static_cast<DBImpl*>(db.get());
+
+  gate.CloseSyncGate();
+  WriteOptions sync_wo;
+  sync_wo.sync = true;
+  std::thread x([&] { EXPECT_TRUE(db->Put(sync_wo, "x", "xv").ok()); });
+  ASSERT_TRUE(WaitFor([&] { return gate.sync_waiters() == 1; }));
+  std::thread a([&] { EXPECT_TRUE(db->Put(sync_wo, "a", "av").ok()); });
+  std::thread b([&] { EXPECT_TRUE(db->Put({}, "b", "bv").ok()); });
+  std::thread c([&] { EXPECT_TRUE(db->Put({}, "c", "cv").ok()); });
+  ASSERT_TRUE(WaitFor([&] { return impl->TEST_WriteQueueLength() == 4; }));
+  gate.OpenSyncGate();
+  x.join();
+  a.join();
+  b.join();
+  c.join();
+
+  const DBStats stats = db->GetStats();
+  EXPECT_EQ(stats.group_commits, 4u);
+  EXPECT_EQ(stats.group_followers, 0u);
+  std::string value;
+  for (const char* key : {"x", "a", "b", "c"}) {
+    EXPECT_TRUE(db->Get({}, key, &value).ok()) << key;
+  }
+}
+
+// Under kSyncBytes a commit syncs the WAL once wal_sync_bytes unsynced
+// bytes have built up: a bound below one record syncs every commit, one
+// of three records about every third, and one past the load never.
+TEST(WriteGroupTest, SyncBytesModeSyncsEveryWalSyncBytes) {
+  int syncs[3] = {0, 0, 0};
+  const uint64_t kBounds[3] = {1, 0, uint64_t{1} << 30};
+  for (int b = 0; b < 3; b++) {
+    std::unique_ptr<Env> base(NewMemEnv());
+    WalGateEnv gate(base.get());
+    Options options;
+    options.env = &gate;
+    options.wal_sync_mode = WalSyncMode::kSyncBytes;
+    std::string record;
+    {
+      WriteBatch batch;
+      batch.Put(TestKey(0, 0), std::string(100, 'v'));
+      record = batch.Contents().ToString();
+    }
+    options.wal_sync_bytes = b == 1 ? 3 * record.size() : kBounds[b];
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, "/wg_bytes", &db).ok());
+    for (int i = 0; i < 12; i++) {
+      ASSERT_TRUE(db->Put({}, TestKey(0, i), std::string(100, 'v')).ok());
+    }
+    syncs[b] = gate.wal_syncs();
+    const DBStats stats = db->GetStats();
+    EXPECT_EQ(stats.wal_syncs, static_cast<uint64_t>(syncs[b]));
+    EXPECT_EQ(stats.wal_sync_skipped + stats.wal_syncs, stats.group_commits);
+  }
+  EXPECT_EQ(syncs[0], 12);
+  EXPECT_EQ(syncs[1], 4);
+  EXPECT_EQ(syncs[2], 0);
+}
+
 }  // namespace
 }  // namespace lsmlab

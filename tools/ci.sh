@@ -175,8 +175,9 @@ leg_tsan_obs() {
   # already runs the failed-subcompaction and CompactAll kill-point
   # sweeps.) Moves: a move install next to iterators and snapshots that
   # pinned the tree before it, and the consistency check every install
-  # runs in this Debug build.
-  GTEST_FILTER='*Background*:*Subcompaction*:*Install*:*Move*:*Consistency*' \
+  # runs in this Debug build. The compaction job's own tests run its
+  # helper threads against a fake install hook (CompactionJobTest).
+  GTEST_FILTER='*Background*:*Subcompaction*:*Install*:*Move*:*Consistency*:CompactionJob*' \
       ctest --test-dir build-ci-tsan --output-on-failure -R compaction_test
   GTEST_FILTER='*Subrange*' ctest --test-dir build-ci-tsan \
       --output-on-failure -R corruption_test

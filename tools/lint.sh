@@ -43,12 +43,15 @@
 #      guarantees no site anywhere — lambda or not — drops a Status
 #      without a written reason. The declaration in status.h is exempt
 #      (matched as a definition, not a call).
-#  10. `table_cache_->NewIterator(` appears in src/core only inside
-#      DBImpl::NewRunIterator. Scans and compactions both merge one
-#      iterator per sorted run; a per-file table iterator handed to a
-#      merge turns its O(entries x runs) cost back into O(entries x files)
-#      and opens every input table up front. Deliberate exceptions carry a
-#      `run-iter-ok:` comment on the call line or the line above.
+#  10. A table iterator is built in src/core only inside
+#      TableCache::NewRunIterator: TableCache::NewIterator is private, and
+#      a `NewIterator(` call in table_cache.cc outside NewRunIterator (or
+#      a `table_cache_->NewIterator(` anywhere) is listed. Scans and
+#      compactions both merge one iterator per sorted run; a per-file
+#      table iterator handed to a merge turns its O(entries x runs) cost
+#      back into O(entries x files) and opens every input table up front.
+#      Deliberate exceptions carry a `run-iter-ok:` comment on the call
+#      line or the line above.
 #  11. Memtable inserts (`.InsertInto(` / `.InsertIntoConcurrent(` calls)
 #      appear in src/core only inside DBImpl::ApplyMemberThenLock, the
 #      write path's one apply site, and DBImpl::RecoverWal. Every group is
@@ -78,6 +81,10 @@
 #      A second search drifts from the first in its bound rules.
 #      Deliberate exceptions carry a `fence-ok:` comment on the call line
 #      or the line above; comment lines do not count.
+#  15. Every option is exercised: each field of Options, ReadOptions and
+#      WriteOptions (src/core/options.h) is set in some file under tests/
+#      (`.field =`, or `.field.push_back(` for a list). An option no test
+#      sets changes nothing anyone checks: pin its effect or delete it.
 #
 # `lint.sh --self-test` seeds a throwaway tree with one violation per check
 # and asserts every check fires (the same discipline as
@@ -91,7 +98,8 @@ if [ "${1:-}" = "--self-test" ]; then
   self="$(cd "$(dirname "$0")" && pwd)/$(basename "$0")"
   tmp="$(mktemp -d -t lint_self_test.XXXXXX)"
   trap 'rm -rf "$tmp"' EXIT
-  mkdir -p "$tmp/src/core/compaction" "$tmp/src/memtable" "$tmp/tools"
+  mkdir -p "$tmp/src/core/compaction" "$tmp/src/memtable" "$tmp/tools" \
+      "$tmp/tests"
   # check 1 must fire inside the lock-free skiplist specifically: a raw
   # mutex smuggled into the concurrent-insert path would be invisible to
   # the thread-safety analysis AND would break the lock-free reader
@@ -120,9 +128,6 @@ void DBImpl::ApplyMemberThenLock(const WriteBatch& batch) {
 void Replay() {
   // apply-ok: documented exception, must NOT fire
   Status s = scratch.InsertInto(mem_);
-}
-Iterator* DBImpl::NewRunIterator(std::span<const FileMetaPtr> files) {
-  return table_cache_->NewIterator(files[0]);          // check 10: must NOT fire
 }
 Iterator* Build() { return NewDBIterator(ucmp, merged, seq); }  // check 12
 Iterator* Again() { return NewDBIterator(ucmp, other, seq); }   // check 12: second site
@@ -158,8 +163,33 @@ class FluidPolicy : public CompactionPolicy {         // check 13: must NOT fire
 class FifoPolicy
     : public CompactionPolicy {};
 EOF
+  cat > "$tmp/src/core/table_cache.cc" << 'EOF'
+Iterator* TableCache::NewIterator(const FileMetaPtr& file) {  // check 10: must NOT fire
+  return new TableIterator(table->NewIterator(), file);      // check 10: must NOT fire
+}
+Iterator* TableCache::NewRunIterator(std::span<const FileMetaPtr> files) {
+  if (files.size() == 1) {
+    return NewIterator(files[0]);                     // check 10: must NOT fire
+  }
+  return Concat([this](const FileMetaPtr& f) { return NewIterator(f); });  // check 10: must NOT fire
+}
+Iterator* TableCache::Peek(const FileMetaPtr& f) { return NewIterator(f); }  // check 10
+EOF
   cat > "$tmp/src/core/options.h" << 'EOF'
+struct Options {
   MergePolicy merge_policy = MergePolicy::kLeveling;  // check 13: must NOT fire
+  bool paranoid_checks = false;                       // check 15
+  std::vector<std::shared_ptr<EventListener>> listeners;  // check 15: must NOT fire
+};
+struct ReadOptions {
+  bool use_filter = true;                             // check 15: must NOT fire
+};
+EOF
+  cat > "$tmp/tests/options_seeded_test.cc" << 'EOF'
+  options.merge_policy = MergePolicy::kTiering;
+  options.listeners.push_back(listener);
+  ReadOptions ro; ro.use_filter = false;
+  // A comment may name options.paranoid_checks = true: must NOT count
 EOF
   cat > "$tmp/src/core/db_iter.cc" << 'EOF'
 Iterator* NewDBIterator(const Comparator* ucmp, Iterator* it, SequenceNumber s) {  // check 12: must NOT fire
@@ -197,7 +227,11 @@ EOF
   expect "unannotated I/O call in a batch-path file"
   expect "WAL append/sync outside"
   expect "Status dropped without a status-ok: annotation"
-  expect "table iterator outside DBImpl::NewRunIterator"
+  expect "table iterator outside TableCache::NewRunIterator"
+  if ! grep -q 'Peek(' <<< "$out"; then
+    echo "lint --self-test: seeded table iterator in table_cache.cc not flagged"
+    fail=1
+  fi
   expect "memtable insert outside DBImpl::ApplyMemberThenLock"
   expect "second NewDBIterator call site"
   if ! grep -q 'other, seq' <<< "$out"; then
@@ -216,7 +250,7 @@ EOF
     echo "lint --self-test: apply helper body or apply-ok: site wrongly flagged"
     fail=1
   fi
-  if grep -qE 'files\[0\]|auto\* it = ' <<< "$out"; then
+  if grep -qE 'files\[0\]|auto\* it = |TableIterator|Concat' <<< "$out"; then
     echo "lint --self-test: NewRunIterator body or run-iter-ok: site wrongly flagged"
     fail=1
   fi
@@ -251,12 +285,21 @@ EOF
     echo "lint --self-test: version.cc, fence-ok: or comment search wrongly flagged"
     fail=1
   fi
+  expect "option set by no test"
+  if ! grep -q 'paranoid_checks' <<< "$out"; then
+    echo "lint --self-test: seeded unset option not flagged"
+    fail=1
+  fi
+  if grep -qE ': (use_filter|listeners|merge_policy)$' <<< "$out"; then
+    echo "lint --self-test: an option a test sets was flagged"
+    fail=1
+  fi
   if [ "$rc" -eq 0 ]; then
     echo "lint --self-test: seeded tree passed the lint (expected failure)"
     fail=1
   fi
   if [ "$fail" -eq 0 ]; then
-    echo "lint --self-test: PASS (all 14 checks fire on seeded violations)"
+    echo "lint --self-test: PASS (all 15 checks fire on seeded violations)"
   fi
   exit "$fail"
 fi
@@ -401,15 +444,21 @@ grep -rl --include='*.h' --include='*.cc' -E '(\.|->)IgnoreError\(\)' src/ 2>/de
   | report "Status dropped without a status-ok: annotation (write the reason on the call line or just above; see tools/status_audit.list)"
 
 # 10. Merges read runs, not files: a table iterator is built in src/core
-#     only by DBImpl::NewRunIterator (whose body ends at the first line
-#     that is a lone `}`). A `run-iter-ok:` comment on the call line or
-#     the line above excuses a deliberate exception.
-grep -rl --include='*.h' --include='*.cc' 'table_cache_->NewIterator(' \
-    src/core/ 2>/dev/null \
+#     only by TableCache::NewRunIterator (whose body ends at the first line
+#     that is a lone `}`). In table_cache.cc a bare `NewIterator(` call
+#     outside it is listed (the definition aside); elsewhere the method is
+#     private, and `table_cache_->NewIterator(` is listed too. A
+#     `run-iter-ok:` comment on the call line or the line above excuses a
+#     deliberate exception.
+grep -rlE --include='*.h' --include='*.cc' 'NewIterator\(' src/core/ \
+    2>/dev/null \
   | while read -r f; do
-      awk -v file="$f" '
-        /DBImpl::NewRunIterator\(/ { in_run = 1 }
-        /table_cache_->NewIterator\(/ {
+      own=0
+      [ "${f##*/}" = table_cache.cc ] && own=1
+      awk -v file="$f" -v own="$own" '
+        /TableCache::NewRunIterator\(/ { in_run = 1 }
+        /table_cache_->NewIterator\(/ ||
+            (own && /(^|[^A-Za-z0-9_>.:])NewIterator\(/) {
           if (!in_run && $0 !~ /run-iter-ok:/ && prev !~ /run-iter-ok:/) {
             printf "%s:%d: %s\n", file, NR, $0
           }
@@ -418,7 +467,7 @@ grep -rl --include='*.h' --include='*.cc' 'table_cache_->NewIterator(' \
         { prev = $0 }
       ' "$f"
     done \
-  | report "table iterator outside DBImpl::NewRunIterator (merge one iterator per run through it, or mark the call run-iter-ok:)"
+  | report "table iterator outside TableCache::NewRunIterator (merge one iterator per run through it, or mark the call run-iter-ok:)"
 
 # 11. One memtable-apply site: inserts in src/core happen only in the
 #     write path's apply helper and in WAL recovery (each body ends at the
@@ -487,6 +536,34 @@ grep -rlE --include='*.h' --include='*.cc' \
       ' "$f"
     done \
   | report "fence search outside src/core/version.cc (search a run's files through FenceSearch, or mark the call fence-ok:)"
+
+# 15. Every option is exercised. A field of the three option structs is
+#     the last identifier of a member line, before its `= default` and
+#     `;` (a function-pointer member's name precedes `)(`); each must be
+#     set in some tests/ file, on a line that is not a comment.
+awk '
+  /^struct (Options|ReadOptions|WriteOptions) \{/ { inside = 1; next }
+  inside && /^\};/ { inside = 0 }
+  inside && $0 !~ /^[[:space:]]*\/\// && /;[[:space:]]*(\/\/.*)?$/ {
+    line = $0
+    sub(/[[:space:]]*\/\/.*$/, "", line)
+    sub(/[[:space:]]*=[^;]*;$/, "", line)
+    sub(/;$/, "", line)
+    sub(/\)\(.*$/, "", line)
+    if (match(line, /[A-Za-z_][A-Za-z0-9_]*$/)) {
+      print FILENAME ":" FNR ": " substr(line, RSTART, RLENGTH)
+    }
+  }
+' src/core/options.h 2>/dev/null \
+  | while IFS= read -r site; do
+      field="${site##* }"
+      if ! grep -rhE --include='*.cc' --include='*.h' \
+          "(\.|->)${field}[[:space:]]*(=[^=]|\.(push_back|emplace_back)\()" \
+          tests/ 2>/dev/null | grep -qvE '^[[:space:]]*//'; then
+        echo "$site"
+      fi
+    done \
+  | report "option set by no test (pin its effect in a test under tests/, or delete it)"
 
 if [ "$fail" -eq 0 ]; then
   echo "lint: OK"
