@@ -105,6 +105,10 @@ DBImpl::~DBImpl() {
 }
 
 Status DBImpl::Init() {
+  // Recovery's flush and compaction run on the opening thread; like every
+  // caller-run operation, Init folds that thread's counters into stats_.
+  PerfContext* perf = GetPerfContext();
+  const PerfContext before = *perf;
   Status s = versions_->Recover();
   if (s.ok() && vlog_ != nullptr) {
     s = vlog_->Open();
@@ -129,6 +133,7 @@ Status DBImpl::Init() {
     // After the recovery flush: the sweep is what deletes replayed WALs.
     versions_->RemoveOrphanedFiles();
   }
+  stats_.MergePerfDelta(perf->Delta(before));
   // Recovery may flush and compact; listeners observe those like any
   // other flush/compaction, after the lock is gone.
   NotifyListeners(&events);
@@ -382,7 +387,8 @@ Status DBImpl::RecoverWal() {
     while (reader.ReadRecord(&record, &scratch)) {
       WriteBatch batch;
       batch.SetContentsFrom(record);
-      s = batch.InsertInto(mem);
+      s = batch.InsertInto(mem, batch.sequence(),
+                           &GetPerfContext()->memtable_insert_cas_retries);
       if (!s.ok()) {
         return s;
       }
@@ -732,12 +738,15 @@ Status DBImpl::FlushOnCallerLocked(PendingEvents* events) {
 }
 
 Status DBImpl::Flush() {
+  PerfContext* perf = GetPerfContext();
+  const PerfContext before = *perf;
   PendingEvents events;
   Status s;
   {
     MutexLock lock(&mu_);
     s = FlushLocked(&events);
   }
+  stats_.MergePerfDelta(perf->Delta(before));
   NotifyListeners(&events);
   return s;
 }
@@ -771,12 +780,15 @@ Status DBImpl::FlushLocked(PendingEvents* events) {
 }
 
 Status DBImpl::CompactAll() {
+  PerfContext* perf = GetPerfContext();
+  const PerfContext before = *perf;
   PendingEvents events;
   Status s;
   {
     MutexLock lock(&mu_);
     s = CompactAllLocked(&events);
   }
+  stats_.MergePerfDelta(perf->Delta(before));
   NotifyListeners(&events);
   return s;
 }

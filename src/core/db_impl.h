@@ -200,11 +200,11 @@ class DBImpl : public DB {
       REQUIRES(mu_);
   /// The write path's one memtable insert: inserts `batch` into `mem` at
   /// sequence `base` with mu_ released, then takes mu_ and reports in to
-  /// the group's apply (apply_status_, apply_pending_). `concurrent`
-  /// selects the memtable's concurrent insert, for members of a parallel
-  /// apply; a leader applying its whole group alone inserts serially.
+  /// the group's apply (apply_status_, apply_pending_). A leader applying
+  /// its whole group alone and each member of a parallel apply call it
+  /// alike.
   void ApplyMemberThenLock(const WriteBatch& batch, SequenceNumber base,
-                           MemTable* mem, bool concurrent) ACQUIRE(mu_);
+                           MemTable* mem) ACQUIRE(mu_);
   /// Durability policy (Options::wal_sync_mode): whether the commit whose
   /// WAL record is `record_bytes` long syncs the log. A group containing a
   /// sync writer syncs in every mode; the interval/bytes policies only add

@@ -27,9 +27,9 @@
 //      A single-writer group, or any group when
 //      Options::allow_concurrent_memtable_write is off, is inserted by the
 //      leader alone. Otherwise the leader wakes the followers and every
-//      member, leader included, inserts its own batch at its base through
-//      the memtable's concurrent path. The last member to report in wakes
-//      the leader.
+//      member, leader included, inserts its own batch at its base. Either
+//      way every insert is the memtable's one thread-safe Add. The last
+//      member to report in wakes the leader.
 //   4. The leader publishes last_sequence once, after the whole group is
 //      in (so no reader observes a partial group), clears log_busy_, pops
 //      the group — completing each follower with the group status — and
@@ -129,8 +129,7 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
       // the group and reports its status.
       MemTable* mem = mem_;
       mu_.Unlock();
-      ApplyMemberThenLock(*w.batch, w.parallel_base, mem,
-                          /*concurrent=*/true);
+      ApplyMemberThenLock(*w.batch, w.parallel_base, mem);
       while (!w.done) {
         w.cv.Wait();
       }
@@ -227,7 +226,7 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
           }
         }
       }
-      ApplyMemberThenLock(parallel ? *w.batch : *group, base, mem, parallel);
+      ApplyMemberThenLock(parallel ? *w.batch : *group, base, mem);
       while (apply_pending_ > 0) {
         apply_cv_.Wait();
       }
@@ -331,15 +330,11 @@ WriteBatch* DBImpl::BuildWriteGroupLocked(SequenceNumber base,
 }
 
 void DBImpl::ApplyMemberThenLock(const WriteBatch& batch, SequenceNumber base,
-                                 MemTable* mem, bool concurrent) {
+                                 MemTable* mem) {
   Status s = apply_hook_ ? apply_hook_(batch) : Status::OK();
-  if (s.ok() && concurrent) {
-    uint64_t cas_retries = 0;
-    s = batch.InsertIntoConcurrent(mem, base, &cas_retries);
-    GetPerfContext()->memtable_insert_cas_retries += cas_retries;
-  } else if (s.ok()) {
-    assert(batch.sequence() == base);
-    s = batch.InsertInto(mem);
+  if (s.ok()) {
+    s = batch.InsertInto(mem, base,
+                         &GetPerfContext()->memtable_insert_cas_retries);
   }
   mu_.Lock();
   if (!s.ok() && apply_status_.ok()) {

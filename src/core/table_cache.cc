@@ -134,11 +134,20 @@ Status TableCache::FindTable(const FileMetaData& meta, int level,
   // open file — alive past Evict for as long as the loop variable lives.
   table->reset();
   {
+    // One open per table: readers that miss while another opens it wait
+    // for that open, so the index and filter are read once, whichever
+    // threads ask.
     MutexLock lock(&mu_);
-    auto it = tables_.find(meta.number);
-    if (it != tables_.end()) {
-      *table = TrackPin(it->second, loc);
-      return Status::OK();
+    while (true) {
+      auto it = tables_.find(meta.number);
+      if (it != tables_.end()) {
+        *table = TrackPin(it->second, loc);
+        return Status::OK();
+      }
+      if (opening_.insert(meta.number).second) {
+        break;
+      }
+      opened_cv_.Wait();
     }
   }
 
@@ -146,16 +155,17 @@ Status TableCache::FindTable(const FileMetaData& meta, int level,
   const std::string fname = TableFileName(dbname_, meta.number);
   // batch-io-ok: one open per table, amortized across every key probing it.
   Status s = options_->env->NewRandomAccessFile(fname, &file);
-  if (!s.ok()) {
-    return s;
-  }
   std::unique_ptr<SSTable> t;
-  s = SSTable::Open(TableOptionsForLevel(level), std::move(file),
-                    meta.file_size, meta.number, options_->block_cache, &t);
-  if (!s.ok()) {
-    return s;
+  if (s.ok()) {
+    s = SSTable::Open(TableOptionsForLevel(level), std::move(file),
+                      meta.file_size, meta.number, options_->block_cache, &t);
   }
   MutexLock lock(&mu_);
+  opening_.erase(meta.number);
+  opened_cv_.SignalAll();
+  if (!s.ok()) {
+    return s;
+  }
   auto [it, inserted] = tables_.emplace(meta.number, std::move(t));
   *table = TrackPin(it->second, loc);
   return Status::OK();

@@ -6,6 +6,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/options.h"
@@ -127,6 +128,10 @@ class TableCache {
       GUARDED_BY(mu_);
   std::unordered_map<uint64_t, std::shared_ptr<SSTable>> tables_
       GUARDED_BY(mu_);
+  /// Tables some FindTable is opening; a second reader of one waits on
+  /// opened_cv_ instead of opening it again.
+  std::unordered_set<uint64_t> opening_ GUARDED_BY(mu_);
+  CondVar opened_cv_{&mu_};
   PinTracker pin_tracker_{"TableCache reader pin"};
 };
 

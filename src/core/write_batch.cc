@@ -99,50 +99,32 @@ Status WriteBatch::Iterate(Handler* handler) const {
 namespace {
 
 /// Applies batch entries to a memtable with an explicit base sequence.
-/// `concurrent` selects the thread-safe memtable path (parallel group
-/// apply); the serial path is the recovery / leader-apply default.
 class MemTableInserter : public WriteBatch::Handler {
  public:
-  MemTableInserter(SequenceNumber base_sequence, MemTable* mem,
-                   bool concurrent)
-      : sequence_(base_sequence), mem_(mem), concurrent_(concurrent) {}
+  MemTableInserter(SequenceNumber base_sequence, MemTable* mem)
+      : sequence_(base_sequence), mem_(mem) {}
 
   void Put(const Slice& key, const Slice& value) override {
-    Insert(ValueType::kTypeValue, key, value);
+    cas_retries_ += mem_->Add(sequence_++, ValueType::kTypeValue, key, value);
   }
   void Delete(const Slice& key) override {
-    Insert(ValueType::kTypeDeletion, key, Slice());
+    cas_retries_ += mem_->Add(sequence_++, ValueType::kTypeDeletion, key,
+                              Slice());
   }
 
   uint64_t cas_retries() const { return cas_retries_; }
 
  private:
-  void Insert(ValueType type, const Slice& key, const Slice& value) {
-    if (concurrent_) {
-      cas_retries_ += mem_->AddConcurrent(sequence_, type, key, value);
-    } else {
-      mem_->Add(sequence_, type, key, value);
-    }
-    sequence_++;
-  }
-
   SequenceNumber sequence_;
   MemTable* mem_;
-  const bool concurrent_;
   uint64_t cas_retries_ = 0;
 };
 
 }  // namespace
 
-Status WriteBatch::InsertInto(MemTable* mem) const {
-  MemTableInserter inserter(sequence(), mem, /*concurrent=*/false);
-  return Iterate(&inserter);
-}
-
-Status WriteBatch::InsertIntoConcurrent(MemTable* mem,
-                                        SequenceNumber base_sequence,
-                                        uint64_t* cas_retries) const {
-  MemTableInserter inserter(base_sequence, mem, /*concurrent=*/true);
+Status WriteBatch::InsertInto(MemTable* mem, SequenceNumber base_sequence,
+                              uint64_t* cas_retries) const {
+  MemTableInserter inserter(base_sequence, mem);
   Status s = Iterate(&inserter);
   *cas_retries += inserter.cas_retries();
   return s;

@@ -46,18 +46,15 @@ class WriteBatch {
   void set_sequence(SequenceNumber seq);
   Slice Contents() const { return Slice(rep_); }
   void SetContentsFrom(const Slice& contents);
-  /// Applies the batch to `mem`, assigning sequence(), sequence()+1, ...
-  Status InsertInto(MemTable* mem) const;
-
-  /// Parallel-group-apply variant: applies the batch to `mem` through the
-  /// thread-safe insert path, assigning base_sequence, base_sequence+1, ...
-  /// (the group-commit leader pre-assigns each member its offset within
-  /// the group, so members apply concurrently yet sequences stay exactly
-  /// the ones the WAL record carries). Safe to run concurrently with
-  /// other members' InsertIntoConcurrent calls on the same memtable.
+  /// Applies the batch to `mem`, assigning base_sequence,
+  /// base_sequence+1, ... A group-commit member applies its own batch at
+  /// the offset the leader assigned it within the group, so members apply
+  /// concurrently yet sequences stay exactly the ones the WAL record
+  /// carries; recovery applies a record at its own sequence(). Safe to run
+  /// concurrently with other InsertInto calls on the same memtable.
   /// *cas_retries accumulates skiplist splice retries.
-  Status InsertIntoConcurrent(MemTable* mem, SequenceNumber base_sequence,
-                              uint64_t* cas_retries) const;
+  Status InsertInto(MemTable* mem, SequenceNumber base_sequence,
+                    uint64_t* cas_retries) const;
 
  private:
   void SetCount(uint32_t n);

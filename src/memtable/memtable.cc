@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/coding.h"
+#include "util/hash.h"
 
 namespace lsmlab {
 
@@ -76,14 +77,12 @@ size_t MemTable::ApproximateMemoryUsage() const {
 }
 
 const char* MemTable::EncodeEntry(SequenceNumber seq, ValueType type,
-                                  const Slice& user_key, const Slice& value,
-                                  bool concurrent) {
+                                  const Slice& user_key, const Slice& value) {
   const size_t internal_key_size = user_key.size() + 8;
   const size_t encoded_len = VarintLength(internal_key_size) +
                              internal_key_size +
                              VarintLength(value.size()) + value.size();
-  char* buf = concurrent ? arena_.AllocateConcurrent(encoded_len)
-                         : arena_.Allocate(encoded_len);
+  char* buf = arena_.Allocate(encoded_len);
   std::string scratch;
   scratch.reserve(encoded_len);
   PutVarint32(&scratch, static_cast<uint32_t>(internal_key_size));
@@ -118,28 +117,16 @@ void MemTable::IndexUnderLock(const char* entry) {
   }
 }
 
-uint64_t MemTable::AddConcurrent(SequenceNumber seq, ValueType type,
-                                 const Slice& user_key, const Slice& value) {
-  const char* entry = EncodeEntry(seq, type, user_key, value,
-                                  /*concurrent=*/true);
+uint64_t MemTable::Add(SequenceNumber seq, ValueType type,
+                       const Slice& user_key, const Slice& value) {
+  const char* entry = EncodeEntry(seq, type, user_key, value);
   num_entries_.fetch_add(1, std::memory_order_relaxed);
   uint64_t cas_retries = 0;
   if (rep_ == Rep::kSkipList) {
-    cas_retries = skiplist_->InsertConcurrently(entry);
+    cas_retries = skiplist_->Insert(entry, Hash64(GetInternalKey(entry)));
   }
   IndexUnderLock(entry);
   return cas_retries;
-}
-
-void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
-                   const Slice& value) {
-  const char* entry = EncodeEntry(seq, type, user_key, value,
-                                  /*concurrent=*/false);
-  num_entries_.fetch_add(1, std::memory_order_relaxed);
-  if (rep_ == Rep::kSkipList) {
-    skiplist_->Insert(entry);
-  }
-  IndexUnderLock(entry);
 }
 
 bool MemTable::Get(const LookupKey& lkey, std::string* value, Status* s) {

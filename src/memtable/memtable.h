@@ -32,7 +32,7 @@ namespace lsmlab {
 /// fall back to the ordered search.
 ///
 /// The memtable owns its write synchronisation: readers may run alongside
-/// any writer, and AddConcurrent calls alongside each other, on every rep.
+/// any writer, and Adds alongside each other, on every rep.
 /// The skiplist is lock-free on both sides (CAS splice, acquire loads);
 /// the sorted vector and the hash index serialise writers and readers on
 /// the leaf mu_, and a vector-rep iterator reads a copy of vector_.
@@ -65,18 +65,12 @@ class MemTable {
   /// vector-rep iterator sees the entries present when it was created.
   Iterator* NewIterator();
 
-  /// Adds an entry. A deletion is an entry of type kTypeDeletion.
-  /// Single-writer: callers serialize Adds with each other and with
-  /// AddConcurrent (the classic contract); readers need no coordination.
-  void Add(SequenceNumber seq, ValueType type, const Slice& user_key,
-           const Slice& value);
-
-  /// Thread-safe Add for the parallel group apply: any number of
-  /// AddConcurrent calls may run simultaneously, alongside readers, on
-  /// every rep. Returns the number of skiplist CAS retries
+  /// Adds an entry. A deletion is an entry of type kTypeDeletion. Any
+  /// number of Adds may run at once, alongside readers, on every rep.
+  /// Returns the number of skiplist CAS retries
   /// (memtable.insert_cas_retries ticker; always 0 for the vector rep).
-  uint64_t AddConcurrent(SequenceNumber seq, ValueType type,
-                         const Slice& user_key, const Slice& value);
+  uint64_t Add(SequenceNumber seq, ValueType type, const Slice& user_key,
+               const Slice& value);
 
   /// If a version visible at `lkey`'s snapshot exists, returns true and
   /// sets *value (found) or *s = NotFound (tombstone). Returns false when
@@ -98,8 +92,7 @@ class MemTable {
   ~MemTable() = default;  // only via Unref()
 
   const char* EncodeEntry(SequenceNumber seq, ValueType type,
-                          const Slice& user_key, const Slice& value,
-                          bool concurrent);
+                          const Slice& user_key, const Slice& value);
 
   /// Adds an encoded entry to the vector rep and the hash index, the two
   /// indexes mu_ guards; a no-op for a plain skiplist.
@@ -109,7 +102,7 @@ class MemTable {
   KeyComparator key_comparator_;
   Rep rep_;
   std::atomic<int> refs_{0};
-  // Relaxed atomic: bumped by concurrent appliers, read by flush sizing.
+  // Relaxed atomic: bumped by concurrent Adds, read by flush sizing.
   std::atomic<uint64_t> num_entries_{0};
   Arena arena_;
   std::unique_ptr<SkipList<const char*, KeyComparator>> skiplist_;

@@ -3,38 +3,17 @@
 
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
+#include <cstdint>
 
 #include "util/arena.h"
-#include "util/random.h"
 
 namespace lsmlab {
 
-namespace skiplist_internal {
-
-/// Per-thread tower-height generator. The height stream only shapes the
-/// skiplist's expected search cost, never its contents, so giving every
-/// thread an independent deterministically-seeded stream keeps
-/// single-threaded runs reproducible while letting concurrent inserters
-/// draw heights without sharing (racing on) one generator — and without
-/// the correlated towers a shared fixed seed would hand to every thread.
-inline Random& ThreadLocalHeightRng() {
-  static std::atomic<uint64_t> counter{0};
-  thread_local Random rng(0xdeadbeefull +
-                          counter.fetch_add(1, std::memory_order_relaxed));
-  return rng;
-}
-
-}  // namespace skiplist_internal
-
 /// Arena-backed skiplist: the classic LSM write-buffer structure
-/// (tutorial I-1). Readers may traverse concurrently with inserts without
-/// locking (next pointers are released atomically, nodes are never
-/// removed until the whole list is dropped). Writers come in two flavors:
-/// Insert() assumes external serialization (one writer at a time), while
-/// InsertConcurrently() lets any number of writers splice simultaneously
-/// via per-level CAS — both uphold the same acquire/release contract
-/// toward readers, so iterators never care which insert path ran.
+/// (tutorial I-1). Any number of writers may insert at once, each level
+/// spliced with a CAS, and readers traverse alongside them without locking
+/// (next pointers are released atomically, nodes are never removed until
+/// the whole list is dropped).
 ///
 /// Key is a trivially copyable handle (the memtable uses const char*).
 /// Comparator is a functor: int operator()(const Key&, const Key&).
@@ -50,64 +29,42 @@ class SkipList {
         head_(NewNode(Key{}, kMaxHeight)),
         max_height_(1) {
     for (int i = 0; i < kMaxHeight; i++) {
-      head_->SetNext(i, nullptr);
+      head_->NoBarrier_SetNext(i, nullptr);
     }
   }
 
   SkipList(const SkipList&) = delete;
   SkipList& operator=(const SkipList&) = delete;
 
-  /// Inserts key. REQUIRES: no equal key is already in the list, and no
-  /// other insert (of either flavor) is running concurrently.
-  void Insert(const Key& key) {
-    Node* prev[kMaxHeight];
-    Node* x = FindGreaterOrEqual(key, prev);
-    assert(x == nullptr || !Equal(key, x->key));
-
-    const int height = RandomHeight();
-    if (height > GetMaxHeight()) {
-      for (int i = GetMaxHeight(); i < height; i++) {
-        prev[i] = head_;
-      }
-      max_height_.store(height, std::memory_order_relaxed);
-    }
-
-    x = NewNode(key, height);
-    for (int i = 0; i < height; i++) {
-      x->NoBarrier_SetNext(i, prev[i]->NoBarrier_Next(i));
-      prev[i]->SetNext(i, x);
-    }
-  }
-
-  /// Thread-safe insert: any number of InsertConcurrently() calls may run
-  /// at once, alongside lock-free readers. Each level is spliced with a
-  /// CAS on prev->next; when the CAS loses (another writer spliced there
-  /// first) the level's splice is recomputed by walking forward from the
-  /// stale prev — valid because nodes are never removed, so a stale prev
-  /// is still an ancestor of the right position. Levels link bottom-up:
-  /// once level 0 succeeds the node is reachable, and the release CAS
-  /// publishes the node's own next pointers to readers.
+  /// Inserts key; any number of Insert() calls may run at once, alongside
+  /// lock-free readers. `hash` is a well-mixed hash of the key: the tower
+  /// height is drawn from it, so the same keys build the same list on any
+  /// thread and in any order.
   ///
-  /// REQUIRES: no equal key is in the list or being inserted, and the
-  /// backing Arena must tolerate concurrent allocation (the memtable
-  /// routes NewNode through Arena::AllocateAlignedConcurrent).
+  /// Each level is spliced with a CAS on prev->next; when the CAS loses
+  /// (another writer spliced there first) the level's splice is recomputed
+  /// by walking forward from the stale prev — valid because nodes are never
+  /// removed, so a stale prev is still an ancestor of the right position.
+  /// Levels link bottom-up: once level 0 succeeds the node is reachable,
+  /// and the release CAS publishes the node's own next pointers to readers.
+  ///
+  /// REQUIRES: no equal key is in the list or being inserted.
   /// Returns the number of CAS retries (for memtable.insert_cas_retries).
-  uint64_t InsertConcurrently(const Key& key) {
+  uint64_t Insert(const Key& key, uint64_t hash) {
     Node* prev[kMaxHeight];
     Node* next[kMaxHeight];
-    const int height = RandomHeight();
+    const int height = HeightFor(hash);
 
     // Raise max_height_ with a CAS so racing tall inserts converge on the
     // tallest request. A reader that observes the new height before the
-    // node is linked just walks head_'s null pointers at the top, as in
-    // the serial path.
+    // node is linked just walks head_'s null pointers at the top.
     int max_h = max_height_.load(std::memory_order_relaxed);
     while (height > max_h &&
            !max_height_.compare_exchange_weak(max_h, height,
                                               std::memory_order_relaxed)) {
     }
 
-    Node* x = NewNodeConcurrently(key, height);
+    Node* x = NewNode(key, height);
     FindSplice(key, prev, next);
     assert(next[0] == nullptr || !Equal(key, next[0]->key));
 
@@ -133,7 +90,7 @@ class SkipList {
   }
 
   bool Contains(const Key& key) const {
-    Node* x = FindGreaterOrEqual(key, nullptr);
+    Node* x = FindGreaterOrEqual(key);
     return x != nullptr && Equal(key, x->key);
   }
 
@@ -159,7 +116,7 @@ class SkipList {
       }
     }
     void Seek(const Key& target) {
-      node_ = list_->FindGreaterOrEqual(target, nullptr);
+      node_ = list_->FindGreaterOrEqual(target);
     }
     void SeekToFirst() { node_ = list_->head_->Next(0); }
     void SeekToLast() {
@@ -186,18 +143,11 @@ class SkipList {
     Node* Next(int n) {
       return next_[n].load(std::memory_order_acquire);
     }
-    void SetNext(int n, Node* x) {
-      next_[n].store(x, std::memory_order_release);
-    }
-    Node* NoBarrier_Next(int n) {
-      return next_[n].load(std::memory_order_relaxed);
-    }
     void NoBarrier_SetNext(int n, Node* x) {
       next_[n].store(x, std::memory_order_relaxed);
     }
-    /// Splice CAS for concurrent inserts: release on success (publishes
-    /// x and its next pointers, like SetNext), relaxed on failure (the
-    /// caller re-walks and retries).
+    /// Splice CAS: release on success (publishes x and its next
+    /// pointers), relaxed on failure (the caller re-walks and retries).
     bool CASNext(int n, Node* expected, Node* x) {
       return next_[n].compare_exchange_strong(expected, x,
                                               std::memory_order_release,
@@ -215,17 +165,13 @@ class SkipList {
     return new (mem) Node(key);
   }
 
-  Node* NewNodeConcurrently(const Key& key, int height) {
-    char* mem = arena_->AllocateAlignedConcurrent(
-        sizeof(Node) + sizeof(std::atomic<Node*>) * (height - 1));
-    return new (mem) Node(key);
-  }
-
-  int RandomHeight() {
-    Random& rnd = skiplist_internal::ThreadLocalHeightRng();
+  /// 1 + the number of low base-kBranching digits of `hash` that are
+  /// zero: height h with probability (1/kBranching)^(h-1), capped.
+  static int HeightFor(uint64_t hash) {
     int height = 1;
-    while (height < kMaxHeight && rnd.OneIn(kBranching)) {
+    while (height < kMaxHeight && hash % kBranching == 0) {
       height++;
+      hash /= kBranching;
     }
     return height;
   }
@@ -266,7 +212,7 @@ class SkipList {
     }
   }
 
-  Node* FindGreaterOrEqual(const Key& key, Node** prev) const {
+  Node* FindGreaterOrEqual(const Key& key) const {
     Node* x = head_;
     int level = GetMaxHeight() - 1;
     while (true) {
@@ -274,9 +220,6 @@ class SkipList {
       if (next != nullptr && compare_(next->key, key) < 0) {
         x = next;
       } else {
-        if (prev != nullptr) {
-          prev[level] = x;
-        }
         if (level == 0) {
           return next;
         }

@@ -70,6 +70,14 @@ class Env {
   virtual Status RenameFile(const std::string& src,
                             const std::string& target) = 0;
 
+  /// Makes every byte of the existing file `fname` durable, as Sync() on
+  /// its writable handle would, without opening it for writing (which
+  /// truncates). An Env that cannot do this keeps the default and says
+  /// NotSupported.
+  virtual Status SyncFile(const std::string& fname) {
+    return Status::NotSupported(fname, "SyncFile");
+  }
+
   /// Logical-I/O counters for this environment.
   IoStats* io_stats() { return &io_stats_; }
 

@@ -172,6 +172,27 @@ Status FaultInjectionEnv::RenameFile(const std::string& src,
   return state_->base->RenameFile(src, target);
 }
 
+Status FaultInjectionEnv::SyncFile(const std::string& fname) {
+  if (state_->crashed.load()) {
+    return Status::IOError("simulated crash");
+  }
+  if (!state_->AllowWriteOp(fname)) {
+    return Status::IOError("simulated kill");
+  }
+  uint64_t size = 0;
+  Status s = state_->base->GetFileSize(fname, &size);
+  if (s.ok()) {
+    s = state_->base->SyncFile(fname);
+  }
+  if (s.ok()) {
+    MutexLock lock(&state_->mu);
+    auto& d = state_->files[fname];
+    d.synced_bytes = size;
+    d.ever_synced = true;
+  }
+  return s;
+}
+
 Status FaultInjectionEnv::Crash() {
   state_->crashed.store(true);
   MutexLock lock(&state_->mu);
@@ -217,6 +238,14 @@ Status FaultInjectionEnv::Crash() {
 }
 
 void FaultInjectionEnv::Kill() { state_->crashed.store(true); }
+
+void FaultInjectionEnv::Revive() {
+  MutexLock lock(&state_->mu);
+  state_->kill_armed = false;
+  state_->ops_until_kill = 0;
+  state_->kill_file.clear();
+  state_->crashed.store(false);
+}
 
 void FaultInjectionEnv::MarkSynced() {
   MutexLock lock(&state_->mu);

@@ -36,6 +36,9 @@ class FaultInjectionEnv : public Env {
   Status GetFileSize(const std::string& fname, uint64_t* size) override;
   Status RenameFile(const std::string& src,
                     const std::string& target) override;
+  /// A write op like Sync(): it counts against an armed kill point, and
+  /// afterwards the whole file survives Crash().
+  Status SyncFile(const std::string& fname) override;
 
   /// Simulates a kill -9 + machine crash: every file reverts to its last
   /// synced prefix; never-synced files are deleted. Writable handles
@@ -45,8 +48,14 @@ class FaultInjectionEnv : public Env {
 
   /// Simulates the process dying now: every later write operation fails,
   /// so a DB torn down afterwards writes nothing more and its buffered
-  /// state is lost. Crash() then rolls the files back and revives the env.
+  /// state is lost. Crash() then rolls the files back and revives the env;
+  /// Revive() instead ends the death with every byte kept.
   void Kill();
+
+  /// Ends a Kill() the machine survived: every byte written stays, and
+  /// what was not synced stays volatile, so a later Crash() still drops
+  /// it. Disarms the kill point.
+  void Revive();
 
   /// Treat every byte written so far as durable (a checkpoint).
   void MarkSynced();

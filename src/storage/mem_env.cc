@@ -220,6 +220,14 @@ class MemEnv : public Env {
     return Status::OK();
   }
 
+  Status SyncFile(const std::string& fname) override {
+    if (!FileExists(fname)) {
+      return Status::IOError(fname, "file not found");
+    }
+    io_stats_.RecordSync();
+    return Status::OK();
+  }
+
  private:
   Mutex mu_{LockRank::kMemEnvMu};
   std::map<std::string, std::shared_ptr<MemFile>> files_ GUARDED_BY(mu_);

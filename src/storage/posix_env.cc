@@ -221,6 +221,21 @@ class PosixEnv : public Env {
     }
     return Status::OK();
   }
+
+  Status SyncFile(const std::string& fname) override {
+    const int fd = ::open(fname.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+      return PosixError(fname, errno);
+    }
+    const int r = ::fsync(fd);
+    const int err = errno;
+    ::close(fd);
+    if (r != 0) {
+      return PosixError(fname, err);
+    }
+    io_stats_.RecordSync();
+    return Status::OK();
+  }
 };
 
 }  // namespace

@@ -4,8 +4,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <vector>
 
 #include "util/mutex.h"
 
@@ -18,60 +18,56 @@ namespace lsmlab {
 /// MemoryUsage() is what the engine compares against the write-buffer size
 /// to decide when to flush.
 ///
-/// Two allocation paths share the block list:
-///  - Allocate()/AllocateAligned(): the classic single-writer bump pointer.
-///  - AllocateConcurrent()/AllocateAlignedConcurrent(): each thread bumps a
-///    private per-thread block (no synchronization on the hot path); only
-///    block refills take blocks_mu_. Used by the parallel group apply,
-///    where group-commit followers insert into the memtable simultaneously.
-/// The two paths may be interleaved over the arena's lifetime but carry
-/// their own contracts: the serial calls assume no other allocation (of
-/// either flavor) is in flight, exactly the single-writer discipline the
-/// serial memtable Add path already has.
+/// Any number of threads may allocate at once. The bump state lives in the
+/// current block: an allocation claims its bytes with a CAS on that block's
+/// offset, and only a refill (the block is full) takes blocks_mu_. A thread
+/// alone therefore fills each block to the same point whatever it did
+/// before, and racing threads abandon no more than the one tail a refill
+/// leaves behind.
 class Arena {
  public:
-  Arena();
+  Arena() = default;
   ~Arena() = default;
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
   /// Returns a pointer to a newly allocated block of `bytes` bytes.
-  char* Allocate(size_t bytes);
+  char* Allocate(size_t bytes) { return AllocateImpl(bytes, 1); }
 
   /// Allocate with the platform's pointer alignment (for node structs).
-  char* AllocateAligned(size_t bytes);
-
-  /// Thread-safe Allocate: any number of threads may call concurrently.
-  char* AllocateConcurrent(size_t bytes) { return ConcurrentImpl(bytes, 1); }
-
-  /// Thread-safe AllocateAligned.
-  char* AllocateAlignedConcurrent(size_t bytes);
+  char* AllocateAligned(size_t bytes) { return AllocateImpl(bytes, kAlign); }
 
   /// Total memory reserved by the arena (including block headroom).
   /// Relaxed atomic read; safe from any thread, including while
-  /// concurrent allocations run.
+  /// allocations run.
   size_t MemoryUsage() const {
     return memory_usage_.load(std::memory_order_relaxed);
   }
 
  private:
-  char* AllocateFallback(size_t bytes);
-  char* ConcurrentImpl(size_t bytes, size_t align);
-  char* AllocateNewBlock(size_t block_bytes) REQUIRES(blocks_mu_);
+  static constexpr size_t kAlign =
+      alignof(max_align_t) > 8 ? alignof(max_align_t) : 8;
 
-  /// Never-reused id distinguishing this arena in the per-thread block
-  /// cache (see arena.cc): a thread slot left over from a destroyed arena
-  /// can never match a live one.
-  const uint64_t id_;
+  struct Block {
+    Block(size_t n, size_t claimed)
+        : data(std::make_unique<char[]>(n)), size(n), used(claimed) {}
+    const std::unique_ptr<char[]> data;  // operator new[]: kAlign-aligned
+    const size_t size;
+    std::atomic<size_t> used;
+  };
 
-  char* alloc_ptr_;
-  size_t alloc_bytes_remaining_;
-  /// Guards the block list for both paths (serial refills take it too —
-  /// uncontended — so every push_back is under the same lock).
+  char* AllocateImpl(size_t bytes, size_t align);
+  /// Appends a block of `block_bytes` whose first `claimed` bytes are
+  /// taken, and returns it.
+  Block* AllocateNewBlock(size_t block_bytes, size_t claimed)
+      REQUIRES(blocks_mu_);
+
+  /// The block small allocations bump; replaced (never freed) on refill.
+  std::atomic<Block*> current_{nullptr};
   Mutex blocks_mu_{LockRank::kArenaMu};
-  std::vector<std::unique_ptr<char[]>> blocks_ GUARDED_BY(blocks_mu_);
-  std::atomic<size_t> memory_usage_;
+  std::deque<Block> blocks_ GUARDED_BY(blocks_mu_);
+  std::atomic<size_t> memory_usage_{0};
 };
 
 }  // namespace lsmlab

@@ -70,6 +70,16 @@ Status ValueLog::Open() {
       total_bytes_ += size;
     }
   }
+  if (max_number != 0) {
+    // A session that ended without a close left its segment's tail
+    // unsynced, and this session's recovery may make pointers into it
+    // durable: sync it first. An Env that cannot sync a named file leaves
+    // the tail as durable as before.
+    s = env_->SyncFile(FileName(dbname_, max_number));
+    if (!s.ok() && !s.IsNotSupported()) {
+      return s;
+    }
+  }
   current_number_ = max_number + 1;
   files_.insert(current_number_);
   current_offset_ = 0;

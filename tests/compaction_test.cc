@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -348,6 +350,7 @@ class ObservingEnv : public Env {
           std::lock_guard<std::mutex> lock(mu_);
           threads_.insert(std::this_thread::get_id());
         }
+        threads_cv_.notify_all();
         if (on_table) {
           Status s = on_table();
           if (!s.ok()) {
@@ -405,6 +408,13 @@ class ObservingEnv : public Env {
     threads_.clear();
     return n;
   }
+  /// Waits, for at most 10 s, until `n` distinct threads have created a
+  /// table file since the last TakeTableThreads.
+  void AwaitTableThreads(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    threads_cv_.wait_for(lock, std::chrono::seconds(10),
+                         [&] { return threads_.size() >= n; });
+  }
   int manifest_syncs() const { return manifest_syncs_.load(); }
   /// Bytes appended to table files.
   uint64_t table_bytes() const { return table_bytes_.load(); }
@@ -442,10 +452,23 @@ class ObservingEnv : public Env {
 
   Env* base_;
   std::mutex mu_;
+  std::condition_variable threads_cv_;
   std::set<std::thread::id> threads_;
   std::atomic<int> manifest_syncs_{0};
   std::atomic<uint64_t> table_bytes_{0};
 };
+
+/// A ticker's value, read from the lsmlab.stats property.
+uint64_t TickerFromDump(DB* db, const std::string& name) {
+  std::string dump;
+  EXPECT_TRUE(db->GetProperty("lsmlab.stats", &dump));
+  const std::string field = "ticker." + name + "=";
+  const size_t at = dump.find(field);
+  EXPECT_NE(at, std::string::npos) << name;
+  return at == std::string::npos
+             ? 0
+             : std::stoull(dump.substr(at + field.size()));
+}
 
 /// Keeps the outputs of the last successful compaction, in key order.
 class CompactionOutputRecorder : public EventListener {
@@ -501,6 +524,15 @@ TEST_F(CompactionShapeTest, SubcompactionsMatchSerialMerge) {
       EXPECT_TRUE(WriteStringToFile(env_.get(), data, dbname + "/" + f).ok());
     }
     ObservingEnv env(env_.get());
+    if (helpers > 0) {
+      // Hold each table create until a second thread has made one, so a
+      // caller that would build every subrange before the helpers start
+      // cannot: the merge runs on several threads by construction.
+      env.on_table = [&env] {
+        env.AwaitTableThreads(2);
+        return Status::OK();
+      };
+    }
     auto recorder = std::make_shared<CompactionOutputRecorder>();
     Options options = options_;
     options.env = &env;
@@ -537,6 +569,51 @@ TEST_F(CompactionShapeTest, SubcompactionsMatchSerialMerge) {
     EXPECT_LT(parallel.bounds[i - 1].second, parallel.bounds[i].first) << i;
     EXPECT_LT(parallel.numbers[i - 1], parallel.numbers[i]) << i;
   }
+}
+
+// CompactAll folds the calling thread's counters into the DB's, as the
+// background worker and the merge's helper threads fold theirs: the same
+// merge reads the same blocks and steps the same entries whichever
+// threads ran it (a table two subranges reach at once is opened once),
+// and the tickers say so.
+TEST_F(CompactionShapeTest, CompactAllCountsTheSameWorkOnAnyThreadCount) {
+  options_.merge_policy = MergePolicy::kLeveling;
+  options_.write_buffer_size = 16 << 10;
+  options_.max_file_size = 4 << 10;
+  {
+    ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+    auto gen = NewUniformGenerator(1 << 14, 7);
+    for (int i = 0; i < 12000; i++) {
+      const std::string key = EncodeKey(gen->Next());
+      ASSERT_TRUE(db_->Put({}, key, ValueForKey(key, 24)).ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+    db_.reset();
+  }
+  std::vector<std::string> files;
+  ASSERT_TRUE(env_->GetChildren("/db", &files).ok());
+  auto deltas = [&](int helpers) {
+    const std::string dbname = "/db" + std::to_string(helpers);
+    for (const std::string& f : files) {
+      std::string data;
+      EXPECT_TRUE(ReadFileToString(env_.get(), "/db/" + f, &data).ok());
+      EXPECT_TRUE(WriteStringToFile(env_.get(), data, dbname + "/" + f).ok());
+    }
+    std::unique_ptr<DB> db;
+    EXPECT_TRUE(DB::Open(options_, dbname, &db).ok());
+    static_cast<DBImpl*>(db.get())->TEST_SetSubcompactionHelpers(helpers);
+    const uint64_t reads = TickerFromDump(db.get(), "block.reads");
+    const uint64_t steps = TickerFromDump(db.get(), "merge_iter.steps");
+    EXPECT_TRUE(db->CompactAll().ok());
+    return std::make_pair(TickerFromDump(db.get(), "block.reads") - reads,
+                          TickerFromDump(db.get(), "merge_iter.steps") -
+                              steps);
+  };
+  const auto serial = deltas(0);
+  const auto parallel = deltas(3);
+  EXPECT_GT(serial.first, 0u);
+  EXPECT_GT(serial.second, 0u);
+  EXPECT_EQ(serial, parallel);
 }
 
 // Under a partial file picker no merge is split: each subrange would end
@@ -1957,17 +2034,6 @@ std::string DescribeTree(const Version& v) {
     }
   }
   return out;
-}
-
-uint64_t TickerFromDump(DB* db, const std::string& name) {
-  std::string dump;
-  EXPECT_TRUE(db->GetProperty("lsmlab.stats", &dump));
-  const std::string field = "ticker." + name + "=";
-  const size_t at = dump.find(field);
-  EXPECT_NE(at, std::string::npos) << name;
-  return at == std::string::npos
-             ? 0
-             : std::stoull(dump.substr(at + field.size()));
 }
 
 // Each merge-policy preset, each file picker and the read trigger build

@@ -52,6 +52,9 @@ class CrashTest : public ::testing::Test {
     Open();
   }
 
+  /// ReopenKillPointsKeepEverySyncedWrite's sweep under options_.
+  void SweepReopenKillPoints();
+
   std::unique_ptr<Env> base_env_;
   std::unique_ptr<FaultInjectionEnv> env_;
   Options options_;
@@ -217,13 +220,47 @@ TEST_F(CrashTest, PreviousSessionsValueLogTailSurvivesCrash) {
   }
 }
 
+// A session killed without a close (the machine survives, so every byte
+// it wrote is still there) leaves its value-log tail unsynced. The next
+// session's WAL replay and recovery flush make durable pointers into that
+// tail, so the reopen syncs the tail first: a crash after it must not lose
+// the killed session's non-sync puts.
+TEST_F(CrashTest, KilledSessionsValueLogTailSurvivesCrash) {
+  options_.value_separation_threshold = 64;
+  Open();
+  const std::string big(1000, 'K');
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(db_->Put({}, EncodeKey(i), big).ok());
+  }
+  env_->Kill();  // the process dies, the machine does not
+  db_.reset();   // a teardown that can no longer write
+  env_->Revive();
+  Open();  // replays the WAL and flushes pointers into the old segment
+  CrashAndReopen();
+  std::string value;
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(db_->Get({}, EncodeKey(i), &value).ok()) << i;
+    EXPECT_EQ(value, big);
+  }
+}
+
 // Three sessions. The first writes sync puts, flushes part of them and
 // closes. The second reopens under every kill point of its recovery: the
 // manifest it starts, CURRENT, the WAL replay's flush, the compaction that
 // flush triggers and their manifest installs. After a crash the third
 // must read every acknowledged write. A CURRENT rewritten in place dies
 // with the crash, and the third session then starts an empty database.
+// The sweep runs without and with key-value separation, whose reopen also
+// syncs the previous session's value-log tail.
 TEST_F(CrashTest, ReopenKillPointsKeepEverySyncedWrite) {
+  for (const size_t threshold : {size_t{0}, size_t{64}}) {
+    SCOPED_TRACE("value_separation_threshold " + std::to_string(threshold));
+    options_.value_separation_threshold = threshold;
+    ASSERT_NO_FATAL_FAILURE(SweepReopenKillPoints());
+  }
+}
+
+void CrashTest::SweepReopenKillPoints() {
   WriteOptions sync;
   sync.sync = true;
   const std::string pad(100, 'p');

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -10,7 +11,11 @@
 #include <tuple>
 #include <vector>
 
+#include "core/db.h"
 #include "memtable/skiplist.h"
+#include "obs/event_listener.h"
+#include "storage/env.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace lsmlab {
@@ -32,7 +37,7 @@ TEST(SkipListTest, InsertAndContains) {
   for (int i = 0; i < 2000; i++) {
     const uint64_t v = rng.Uniform(10000);
     if (model.insert(v).second) {
-      list.Insert(v);
+      list.Insert(v, Remix64(v));
     }
   }
   for (uint64_t v = 0; v < 10000; v += 7) {
@@ -48,7 +53,7 @@ TEST(SkipListTest, IterationInOrder) {
   for (int i = 0; i < 1000; i++) {
     const uint64_t v = rng.Next64() % 100000;
     if (model.insert(v).second) {
-      list.Insert(v);
+      list.Insert(v, Remix64(v));
     }
   }
   SkipList<uint64_t, IntComparator>::Iterator it(&list);
@@ -64,7 +69,7 @@ TEST(SkipListTest, SeekAndPrev) {
   Arena arena;
   SkipList<uint64_t, IntComparator> list(IntComparator(), &arena);
   for (uint64_t v = 0; v < 100; v += 10) {
-    list.Insert(v);
+    list.Insert(v, Remix64(v));
   }
   SkipList<uint64_t, IntComparator>::Iterator it(&list);
   it.Seek(35);
@@ -92,7 +97,7 @@ TEST(SkipListTest, ConcurrentInsertInterleavedThreads) {
     threads.emplace_back([&, t] {
       uint64_t retries = 0;
       for (uint64_t i = 0; i < kPerThread; i++) {
-        retries += list.InsertConcurrently(i * kThreads + t);
+        retries += list.Insert(i * kThreads + t, Remix64(i * kThreads + t));
       }
       total_retries.fetch_add(retries, std::memory_order_relaxed);
     });
@@ -125,7 +130,7 @@ TEST(SkipListTest, ConcurrentInsertsVsConcurrentReaders) {
   for (int t = 0; t < kWriters; t++) {
     threads.emplace_back([&, t] {
       for (uint64_t i = 0; i < kPerWriter; i++) {
-        list.InsertConcurrently(i * kWriters + t);
+        list.Insert(i * kWriters + t, Remix64(i * kWriters + t));
         watermarks[t].store(i + 1, std::memory_order_release);
       }
     });
@@ -327,12 +332,12 @@ TEST_P(MemTableTest, HashIndexKeepsHighestSequence) {
   mem->Unref();
 }
 
-// AddConcurrent is valid on every rep, with or without the hash index,
+// Concurrent Adds are valid on every rep, with or without the hash index,
 // alongside readers doing point lookups and full scans.
 class MemTableConcurrentTest
     : public ::testing::TestWithParam<std::tuple<MemTable::Rep, bool>> {};
 
-TEST_P(MemTableConcurrentTest, AddConcurrentFromManyThreads) {
+TEST_P(MemTableConcurrentTest, AddFromManyThreads) {
   const auto [rep, hash_index] = GetParam();
   InternalKeyComparator icmp(BytewiseComparator());
   MemTable* mem = new MemTable(icmp, rep, hash_index);
@@ -375,8 +380,8 @@ TEST_P(MemTableConcurrentTest, AddConcurrentFromManyThreads) {
       // hands out: thread t owns sequences [t*kPerThread+1, (t+1)*kPerThread].
       SequenceNumber seq = static_cast<SequenceNumber>(t) * kPerThread + 1;
       for (int i = 0; i < kPerThread; i++) {
-        mem->AddConcurrent(seq++, ValueType::kTypeValue, key(t, i),
-                           "v" + std::to_string(i));
+        mem->Add(seq++, ValueType::kTypeValue, key(t, i),
+                 "v" + std::to_string(i));
       }
     });
   }
@@ -415,6 +420,94 @@ INSTANTIATE_TEST_SUITE_P(
                              : "SortedVector";
       return name + (std::get<1>(info.param) ? "HashIndex" : "");
     });
+
+// -------------------------------------------------------- Order-independence --
+
+// What a memtable takes depends on its entries alone: the same Adds give
+// the same ApproximateMemoryUsage after every entry on a fresh thread and
+// on one that inserts into a dozen other memtables between them (tower
+// heights come from each entry's hash, and the arena keeps no per-thread
+// blocks).
+TEST(MemTableOrderTest, SameAddsTakeTheSameMemoryOnAnyThread) {
+  InternalKeyComparator icmp(BytewiseComparator());
+  constexpr int kEntries = 2000;
+  constexpr int kOthers = 12;
+  auto fill = [&](bool interleave) {
+    std::vector<size_t> usage;
+    std::thread([&] {
+      std::vector<MemTable*> others;
+      for (int m = 0; interleave && m < kOthers; m++) {
+        others.push_back(new MemTable(icmp));
+        others.back()->Ref();
+      }
+      MemTable* mem = new MemTable(icmp);
+      mem->Ref();
+      for (int i = 0; i < kEntries; i++) {
+        if (interleave) {
+          others[i % kOthers]->Add(i + 1, ValueType::kTypeValue,
+                                   "other" + std::to_string(i), "x");
+        }
+        mem->Add(i + 1, ValueType::kTypeValue, "key" + std::to_string(i),
+                 std::string(i % 50, 'v'));
+        usage.push_back(mem->ApproximateMemoryUsage());
+      }
+      mem->Unref();
+      for (MemTable* other : others) other->Unref();
+    }).join();
+    return usage;
+  };
+  const std::vector<size_t> alone = fill(false);
+  EXPECT_TRUE(alone == fill(false));
+  EXPECT_TRUE(alone == fill(true));
+}
+
+/// Keeps the bytes each successful flush wrote, in order.
+class FlushSizeRecorder : public EventListener {
+ public:
+  void OnFlushEnd(const FlushJobInfo& info) override {
+    if (info.status.ok()) {
+      sizes.push_back(info.bytes_written);
+    }
+  }
+
+  std::vector<uint64_t> sizes;
+};
+
+// The same writes flush at the same points whether the writing thread is
+// fresh or first wrote to another database (inline mode: each flush runs
+// on the writer that filled the memtable).
+TEST(MemTableOrderTest, SameWritesFlushAtTheSamePointsOnAnyThread) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  auto load = [&](const std::string& dbname, bool warm) {
+    auto recorder = std::make_shared<FlushSizeRecorder>();
+    std::thread([&] {
+      Options options;
+      options.env = env.get();
+      options.write_buffer_size = 8 << 10;
+      if (warm) {
+        std::unique_ptr<DB> other;
+        ASSERT_TRUE(DB::Open(options, dbname + "-other", &other).ok());
+        for (int i = 0; i < 3000; i++) {
+          ASSERT_TRUE(
+              other->Put({}, "other" + std::to_string(i), "x").ok());
+        }
+      }
+      options.listeners.push_back(recorder);
+      std::unique_ptr<DB> db;
+      ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+      for (int i = 0; i < 3000; i++) {
+        ASSERT_TRUE(db->Put({}, "key" + std::to_string(i),
+                            std::string(i % 50, 'v'))
+                        .ok());
+      }
+    }).join();
+    return recorder->sizes;
+  };
+  const std::vector<uint64_t> fresh = load("/fresh", false);
+  ASSERT_GE(fresh.size(), 10u);
+  EXPECT_EQ(fresh, load("/again", false));
+  EXPECT_EQ(fresh, load("/warm", true));
+}
 
 INSTANTIATE_TEST_SUITE_P(Reps, MemTableTest,
                          ::testing::Values(MemTable::Rep::kSkipList,

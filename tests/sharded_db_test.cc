@@ -604,6 +604,51 @@ TEST_F(ShardedDBTest, CloseWithBackgroundWorkQueuedOnEveryShardIsClean) {
   }
 }
 
+// A memtable fills by what its entries take, not by which thread inserted
+// them or how: four writers over sixteen shards, each shard's groups
+// applied in parallel by their members, flush as often as the same load
+// applied by each group's leader alone: a writer spread over sixteen
+// memtables abandons no block tails that a leader would have filled.
+// Runs under TSan in the tsan-obs CI leg.
+TEST_F(ShardedDBTest, ParallelApplyFlushesAsOftenAsLeaderApply) {
+  constexpr int kShards = 16;
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 6000;
+  auto run = [&](bool parallel) {
+    Options options = ShardedOptions(kShards);
+    options.background_compaction = true;
+    options.allow_concurrent_memtable_write = parallel;
+    options.write_buffer_size = 16 << 10;
+    options.max_file_size = 64 << 10;
+    const std::string dbname = parallel ? "/parallel" : "/leader";
+    std::unique_ptr<DB> db;
+    EXPECT_TRUE(DB::Open(options, dbname, &db).ok());
+    const std::string value(100, 'v');
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kWriters; t++) {
+      writers.emplace_back([&, t] {
+        for (int i = 0; i < kPerWriter; i++) {
+          EXPECT_TRUE(db->Put({}, Key(i * kWriters + t), value).ok());
+        }
+      });
+    }
+    for (auto& w : writers) w.join();
+    const DBStats stats = db->GetStats();
+    EXPECT_EQ(stats.parallel_applies + stats.serial_applies,
+              stats.group_commits);
+    if (!parallel) {
+      EXPECT_EQ(stats.parallel_applies, 0u);
+    }
+    return stats;
+  };
+  const DBStats leader = run(false);
+  const DBStats parallel = run(true);
+  ASSERT_GT(leader.flushes, 100u);
+  EXPECT_NEAR(static_cast<double>(parallel.flushes),
+              static_cast<double>(leader.flushes), 0.02 * leader.flushes)
+      << "parallel applies: " << parallel.parallel_applies;
+}
+
 TEST_F(ShardedDBTest, DestroyDBRemovesShardSubdirectories) {
   constexpr int kShards = 4;
   Open(ShardedOptions(kShards));

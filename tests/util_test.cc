@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/arena.h"
@@ -301,6 +304,38 @@ TEST(ArenaTest, AlignedAllocation) {
     char* p = arena.AllocateAligned(16);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 8, 0u);
   }
+}
+
+// Threads allocating from one arena at once get disjoint memory: each
+// fills its allocations with its own tag and finds them intact after all
+// threads are done. Large allocations (own blocks) mix with small ones.
+TEST(ArenaTest, ConcurrentAllocationsAreDisjoint) {
+  Arena arena;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  std::vector<std::vector<std::pair<char*, size_t>>> allocs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      Random rng(17 + t);
+      for (int i = 0; i < kPerThread; i++) {
+        const size_t n = rng.OneIn(50) ? 1025 + rng.Uniform(3000)
+                                       : 1 + rng.Uniform(200);
+        char* p = rng.OneIn(2) ? arena.Allocate(n) : arena.AllocateAligned(n);
+        memset(p, 'a' + t, n);
+        allocs[t].emplace_back(p, n);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  size_t total = 0;
+  for (int t = 0; t < kThreads; t++) {
+    for (const auto& [p, n] : allocs[t]) {
+      ASSERT_EQ(std::string(p, n), std::string(n, 'a' + t));
+      total += n;
+    }
+  }
+  EXPECT_GE(arena.MemoryUsage(), total);
 }
 
 // ------------------------------------------------------------ BitVector --

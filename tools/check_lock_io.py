@@ -7,15 +7,14 @@ may execute while a ranked *no-io* engine mutex is held, except at sites
 explicitly audited with an `io-under-lock-ok:` comment AND listed in
 tools/lock_io_audit.list.
 
-A second leaf class covers the parallel group apply (PR 10): the
-concurrent memtable insert entry points (SkipList::InsertConcurrently,
-MemTable::AddConcurrent, WriteBatch::InsertIntoConcurrent) run outside
-mu_ by design — the whole point is that group members insert in parallel
-without serializing on the DB mutex — so calling one while a no-io
-engine mutex is held is flagged exactly like blocking I/O. The serial
-siblings (Insert/Add/InsertInto) are not in the set: a serial insert
-races no other member, so it needs no lock released (tools/lint.sh check
-11 confines them to the write path's apply helper and WAL recovery).
+A second leaf class covers the memtable insert: its entry points
+(WriteBatch::InsertInto, MemTable::Add, SkipList::Insert) run outside
+mu_ by design — a leader applying its group alone, the members of a
+parallel group apply and WAL replay all insert unlocked, so readers and
+the background thread never wait on an insert — and calling one while a
+no-io engine mutex is held is flagged exactly like blocking I/O
+(tools/lint.sh check 11 confines InsertInto to the write path's apply
+helper and WAL recovery).
 
 The tool:
   1. scans every .h/.cc under src/ (file list from compile_commands.json when
@@ -62,7 +61,7 @@ FILE_BLOCKING = {"Read", "Append", "Sync", "Flush", "Skip", "Close"}
 ENV_BLOCKING = {
     "NewWritableFile", "NewRandomAccessFile", "NewSequentialFile",
     "GetChildren", "RemoveFile", "RenameFile", "GetFileSize", "FileExists",
-    "CreateDir", "RemoveDir",
+    "CreateDir", "RemoveDir", "SyncFile",
 }
 # Raw libc/posix calls (matched only receiver-less or ::-qualified).
 RAW_BLOCKING = {
@@ -70,14 +69,12 @@ RAW_BLOCKING = {
     "fflush", "fopen", "fclose", "stat", "unlink", "mkdir",
     "sleep_for", "sleep_until",
 }
-# Parallel-apply entry points: must run with no no-io engine mutex held
-# (the member-parallel insert region of src/core/db_write.cc). Matched by
-# method name alone — the names are unique to the concurrent memtable
-# path, and their serial siblings (Insert/Add/InsertInto) stay callable
-# under mu_.
-APPLY_BLOCKING = {
-    "InsertConcurrently", "AddConcurrent", "InsertIntoConcurrent",
-}
+# Memtable insert entry points: must run with no no-io engine mutex held
+# (the unlocked apply region of src/core/db_write.cc). InsertInto is
+# matched by name alone (no other project method has it); Add and Insert
+# are common names, so they count only on a MemTable or SkipList receiver.
+APPLY_BLOCKING = {"InsertInto"}
+APPLY_BLOCKING_ON = {"MemTable": {"Add"}, "SkipList": {"Insert"}}
 
 
 class Analyzer(Frontend):
@@ -172,6 +169,8 @@ class Analyzer(Frontend):
             recv = self.resolve_chain(parts[:-1], func, cls)
             if recv in FILE_TYPES and method in FILE_BLOCKING:
                 return "file", []
+            if method in APPLY_BLOCKING_ON.get(recv, ()):
+                return "memtable-apply", []
             if recv == "Env" and method in ENV_BLOCKING:
                 return "env", []
             if recv is not None:
@@ -360,8 +359,11 @@ class WritableFile {
 };
 class MemTable {
  public:
-  uint64_t AddConcurrent(int seq);
-  void Add(int seq);
+  uint64_t Add(int seq);
+};
+class Stats {
+ public:
+  void Add(int n);
 };
 class Widget {
  public:
@@ -379,6 +381,7 @@ class Widget {
   Mutex logger_mu_{LockRank::kLoggerMu};
   std::unique_ptr<WritableFile> file_;
   MemTable* mem_;
+  Stats stats_;
 };
 }  // namespace lsmlab
 """
@@ -428,14 +431,14 @@ void Widget::Span() {
 
 void Widget::ApplyLocked() {
   MutexLock l(&mu_);
-  mem_->AddConcurrent(1);  // seeded violation: parallel apply under mu_
+  mem_->Add(1);  // seeded violation: memtable insert under mu_
 }
 
 void Widget::ApplyUnlocked() {
   mu_.Lock();
-  mem_->Add(1);  // clean: the serial sibling is fine under mu_
+  stats_.Add(1);  // clean: an Add on another class is no insert
   mu_.Unlock();
-  mem_->AddConcurrent(1);  // clean: no lock held
+  mem_->Add(1);  // clean: no lock held
 }
 
 }  // namespace lsmlab

@@ -176,11 +176,18 @@ leg_tsan_obs() {
   # sweeps.) Moves: a move install next to iterators and snapshots that
   # pinned the tree before it, and the consistency check every install
   # runs in this Debug build. The compaction job's own tests run its
-  # helper threads against a fake install hook (CompactionJobTest).
-  GTEST_FILTER='*Background*:*Subcompaction*:*Install*:*Move*:*Consistency*:CompactionJob*' \
+  # helper threads against a fake install hook (CompactionJobTest). Table
+  # opens: two subranges that reach one table wait for one open
+  # (*AnyThreadCount*).
+  GTEST_FILTER='*Background*:*Subcompaction*:*Install*:*Move*:*Consistency*:CompactionJob*:*AnyThreadCount*' \
       ctest --test-dir build-ci-tsan --output-on-failure -R compaction_test
   GTEST_FILTER='*Subrange*' ctest --test-dir build-ci-tsan \
       --output-on-failure -R corruption_test
+  # The memtable's arena: any number of threads bump one block with a CAS
+  # and refill under blocks_mu_. (sharded_db_test above runs the
+  # many-shard parallel-apply flush test over the same arena.)
+  GTEST_FILTER='Arena*' ctest --test-dir build-ci-tsan \
+      --output-on-failure -R util_test
   GTEST_FILTER='CompactionRead*' ctest --test-dir build-ci-tsan \
       --output-on-failure -R cache_test
 }

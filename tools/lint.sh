@@ -52,13 +52,13 @@
 #      back into O(entries x files) and opens every input table up front.
 #      Deliberate exceptions carry a `run-iter-ok:` comment on the call
 #      line or the line above.
-#  11. Memtable inserts (`.InsertInto(` / `.InsertIntoConcurrent(` calls)
-#      appear in src/core only inside DBImpl::ApplyMemberThenLock, the
-#      write path's one apply site, and DBImpl::RecoverWal. Every group is
-#      inserted by that helper outside mu_ inside the leader's commit
-#      window; a second insert site is a second apply protocol, and one
-#      under mu_ blocks every reader. Deliberate exceptions carry an
-#      `apply-ok:` comment on the call line or the line above.
+#  11. Memtable inserts (`.InsertInto(` calls) appear in src/core only
+#      inside DBImpl::ApplyMemberThenLock, the write path's one apply
+#      site, and DBImpl::RecoverWal. Every group is inserted by that
+#      helper outside mu_ inside the leader's commit window; a second
+#      insert site is a second apply protocol, and one under mu_ blocks
+#      every reader. Deliberate exceptions carry an `apply-ok:` comment
+#      on the call line or the line above.
 #  12. One range-read builder: `NewDBIterator(` has at most one call site
 #      in src/core (its declaration and definition in db_iter.{h,cc} aside).
 #      NewIterator, Scan, GarbageCollectValues and ShardedDB's merged
@@ -85,6 +85,11 @@
 #      WriteOptions (src/core/options.h) is set in some file under tests/
 #      (`.field =`, or `.field.push_back(` for a list). An option no test
 #      sets changes nothing anyone checks: pin its effect or delete it.
+#  16. No `thread_local` in src/memtable/ or src/util/arena.* (comment
+#      lines aside). The memtable has one insert path, and what it builds
+#      depends only on the entries: per-thread state there (a block cache,
+#      a height stream) makes the same writes build a different memtable
+#      on another thread or after other work, and flush points with it.
 #
 # `lint.sh --self-test` seeds a throwaway tree with one violation per check
 # and asserts every check fires (the same discipline as
@@ -108,7 +113,13 @@ if [ "${1:-}" = "--self-test" ]; then
 template <typename Key>
 class SkipList {
   std::mutex splice_mu_;                              // check 1: raw mutex in the lock-free skiplist
+  static thread_local int height_seed_;               // check 16
 };
+// A comment may name thread_local: must NOT fire
+EOF
+  mkdir -p "$tmp/src/obs"
+  cat > "$tmp/src/obs/perf_context.cc" << 'EOF'
+thread_local PerfContext perf_context;                // check 16: must NOT fire outside the memtable
 EOF
   cat > "$tmp/src/core/seeded.cc" << 'EOF'
 std::mutex raw_mu;                                    // check 1
@@ -121,13 +132,13 @@ void Poke() { stats_->RecordSync(); }                 // check 5
 void Wal() { wal_file_->Sync(); }                     // check 8
 void Quiet() { DoThing().IgnoreError(); }             // check 9
 void Merge() { kids.push_back(table_cache_->NewIterator(f)); }  // check 10
-void Sneak() { Status s = group->InsertInto(mem_); }  // check 11
+void Sneak() { Status s = group->InsertInto(mem_, seq, &r); }  // check 11
 void DBImpl::ApplyMemberThenLock(const WriteBatch& batch) {
-  Status s = batch.InsertIntoConcurrent(mem, base, &r);  // check 11: must NOT fire
+  Status s = batch.InsertInto(mem, base, &r);         // check 11: must NOT fire
 }
 void Replay() {
   // apply-ok: documented exception, must NOT fire
-  Status s = scratch.InsertInto(mem_);
+  Status s = scratch.InsertInto(mem_, seq, &r);
 }
 Iterator* Build() { return NewDBIterator(ucmp, merged, seq); }  // check 12
 Iterator* Again() { return NewDBIterator(ucmp, other, seq); }   // check 12: second site
@@ -246,7 +257,7 @@ EOF
     echo "lint --self-test: seeded memtable insert not flagged"
     fail=1
   fi
-  if grep -qE 'batch\.InsertIntoConcurrent|scratch\.InsertInto' <<< "$out"; then
+  if grep -qE 'batch\.InsertInto|scratch\.InsertInto' <<< "$out"; then
     echo "lint --self-test: apply helper body or apply-ok: site wrongly flagged"
     fail=1
   fi
@@ -294,12 +305,21 @@ EOF
     echo "lint --self-test: an option a test sets was flagged"
     fail=1
   fi
+  expect "thread_local in the memtable or its arena"
+  if ! grep -q 'height_seed_' <<< "$out"; then
+    echo "lint --self-test: seeded thread_local in the skiplist not flagged"
+    fail=1
+  fi
+  if grep -qE 'perf_context\.cc|may name thread_local' <<< "$out"; then
+    echo "lint --self-test: thread_local outside the memtable or in a comment wrongly flagged"
+    fail=1
+  fi
   if [ "$rc" -eq 0 ]; then
     echo "lint --self-test: seeded tree passed the lint (expected failure)"
     fail=1
   fi
   if [ "$fail" -eq 0 ]; then
-    echo "lint --self-test: PASS (all 15 checks fire on seeded violations)"
+    echo "lint --self-test: PASS (all 16 checks fire on seeded violations)"
   fi
   exit "$fail"
 fi
@@ -473,12 +493,12 @@ grep -rlE --include='*.h' --include='*.cc' 'NewIterator\(' src/core/ \
 #     write path's apply helper and in WAL recovery (each body ends at the
 #     first line that is a lone `}`). An `apply-ok:` comment on the call
 #     line or the line above excuses a deliberate exception.
-grep -rlE --include='*.h' --include='*.cc' '(\.|->)InsertInto(Concurrent)?\(' \
+grep -rlE --include='*.h' --include='*.cc' '(\.|->)InsertInto\(' \
     src/core/ 2>/dev/null \
   | while read -r f; do
       awk -v file="$f" '
         /DBImpl::(ApplyMemberThenLock|RecoverWal)\(/ { in_apply = 1 }
-        /(\.|->)InsertInto(Concurrent)?\(/ {
+        /(\.|->)InsertInto\(/ {
           if (!in_apply && $0 !~ /apply-ok:/ && prev !~ /apply-ok:/) {
             printf "%s:%d: %s\n", file, NR, $0
           }
@@ -564,6 +584,12 @@ awk '
       fi
     done \
   | report "option set by no test (pin its effect in a test under tests/, or delete it)"
+
+# 16. No per-thread state in the memtable's insert path.
+grep -rnE --include='*.h' --include='*.cc' '\bthread_local\b' \
+    src/memtable/ src/util/arena.h src/util/arena.cc 2>/dev/null \
+  | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' \
+  | report "thread_local in the memtable or its arena (the memtable it builds must depend on its entries alone)"
 
 if [ "$fail" -eq 0 ]; then
   echo "lint: OK"
