@@ -11,13 +11,13 @@
 #include "core/filename.h"
 #include "core/merging_iterator.h"
 #include "format/sstable_builder.h"
-#include "obs/perf_context.h"
+#include "obs/perf_scope.h"
 #include "util/mutex.h"
 
 namespace lsmlab {
 
 Status BuildTables(TableCache* tables, VersionSet* versions, Iterator* iter,
-                   int output_level, bool drop_shadowed, bool drop_tombstones,
+                   int output_level, bool drop_tombstones,
                    SequenceNumber smallest_snapshot,
                    std::vector<FileMetaData>* outputs,
                    uint64_t* bytes_written, Subrange range) {
@@ -58,7 +58,7 @@ Status BuildTables(TableCache* tables, VersionSet* versions, Iterator* iter,
 
   std::string last_user_key;
   bool has_last_user_key = false;
-  SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
+  SequenceNumber last_sequence_for_key = 0;
 
   if (range.begin != nullptr) {
     iter->Seek(LookupKey(*range.begin, kMaxSequenceNumber).internal_key());
@@ -74,32 +74,28 @@ Status BuildTables(TableCache* tables, VersionSet* versions, Iterator* iter,
     const SequenceNumber seq = ExtractSequence(key);
     const ValueType type = ExtractValueType(key);
 
-    bool drop = false;
-    if (drop_shadowed || drop_tombstones) {
-      if (!has_last_user_key ||
-          ucmp->Compare(user_key, Slice(last_user_key)) != 0) {
-        last_user_key.assign(user_key.data(), user_key.size());
-        has_last_user_key = true;
-        last_sequence_for_key = kMaxSequenceNumber;
-      }
-      if (seq == last_sequence_for_key) {
-        // The previous entry again: a tree left between two installs of
-        // one compaction (by a crash or a failed subrange) holds the
-        // installed source-level entries in two levels. A snapshot older
-        // than them keeps both copies from being shadowed.
-        drop = true;
-      } else if (drop_shadowed &&
-                 last_sequence_for_key <= smallest_snapshot) {
-        // A newer version visible to every snapshot shadows this entry.
-        drop = true;
-      } else if (drop_tombstones && type == ValueType::kTypeDeletion &&
-                 seq <= smallest_snapshot) {
-        // Bottom-most data: the tombstone has nothing left to delete.
-        drop = true;
-      }
-      last_sequence_for_key = seq;
+    const bool same_key = has_last_user_key &&
+                          ucmp->Compare(user_key, Slice(last_user_key)) == 0;
+    if (!same_key) {
+      last_user_key.assign(user_key.data(), user_key.size());
+      has_last_user_key = true;
     }
-    if (drop) {
+    const SequenceNumber newer = last_sequence_for_key;
+    last_sequence_for_key = seq;
+    if (same_key && seq == newer) {
+      // The previous entry again: a tree left between two installs of one
+      // compaction (by a crash or a failed subrange) holds the installed
+      // source-level entries in two levels. A snapshot older than them
+      // keeps both copies from being shadowed.
+      continue;
+    }
+    if (same_key && newer <= smallest_snapshot) {
+      // A newer version visible to every snapshot shadows this entry.
+      continue;
+    }
+    if (drop_tombstones && type == ValueType::kTypeDeletion &&
+        seq <= smallest_snapshot) {
+      // Bottom-most data: the tombstone has nothing left to delete.
       continue;
     }
 
@@ -489,8 +485,7 @@ Status CompactionJob::MergeRuns() {
     std::unique_ptr<Iterator> merged(NewMergingIterator(
         &icmp, children.data(), static_cast<int>(children.size())));
     sub.status = BuildTables(tables_, versions_, merged.get(),
-                             output_level, /*drop_shadowed=*/true,
-                             /*drop_tombstones=*/bottommost_,
+                             output_level, /*drop_tombstones=*/bottommost_,
                              smallest_snapshot_, &sub.outputs,
                              &sub.bytes_written, sub.range);
   };
@@ -548,10 +543,8 @@ Status CompactionJob::MergeRuns() {
       threads.emplace_back([&] {
         // A helper's block reads and merge steps count in the DB's
         // tickers, as the caller's do when its operation ends.
-        PerfContext* perf = GetPerfContext();
-        const PerfContext before = *perf;
+        PerfScope scope(tables_->stats());
         work();
-        tables_->stats()->MergePerfDelta(perf->Delta(before));
       });
     }
     work();

@@ -27,12 +27,15 @@ struct Subrange {
 
 /// The one table builder, of flushes and compactions: builds tables at
 /// `output_level` of `tables`' database from `iter`'s entries in `range`,
-/// splitting at max_file_size. A merge (`drop_shadowed`) writes an entry
-/// that repeats the previous one only once: a tree left between two
-/// installs of one compaction holds its installed source-level entries
-/// twice. Touches no DB state but `versions`' file-number counter.
+/// splitting at max_file_size. It drops every version that a newer one
+/// visible at `smallest_snapshot` shadows, and writes an entry that
+/// repeats the previous one only once: a tree left between two installs
+/// of one compaction holds its installed source-level entries twice.
+/// With `drop_tombstones` (bottom-most output) it also drops tombstones
+/// every snapshot sees. Touches no DB state but `versions`' file-number
+/// counter.
 Status BuildTables(TableCache* tables, VersionSet* versions, Iterator* iter,
-                   int output_level, bool drop_shadowed, bool drop_tombstones,
+                   int output_level, bool drop_tombstones,
                    SequenceNumber smallest_snapshot,
                    std::vector<FileMetaData>* outputs,
                    uint64_t* bytes_written, Subrange range = {});

@@ -56,7 +56,7 @@ DBImpl::DBImpl(const Options& options, std::string dbname,
   }
   // Version cleanup hooks fire wherever the last reference to an obsolete
   // file drops — often under mu_ — so the observer only records the event;
-  // listener callbacks fire from the next NotifyListeners.
+  // listener callbacks fire when the next outermost OpScope ends.
   versions_->SetFileDeletionObserver([this](uint64_t number) {
     stats_.Add(Ticker::kTableFilesDeleted);
     if (has_listeners()) {
@@ -106,9 +106,9 @@ DBImpl::~DBImpl() {
 
 Status DBImpl::Init() {
   // Recovery's flush and compaction run on the opening thread; like every
-  // caller-run operation, Init folds that thread's counters into stats_.
-  PerfContext* perf = GetPerfContext();
-  const PerfContext before = *perf;
+  // caller-run operation, Init folds that thread's counters into stats_,
+  // and listeners observe them after the lock is gone.
+  OpScope op(this);
   Status s = versions_->Recover();
   if (s.ok() && vlog_ != nullptr) {
     s = vlog_->Open();
@@ -116,13 +116,12 @@ Status DBImpl::Init() {
   if (s.ok()) {
     s = RecoverWal();
   }
-  PendingEvents events;
   if (s.ok()) {
     MutexLock lock(&mu_);
     if (mem_->num_entries() > 0) {
-      s = FlushOnCallerLocked(&events);
+      s = FlushOnCallerLocked();
       if (s.ok()) {
-        s = MaybeCompact(&events);
+        s = MaybeCompact();
       }
     }
     if (s.ok() && wal_ == nullptr) {  // a recovery flush opened one
@@ -133,14 +132,10 @@ Status DBImpl::Init() {
     // After the recovery flush: the sweep is what deletes replayed WALs.
     versions_->RemoveOrphanedFiles();
   }
-  stats_.MergePerfDelta(perf->Delta(before));
-  // Recovery may flush and compact; listeners observe those like any
-  // other flush/compaction, after the lock is gone.
-  NotifyListeners(&events);
   return s;
 }
 
-// ------------------------------------------------------------- Listeners --
+// --------------------------------------------- Operation scope, listeners --
 
 namespace {
 
@@ -156,38 +151,55 @@ TableFileInfo MakeTableFileInfo(const FileMetaData& meta, int level) {
 
 }  // namespace
 
-void DBImpl::DrainDeletions(PendingEvents* events) {
-  if (!has_listeners()) {
-    return;
-  }
-  std::vector<uint64_t> numbers;
-  {
-    MutexLock lock(&deletions_mu_);
-    numbers.swap(pending_deletions_);
-  }
-  for (uint64_t number : numbers) {
-    TableFileDeletionInfo info;
-    info.db_name = dbname_;
-    info.file_number = number;
-    events->push_back(
-        [info](EventListener& l) { l.OnTableFileDeleted(info); });
+thread_local DBImpl::OpScope* DBImpl::OpScope::outermost_on_thread_ = nullptr;
+
+DBImpl::OpScope::OpScope(DBImpl* db, uint64_t PerfContext::*micros,
+                         PhaseHistogram phase)
+    : db_(db),
+      perf_(&db->stats_, micros, phase),
+      outermost_(outermost_on_thread_ == nullptr) {
+  if (outermost_) {
+    outermost_on_thread_ = this;
   }
 }
 
-void DBImpl::NotifyListeners(PendingEvents* events) {
-  DrainDeletions(events);
-  if (events->empty()) {
+DBImpl::OpScope::~OpScope() {
+  if (!outermost_) {
     return;
+  }
+  // Depth first: a listener calling back into the DB opens a fresh scope,
+  // whose counters and events are its own.
+  outermost_on_thread_ = nullptr;
+  perf_.Close();
+  if (!db_->has_listeners()) {
+    return;
+  }
+  std::vector<uint64_t> deleted;
+  {
+    MutexLock lock(&db_->deletions_mu_);
+    deleted.swap(db_->pending_deletions_);
+  }
+  for (uint64_t number : deleted) {
+    TableFileDeletionInfo info;
+    info.db_name = db_->dbname_;
+    info.file_number = number;
+    events_.push_back(
+        [info](EventListener& l) { l.OnTableFileDeleted(info); });
   }
   // The contract listeners rely on (see obs/event_listener.h): callbacks
   // never run under the DB mutex, so they may call read-side DB methods.
-  assert(!mu_.HeldByCurrentThread());
-  for (const auto& fire : *events) {
-    for (const auto& listener : options_.listeners) {
+  assert(events_.empty() || !db_->mu_.HeldByCurrentThread());
+  for (const auto& fire : events_) {
+    for (const auto& listener : db_->options_.listeners) {
       fire(*listener);
     }
   }
-  events->clear();
+}
+
+void DBImpl::StageEvent(std::function<void(EventListener&)> fire) {
+  OpScope* op = OpScope::outermost_on_thread_;
+  assert(op != nullptr && op->db_ == this);
+  op->events_.push_back(std::move(fire));
 }
 
 Status DB::Open(const Options& options, const std::string& name,
@@ -292,6 +304,9 @@ Status DBImpl::ResolveValue(const Slice& stored, std::string* out) {
 }
 
 Status DBImpl::GarbageCollectValues() {
+  // One operation: the iterator's steps and the nested Puts and Flush
+  // fold once, and their events fire when the collection ends.
+  OpScope op(this);
   if (vlog_ == nullptr) {
     return Status::NotSupported("key-value separation is disabled");
   }
@@ -466,7 +481,7 @@ void DBImpl::StallWait() {
   stats_.Add(Ticker::kWriteStallMicros, static_cast<uint64_t>(micros));
 }
 
-Status DBImpl::MakeRoomForWrite(PendingEvents* events) {
+Status DBImpl::MakeRoomForWrite() {
   // The L0 triggers wait for the background worker to catch up. An inline
   // writer is that worker, so it is never delayed or stopped by them.
   const bool paced = bg_pool_ != nullptr;
@@ -487,7 +502,7 @@ Status DBImpl::MakeRoomForWrite(PendingEvents* events) {
     info.db_name = dbname_;
     info.cause = cause;
     info.l0_runs = l0_runs;
-    events->push_back([info](EventListener& l) { l.OnWriteStall(info); });
+    StageEvent([info](EventListener& l) { l.OnWriteStall(info); });
   };
   while (true) {
     if (!bg_error_.ok()) {
@@ -529,7 +544,7 @@ Status DBImpl::MakeRoomForWrite(PendingEvents* events) {
       // compaction digests the backlog.
       stage_stall(WriteStallInfo::Cause::kL0Stop, l0_runs);
       bg_compaction_hint_ = true;
-      MaybeScheduleBackgroundWork(events);
+      MaybeScheduleBackgroundWork();
       StallWait();
       // Only a pick that finds nothing clears the hint set above.
       nothing_to_pick = !bg_compaction_hint_;
@@ -538,12 +553,12 @@ Status DBImpl::MakeRoomForWrite(PendingEvents* events) {
       if (!s.ok()) {
         return s;
       }
-      MaybeScheduleBackgroundWork(events);
+      MaybeScheduleBackgroundWork();
     }
   }
 }
 
-void DBImpl::MaybeScheduleBackgroundWork(PendingEvents* events) {
+void DBImpl::MaybeScheduleBackgroundWork() {
   if (bg_scheduled_ || shutting_down_ || !bg_error_.ok()) {
     return;
   }
@@ -555,13 +570,13 @@ void DBImpl::MaybeScheduleBackgroundWork(PendingEvents* events) {
   bg_scheduled_ = true;
   if (bg_pool_ == nullptr) {
     // Inline mode: the calling thread is the background worker. Its events
-    // fire when the caller releases mu_.
+    // fire when the caller's operation ends.
     int compactions = 0;
     const int max_compactions = options_.max_compactions_per_write;
     while (bg_error_.ok() && (imm_ != nullptr || max_compactions == 0 ||
                               compactions < max_compactions)) {
       const bool flush = imm_ != nullptr;
-      if (!BackgroundStep(events)) {
+      if (!BackgroundStep()) {
         break;
       }
       compactions += flush ? 0 : 1;
@@ -579,40 +594,37 @@ void DBImpl::MaybeScheduleBackgroundWork(PendingEvents* events) {
 }
 
 void DBImpl::BackgroundCall() {
-  // One BackgroundStep per lock scope: the mutex is released between steps
-  // so each flush/compaction's listener events fire promptly and without
-  // mu_ held, and each step's PerfContext delta lands in the registry.
+  // One BackgroundStep per operation scope: the mutex is released between
+  // steps so each flush/compaction's listener events fire promptly and
+  // without mu_ held, and each step's PerfContext delta lands in the
+  // registry.
   while (true) {
-    PendingEvents events;
-    PerfContext* perf = GetPerfContext();
-    const PerfContext before = *perf;
+    OpScope op(this);
     bool more = false;
     {
       MutexLock lock(&mu_);
       assert(bg_scheduled_);
       if (!shutting_down_ && bg_error_.ok()) {
-        more = BackgroundStep(&events);
+        more = BackgroundStep();
       }
       if (!more) {
         bg_scheduled_ = false;
         // Work may have arrived while the lock was released during a build.
-        MaybeScheduleBackgroundWork(&events);
+        MaybeScheduleBackgroundWork();
       }
       bg_cv_.SignalAll();
     }
-    stats_.MergePerfDelta(perf->Delta(before));
-    NotifyListeners(&events);
     if (!more) {
       return;
     }
   }
 }
 
-bool DBImpl::BackgroundStep(PendingEvents* events) {
+bool DBImpl::BackgroundStep() {
   if (imm_ != nullptr) {
     // Flush has priority: a pending imm_ is what stalls writers.
     // A failure is also sticky in bg_error_, which stops both loops.
-    return FlushImmMemTable(events).ok();
+    return FlushImmMemTable().ok();
   }
   if (manual_compaction_) {
     // CompactAll owns the compaction token; it drains the shape itself.
@@ -623,14 +635,14 @@ bool DBImpl::BackgroundStep(PendingEvents* events) {
     bg_compaction_hint_ = false;
     return false;
   }
-  Status s = DoCompaction(std::move(*pick), events);
+  Status s = DoCompaction(std::move(*pick));
   if (!s.ok()) {
     bg_error_ = s;
   }
   return s.ok();
 }
 
-Status DBImpl::FlushImmMemTable(PendingEvents* events) {
+Status DBImpl::FlushImmMemTable() {
   assert(imm_ != nullptr);
   stats_.Add(Ticker::kFlushes);
   const auto flush_start = std::chrono::steady_clock::now();
@@ -638,7 +650,7 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
     FlushJobInfo begin;
     begin.db_name = dbname_;
     begin.background = bg_pool_ != nullptr;
-    events->push_back([begin](EventListener& l) { l.OnFlushBegin(begin); });
+    StageEvent([begin](EventListener& l) { l.OnFlushBegin(begin); });
   }
   ReconfigureMonkeyLocked(/*output_level=*/0);
 
@@ -658,9 +670,8 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
   if (s.ok()) {
     std::unique_ptr<Iterator> iter(imm->NewIterator());
     s = BuildTables(table_cache_.get(), versions_.get(), iter.get(),
-                    /*output_level=*/0, /*drop_shadowed=*/false,
-                    /*drop_tombstones=*/false, smallest_snapshot, &outputs,
-                    &bytes_written);
+                    /*output_level=*/0, /*drop_tombstones=*/false,
+                    smallest_snapshot, &outputs, &bytes_written);
   }
   mu_.Lock();
 
@@ -703,7 +714,7 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
   info.status = s;
   FinishJob(flush_start, PhaseHistogram::kFlushMicros,
             &PerfContext::flush_micros, outputs, /*level=*/0,
-            std::move(info), &EventListener::OnFlushEnd, events);
+            std::move(info), &EventListener::OnFlushEnd);
   if (!s.ok()) {
     return s;
   }
@@ -713,7 +724,7 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
   return Status::OK();
 }
 
-Status DBImpl::FlushOnCallerLocked(PendingEvents* events) {
+Status DBImpl::FlushOnCallerLocked() {
   // imm_ belongs to whoever holds the bg_scheduled_ claim, and the freeze
   // rotates the WAL: wait until no worker runs and no group-commit leader
   // is inside its commit window.
@@ -731,31 +742,19 @@ Status DBImpl::FlushOnCallerLocked(PendingEvents* events) {
     return s;
   }
   bg_scheduled_ = true;
-  s = FlushImmMemTable(events);
+  s = FlushImmMemTable();
   bg_scheduled_ = false;
   bg_cv_.SignalAll();
   return s;
 }
 
 Status DBImpl::Flush() {
-  PerfContext* perf = GetPerfContext();
-  const PerfContext before = *perf;
-  PendingEvents events;
-  Status s;
-  {
-    MutexLock lock(&mu_);
-    s = FlushLocked(&events);
-  }
-  stats_.MergePerfDelta(perf->Delta(before));
-  NotifyListeners(&events);
-  return s;
-}
-
-Status DBImpl::FlushLocked(PendingEvents* events) {
+  OpScope op(this);
+  MutexLock lock(&mu_);
   if (bg_pool_ == nullptr) {
     // Inline mode: the caller is the worker. Flush only; compactions wait
     // for the next write that fills the memtable.
-    return FlushOnCallerLocked(events);
+    return FlushOnCallerLocked();
   }
   // Background mode: freeze (waiting for a previous freeze to drain and
   // for any in-flight group commit to leave the WAL idle — freezing
@@ -771,7 +770,7 @@ Status DBImpl::FlushLocked(PendingEvents* events) {
     if (!s.ok()) {
       return s;
     }
-    MaybeScheduleBackgroundWork(events);
+    MaybeScheduleBackgroundWork();
     while (imm_ != nullptr && bg_error_.ok()) {
       bg_cv_.Wait();
     }
@@ -780,29 +779,17 @@ Status DBImpl::FlushLocked(PendingEvents* events) {
 }
 
 Status DBImpl::CompactAll() {
-  PerfContext* perf = GetPerfContext();
-  const PerfContext before = *perf;
-  PendingEvents events;
-  Status s;
-  {
-    MutexLock lock(&mu_);
-    s = CompactAllLocked(&events);
-  }
-  stats_.MergePerfDelta(perf->Delta(before));
-  NotifyListeners(&events);
-  return s;
-}
-
-Status DBImpl::CompactAllLocked(PendingEvents* events) {
+  OpScope op(this);
+  MutexLock lock(&mu_);
   // Take the compaction token: background work already running finishes
   // first, and the worker — a pool thread or an inline writer — then
   // leaves compaction picks to us (its flushes of frozen memtables remain
   // fine — they only add newer L0 runs, which never invalidates a pick of
   // older files).
   manual_compaction_ = true;
-  Status s = FlushOnCallerLocked(events);
+  Status s = FlushOnCallerLocked();
   if (s.ok()) {
-    s = MaybeCompact(events);
+    s = MaybeCompact();
   }
   // Major compaction: merge level by level until the whole tree is a
   // single sorted run at the deepest populated level, so bottom-level
@@ -815,10 +802,10 @@ Status DBImpl::CompactAllLocked(PendingEvents* events) {
     if (!pick.has_value()) {
       break;
     }
-    s = DoCompaction(std::move(*pick), events);
+    s = DoCompaction(std::move(*pick));
   }
   manual_compaction_ = false;
-  MaybeScheduleBackgroundWork(events);
+  MaybeScheduleBackgroundWork();
   return s;
 }
 
@@ -847,14 +834,14 @@ SequenceNumber DBImpl::SmallestSnapshotLocked() const {
 
 // ------------------------------------------------------------ Compaction --
 
-Status DBImpl::MaybeCompact(PendingEvents* events) {
+Status DBImpl::MaybeCompact() {
   Status s;
   while (s.ok()) {
     auto pick = policy_->Pick(*versions_->current());
     if (!pick.has_value()) {
       break;
     }
-    s = DoCompaction(std::move(*pick), events);
+    s = DoCompaction(std::move(*pick));
   }
   return s;
 }
@@ -864,8 +851,7 @@ void DBImpl::FinishJob(std::chrono::steady_clock::time_point start,
                        PhaseHistogram phase, uint64_t PerfContext::*micros,
                        std::span<const FileMetaData> outputs, int level,
                        JobInfo info,
-                       void (EventListener::*on_end)(const JobInfo&),
-                       PendingEvents* events) {
+                       void (EventListener::*on_end)(const JobInfo&)) {
   info.micros = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
@@ -879,15 +865,15 @@ void DBImpl::FinishJob(std::chrono::steady_clock::time_point start,
   for (const FileMetaData& meta : outputs) {
     info.outputs.push_back(MakeTableFileInfo(meta, level));
     const TableFileInfo created = info.outputs.back();
-    events->push_back(
+    StageEvent(
         [created](EventListener& l) { l.OnTableFileCreated(created); });
   }
-  events->push_back([info = std::move(info), on_end](EventListener& l) {
+  StageEvent([info = std::move(info), on_end](EventListener& l) {
     (l.*on_end)(info);
   });
 }
 
-Status DBImpl::DoCompaction(CompactionPick pick, PendingEvents* events) {
+Status DBImpl::DoCompaction(CompactionPick pick) {
   stats_.Add(Ticker::kCompactions);
   ReconfigureMonkeyLocked(pick.output_level);
   const auto start = std::chrono::steady_clock::now();
@@ -904,8 +890,7 @@ Status DBImpl::DoCompaction(CompactionPick pick, PendingEvents* events) {
     }
     CompactionJobInfo begin = info;
     begin.db_name = dbname_;
-    events->push_back(
-        [begin](EventListener& l) { l.OnCompactionBegin(begin); });
+    StageEvent([begin](EventListener& l) { l.OnCompactionBegin(begin); });
   }
   // Fixed before a merge starts: a flush the merge overlaps takes a newer
   // run.
@@ -943,7 +928,7 @@ Status DBImpl::DoCompaction(CompactionPick pick, PendingEvents* events) {
   FinishJob(start, PhaseHistogram::kCompactionMicros,
             &PerfContext::compaction_micros, job.installed(),
             info.output_level, std::move(info),
-            &EventListener::OnCompactionEnd, events);
+            &EventListener::OnCompactionEnd);
   return s;
 }
 
@@ -1038,7 +1023,7 @@ Iterator* DBImpl::NewReadIterator(const ReadOptions& options,
   }
   Iterator* merged = NewMergingIterator(&icmp_, children.data(),
                                         static_cast<int>(children.size()));
-  Iterator* iter = NewDBIterator(ucmp, merged, view.sequence);
+  Iterator* iter = NewDBIterator(ucmp, merged, view.sequence, &stats_);
   if (!resolve_values || vlog_ == nullptr) {
     return iter;
   }
@@ -1046,6 +1031,8 @@ Iterator* DBImpl::NewReadIterator(const ReadOptions& options,
 }
 
 Iterator* DBImpl::NewIterator(const ReadOptions& options) {
+  // Building it may open tables; their reads count as a Scan's do.
+  OpScope op(this);
   return NewReadIterator(options, nullptr, /*resolve_values=*/true);
 }
 
@@ -1063,9 +1050,8 @@ Status DBImpl::CollectRange(
     const std::function<Iterator*()>& open, const KeyRange& range,
     size_t limit,
     std::vector<std::pair<std::string, std::string>>* results) {
-  // Like Get: per-thread counters during the scan, one registry fold after.
-  PerfContext* perf = GetPerfContext();
-  const PerfContext before = *perf;
+  // The iterator's calls nest in this scope: the scan folds once.
+  OpScope op(this);
   results->clear();
   std::unique_ptr<Iterator> iter(open());
   const Comparator* ucmp = icmp_.user_comparator();
@@ -1079,9 +1065,7 @@ Status DBImpl::CollectRange(
       break;  // never step past the last row
     }
   }
-  const Status s = iter->status();
-  stats_.MergePerfDelta(perf->Delta(before));
-  return s;
+  return iter->status();
 }
 
 const Snapshot* DBImpl::GetSnapshot() {

@@ -18,6 +18,7 @@
 #include "core/write_batch.h"
 #include "memtable/memtable.h"
 #include "obs/event_listener.h"
+#include "obs/perf_scope.h"
 #include "obs/stats_registry.h"
 #include "util/mutex.h"
 #include "util/thread_pool.h"
@@ -63,6 +64,9 @@ class DBImpl : public DB {
   Status Put(const WriteOptions& options, const Slice& key,
              const Slice& value) override;
   Status Delete(const WriteOptions& options, const Slice& key) override;
+  /// The leader/follower group-commit protocol, defined in db_write.cc —
+  /// the only module allowed to touch the WAL file (see DESIGN.md "Group
+  /// commit" and the lint.sh ban).
   Status Write(const WriteOptions& options, WriteBatch* updates) override;
   Status Get(const ReadOptions& options, const Slice& key,
              std::string* value) override;
@@ -82,14 +86,17 @@ class DBImpl : public DB {
   using KeyRange = TableCache::KeyRange;
   /// The one user-iterator builder (NewIterator, Scan, GC, ShardedDB):
   /// pins the view, merges one child per memtable and run, wraps in
-  /// DBIter. With `range`, runs keep only the files their fence pointers
-  /// place in it (keys outside may be missing). `resolve_values` unwraps
-  /// separated values on value(); off, value() is the stored bytes.
+  /// DBIter, each of whose calls is a PerfScope on this DB's tickers (a
+  /// user iterator folds on every call). With `range`, runs keep only the
+  /// files their fence pointers place in it (keys outside may be
+  /// missing). `resolve_values` unwraps separated values on value(); off,
+  /// value() is the stored bytes.
   Iterator* NewReadIterator(const ReadOptions& options, const KeyRange* range,
                             bool resolve_values) EXCLUDES(mu_);
   /// Scan's loop over the iterator `open` builds: Seek(range.lo), then
-  /// rows while key <= range.hi, up to `limit`. Folds the thread's
-  /// PerfContext delta into this DB's tickers once (ShardedDB: shard 0).
+  /// rows while key <= range.hi, up to `limit`, in one OpScope: the
+  /// iterator's calls nest in it, so the scan folds into this DB's tickers
+  /// once (ShardedDB: shard 0).
   Status CollectRange(const std::function<Iterator*()>& open,
                       const KeyRange& range, size_t limit,
                       std::vector<std::pair<std::string, std::string>>*
@@ -152,9 +159,6 @@ class DBImpl : public DB {
   }
 
  private:
-  /// Listener callbacks staged while mu_ is held; NotifyListeners fires
-  /// them in staging order once the mutex is released.
-  using PendingEvents = std::vector<std::function<void(EventListener&)>>;
   /// One queued write (batch + options + a CondVar to park on); defined in
   /// db_write.cc with the rest of the group-commit module.
   struct Writer;
@@ -167,13 +171,35 @@ class DBImpl : public DB {
     SequenceNumber seq_;
   };
 
-  /// Fires staged events — and any queued table-file-deletion events — on
-  /// every registered listener, in order. Never called with mu_ held (the
-  /// listener contract); asserts so in debug builds.
-  void NotifyListeners(PendingEvents* events) EXCLUDES(mu_);
-  /// Moves queued file-deletion events (recorded by the VersionSet
-  /// observer, possibly under mu_) into *events.
-  void DrainDeletions(PendingEvents* events) EXCLUDES(deletions_mu_);
+  /// One DB operation on the calling thread, opened by every public entry
+  /// point and by each BackgroundCall step: its PerfScope, plus the
+  /// listener events its work stages (StageEvent). Only the outermost
+  /// OpScope on a thread keeps events; a nested one (the Put and Flush
+  /// inside GarbageCollectValues) stages onto it. On exit the outermost
+  /// closes its PerfScope first and then, with mu_ released, fires the
+  /// staged events and any queued table-file deletions on every listener,
+  /// so a listener that calls back into the DB opens a fresh scope.
+  class OpScope {
+   public:
+    explicit OpScope(DBImpl* db, uint64_t PerfContext::*micros = nullptr,
+                     PhaseHistogram phase = PhaseHistogram::kNumHistograms);
+    ~OpScope();
+
+    OpScope(const OpScope&) = delete;
+    OpScope& operator=(const OpScope&) = delete;
+
+   private:
+    friend class DBImpl;
+    /// The calling thread's outermost OpScope, or null.
+    static thread_local OpScope* outermost_on_thread_;
+    DBImpl* const db_;
+    PerfScope perf_;
+    bool outermost_;
+    std::vector<std::function<void(EventListener&)>> events_;
+  };
+  /// Stages a listener callback on the calling thread's outermost OpScope,
+  /// which must belong to this DB; it fires when that scope ends.
+  void StageEvent(std::function<void(EventListener&)> fire);
 
   /// The point-lookup core behind Get (a batch of one) and MultiGet,
   /// defined in db_multiget.cc: resolves keys[i] into values[i] and
@@ -183,13 +209,6 @@ class DBImpl : public DB {
   size_t LookupKeys(const ReadOptions& options, std::span<const Slice> keys,
                     std::span<std::string> values,
                     std::span<Status> statuses) EXCLUDES(mu_);
-  /// Body of Write: the leader/follower group-commit protocol. Defined in
-  /// db_write.cc — the only module allowed to touch the WAL file (see
-  /// DESIGN.md "Group commit" and the lint.sh ban). Takes mu_ to queue the
-  /// writer; the leader releases it for its commit window (WAL I/O and the
-  /// memtable insert).
-  Status WriteImpl(const WriteOptions& options, WriteBatch* updates,
-                   PendingEvents* events) EXCLUDES(mu_);
   /// Claims queued writers from the front of writers_ up to the group size
   /// cap, giving each follower its parallel_base: `base` plus the entries
   /// ahead of it. Returns the batch to commit — the leader's own for a
@@ -211,8 +230,6 @@ class DBImpl : public DB {
   /// syncs for non-sync traffic. Leader-only state (last_wal_sync_,
   /// wal_unsynced_bytes_); called without mu_.
   bool ShouldSyncWal(bool group_sync, uint64_t record_bytes) const;
-  Status FlushLocked(PendingEvents* events) REQUIRES(mu_);
-  Status CompactAllLocked(PendingEvents* events) REQUIRES(mu_);
   /// Replays WAL files newer than the manifest's log number into mem_.
   /// Runs before Init takes mu_: no other thread can reach the DB yet.
   Status RecoverWal() EXCLUDES(mu_);
@@ -225,32 +242,34 @@ class DBImpl : public DB {
   /// recovery): waits for the bg_scheduled_ claim and an idle WAL,
   /// freezes, and runs FlushImmMemTable while holding the claim. Runs no
   /// compaction. May release and reacquire mu_.
-  Status FlushOnCallerLocked(PendingEvents* events) REQUIRES(mu_);
+  Status FlushOnCallerLocked() REQUIRES(mu_);
   /// Write controller, run by every group leader before it applies: blocks
   /// until mem_ has room, freezing a full (non-empty) memtable and handing
   /// it to the worker. Background mode also applies the L0 slowdown/stop
   /// triggers and the pending-imm stall. May release and reacquire mu_.
-  Status MakeRoomForWrite(PendingEvents* events) REQUIRES(mu_);
+  Status MakeRoomForWrite() REQUIRES(mu_);
   /// Starts the worker when work is pending (a frozen memtable or a
   /// compaction hint) and no one holds the bg_scheduled_ claim. Background
   /// mode queues BackgroundCall on the pool. Inline mode runs the worker
   /// right here: BackgroundStep until imm_ is flushed and at most
-  /// Options::max_compactions_per_write compactions have run, staging
-  /// their events in *events. May release and reacquire mu_.
-  void MaybeScheduleBackgroundWork(PendingEvents* events) REQUIRES(mu_);
-  /// Thread-pool entry point: loops over BackgroundStep, releasing mu_
-  /// between steps to fire that step's listener events.
+  /// Options::max_compactions_per_write compactions have run; their
+  /// events fire when the caller's operation ends. May release and
+  /// reacquire mu_.
+  void MaybeScheduleBackgroundWork() REQUIRES(mu_);
+  /// Thread-pool entry point: loops over BackgroundStep, one OpScope per
+  /// step, so each step's counters fold and its listener events fire with
+  /// mu_ released before the next step.
   void BackgroundCall() EXCLUDES(mu_);
   /// Runs one unit of background work (a flush or one compaction),
   /// releasing mu_ while building tables. Returns true while more work may
   /// be pending.
-  bool BackgroundStep(PendingEvents* events) REQUIRES(mu_);
+  bool BackgroundStep() REQUIRES(mu_);
   /// Flushes imm_ into a level-0 run. With mu_ released it fsyncs the
   /// value log (SyncValueLog) and builds the tables; it holds mu_ for the
   /// manifest install, then releases it again to unlink the retired WAL
   /// before clearing imm_. REQUIRES additionally: imm_ != nullptr. On
   /// failure the error is also recorded in bg_error_.
-  Status FlushImmMemTable(PendingEvents* events) REQUIRES(mu_);
+  Status FlushImmMemTable() REQUIRES(mu_);
   /// Counted condition-variable wait: blocks on bg_cv_ and accrues the
   /// stall counters.
   void StallWait() REQUIRES(mu_);
@@ -259,14 +278,13 @@ class DBImpl : public DB {
   void ReconfigureMonkeyLocked(int output_level) REQUIRES(mu_);
   /// Runs compactions until the policy is satisfied; releases mu_ while
   /// each runs.
-  Status MaybeCompact(PendingEvents* events) REQUIRES(mu_);
+  Status MaybeCompact() REQUIRES(mu_);
   /// Executes one compaction pick as a CompactionJob, run with mu_
   /// released (inputs are immutable files); the job installs through
   /// InstallCompactionEdit. Takes the pick by value so that the job stops
   /// referencing each input once an install has removed it. Keeps the
   /// tickers and stages the listener events.
-  Status DoCompaction(CompactionPick pick, PendingEvents* events)
-      REQUIRES(mu_);
+  Status DoCompaction(CompactionPick pick) REQUIRES(mu_);
   /// The compaction job's install hook: applies one edit to the manifest
   /// and the current version under mu_.
   Status InstallCompactionEdit(VersionEdit* edit) EXCLUDES(mu_);
@@ -279,8 +297,7 @@ class DBImpl : public DB {
                  PhaseHistogram phase, uint64_t PerfContext::*micros,
                  std::span<const FileMetaData> outputs, int level,
                  JobInfo info,
-                 void (EventListener::*on_end)(const JobInfo&),
-                 PendingEvents* events);
+                 void (EventListener::*on_end)(const JobInfo&));
   SequenceNumber SmallestSnapshotLocked() const REQUIRES(mu_);
   /// Pinned snapshot of everything a read needs: referenced memtables, the
   /// current version (shared_ptr), and the visible sequence. Taken under
@@ -391,11 +408,11 @@ class DBImpl : public DB {
   /// Every named DB-wide counter and phase histogram; internally
   /// synchronized (relaxed atomics + a private histogram mutex), so both
   /// locked and unlocked code paths bump it directly. Per-operation
-  /// PerfContext deltas are folded in at the end of each instrumented op.
+  /// PerfContext deltas are folded in when each operation's OpScope ends.
   StatsRegistry stats_;
   /// Table-file-deletion events queue here (the VersionSet cleanup hooks
   /// fire under mu_, where listener callbacks are forbidden) until the
-  /// next NotifyListeners drains them.
+  /// next outermost OpScope to end drains them.
   Mutex deletions_mu_{LockRank::kDeletionsMu};
   std::vector<uint64_t> pending_deletions_ GUARDED_BY(deletions_mu_);
   // Set by Get when a file crosses the seek-compaction threshold; the

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "obs/perf_context.h"
+#include "obs/perf_scope.h"
 
 namespace lsmlab {
 
@@ -18,8 +19,11 @@ namespace {
 class DBIter : public Iterator {
  public:
   DBIter(const Comparator* user_comparator, Iterator* iter,
-         SequenceNumber sequence)
-      : ucmp_(user_comparator), iter_(iter), sequence_(sequence) {}
+         SequenceNumber sequence, StatsRegistry* stats)
+      : ucmp_(user_comparator),
+        iter_(iter),
+        sequence_(sequence),
+        stats_(stats) {}
 
   bool Valid() const override { return valid_; }
 
@@ -37,6 +41,7 @@ class DBIter : public Iterator {
   }
 
   void SeekToFirst() override {
+    PerfScope scope(stats_);
     PerfTimer timer(&GetPerfContext()->seek_micros);
     direction_ = kForward;
     iter_->SeekToFirst();
@@ -44,6 +49,7 @@ class DBIter : public Iterator {
   }
 
   void SeekToLast() override {
+    PerfScope scope(stats_);
     PerfTimer timer(&GetPerfContext()->seek_micros);
     direction_ = kReverse;
     iter_->SeekToLast();
@@ -51,6 +57,7 @@ class DBIter : public Iterator {
   }
 
   void Seek(const Slice& target) override {
+    PerfScope scope(stats_);
     PerfTimer timer(&GetPerfContext()->seek_micros);
     direction_ = kForward;
     std::string seek_key;
@@ -60,6 +67,7 @@ class DBIter : public Iterator {
   }
 
   void Next() override {
+    PerfScope scope(stats_);
     PerfTimer timer(&GetPerfContext()->next_micros);
     assert(valid_);
     if (direction_ == kReverse) {
@@ -82,6 +90,7 @@ class DBIter : public Iterator {
   }
 
   void Prev() override {
+    PerfScope scope(stats_);
     PerfTimer timer(&GetPerfContext()->next_micros);
     assert(valid_);
     if (direction_ == kForward) {
@@ -181,6 +190,7 @@ class DBIter : public Iterator {
   const Comparator* ucmp_;
   std::unique_ptr<Iterator> iter_;
   SequenceNumber sequence_;
+  StatsRegistry* const stats_;
   Status status_;
   std::string saved_key_;
   std::string saved_value_;
@@ -192,8 +202,9 @@ class DBIter : public Iterator {
 }  // namespace
 
 Iterator* NewDBIterator(const Comparator* user_comparator,
-                        Iterator* internal_iter, SequenceNumber sequence) {
-  return new DBIter(user_comparator, internal_iter, sequence);
+                        Iterator* internal_iter, SequenceNumber sequence,
+                        StatsRegistry* stats) {
+  return new DBIter(user_comparator, internal_iter, sequence, stats);
 }
 
 }  // namespace lsmlab

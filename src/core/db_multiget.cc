@@ -63,46 +63,32 @@ void SaveValue(void* arg, const Slice& ikey, const Slice& v) {
 
 Status DBImpl::Get(const ReadOptions& options, const Slice& key,
                    std::string* value) {
-  // Measure the lookup with thread-local counters, then fold the delta
-  // into the DB-wide registry — one snapshot/subtract per operation, no
-  // atomics on the per-probe hot path.
-  PerfContext* perf = GetPerfContext();
-  const PerfContext before = *perf;
+  // Measure the lookup with thread-local counters, folded into the
+  // DB-wide registry when the scope ends — one snapshot/subtract per
+  // operation, no atomics on the per-probe hot path.
+  OpScope op(this, &PerfContext::get_micros, PhaseHistogram::kGetMicros);
+  stats_.Add(Ticker::kGets);
   Status s;
-  {
-    PerfTimer timer(&perf->get_micros);
-    stats_.Add(Ticker::kGets);
-    LookupKeys(options, std::span<const Slice>(&key, 1),
-               std::span<std::string>(value, 1), std::span<Status>(&s, 1));
-    if (s.ok()) {
-      stats_.Add(Ticker::kGetsFound);
-    }
+  LookupKeys(options, std::span<const Slice>(&key, 1),
+             std::span<std::string>(value, 1), std::span<Status>(&s, 1));
+  if (s.ok()) {
+    stats_.Add(Ticker::kGetsFound);
   }
-  stats_.Record(PhaseHistogram::kGetMicros,
-                static_cast<double>(perf->get_micros - before.get_micros));
-  stats_.MergePerfDelta(perf->Delta(before));
   return s;
 }
 
 void DBImpl::MultiGet(const ReadOptions& options, std::span<const Slice> keys,
                       std::vector<std::string>* values,
                       std::vector<Status>* statuses) {
+  OpScope op(this, &PerfContext::multiget_micros,
+             PhaseHistogram::kMultiGetMicros);
+  stats_.Add(Ticker::kMultiGets);
   PerfContext* perf = GetPerfContext();
-  const PerfContext before = *perf;
-  {
-    PerfTimer timer(&perf->multiget_micros);
-    stats_.Add(Ticker::kMultiGets);
-    perf->multiget_keys += keys.size();
-    values->clear();
-    values->resize(keys.size());
-    statuses->resize(keys.size());
-    perf->multiget_filter_pruned +=
-        LookupKeys(options, keys, *values, *statuses);
-  }
-  stats_.Record(
-      PhaseHistogram::kMultiGetMicros,
-      static_cast<double>(perf->multiget_micros - before.multiget_micros));
-  stats_.MergePerfDelta(perf->Delta(before));
+  perf->multiget_keys += keys.size();
+  values->clear();
+  values->resize(keys.size());
+  statuses->resize(keys.size());
+  perf->multiget_filter_pruned += LookupKeys(options, keys, *values, *statuses);
 }
 
 size_t DBImpl::LookupKeys(const ReadOptions& options,

@@ -80,24 +80,8 @@ Status DBImpl::Delete(const WriteOptions& options, const Slice& key) {
 }
 
 Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
-  PerfContext* perf = GetPerfContext();
-  const PerfContext before = *perf;
-  PendingEvents events;
-  Status s;
-  {
-    PerfTimer timer(&perf->write_micros);
-    s = WriteImpl(options, updates, &events);
-  }
+  OpScope op(this, &PerfContext::write_micros, PhaseHistogram::kWriteMicros);
   stats_.Add(Ticker::kWrites);
-  stats_.Record(PhaseHistogram::kWriteMicros,
-                static_cast<double>(perf->write_micros - before.write_micros));
-  stats_.MergePerfDelta(perf->Delta(before));
-  NotifyListeners(&events);
-  return s;
-}
-
-Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
-                         PendingEvents* events) {
   Writer w(&mu_);
   w.batch = updates;
   w.sync = options.sync;
@@ -148,7 +132,7 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
   // flush/compaction, or a group whose WAL record landed but whose commit
   // could not complete. May release and reacquire mu_; writers arriving
   // meanwhile queue behind us.
-  Status s = MakeRoomForWrite(events);
+  Status s = MakeRoomForWrite();
 
   Writer* last_writer = &w;
   if (s.ok()) {
@@ -262,7 +246,7 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
       // this write runs the compaction; a failure there is sticky in
       // bg_error_ and fails the next write, not this committed one.
       bg_compaction_hint_ = true;
-      MaybeScheduleBackgroundWork(events);
+      MaybeScheduleBackgroundWork();
     }
   }
 

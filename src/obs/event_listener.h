@@ -64,14 +64,25 @@ struct TableFileDeletionInfo {
 /// Observer of DB lifecycle events, registered via Options::listeners.
 ///
 /// Contract (see DESIGN.md "Observability"):
-///  - Callbacks are invoked with NO DB mutex held, so they may call back
-///    into read-side DB methods (GetStats, GetProperty, Get, iterators).
-///    They must not destroy the DB.
+///  - Every DB call (Get, MultiGet, Write, NewIterator, Scan, Flush,
+///    CompactAll, Open's recovery, GarbageCollectValues) and each step of
+///    the background worker is one operation scope. Events the operation
+///    causes are staged on it and delivered when it ends: after its
+///    counters are folded into the DB's tickers and its scope has closed,
+///    with NO DB mutex held. A callback may therefore call back into the
+///    DB (GetStats, GetProperty, Get, iterators) and that call is an
+///    operation of its own, counted once. Callbacks must not destroy the
+///    DB.
+///  - A DB call made inside another on the same thread (the Put and Flush
+///    inside GarbageCollectValues) is not an operation of its own: its
+///    events fire at the end of the outer call.
 ///  - Events for one DB are delivered in operation order, from the thread
 ///    that performed the operation (inline writes deliver at the end of the
-///    triggering call; the background worker delivers between tasks). They
-///    may therefore lag the operation itself — synchronize in the listener
-///    when a test or tool needs to wait for one.
+///    triggering call; the background worker delivers between steps).
+///    Table-file deletions are delivered by the next operation to end on
+///    any thread. Events may therefore lag the operation itself —
+///    synchronize in the listener when a test or tool needs to wait for
+///    one.
 ///  - Callbacks run on the critical path of flush/compaction scheduling:
 ///    keep them short or hand off to another thread.
 class EventListener {

@@ -157,6 +157,53 @@ TEST_F(CompactionShapeTest, CompactionsGarbageCollectOverwrites) {
   EXPECT_EQ(value, "round49");
 }
 
+// A flush keeps the rule a merge keeps: it drops each version that a
+// newer one visible to every snapshot shadows.
+TEST_F(CompactionShapeTest, FlushDropsVersionsNoSnapshotSees) {
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  auto* impl = static_cast<DBImpl*>(db_.get());
+  // Table entries in the whole tree, read back through the table cache.
+  auto entries = [&] {
+    InternalKeyComparator icmp(BytewiseComparator());
+    StatsRegistry stats;
+    TableCache tables("/db", &options_, &icmp, &stats);
+    const VersionPtr v = impl->TEST_CurrentVersion();
+    int n = 0;
+    for (int level = 0; level < v->num_levels(); level++) {
+      for (const lsmlab::Run& run : v->levels()[level].runs) {
+        std::unique_ptr<Iterator> it(tables.NewRunIterator(run.files, level));
+        for (it->SeekToFirst(); it->Valid(); it->Next()) {
+          n++;
+        }
+        EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+      }
+    }
+    return n;
+  };
+  for (const char* value : {"v1", "v2", "v3"}) {
+    ASSERT_TRUE(db_->Put({}, "a", value).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  EXPECT_EQ(entries(), 1);
+
+  ASSERT_TRUE(db_->Put({}, "b", "v1").ok());
+  ASSERT_TRUE(db_->Put({}, "b", "v2").ok());
+  const Snapshot* snapshot = db_->GetSnapshot();
+  ASSERT_TRUE(db_->Put({}, "b", "v3").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  EXPECT_EQ(entries(), 1 + 2);  // b's v3, and v2 for the snapshot
+  std::string value;
+  ReadOptions at_snapshot;
+  at_snapshot.snapshot = snapshot;
+  ASSERT_TRUE(db_->Get(at_snapshot, "b", &value).ok());
+  EXPECT_EQ(value, "v2");
+  ASSERT_TRUE(db_->Get({}, "b", &value).ok());
+  EXPECT_EQ(value, "v3");
+  EXPECT_TRUE(db_->Get(at_snapshot, "a", &value).ok());
+  EXPECT_EQ(value, "v3");
+  db_->ReleaseSnapshot(snapshot);
+}
+
 TEST_F(CompactionShapeTest, TombstonesPurgedAtBottomLevel) {
   options_.merge_policy = MergePolicy::kLeveling;
   ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
@@ -660,6 +707,16 @@ TEST_F(CompactionShapeTest, PartialPickerMergesAreNotSplit) {
 // leg runs this test for those races.
 TEST_F(CompactionShapeTest, BackgroundSubcompactionsRaceReaders) {
   ObservingEnv env(env_.get());
+  // Once set, each table create waits until three threads have made one,
+  // so the final CompactAll cannot build every subrange on the caller
+  // before its helpers start: it runs on a helper by construction.
+  std::atomic<bool> hold{false};
+  env.on_table = [&] {
+    if (hold.load()) {
+      env.AwaitTableThreads(3);
+    }
+    return Status::OK();
+  };
   options_.env = &env;
   options_.merge_policy = MergePolicy::kLeveling;
   options_.background_compaction = true;
@@ -759,6 +816,12 @@ TEST_F(CompactionShapeTest, BackgroundSubcompactionsRaceReaders) {
     }
   }
   if (s.ok()) {
+    // Flushed by the worker first, so that no table CompactAll makes
+    // is a flush's, which no helper could join.
+    s = db->Flush();
+  }
+  if (s.ok()) {
+    hold.store(true);
     s = db->CompactAll();
   }
   done.store(true);
@@ -2041,7 +2104,10 @@ std::string DescribeTree(const Version& v) {
 // were three policy classes: the same runs, file numbers, key bounds and
 // sizes after the same number of compactions and moves. Re-captured when
 // merges into a run began cutting along it: run numbers moved, and the
-// layouts of leveling_T2, leveling_T10 and whole_level. The load is a
+// layouts of leveling_T2, leveling_T10 and whole_level. Re-captured again
+// when flushes began dropping the versions no snapshot can see, as merges
+// do: the load overwrites keys, so every preset's flushed tables shrank,
+// with the same compaction and move counts. The load is a
 // fixed seeded mix of sequential and random puts, deletes and reads,
 // compacted inline with every table built on the calling thread. A
 // mismatch prints each case's digest line, to paste back after an
@@ -2051,35 +2117,35 @@ TEST_F(CompactionShapeTest, PresetsBuildTheParentsTrees) {
   using F = CompactionFilePicker;
   const PresetCase kCases[] = {
       {"leveling_T2", P::kLeveling, 2, F::kWholeLevel, 0,
-       0x14c182f48e54dac1, 133, 15},
+       0xc3ca0844e031b56e, 133, 15},
       {"leveling_T4", P::kLeveling, 4, F::kWholeLevel, 0,
-       0xea3a6b3713ee2b6e, 111, 1},
+       0x1fb13d083946d7d0, 111, 1},
       {"leveling_T10", P::kLeveling, 10, F::kWholeLevel, 0,
-       0xfd22cd32d816b695, 103, 1},
+       0x3130181ac37894cb, 103, 1},
       {"tiering_T2", P::kTiering, 2, F::kWholeLevel, 0,
-       0x7456d1c504821c80, 198, 0},
+       0xbdec9b98e51c9ea9, 198, 0},
       {"tiering_T4", P::kTiering, 4, F::kWholeLevel, 0,
-       0xfdb763bd3d12d206, 133, 0},
+       0x57303a27e738ce5a, 133, 0},
       {"tiering_T10", P::kTiering, 10, F::kWholeLevel, 0,
-       0xd9ca8492ea167fc7, 112, 0},
+       0x464a712c5603af87, 112, 0},
       {"lazy_T2", P::kLazyLeveling, 2, F::kWholeLevel, 0,
-       0xfda526e124bd556e, 183, 3},
+       0x6e4da11e5275a08e, 183, 3},
       {"lazy_T4", P::kLazyLeveling, 4, F::kWholeLevel, 0,
-       0x1c6119082040b5c8, 124, 1},
+       0x203b209ac650cc47, 124, 1},
       {"lazy_T10", P::kLazyLeveling, 10, F::kWholeLevel, 0,
-       0xa1b9f272af952c53, 108, 1},
+       0xfba834517f670059, 108, 1},
       {"whole_level", P::kLeveling, 3, F::kWholeLevel, 0,
-       0xfe7efa3d4d44c1b9, 118, 5},
+       0x252de8c64557e0ab, 118, 5},
       {"round_robin", P::kLeveling, 3, F::kRoundRobin, 0,
-       0x98bee023591b890f, 202, 29},
+       0xdd98195452480e3f, 202, 29},
       {"min_overlap", P::kLeveling, 3, F::kMinOverlap, 0,
-       0x791bf97ee2aa7206, 222, 32},
+       0x6e5f47fca9ec6c9f, 222, 32},
       {"cold", P::kLeveling, 3, F::kCold, 0,
-       0x17092dd4fbc3d6e6, 168, 2},
+       0xc27783b8a3a33c17, 168, 2},
       {"oldest", P::kLeveling, 3, F::kOldest, 0,
-       0xdb66a3cc26defe45, 177, 10},
+       0xcb8410fd6c1d15f7, 177, 10},
       {"seek_trigger", P::kLeveling, 3, F::kWholeLevel, 32,
-       0x172d2de7c03093f7, 354, 139},
+       0x1c6a3ccba6dc9734, 354, 139},
   };
   std::string digests;
   for (const PresetCase& c : kCases) {
@@ -2280,7 +2346,7 @@ class CompactionJobTest : public ::testing::Test {
     std::vector<FileMetaData> outputs;
     uint64_t bytes = 0;
     ASSERT_TRUE(BuildTables(tables, versions, iter.get(), level, false,
-                            false, kMaxSequenceNumber, &outputs, &bytes)
+                            kMaxSequenceNumber, &outputs, &bytes)
                     .ok());
     iter.reset();
     mem->Unref();

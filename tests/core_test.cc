@@ -498,7 +498,7 @@ TEST(DBIterTest, NewestVisibleVersionWins) {
       {IKey("k", 1), "oldest"},
   });
   std::unique_ptr<Iterator> it(
-      NewDBIterator(BytewiseComparator(), data, /*sequence=*/2));
+      NewDBIterator(BytewiseComparator(), data, /*sequence=*/2, nullptr));
   it->SeekToFirst();
   ASSERT_TRUE(it->Valid());
   EXPECT_EQ(it->key().ToString(), "k");
@@ -515,7 +515,7 @@ TEST(DBIterTest, TombstoneHidesOlderVersions) {
       {IKey("c", 2), "live2"},
   });
   std::unique_ptr<Iterator> it(
-      NewDBIterator(BytewiseComparator(), data, kMaxSequenceNumber));
+      NewDBIterator(BytewiseComparator(), data, kMaxSequenceNumber, nullptr));
   std::string seen;
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
     seen += it->key().ToString();
@@ -531,7 +531,7 @@ TEST(DBIterTest, SeekSkipsInvisibleAndDeleted) {
       {IKey("c", 2), "target"},
   });
   std::unique_ptr<Iterator> it(
-      NewDBIterator(BytewiseComparator(), data, /*sequence=*/5));
+      NewDBIterator(BytewiseComparator(), data, /*sequence=*/5, nullptr));
   it->Seek("a");
   ASSERT_TRUE(it->Valid());
   EXPECT_EQ(it->key().ToString(), "c");  // a invisible, b deleted
@@ -546,7 +546,7 @@ TEST(DBIterTest, PrevFromForwardPosition) {
       {IKey("c", 1), "3"},
   });
   std::unique_ptr<Iterator> it(
-      NewDBIterator(BytewiseComparator(), data, kMaxSequenceNumber));
+      NewDBIterator(BytewiseComparator(), data, kMaxSequenceNumber, nullptr));
   it->Seek("c");
   ASSERT_TRUE(it->Valid());
   it->Prev();

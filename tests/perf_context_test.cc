@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/db.h"
+#include "obs/event_listener.h"
 #include "storage/env.h"
 
 namespace lsmlab {
@@ -315,6 +317,209 @@ TEST_F(PerfContextTest, StatsPropertyReflectsTickers) {
   EXPECT_FALSE(io.empty());
 
   EXPECT_FALSE(db_->GetProperty("lsmlab.unknown", &value));
+}
+
+/// One ticker of a stats dump (`property`: lsmlab.stats, or a shard's).
+uint64_t TickerOf(DB* db, const std::string& name,
+                  const std::string& property = "lsmlab.stats") {
+  std::string dump;
+  EXPECT_TRUE(db->GetProperty(property, &dump)) << property;
+  const std::string field = "ticker." + name + "=";
+  const size_t at = dump.find(field);
+  EXPECT_NE(at, std::string::npos) << name;
+  return at == std::string::npos
+             ? 0
+             : std::stoull(dump.substr(at + field.size()));
+}
+
+/// The fields an operation scope folds into block.reads, index.seeks,
+/// merge_iter.seeks and merge_iter.steps: the same counts read from the
+/// registry and from the calling thread's PerfContext.
+struct ReadCounts {
+  uint64_t block_reads = 0;
+  uint64_t index_seeks = 0;
+  uint64_t merge_seeks = 0;
+  uint64_t merge_steps = 0;
+
+  static ReadCounts OfRegistry(DB* db,
+                               const std::string& property = "lsmlab.stats") {
+    return {TickerOf(db, "block.reads", property),
+            TickerOf(db, "index.seeks", property),
+            TickerOf(db, "merge_iter.seeks", property),
+            TickerOf(db, "merge_iter.steps", property)};
+  }
+  static ReadCounts OfThread() {
+    const PerfContext* perf = GetPerfContext();
+    return {perf->block_read_count, perf->index_seek_count,
+            perf->merge_iter_seek_count, perf->merge_iter_step_count};
+  }
+  ReadCounts operator-(const ReadCounts& o) const {
+    return {block_reads - o.block_reads, index_seeks - o.index_seeks,
+            merge_seeks - o.merge_seeks, merge_steps - o.merge_steps};
+  }
+  bool operator==(const ReadCounts&) const = default;
+};
+
+void PrintTo(const ReadCounts& c, std::ostream* os) {
+  *os << "{block.reads=" << c.block_reads << " index.seeks=" << c.index_seeks
+      << " merge_iter.seeks=" << c.merge_seeks
+      << " merge_iter.steps=" << c.merge_steps << "}";
+}
+
+std::string RowKey(int i) {
+  char key[32];
+  std::snprintf(key, sizeof(key), "row%06d", i);
+  return key;
+}
+
+// Every DB call is one operation scope, user iterators included: a walk
+// over rows folds into the tickers exactly what a Scan over the same rows
+// folds, and nested scopes (the Scan's own iterator calls) fold nothing
+// twice.
+TEST_F(PerfContextTest, IteratorWalkFoldsLikeScan) {
+  Open();
+  constexpr int kRows = 5000;
+  const std::string pad(40, 'v');
+  for (int i = 0; i < kRows; i++) {
+    ASSERT_TRUE(db_->Put({}, RowKey(i), pad).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  std::vector<std::pair<std::string, std::string>> rows;
+  // Opens every table, so neither measured read pays an open.
+  ASSERT_TRUE(db_->Scan({}, RowKey(0), RowKey(kRows), kRows, &rows).ok());
+
+  ReadCounts reg = ReadCounts::OfRegistry(db_.get());
+  ReadCounts thread = ReadCounts::OfThread();
+  ASSERT_TRUE(db_->Scan({}, RowKey(0), RowKey(kRows), kRows, &rows).ok());
+  ASSERT_EQ(rows.size(), static_cast<size_t>(kRows));
+  const ReadCounts scan = ReadCounts::OfRegistry(db_.get()) - reg;
+  EXPECT_EQ(scan, ReadCounts::OfThread() - thread);
+  EXPECT_EQ(scan.merge_steps, static_cast<uint64_t>(kRows - 1));
+  EXPECT_GT(scan.block_reads, 0u);
+
+  // The same rows through NewIterator, stepped as Scan steps them.
+  reg = ReadCounts::OfRegistry(db_.get());
+  thread = ReadCounts::OfThread();
+  {
+    std::unique_ptr<Iterator> it(db_->NewIterator({}));
+    int n = 0;
+    for (it->Seek(RowKey(0)); it->Valid(); it->Next()) {
+      if (++n == kRows) {
+        break;
+      }
+    }
+    ASSERT_EQ(n, kRows);
+    ASSERT_TRUE(it->status().ok());
+  }
+  const ReadCounts walk = ReadCounts::OfRegistry(db_.get()) - reg;
+  EXPECT_EQ(walk, ReadCounts::OfThread() - thread);
+  EXPECT_EQ(walk, scan);
+}
+
+// A Get between two steps of a user iterator is its own operation: every
+// read of the three calls reaches the tickers once.
+TEST_F(PerfContextTest, GetBetweenIteratorStepsCountsOnce) {
+  Open();
+  BuildThreeRuns();
+  WarmUp();
+  std::unique_ptr<Iterator> it(db_->NewIterator({}));
+  it->Seek("a");
+  ASSERT_TRUE(it->Valid());
+  const uint64_t gets = TickerOf(db_.get(), "gets");
+  const ReadCounts reg = ReadCounts::OfRegistry(db_.get());
+  const ReadCounts thread = ReadCounts::OfThread();
+  it->Next();
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->key().ToString(), "m");
+  std::string value;
+  ASSERT_TRUE(db_->Get({}, "m", &value).ok());  // one block read per run
+  EXPECT_EQ(value, "from_old");
+  it->Next();
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->key().ToString(), "q");
+  const ReadCounts moved = ReadCounts::OfRegistry(db_.get()) - reg;
+  EXPECT_EQ(moved, ReadCounts::OfThread() - thread);
+  EXPECT_EQ(moved.index_seeks, 3u);  // the Get's, one per run
+  EXPECT_GE(moved.merge_steps, 2u);
+  EXPECT_EQ(TickerOf(db_.get(), "gets"), gets + 1);
+}
+
+/// Reads a key back from the DB whose flush just ended.
+class GetOnFlushEnd : public EventListener {
+ public:
+  void OnFlushEnd(const FlushJobInfo& info) override {
+    ASSERT_TRUE(info.status.ok());
+    found_ = db_->Get({}, "k", &value_).ok();
+    flushes_++;
+  }
+
+  DB* db_ = nullptr;
+  bool found_ = false;
+  int flushes_ = 0;
+  std::string value_;
+};
+
+// Events fire after the operation's scope has closed: a listener that
+// calls Get neither deadlocks nor has its reads folded twice (once by the
+// Flush and once by its own Get).
+TEST_F(PerfContextTest, ListenerGetFromFlushEndCountsOnce) {
+  auto listener = std::make_shared<GetOnFlushEnd>();
+  options_.listeners.push_back(listener);
+  Open();
+  listener->db_ = db_.get();
+  ASSERT_TRUE(db_->Put({}, "k", "flushed").ok());
+  const uint64_t gets = TickerOf(db_.get(), "gets");
+  const ReadCounts reg = ReadCounts::OfRegistry(db_.get());
+  const ReadCounts thread = ReadCounts::OfThread();
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_EQ(listener->flushes_, 1);
+  EXPECT_TRUE(listener->found_);
+  EXPECT_EQ(listener->value_, "flushed");
+  const ReadCounts moved = ReadCounts::OfRegistry(db_.get()) - reg;
+  EXPECT_EQ(moved, ReadCounts::OfThread() - thread);
+  EXPECT_EQ(moved.index_seeks, 1u);  // the listener's Get, in the new run
+  EXPECT_EQ(TickerOf(db_.get(), "gets"), gets + 1);
+  std::string stats;
+  ASSERT_TRUE(db_->GetProperty("lsmlab.stats", &stats));
+  EXPECT_NE(stats.find("histogram.get_micros: count=1 "), std::string::npos)
+      << stats;
+}
+
+// A sharded Scan is one operation on the caller's thread: its reads in
+// every shard fold into shard 0's tickers, once.
+TEST_F(PerfContextTest, ShardedScanFoldsIntoShardZeroOnly) {
+  constexpr int kShards = 4;
+  options_.num_shards = kShards;
+  Open();
+  constexpr int kRows = 400;
+  for (int i = 0; i < kRows; i++) {
+    ASSERT_TRUE(db_->Put({}, RowKey(i), "v").ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(db_->Scan({}, RowKey(0), RowKey(kRows), kRows, &rows).ok());
+
+  auto shard = [](int k) {
+    return "lsmlab.shard." + std::to_string(k) + ".stats";
+  };
+  std::vector<ReadCounts> before;
+  for (int k = 0; k < kShards; k++) {
+    before.push_back(ReadCounts::OfRegistry(db_.get(), shard(k)));
+  }
+  const ReadCounts thread = ReadCounts::OfThread();
+  ASSERT_TRUE(db_->Scan({}, RowKey(0), RowKey(kRows), kRows, &rows).ok());
+  ASSERT_EQ(rows.size(), static_cast<size_t>(kRows));
+  const ReadCounts scan =
+      ReadCounts::OfRegistry(db_.get(), shard(0)) - before[0];
+  EXPECT_EQ(scan, ReadCounts::OfThread() - thread);
+  EXPECT_GT(scan.block_reads, 0u);
+  // Each row past the first steps the merge over the shards and, below it,
+  // the merge inside the shard that holds it.
+  EXPECT_EQ(scan.merge_steps, 2u * (kRows - 1));
+  for (int k = 1; k < kShards; k++) {
+    EXPECT_EQ(ReadCounts::OfRegistry(db_.get(), shard(k)), before[k])
+        << "shard " << k;
+  }
 }
 
 TEST_F(PerfContextTest, DeltaAndResetAreFieldwise) {

@@ -90,6 +90,14 @@
 #      depends only on the entries: per-thread state there (a block cache,
 #      a height stream) makes the same writes build a different memtable
 #      on another thread or after other work, and flush points with it.
+#  17. One operation scope: a PerfContext delta is folded into a registry
+#      (`MergePerfDelta(`) only inside PerfScope::Close, and listener
+#      callbacks are delivered (a `for` loop over `listeners`) only inside
+#      DBImpl::OpScope::~OpScope (each body ends at the first line that is
+#      a lone `}`; comment lines and MergePerfDelta's own declaration and
+#      definition aside). A second fold site counts an operation twice or
+#      in the wrong registry; a second delivery loop fires events under
+#      mu_, or before the operation's counters are folded.
 #
 # `lint.sh --self-test` seeds a throwaway tree with one violation per check
 # and asserts every check fires (the same discipline as
@@ -207,6 +215,32 @@ Iterator* NewDBIterator(const Comparator* ucmp, Iterator* it, SequenceNumber s) 
   return new DBIter(ucmp, it, s);
 }
 EOF
+  cat > "$tmp/src/core/merging_iterator.cc" << 'EOF'
+void MergingIterator::Next() {
+  stats_->MergePerfDelta(GetPerfContext()->Delta(before));  // check 17: second fold site
+}
+EOF
+  cat > "$tmp/src/obs/perf_scope.cc" << 'EOF'
+void PerfScope::Close() {
+  stats_->MergePerfDelta(perf->Delta(*before_));      // check 17: scope's fold
+}
+EOF
+  cat > "$tmp/src/obs/stats_registry.h" << 'EOF'
+  void MergePerfDelta(const PerfContext& delta);      // check 17: declaration
+EOF
+  cat > "$tmp/src/core/db_impl.cc" << 'EOF'
+DBImpl::OpScope::~OpScope() {
+  for (const auto& listener : db_->options_.listeners) {  // check 17: scope's loop
+    fire(*listener);
+  }
+}
+void DBImpl::Flush() {
+  for (const auto& l : options_.listeners) {          // check 17: delivery loop
+    l->OnFlushEnd(info);
+  }
+  // A comment may name MergePerfDelta(: must NOT fire
+}
+EOF
   cat > "$tmp/src/core/db_multiget.cc" << 'EOF'
 void Batch() { file->Read(0, n, &result, scratch); }  // check 7
 EOF
@@ -314,12 +348,22 @@ EOF
     echo "lint --self-test: thread_local outside the memtable or in a comment wrongly flagged"
     fail=1
   fi
+  expect "fold or listener delivery outside the operation scope"
+  if ! grep -q 'second fold site' <<< "$out" ||
+      ! grep -q 'delivery loop' <<< "$out"; then
+    echo "lint --self-test: seeded second fold site or delivery loop not flagged"
+    fail=1
+  fi
+  if grep -qE "scope's (fold|loop)|check 17: declaration|may name MergePerfDelta" <<< "$out"; then
+    echo "lint --self-test: the scope's own fold or loop, the declaration or a comment wrongly flagged"
+    fail=1
+  fi
   if [ "$rc" -eq 0 ]; then
     echo "lint --self-test: seeded tree passed the lint (expected failure)"
     fail=1
   fi
   if [ "$fail" -eq 0 ]; then
-    echo "lint --self-test: PASS (all 16 checks fire on seeded violations)"
+    echo "lint --self-test: PASS (all 17 checks fire on seeded violations)"
   fi
   exit "$fail"
 fi
@@ -590,6 +634,23 @@ grep -rnE --include='*.h' --include='*.cc' '\bthread_local\b' \
     src/memtable/ src/util/arena.h src/util/arena.cc 2>/dev/null \
   | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' \
   | report "thread_local in the memtable or its arena (the memtable it builds must depend on its entries alone)"
+
+# 17. One operation scope: the one fold and the one delivery loop.
+grep -rlE --include='*.h' --include='*.cc' \
+    'MergePerfDelta\(|for[[:space:]]*\(.*:.*listeners\b' src/ 2>/dev/null \
+  | while read -r f; do
+      awk -v file="$f" '
+        /PerfScope::Close\(|DBImpl::OpScope::~OpScope\(/ { in_scope = 1 }
+        $0 !~ /^[[:space:]]*\/\// && !in_scope &&
+            ((/MergePerfDelta\(/ &&
+              $0 !~ /void[[:space:]]+(StatsRegistry::)?MergePerfDelta\(/) ||
+             /for[[:space:]]*\(.*:.*listeners/) {
+          printf "%s:%d: %s\n", file, NR, $0
+        }
+        /^}/ { in_scope = 0 }
+      ' "$f"
+    done \
+  | report "fold or listener delivery outside the operation scope (open a PerfScope or a DBImpl::OpScope, and stage events with StageEvent)"
 
 if [ "$fail" -eq 0 ]; then
   echo "lint: OK"
